@@ -33,7 +33,9 @@ def test_ibrs_blocks_user_to_kernel_everywhere_it_exists():
     for cpu in all_cpus():
         row = speculation_row(cpu, ibrs=True, trials=3)
         if row is not None:
-            assert row[SCENARIOS[0]] is False, cpu.key
+            verdict = row[SCENARIOS[0]]
+            assert verdict.speculated is False, cpu.key
+            assert verdict.leaked is False, cpu.key
 
 
 def bench_probe_with_ibrs(benchmark):

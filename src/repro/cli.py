@@ -59,6 +59,7 @@ from .cpu import replicas as replicabatch
 from .core import microbench, reporting, study
 from .core.probe import DEFAULT_TRIALS, speculation_matrix
 from .core.study import Settings
+from .errors import BaselineError, ProgramParseError
 from .mitigations import linux_default
 from .mitigations.meltdown import attempt_meltdown
 from .mitigations.mds import attempt_mds_sample, kernel_touched_secret
@@ -399,15 +400,12 @@ def cmd_regress(args: argparse.Namespace) -> str:
 
 def cmd_profile(args: argparse.Namespace) -> str:
     """Run one artifact under the span tracer; write trace/flame files."""
-    import contextlib
     settings = _settings(args)
     cpus = _selected_cpus(args)
     tracer = obs.SpanTracer()
     ledger = obs.CycleLedger() if args.ledger_out else None
-    ledger_cm = (obs.use_ledger(ledger) if ledger is not None
-                 else contextlib.nullcontext())
     started = time.perf_counter()
-    with obs.use_tracer(tracer), ledger_cm:
+    with obs.use_observers(tracer, ledger):
         if args.kind == "figure":
             rendered = cmd_figure(args)
         else:
@@ -502,11 +500,15 @@ def cmd_check(args: argparse.Namespace) -> str:
     """Re-run a baseline's grid and gate on noise-aware regressions."""
     from .obs import baseline
     executor = _study_executor(args)
-    diff, report = baseline.check_against(
-        args.against, executor=executor,
-        report=lambda driver: _report_executor(f"check {driver}", executor),
-        on_payload=lambda payload: _history_autorecord(args, payload,
-                                                       kind="check"))
+    try:
+        diff, report = baseline.check_against(
+            args.against, executor=executor,
+            report=lambda driver: _report_executor(f"check {driver}",
+                                                   executor),
+            on_payload=lambda payload: _history_autorecord(args, payload,
+                                                           kind="check"))
+    except BaselineError as exc:
+        raise SystemExit(f"check: {exc}")
     if diff.failed:
         # Print before exiting nonzero: main() only writes the returned
         # string on the success path.
@@ -667,7 +669,10 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
     from . import fuzz as fuzzmod
     from .obs.progress import ProgressLine
     if args.replay:
-        violations = fuzzmod.replay_reproducer(args.replay)
+        try:
+            violations = fuzzmod.replay_reproducer(args.replay)
+        except ProgramParseError as exc:
+            raise SystemExit(f"fuzz: {args.replay}: {exc}")
         if violations:
             lines = [f"fuzz: replay of {args.replay} still violates:"]
             lines.extend(_fuzz_violation_lines(violations))
@@ -785,7 +790,10 @@ def cmd_explain(args: argparse.Namespace) -> str:
                          "is required")
     started = time.perf_counter()
     if args.replay:
-        report = fuzzmod.explain_reproducer(args.replay)
+        try:
+            report = fuzzmod.explain_reproducer(args.replay)
+        except ProgramParseError as exc:
+            raise SystemExit(f"explain: {args.replay}: {exc}")
         source = args.replay
     else:
         cpu_key, sep, policy = args.cell.partition(":")
@@ -1234,7 +1242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if trace_path and args.command != "profile":
         tracer = obs.SpanTracer()
         started = time.perf_counter()
-        with obs.use_tracer(tracer):
+        with obs.use_observers(tracer):
             output = _COMMANDS[args.command](args)
         manifest = obs.build_manifest(
             command=args.command,

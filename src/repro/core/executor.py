@@ -20,9 +20,9 @@ This module turns that grid into explicit work items and executes them:
   finished work and stale caches can never survive a code change;
 * progress checkpoints to disk after every cell, so an interrupted
   ``spectresim figure 2`` resumes (``--resume``) instead of restarting;
-* worker-side span/metric collection is serialized back to the parent
-  tracer (:meth:`~repro.obs.spans.SpanTracer.absorb`), keeping ``--trace``
-  and ``profile`` output whole across process boundaries.
+* every observer in the caller's scope (span tracer, ledger, ...) has a
+  fresh twin in each worker whose ``state()`` merges back into it, keeping
+  ``--trace`` and ``profile`` output whole across process boundaries.
 
 See ``docs/parallelism.md`` for the cache key anatomy and the
 determinism guarantees.
@@ -43,10 +43,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..cpu import engine as blockengine
 from ..cpu import replicas as replicabatch
 from ..errors import ExecutorError
-from ..obs import leakage as obs_leakage
-from ..obs import timeline as obs_timeline
 from ..obs.progress import ProgressLine
 from ..obs import ledger as obs_ledger
+from ..obs import observers as obs_observers
 from ..obs import spans as obs_spans
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import code_fingerprint
@@ -388,37 +387,24 @@ class RunStats:
         return self.replicas_batched / eligible if eligible else 1.0
 
 
-def _worker_run_cell(spec_dict: Dict[str, Any], collect_obs: bool,
-                     collect_ledger: bool = False,
-                     engine_mode: Optional[str] = None,
-                     collect_leakage: bool = False,
-                     collect_timeline: bool = False) -> Dict[str, Any]:
+def _worker_run_cell(spec_dict: Dict[str, Any], kinds: Sequence[type],
+                     engine_mode: Optional[str] = None) -> Dict[str, Any]:
     """Process-pool entry point: run one cell, return result + telemetry.
 
     Top-level (picklable) and import-light: the heavy imports happen in
-    the worker.  When the parent is tracing, the worker runs under its
-    own :class:`~repro.obs.spans.SpanTracer` and ships the serialized
-    timeline home for :meth:`~repro.obs.spans.SpanTracer.absorb`; when
-    the parent has a cycle ledger installed, the worker likewise runs
-    under its own :class:`~repro.obs.ledger.CycleLedger`, verifies the
-    sum-to-TSC invariant for the cell, and ships the entries home for
-    :meth:`~repro.obs.ledger.CycleLedger.merge_state`.
+    the worker.  ``kinds`` are the types of the parent's in-scope
+    observers: the worker runs the cell under a fresh instance of each
+    and ships every ``state()`` home for the parent's ``merge_state()``.
+    A worker :class:`~repro.obs.ledger.CycleLedger` first verifies the
+    sum-to-TSC invariant for the cell.  (A worker
+    :class:`~repro.obs.timeline.EventTimeline` holds the default ring, so
+    the parent's ring keeps each cell's newest events; counts and totals
+    merge exactly.)
 
     ``engine_mode`` propagates the parent's ``--engine`` selection so a
     pool worker simulates with the same execution engine; the worker's
     block-engine counters for this cell are shipped home and merged into
     the parent's :data:`~repro.cpu.engine.STATS`.
-
-    ``collect_leakage`` mirrors the ledger transport for the leakage
-    tracer: the worker runs under its own
-    :class:`~repro.obs.leakage.LeakageTracer` and ships ``state()`` home
-    for :meth:`~repro.obs.leakage.LeakageTracer.merge_state`.
-
-    ``collect_timeline`` does the same for the microarchitectural event
-    timeline: the worker records into its own
-    :class:`~repro.obs.timeline.EventTimeline` and ships ``state()``
-    home for :meth:`~repro.obs.timeline.EventTimeline.merge_state`
-    (the parent's ring bound still applies after the merge).
     """
     from . import study
     if engine_mode is not None:
@@ -428,34 +414,14 @@ def _worker_run_cell(spec_dict: Dict[str, Any], collect_obs: bool,
     spec = CellSpec.from_dict(spec_dict)
     runner = study.CELL_RUNNERS[spec.driver]
     kind = study.DRIVER_KINDS[spec.driver]
-    obs_payload = None
-    ledger_payload = None
-    leakage_payload = None
-    timeline_payload = None
-    ledger = obs_ledger.CycleLedger() if collect_ledger else None
-    leakage = obs_leakage.LeakageTracer() if collect_leakage else None
-    timeline = (obs_timeline.EventTimeline(capacity=None)
-                if collect_timeline else None)
-    with obs_timeline.use_timeline(timeline):
-        with obs_leakage.use_leakage(leakage):
-            with obs_ledger.use_ledger(ledger):
-                if collect_obs:
-                    tracer = obs_spans.SpanTracer()
-                    with obs_spans.use_tracer(tracer):
-                        result = runner(spec)
-                    obs_payload = tracer.to_payload()
-                else:
-                    result = runner(spec)
-    if ledger is not None:
-        ledger.verify()  # per-cell invariant, enforced worker-side
-        ledger_payload = ledger.state()
-    if leakage is not None:
-        leakage_payload = leakage.state()
-    if timeline is not None:
-        timeline_payload = timeline.state()
-    return {"result": encode_result(kind, result), "obs": obs_payload,
-            "ledger": ledger_payload, "leakage": leakage_payload,
-            "timeline": timeline_payload,
+    observers = [observer_kind() for observer_kind in kinds]
+    with obs_observers.use_observers(*observers):
+        result = runner(spec)
+    for observer in observers:
+        if isinstance(observer, obs_ledger.CycleLedger):
+            observer.verify()  # per-cell invariant, enforced worker-side
+    return {"result": encode_result(kind, result),
+            "observers": [observer.state() for observer in observers],
             "engine": blockengine.STATS.as_dict(),
             "replicas": replicabatch.STATS.as_dict()}
 
@@ -611,19 +577,13 @@ class StudyExecutor:
 
     def _run_pool(self, pending: Sequence[Tuple[int, CellSpec]],
                   record_completion: Any) -> None:
-        tracer = obs_spans.current_tracer()
-        collect_obs = bool(getattr(tracer, "enabled", False))
-        ledger = obs_ledger.current_ledger()
-        leakage = obs_leakage.current_leakage()
-        timeline = obs_timeline.current_timeline()
+        observers = obs_observers.current_observers()
+        kinds = [type(observer) for observer in observers]
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_worker_run_cell, spec.to_dict(), collect_obs,
-                            ledger is not None,
-                            blockengine.default_engine(),
-                            leakage is not None,
-                            timeline is not None):
+                pool.submit(_worker_run_cell, spec.to_dict(), kinds,
+                            blockengine.default_engine()):
                     (index, spec)
                 for index, spec in pending
             }
@@ -636,14 +596,8 @@ class StudyExecutor:
                         f"cell {spec.key()} failed: {exc}") from exc
                 from . import study
                 kind = study.DRIVER_KINDS[spec.driver]
-                if collect_obs and payload["obs"] is not None:
-                    tracer.absorb(payload["obs"])
-                if ledger is not None and payload.get("ledger") is not None:
-                    ledger.merge_state(payload["ledger"])
-                if leakage is not None and payload.get("leakage") is not None:
-                    leakage.merge_state(payload["leakage"])
-                if timeline is not None and payload.get("timeline") is not None:
-                    timeline.merge_state(payload["timeline"])
+                for observer, state in zip(observers, payload["observers"]):
+                    observer.merge_state(state)
                 if payload.get("engine") is not None:
                     blockengine.STATS.merge(payload["engine"])
                 if payload.get("replicas") is not None:

@@ -256,10 +256,10 @@ class SpeculationProbe:
         deltas into a :class:`ProbeVerdict`.
         """
         machine = self.machine
-        tracer = machine.leakage
+        tracer = _leakage_tracer(machine)
         if tracer is None:
             tracer = obs_leakage.LeakageTracer(policy=self.policy)
-            machine.attach_leakage(tracer)
+            machine.attach(tracer)
         tracer.taint_code(VICTIM_TARGET)
         port_before = tracer.count(obs_leakage.PORT_TIMING)
         events_before = tracer.total_events()
@@ -321,6 +321,14 @@ def speculation_matrix(
 # --------------------------------------------------------------------------- #
 # Leakage grid: the probe swept under mitigation policies, tracer attached
 # --------------------------------------------------------------------------- #
+
+def _leakage_tracer(machine: Machine) -> Optional[obs_leakage.LeakageTracer]:
+    """The leakage tracer attached to ``machine``, if any."""
+    for observer in machine.observers:
+        if isinstance(observer, obs_leakage.LeakageTracer):
+            return observer
+    return None
+
 
 def _policy_machine(cpu: CPUModel, policy: str, seed: int) -> Tuple[Machine, bool]:
     """A machine configured for ``policy``; returns (machine, retpoline)."""
@@ -400,7 +408,7 @@ def leakage_report(
                                      policy=policy)
             verdict = probe.probe_verdict(scenario, trials)
             cells[scenario.label] = verdict.to_dict()
-            tracer = machine.leakage
+            tracer = _leakage_tracer(machine)
             if tracer is not None:
                 aggregate.merge_state(tracer.state())
                 for event in tracer.events:

@@ -34,7 +34,6 @@ from .rsb import ReturnStackBuffer
 from .smt import SMTCore
 from .storebuffer import StoreBuffer
 from .tlb import TLB
-from .trace import ExecutionTrace
 
 __all__ = [
     "AMD_RETPOLINE",
@@ -46,7 +45,6 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "CostTable",
-    "ExecutionTrace",
     "GENERIC_RETPOLINE",
     "HARMLESS_TARGET",
     "Instruction",

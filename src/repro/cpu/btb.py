@@ -109,7 +109,8 @@ class BranchTargetBuffer:
         # pc -> (target, mode, salt, thread)
         self._table: Dict[int, Tuple[int, Mode, int, int]] = {}
         self._install_counter = 0
-        #: Optional leakage tracer hook (``repro.obs.leakage``).
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     def __len__(self) -> int:

@@ -49,7 +49,8 @@ class MicroarchBuffers:
     def __init__(self, vulnerable: bool) -> None:
         self.vulnerable = vulnerable
         self._residue: Dict[str, Optional[Residue]] = {name: None for name in _ALL}
-        #: Optional leakage tracer hook (``repro.obs.leakage``).
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     # -- victim side ---------------------------------------------------------

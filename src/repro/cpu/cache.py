@@ -108,7 +108,8 @@ class CacheHierarchy:
     def __init__(self, l1: Cache, l2: Cache) -> None:
         self.l1 = l1
         self.l2 = l2
-        #: Optional leakage tracer hook (``repro.obs.leakage``).
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     def access(self, address: int) -> int:

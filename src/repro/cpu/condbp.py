@@ -31,8 +31,8 @@ class ConditionalPredictor:
             raise ValueError("initial state must be a 2-bit counter value")
         self._initial = initial
         self._counters: Dict[int, int] = {}
-        #: Optional event-timeline hook (``repro.obs.timeline``); None
-        #: when recording is off, so updates pay one identity test.
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     def state(self, pc: int) -> int:

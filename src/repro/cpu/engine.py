@@ -216,7 +216,7 @@ def publish_metrics(registry: Any) -> None:
 
     Called on the parent's registry by ``spectresim profile`` and on the
     worker's registry before its payload ships home, so parallel runs
-    aggregate naturally through the existing absorb path.
+    aggregate naturally through the span tracer's merge_state path.
     """
     for name in EngineStats.FIELDS:
         value = getattr(STATS, name)
@@ -353,19 +353,10 @@ class BlockEngine:
 
         The entry pins ``seq``, so a matching id means the same object;
         tuples are immutable and skip the in-place-mutation check that
-        lists need.
+        lists need.  Callers come through ``Machine.run``, which never
+        routes here while a structure-hook subscriber is attached:
+        compiled deltas model neither taint nor the per-event stream.
         """
-        machine = self.machine
-        if machine.leakage is not None or machine.timeline is not None:
-            # Leakage tracing on: taint is a guard-key input the compiled
-            # deltas do not model.  Timeline recording on: batched replay
-            # deduplicates LRU touches and collapses residue, so it cannot
-            # reproduce the per-event stream.  Either way the segment
-            # replays interpreted (bit-identical by the engine's
-            # differential contract), so the recorded event stream under
-            # --engine=block equals the interpreter's.
-            STATS.interp_fallbacks += 1
-            return self._interpret(seq)
         entry = self._blocks.get(id(seq))
         if entry is None or (seq.__class__ is not tuple
                              and entry.instrs != tuple(seq)):

@@ -21,16 +21,15 @@ interval uses any) flows from the seed passed at construction.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SegmentationFault, UnsupportedFeatureError
-from ..obs import ledger as obs_ledger
 from ..obs import leakage as obs_leakage
+from ..obs import observers as obs_observers
 from ..obs import spans as obs_spans
-from ..obs import timeline as obs_timeline
+from ..obs.ledger import CycleLedger
 from . import counters as ctr
 from . import engine as blockengine
 from . import msr as msrdef
@@ -59,30 +58,6 @@ AMD_RETPOLINE = "amd"
 #: repro.cpu.isa so instructions can resolve their tag at construction;
 #: the old name is kept as an alias.
 _OP_DEFAULT_TAGS = OP_DEFAULT_TAGS
-
-#: Ambient scrub probe (see :mod:`repro.cpu.replicas`): machines built
-#: while one is installed register themselves and report every
-#: scrub-eligible kernel entry, which is all the replica tier needs to
-#: prove two seeds execute bit-identically without running both.
-_SCRUB_PROBE = None
-
-
-@contextmanager
-def use_scrub_probe(probe):
-    """Install ``probe`` for machines constructed inside the block.
-
-    The probe is duck-typed: ``register(machine, seed) -> slot`` at
-    construction, ``count(slot)`` per scrub-eligible kernel entry.
-    Counting only — the machine's own floats and state transitions are
-    untouched, so a probed run is bit-identical to an unprobed one.
-    """
-    global _SCRUB_PROBE
-    previous = _SCRUB_PROBE
-    _SCRUB_PROBE = probe
-    try:
-        yield probe
-    finally:
-        _SCRUB_PROBE = previous
 
 
 class Machine:
@@ -137,54 +112,24 @@ class Machine:
         # 1 on the second hyperthread and shares predictor/cache state.
         self.thread_id = 0
 
-        # Optional instrumentation: called as tracer(instr, cycles,
-        # transient, mode) after every executed instruction.  See
-        # repro.cpu.trace.ExecutionTrace.
-        self.tracer = None
+        # Instrumentation, set only by attach(): the span tracer whose
+        # clock this machine drives (the NullTracer records nothing), the
+        # cycle ledger, and the structure-hook subscriber.  Detached, each
+        # hook site costs one ``is None`` test.
+        self.observers: tuple = ()
+        self.obs = obs_spans.NULL_TRACER
+        self.ledger = None
+        self.hooks = None
 
-        # Observability: adopt the installed span tracer as this machine's
-        # trace clock.  The default NullTracer makes both calls no-ops.
-        self.obs = obs_spans.current_tracer()
-        self.obs.bind_machine(self)
-
-        # Cycle-attribution ledger: when one is installed, every TSC
-        # advance is filed under (layer, mitigation, primitive) via the
-        # counter-file hook; attach() registers us for the sum-to-TSC
-        # invariant check.
-        self.ledger = obs_ledger.current_ledger()
-        if self.ledger is not None:
-            self.counters.ledger = self.ledger
-            self.ledger.attach(self.counters)
-
-        # Speculative-leakage tracer and microarchitectural event
-        # timeline: when installed, taint flows / structure-state
-        # transitions (train/flush/hit/miss/...) are recorded (see
-        # repro.obs.leakage and repro.obs.timeline).  None = off,
-        # strictly zero cost.  Both slots must exist before either
-        # attach runs: attach_leakage re-tees an already-attached
-        # timeline behind the tracer.
-        self.leakage = None
-        self.timeline = None
-        ambient_leakage = obs_leakage.current_leakage()
-        if ambient_leakage is not None:
-            self.attach_leakage(ambient_leakage)
-        ambient_timeline = obs_timeline.current_timeline()
-        if ambient_timeline is not None:
-            self.attach_timeline(ambient_timeline)
-
-        # eIBRS periodic BTB scrub state (paper section 6.2.2).
+        # eIBRS periodic BTB scrub state (paper section 6.2.2).  The
+        # scrub interval is the only seed-dependent behavior, so the seed
+        # and the count of scrub-eligible kernel entries are all the
+        # replica tier (repro.cpu.replicas) needs to decide which replica
+        # seeds share this run's execution bit-for-bit.
+        self.seed = seed
+        self.scrub_entries = 0
         self._rng = np.random.default_rng(seed)
         self._scrub_countdown = self._next_scrub_interval()
-
-        # Replica-batch scrub probe (see repro.cpu.replicas): the only
-        # seed-dependent behavior in the machine is the scrub interval
-        # above, so counting scrub-eligible kernel entries is enough for
-        # the batch tier to decide which replica seeds share this run's
-        # execution bit-for-bit.
-        self._scrub_probe = _SCRUB_PROBE
-        self._scrub_probe_slot = (
-            self._scrub_probe.register(self, seed)
-            if self._scrub_probe is not None else -1)
 
         # Wire MSR side effects.
         self.msr.on_ibpb(self._do_ibpb)
@@ -202,30 +147,42 @@ class Machine:
         self.engine = (blockengine.BlockEngine(self)
                        if self.engine_mode == blockengine.ENGINE_BLOCK else None)
 
-    def attach_leakage(self, tracer) -> None:
-        """Adopt a :class:`repro.obs.leakage.LeakageTracer`: wire it onto
-        this machine's microarchitectural structures and key its events to
-        this CPU.  With a tracer attached, ``run()`` always interprets —
-        taint is a guard-key input the block engine does not model, so
-        traced segments fall back to bit-identical interpreted replay."""
-        self.leakage = tracer
-        tracer.bind_machine(self)
-        if self.timeline is not None:
-            # The leakage tracer claimed the structure observer slots;
-            # rebind the timeline so it tees itself back in.
-            self.timeline.bind_machine(self)
+        for observer in obs_observers.current_observers():
+            self.attach(observer)
 
-    def attach_timeline(self, timeline) -> None:
-        """Adopt a :class:`repro.obs.timeline.EventTimeline`: every
-        structure-state transition on this machine is recorded into its
-        ring buffer.  Composes with an attached leakage tracer (the
-        shared observer slots are teed) and, like the tracer, forces
-        ``run()`` onto the interpreter — batched block-engine replay
-        cannot reproduce the per-event stream, and the interpreted
-        fallback is bit-identical by the engine's differential
-        contract."""
-        self.timeline = timeline
-        timeline.bind_machine(self)
+    def attach(self, observer) -> None:
+        """Adopt ``observer``: the one attach path for instrumentation.
+
+        A :class:`~repro.obs.ledger.CycleLedger` files every TSC advance
+        through the counter file; a :class:`~repro.obs.spans.SpanTracer`
+        follows this machine's TSC as its trace clock.  A
+        :class:`~repro.obs.observers.StructureHooks` subscriber goes into
+        every structure's ``observer`` slot and receives the machine's
+        speculation hooks — alone, or behind one
+        :class:`~repro.obs.observers.FanOut` once several are attached —
+        and makes ``run()`` interpret.  Every observer then adopts the
+        machine through ``bind_machine``; a ledger accounts from the
+        attach onward.
+        """
+        self.observers += (observer,)
+        if isinstance(observer, CycleLedger):
+            self.ledger = self.counters.ledger = observer
+            if self.engine is not None:
+                # Memos recorded without a ledger carry no postings.
+                self.engine = blockengine.BlockEngine(self)
+        elif isinstance(observer, obs_spans.SpanTracer):
+            self.obs = observer
+        elif isinstance(observer, obs_observers.StructureHooks):
+            subscribers = [o for o in self.observers
+                           if isinstance(o, obs_observers.StructureHooks)]
+            hooks = (subscribers[0] if len(subscribers) == 1
+                     else obs_observers.FanOut(subscribers))
+            self.hooks = hooks
+            for structure in (self.store_buffer, self.caches, self.tlb,
+                              self.btb, self.rsb, self.mds_buffers,
+                              self.cond_predictor):
+                structure.observer = hooks
+        observer.bind_machine(self)
 
     # ------------------------------------------------------------------ #
     # MSR side effects
@@ -265,15 +222,13 @@ class Machine:
         """Execute a stream on the committed path; returns total cycles.
 
         Concrete multi-instruction sequences route through the block
-        engine (when enabled and no tracer wants per-instruction events);
-        everything else — generators, single instructions, traced runs —
-        interprets instruction by instruction.  Both paths are
-        bit-identical by construction (see repro.cpu.engine).
+        engine (when enabled and no structure-hook subscriber is
+        attached); everything else — generators, single instructions,
+        hooked runs — interprets instruction by instruction.  Both paths
+        are bit-identical by construction (see repro.cpu.engine).
         """
         engine = self.engine
-        if (engine is not None and self.tracer is None
-                and self.leakage is None
-                and self.timeline is None
+        if (engine is not None and self.hooks is None
                 and instructions.__class__ in (list, tuple)
                 and len(instructions) > 1):
             return engine.run(instructions)
@@ -312,8 +267,6 @@ class Machine:
             ledger.clear_tag()
         events = counters.events
         events[_RETIRED] = events.get(_RETIRED, 0) + 1
-        if self.tracer is not None:
-            self.tracer(instr, cycles, False, self.mode)
         return cycles
 
     def _attribution_tag(self, instr: Instruction):
@@ -381,8 +334,8 @@ class Machine:
     def _op_sysret(self, instr: Instruction) -> int:
         previous = self.mode
         self.mode = Mode.GUEST_USER if self.mode.is_guest else Mode.USER
-        if self.leakage is not None:
-            self.leakage.on_boundary(previous, self.mode)
+        if self.hooks is not None:
+            self.hooks.on_boundary(previous, self.mode)
         return self.costs.sysret
 
     def _op_swapgs(self, instr: Instruction) -> int:
@@ -408,16 +361,16 @@ class Machine:
     def _op_vmenter(self, instr: Instruction) -> int:
         previous = self.mode
         self.mode = Mode.GUEST_KERNEL
-        if self.leakage is not None:
-            self.leakage.on_boundary(previous, self.mode)
+        if self.hooks is not None:
+            self.hooks.on_boundary(previous, self.mode)
         return self.costs.vmenter
 
     def _op_vmexit(self, instr: Instruction) -> int:
         previous = self.mode
         self.mode = Mode.KERNEL
         self.counters.bump(ctr.VM_EXITS)
-        if self.leakage is not None:
-            self.leakage.on_boundary(previous, self.mode)
+        if self.hooks is not None:
+            self.hooks.on_boundary(previous, self.mode)
         return self.costs.vmexit
 
     def _op_rdtsc(self, instr: Instruction) -> int:
@@ -459,8 +412,8 @@ class Machine:
             if self.msr.ssbd_enabled:
                 # SSBD: the load must wait for older store addresses.
                 self.counters.bump(ctr.STLF_BLOCKED)
-                if self.leakage is not None:
-                    self.leakage.on_stlf_blocked(instr.address)
+                if self.hooks is not None:
+                    self.hooks.on_stlf_blocked(instr.address)
                 level = self.caches.access(instr.address)
                 penalty = self.cpu.ssbd_load_penalty
                 cycles += self._load_latency(level) + penalty
@@ -513,13 +466,13 @@ class Machine:
             if predicted and instr.target:
                 # Wrongly predicted taken: the taken-path body runs
                 # transiently (the mistrained bounds check).
-                leakage = self.leakage
-                if leakage is not None:
-                    leakage.window_begin(obs_leakage.SPECTRE_PHT, self.mode,
-                                         target=instr.target)
+                hooks = self.hooks
+                if hooks is not None:
+                    hooks.window_begin(obs_leakage.SPECTRE_PHT, self.mode,
+                                       target=instr.target)
                 self._transient_window(instr.target)
-                if leakage is not None:
-                    leakage.window_end()
+                if hooks is not None:
+                    hooks.window_end()
         return cycles
 
     def _indirect_prediction_allowed(self) -> bool:
@@ -550,8 +503,8 @@ class Machine:
             extra = self._retpoline_extra()
             if self.ledger is not None:
                 self.ledger.add_split(extra, "spectre_v2", "retpoline")
-            if self.leakage is not None:
-                self.leakage.on_predictor_bypass(instr.pc, "retpoline")
+            if self.hooks is not None:
+                self.hooks.on_predictor_bypass(instr.pc, "retpoline")
             return costs.indirect_base + extra
 
         if not self._indirect_prediction_allowed():
@@ -559,8 +512,8 @@ class Machine:
             extra = costs.ibrs_extra if costs.ibrs_extra is not None else 0
             if self.ledger is not None:
                 self.ledger.add_split(extra, "spectre_v2", "ibrs_no_predict")
-            if self.leakage is not None:
-                self.leakage.on_predictor_bypass(instr.pc, "ibrs_no_predict")
+            if self.hooks is not None:
+                self.hooks.on_predictor_bypass(instr.pc, "ibrs_no_predict")
             self.btb.train(instr.pc, instr.target, self.mode,
                            thread=self.thread_id)
             return costs.indirect_base + extra
@@ -573,14 +526,14 @@ class Machine:
             cycles += costs.ibrs_extra
             if self.ledger is not None:
                 self.ledger.add_split(costs.ibrs_extra, "spectre_v2", "eibrs")
-        leakage = self.leakage
+        hooks = self.hooks
         if predicted is None:
             self.counters.bump(ctr.BTB_MISSES)
             cycles += costs.mispredict_penalty
-            if leakage is not None:
+            if hooks is not None:
                 # A tainted entry may exist but be invisible here (mode
                 # tagging, STIBP): hardware isolation blocked the redirect.
-                leakage.on_redirect_suppressed(instr.pc)
+                hooks.on_redirect_suppressed(instr.pc)
         elif predicted == instr.target:
             self.counters.bump(ctr.BTB_HITS)
         else:
@@ -592,14 +545,14 @@ class Machine:
                 instr.pc, self.mode, thread=self.thread_id,
                 stibp=self.msr.stibp_enabled)
             if redirect is not None:
-                if leakage is not None:
-                    leakage.window_begin(obs_leakage.SPECTRE_BTB, self.mode,
-                                         pc=instr.pc, target=redirect)
+                if hooks is not None:
+                    hooks.window_begin(obs_leakage.SPECTRE_BTB, self.mode,
+                                       pc=instr.pc, target=redirect)
                 self._transient_window(redirect)
-                if leakage is not None:
-                    leakage.window_end()
-            elif leakage is not None:
-                leakage.on_redirect_suppressed(instr.pc)
+                if hooks is not None:
+                    hooks.window_end()
+            elif hooks is not None:
+                hooks.on_redirect_suppressed(instr.pc)
         self.btb.train(instr.pc, instr.target, self.mode,
                        thread=self.thread_id)
         return cycles
@@ -619,7 +572,7 @@ class Machine:
         costs = self.costs
         self.bhb.push(instr.pc)
         predicted = self.rsb.pop()
-        leakage = self.leakage
+        hooks = self.hooks
         if predicted is None:
             # Underflow: Skylake+ Intel falls back to the BTB (the
             # SpectreRSB surface); others stall.
@@ -629,25 +582,25 @@ class Machine:
                     stibp=self.msr.stibp_enabled)
                 if redirect is not None and redirect != instr.target:
                     self.counters.bump(ctr.MISPREDICTED_INDIRECT)
-                    if leakage is not None:
-                        leakage.window_begin(obs_leakage.SPECTRE_RSB,
-                                             self.mode, pc=instr.pc,
-                                             target=redirect)
+                    if hooks is not None:
+                        hooks.window_begin(obs_leakage.SPECTRE_RSB,
+                                           self.mode, pc=instr.pc,
+                                           target=redirect)
                     self._transient_window(redirect)
-                    if leakage is not None:
-                        leakage.window_end()
+                    if hooks is not None:
+                        hooks.window_end()
             return costs.ret_ + costs.mispredict_penalty
         if predicted == instr.target:
             return costs.ret_
         # Stale or benign entry: mispredicted return.
         self.counters.bump(ctr.MISPREDICTED_INDIRECT)
         if predicted != BENIGN_ENTRY:
-            if leakage is not None:
-                leakage.window_begin(obs_leakage.SPECTRE_RSB, self.mode,
-                                     target=predicted)
+            if hooks is not None:
+                hooks.window_begin(obs_leakage.SPECTRE_RSB, self.mode,
+                                   target=predicted)
             self._transient_window(predicted)
-            if leakage is not None:
-                leakage.window_end()
+            if hooks is not None:
+                hooks.window_end()
         return costs.ret_ + costs.mispredict_penalty
 
     def _execute_wrmsr(self, instr: Instruction) -> int:
@@ -675,14 +628,13 @@ class Machine:
     def _execute_syscall_entry(self) -> int:
         previous = self.mode
         self.mode = Mode.GUEST_KERNEL if self.mode.is_guest else Mode.KERNEL
-        if self.leakage is not None:
-            self.leakage.on_boundary(previous, self.mode)
+        if self.hooks is not None:
+            self.hooks.on_boundary(previous, self.mode)
         self.counters.bump(ctr.KERNEL_ENTRIES)
         cycles = self.costs.syscall
         behavior = self.cpu.predictor
         if behavior.eibrs_periodic_scrub and self.msr.eibrs_active:
-            if self._scrub_probe is not None:
-                self._scrub_probe.count(self._scrub_probe_slot)
+            self.scrub_entries += 1
             self._scrub_countdown -= 1
             if self._scrub_countdown <= 0:
                 self._scrub_countdown = self._next_scrub_interval()
@@ -708,17 +660,17 @@ class Machine:
         (serializing instruction, blocked access, or window exhaustion).
         No committed cycles are charged.
         """
-        leakage = self.leakage
-        if leakage is not None:
-            leakage.window_begin(obs_leakage.SPECTRE_PHT, self.mode)
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.window_begin(obs_leakage.SPECTRE_PHT, self.mode)
         budget = self.cpu.spec_window
         executed = 0
         for instr in block:
             if budget <= 0:
                 break
             if instr.op in SERIALIZING_OPS:
-                if leakage is not None and instr.op is Op.LFENCE:
-                    leakage.on_lfence()
+                if hooks is not None and instr.op is Op.LFENCE:
+                    hooks.on_lfence()
                 break
             if instr.op is Op.LOAD and instr.kernel_address and not self.mode.is_kernel:
                 # A blocked privileged access also ends the window unless
@@ -728,8 +680,8 @@ class Machine:
             budget -= 1
             executed += 1
             self._execute_transient(instr)
-        if leakage is not None:
-            leakage.window_end()
+        if hooks is not None:
+            hooks.window_end()
         if self.obs.enabled:
             self.obs.instant("cpu.transient_window", origin="speculate",
                              executed=executed, mode=str(self.mode))
@@ -744,15 +696,15 @@ class Machine:
         block = self.program.get(target)
         if not block:
             return
-        leakage = self.leakage
+        hooks = self.hooks
         budget = self.cpu.spec_window
         executed = 0
         for instr in block:
             if budget <= 0:
                 break
             if instr.op in SERIALIZING_OPS:
-                if leakage is not None and instr.op is Op.LFENCE:
-                    leakage.on_lfence()
+                if hooks is not None and instr.op is Op.LFENCE:
+                    hooks.on_lfence()
                 break  # serializing instructions end the window
             budget -= 1
             executed += 1
@@ -763,65 +715,39 @@ class Machine:
                              mode=str(self.mode))
 
     def _execute_transient(self, instr: Instruction) -> None:
-        """One wrong-path instruction: side effects plus a *modeled* cycle
-        cost reported to the tracer (the cycles the wasted issue slots
-        would have taken — never charged to the committed TSC)."""
+        """One wrong-path instruction: its microarchitectural side effects
+        only (no committed cycles).  Ops other than divides, loads and
+        stores leave no modelled footprint; a masking ``cmov`` is modelled
+        by the JIT layer, which simply omits the dangerous load."""
         op = instr.op
-        costs = self.costs
         self.counters.bump(ctr.TRANSIENT_INSTRUCTIONS)
-        cycles = 0
         if op is Op.DIV:
             # The probe signal: the divider is busy even on the wrong path.
-            self.counters.bump(ctr.DIVIDER_ACTIVE, costs.div)
-            if self.leakage is not None:
-                self.leakage.on_transient_div()
-            cycles = costs.div
+            self.counters.bump(ctr.DIVIDER_ACTIVE, self.costs.div)
+            if self.hooks is not None:
+                self.hooks.on_transient_div()
         elif op is Op.LOAD:
-            cycles = self._transient_load(instr)
+            self._transient_load(instr)
         elif op is Op.STORE:
             # Transient stores never reach memory but do leave store-buffer
             # residue visible to MDS sampling.
             self.mds_buffers.deposit_store(instr.value or instr.address, self.mode)
-            cycles = costs.store
-        elif op is Op.CMOV:
-            # With a poisoned (zeroed) index the masking cmov redirects
-            # downstream transient loads to a safe address — modelled by the
-            # JIT layer, which simply omits the dangerous load.
-            cycles = costs.cmov
-        elif op is Op.ALU:
-            cycles = costs.alu
-        elif op is Op.WORK:
-            cycles = instr.value
-        elif op is Op.NOP:
-            cycles = costs.nop
-        elif op is Op.MUL:
-            cycles = costs.mul
-        elif op is Op.PAUSE:
-            cycles = costs.pause
-        # Other ops have no modelled transient cost or side effects.
-        if self.tracer is not None:
-            self.tracer(instr, cycles, True, self.mode)
 
-    def _transient_load(self, instr: Instruction) -> int:
+    def _transient_load(self, instr: Instruction) -> None:
         if instr.kernel_address and not self.mode.is_kernel:
             # Meltdown predicate: the transient read succeeds only on a
             # vulnerable part with the kernel mapped into the user page
             # tables (i.e. KPTI off).
             if not (self.cpu.vulns.meltdown and self.kernel_mapped_in_user):
-                return 0
-        level = self.caches.access(instr.address)  # the cache side channel
+                return
+        # The cache side channel.  No miss-counter bumps: PMCs other than
+        # the divider only advance at retirement.
+        self.caches.access(instr.address)
         self.transient_loads.append(instr.address)
         self.mds_buffers.deposit_load(instr.value or instr.address, self.mode)
-        if self.leakage is not None:
-            self.leakage.on_transient_load(
+        if self.hooks is not None:
+            self.hooks.on_transient_load(
                 instr.address, bool(instr.kernel_address), self.mode)
-        # Modeled latency only — no miss-counter bumps: PMCs other than the
-        # divider only advance at retirement.
-        if level == 1:
-            return self.costs.load_l1
-        if level == 2:
-            return self.costs.load_l2
-        return self.costs.load_mem
 
     # ------------------------------------------------------------------ #
     # Measurement harness (the paper's rdtsc timed-loop methodology)

@@ -16,8 +16,9 @@ of one machine at a time:
   *firing schedules* coincide therefore execute bit-identically, and a
   whole batch collapses onto one representative execution.
 * :func:`run_replicas` runs one **probe** replica under a
-  :class:`ScrubProbe` (machines register themselves and report every
-  scrub-eligible kernel entry — a count, never a behavior change),
+  :class:`ScrubProbe` (an observer that collects the run's machines;
+  each machine keeps its seed and counts its own scrub-eligible kernel
+  entries — a count, never a behavior change),
   derives every other replica's firing schedule straight from its seed
   via :func:`firing_schedule` *without running it*, and broadcasts the
   probe's metric / cycle / counter deltas into the per-replica
@@ -54,7 +55,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from ..core.stats import derive_seed
-from .machine import use_scrub_probe
+from ..obs.observers import use_observers
 
 
 def replica_seed(seed: int, index: int) -> int:
@@ -93,28 +94,20 @@ def firing_schedule(seed: int, low: int, high: int,
 
 
 class ScrubProbe:
-    """Per-run registry of machines and their scrub-eligible entries.
+    """Collects the machines one replica run builds.
 
-    Installed ambiently via
-    :func:`~repro.cpu.machine.use_scrub_probe`; every machine built
-    inside the block registers itself (keeping its construction seed)
-    and bumps its slot once per scrub-eligible kernel entry.  Purely
-    observational — a probed run is bit-identical to an unprobed one.
+    An observer: every machine built inside ``use_observers(probe)``
+    attaches it.  Each machine already keeps its construction seed and
+    counts its own scrub-eligible kernel entries, so the probe hooks
+    nothing and forces no interpretation — a probed run is bit-identical
+    to an unprobed one.
     """
 
     def __init__(self) -> None:
         self.machines: List[object] = []
-        self.seeds: List[int] = []
-        self.entries: List[int] = []
 
-    def register(self, machine, seed: int) -> int:
+    def bind_machine(self, machine) -> None:
         self.machines.append(machine)
-        self.seeds.append(seed)
-        self.entries.append(0)
-        return len(self.entries) - 1
-
-    def count(self, slot: int) -> None:
-        self.entries[slot] += 1
 
     def total_tsc(self) -> int:
         return sum(m.counters.tsc for m in self.machines)
@@ -134,8 +127,8 @@ class ScrubProbe:
         probe seed, so sibling machines constructed at ``seed + k``
         (SMT pairs) are checked against ``candidate_seed + k``.
         """
-        for machine, seed, entries in zip(self.machines, self.seeds,
-                                          self.entries):
+        for machine in self.machines:
+            seed, entries = machine.seed, machine.scrub_entries
             if entries <= 0:
                 continue
             offset = seed - probe_seed
@@ -269,7 +262,7 @@ def run_replicas(run_fn: Callable[[int], float], seed: int,
 
     probe_seed = replica_seed(seed, 0)
     probe = ScrubProbe()
-    with use_scrub_probe(probe):
+    with use_observers(probe):
         probe_value = float(run_fn(probe_seed))
     STATS.probe_runs += 1
 
@@ -288,7 +281,7 @@ def run_replicas(run_fn: Callable[[int], float], seed: int,
 
     for index in divergent:
         scalar = ScrubProbe()
-        with use_scrub_probe(scalar):
+        with use_observers(scalar):
             value = float(run_fn(replica_seed(seed, index)))
         batch.fill_scalar(index, value, scalar.total_tsc(),
                           scalar.total_counters())

@@ -33,7 +33,8 @@ class ReturnStackBuffer:
         self.underflow_falls_back_to_btb = underflow_falls_back_to_btb
         self._stack: List[int] = []
         self.underflows = 0
-        #: Optional leakage tracer hook (``repro.obs.leakage``).
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     def __len__(self) -> int:

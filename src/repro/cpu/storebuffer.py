@@ -37,8 +37,8 @@ class StoreBuffer:
         self.depth = depth
         # line address -> value written (model payload; identity only)
         self._pending: "OrderedDict[int, int]" = OrderedDict()
-        #: Optional leakage tracer (see ``repro.obs.leakage``); None when
-        #: tracing is off, so the hot path pays one identity test.
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     def __len__(self) -> int:

@@ -30,7 +30,8 @@ class TLB:
         self._entries: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
         self._global_pages: Set[int] = set()
         self.current_pcid = 0
-        #: Optional leakage tracer hook (``repro.obs.leakage``).
+        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: ``Machine.attach``; None when detached.
         self.observer = None
 
     # -- address helpers ----------------------------------------------------

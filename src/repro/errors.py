@@ -50,6 +50,11 @@ class WorkloadError(SpectreSimError):
     """Raised when a workload definition is malformed or cannot run."""
 
 
+class ProgramParseError(SpectreSimError, ValueError):
+    """Raised when a fuzz program or reproducer text does not parse; the
+    message names the offending line."""
+
+
 class ExecutorError(SpectreSimError):
     """Raised when a study execution cell fails, naming the cell.
 

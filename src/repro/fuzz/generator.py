@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..cpu import isa
 from ..cpu.modes import Mode
+from ..errors import ProgramParseError
 
 #: Sandbox layout (disjoint from the probe's 0x60_0000+ window).
 CODE_BASE = 0x40_0000      #: block code addresses (landing pads)
@@ -323,31 +324,36 @@ def parse_program(text: str) -> Program:
     """
     program: Optional[Program] = None
     block: Optional[Block] = None
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "program":
-            kv = _parse_kv(tokens[2:])
-            program = Program(name=tokens[1], seed=int(kv.get("seed", "0")))
-        elif tokens[0] == "block":
-            if program is None:
-                raise ValueError("block before program header")
-            kv = _parse_kv(tokens[2:])
-            block = Block(label=tokens[1], pc=int(kv.get("pc", "0"), 0),
-                          landing="landing" in tokens[2:])
-            program.blocks.append(block)
-        elif tokens[0] == "term":
-            if block is None:
-                raise ValueError("term outside a block")
-            block.term = _parse_instr(tokens[1:])
-        else:
-            if block is None:
-                raise ValueError(f"instruction outside a block: {line!r}")
-            block.body.append(_parse_instr(tokens))
+        try:
+            if tokens[0] == "program":
+                kv = _parse_kv(tokens[2:])
+                program = Program(name=tokens[1],
+                                  seed=int(kv.get("seed", "0")))
+            elif tokens[0] == "block":
+                if program is None:
+                    raise ValueError("block before program header")
+                kv = _parse_kv(tokens[2:])
+                block = Block(label=tokens[1], pc=int(kv.get("pc", "0"), 0),
+                              landing="landing" in tokens[2:])
+                program.blocks.append(block)
+            elif tokens[0] == "term":
+                if block is None:
+                    raise ValueError("term outside a block")
+                block.term = _parse_instr(tokens[1:])
+            else:
+                if block is None:
+                    raise ValueError("instruction outside a block")
+                block.body.append(_parse_instr(tokens))
+        except (ValueError, IndexError, KeyError) as exc:
+            raise ProgramParseError(
+                f"line {number}: cannot parse {line!r} ({exc})") from exc
     if program is None:
-        raise ValueError("no program header found")
+        raise ProgramParseError("no program header found")
     return program
 
 

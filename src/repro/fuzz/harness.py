@@ -51,6 +51,7 @@ from ..cpu.model import CPUModel
 from ..obs import leakage as obs_leakage
 from ..obs import ledger as obs_ledger
 from ..obs import timeline as obs_timeline
+from ..obs.observers import use_observers
 from .generator import Program, generate_program, parse_program
 
 #: Policy sweep order (stable: cell keys and history records depend on it).
@@ -144,7 +145,7 @@ def _run_parity_side(program: Program, cpu: CPUModel, policy: str,
                      seed: int, mode: str, repeats: int):
     with engine.use_engine(mode):
         ledger = obs_ledger.CycleLedger()
-        with obs_ledger.use_ledger(ledger):
+        with use_observers(ledger):
             machine, retpoline = _policy_machine(cpu, policy, seed)
             program.install(machine, retpoline=retpoline)
             stream = program.instructions(retpoline=retpoline)
@@ -175,7 +176,7 @@ def _traced_parity_run(program: Program, cpu: CPUModel, policy: str,
     """
     with engine.use_engine(engine.ENGINE_INTERP):
         timeline = obs_timeline.EventTimeline(capacity=None)
-        with obs_timeline.use_timeline(timeline):
+        with use_observers(timeline):
             machine, retpoline = _policy_machine(cpu, policy, seed)
             program.install(machine, retpoline=retpoline)
             stream = program.instructions(retpoline=retpoline)
@@ -380,7 +381,7 @@ def check_leakage_contract(program: Program, cpu: CPUModel, policy: str,
     for scenario in SCENARIOS:
         machine, retpoline = _policy_machine(cpu, policy, seed)
         tracer = obs_leakage.LeakageTracer(policy=policy)
-        machine.attach_leakage(tracer)
+        machine.attach(tracer)
         program.install(machine, retpoline=retpoline)
         data = program.data_addresses()
         if data:

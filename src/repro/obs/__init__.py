@@ -2,8 +2,11 @@
 
 The subsystem threads through every layer of the simulator:
 
+* :mod:`repro.obs.observers` — the one way to attach instrumentation:
+  :func:`use_observers` puts observers in scope and every machine built
+  inside it attaches them through ``Machine.attach``;
 * :mod:`repro.obs.spans` — hierarchical span tracer on the simulated cycle
-  clock, with a zero-cost null tracer installed by default;
+  clock, with a zero-cost null tracer seen outside any tracer's scope;
 * :mod:`repro.obs.metrics` — one registry of counters/gauges/histograms
   bridging machine perf counters and study-level statistics;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and
@@ -36,41 +39,18 @@ from .history import (
     diff_payloads,
     render_diff,
 )
-from .leakage import (
-    LeakageEvent,
-    LeakageSummary,
-    LeakageTracer,
-    current_leakage,
-    install_leakage,
-    use_leakage,
-)
-from .ledger import (
-    CycleLedger,
-    current_ledger,
-    install_ledger,
-    ledger_scope,
-    use_ledger,
-)
+from .leakage import LeakageEvent, LeakageSummary, LeakageTracer
+from .ledger import CycleLedger, ledger_scope
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .observers import StructureHooks, current_observers, use_observers
 from .timeline import (
     Divergence,
     EventTimeline,
     TimelineEvent,
-    current_timeline,
     first_divergence,
-    install_timeline,
     render_divergence,
-    use_timeline,
 )
-from .spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanTracer,
-    current_tracer,
-    install_tracer,
-    use_tracer,
-)
+from .spans import NULL_TRACER, NullTracer, Span, SpanTracer, current_tracer
 from .export import (
     to_chrome_trace,
     to_chrome_trace_json,
@@ -106,21 +86,16 @@ __all__ = [
     "RunManifest",
     "Span",
     "SpanTracer",
+    "StructureHooks",
     "TimelineEvent",
     "build_manifest",
     "code_fingerprint",
     "config_to_dict",
-    "current_leakage",
-    "current_ledger",
-    "current_timeline",
+    "current_observers",
     "current_tracer",
     "default_history_db",
     "diff_payloads",
     "first_divergence",
-    "install_leakage",
-    "install_ledger",
-    "install_timeline",
-    "install_tracer",
     "ledger_scope",
     "manifest_comment_lines",
     "render_diff",
@@ -130,10 +105,7 @@ __all__ = [
     "to_chrome_trace",
     "to_chrome_trace_json",
     "to_collapsed_stacks",
-    "use_leakage",
-    "use_ledger",
-    "use_timeline",
-    "use_tracer",
+    "use_observers",
     "write_chrome_trace",
     "write_flamegraph",
 ]

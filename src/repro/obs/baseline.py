@@ -54,7 +54,8 @@ from .history import (  # noqa: F401  (re-exported API)
     blame_paths as _blame_paths,
     diff_payloads,
 )
-from .ledger import CycleLedger, use_ledger
+from .ledger import CycleLedger
+from .observers import use_observers
 from .provenance import build_manifest
 
 #: Bench schema version (bump on incompatible payload changes).
@@ -160,7 +161,7 @@ def ledger_snapshot(cpu_key: str) -> CycleLedger:
     cpu = get_cpu(cpu_key)
     config = linux_default(cpu)
     ledger = CycleLedger()
-    with use_ledger(ledger):
+    with use_observers(ledger):
         machine = Machine(cpu, seed=0)
         lebench.run_suite(machine, config,
                           iterations=LEDGER_ITERATIONS, warmup=LEDGER_WARMUP)

@@ -518,9 +518,15 @@ class HistoryStore:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._db = sqlite3.connect(path)
-        self._db.executescript(_SCHEMA)
-        row = self._db.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
+        try:
+            self._db.executescript(_SCHEMA)
+            row = self._db.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            raise HistoryError(
+                f"history db {path!r} is unreadable: {exc}") from exc
         if row is None:
             self._db.execute(
                 "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",

@@ -9,10 +9,11 @@ landing pads (:meth:`~LeakageTracer.taint_code`), set by workloads and
 the speculation probe — and propagates the taint *mechanistically*
 through the microarchitectural structures that already exist: store
 buffer forwarding, L1/L2 fills, TLB walks, BTB/RSB-influenced fetch
-redirects, and the MDS fill/store/load-port buffers.  The structures
-notify the tracer through an optional ``observer`` attribute (``None``
-by default, so untraced runs pay one ``is None`` test per hook site,
-exactly like the ledger's counter-file hook).
+redirects, and the MDS fill/store/load-port buffers.  The tracer is a
+:class:`~repro.obs.observers.StructureHooks` subscriber: the machine
+puts it into each structure's ``observer`` slot (``None`` by default, so
+untraced runs pay one ``is None`` test per hook site, exactly like the
+ledger's counter-file hook).
 
 Whenever tainted data influences an architecturally observable channel
 during a transient window, the tracer files a :class:`LeakageEvent`:
@@ -41,18 +42,19 @@ BTB entries, RSB stuffing overwrites tainted return predictions, and an
 clear is recorded as *blocked-by* attribution, so a run reports both
 what leaked and which mitigation stopped what.
 
-Install like the ledger: ``use_leakage(tracer)`` (scoped) or
-``install_leakage(tracer)``; machines adopt the ambient tracer at
-construction.  Tracing composes with ``--engine=block`` by falling back
-to interpreted execution — taint is a guard-key input, and the
-interpreter is bit-identical by the engine's own differential contract.
+Attach like every observer: ``use_observers(tracer)`` (machines built
+in the scope attach it) or ``machine.attach(tracer)``.  Tracing composes
+with ``--engine=block`` by falling back to interpreted execution — taint
+is a guard-key input, and the interpreter is bit-identical by the
+engine's own differential contract.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+from .observers import StructureHooks
 
 __all__ = [
     "CACHE_SET",
@@ -67,9 +69,6 @@ __all__ = [
     "LeakageEvent",
     "LeakageSummary",
     "LeakageTracer",
-    "current_leakage",
-    "install_leakage",
-    "use_leakage",
 ]
 
 #: Observable channels a leakage event transmits through.
@@ -171,15 +170,13 @@ class _Window:
         self.suppressed = False
 
 
-class LeakageTracer:
+class LeakageTracer(StructureHooks):
     """Taint state plus the leakage-event flight recorder.
 
     One tracer can serve several machines in sequence (the probe builds
-    a fresh machine per scenario); :meth:`bind_machine` rewires the
-    structure observers and re-keys events to the new machine's CPU.
+    a fresh machine per scenario); :meth:`bind_machine` re-keys events to
+    the newest machine's CPU.
     """
-
-    enabled = True
 
     def __init__(self, policy: str = "default") -> None:
         self.policy = policy
@@ -211,21 +208,14 @@ class LeakageTracer:
     # -- wiring ----------------------------------------------------------- #
 
     def bind_machine(self, machine: Any) -> None:
-        """Adopt ``machine``: key events to its CPU and observe its
-        microarchitectural structures (store buffer, caches, TLB, BTB,
-        RSB, MDS buffers)."""
+        """Adopt ``machine`` (called from ``Machine.attach``, which wires
+        the structure hooks): key events to its CPU."""
         self._machine = machine
         self.cpu_model = machine.cpu.key
         self._mds_vulnerable = machine.cpu.vulns.mds
         self._rsb_depth = machine.rsb.depth
         # Mirror whatever is already in the RSB as untainted.
         self._rsb_stack = [False] * len(machine.rsb)
-        machine.store_buffer.observer = self
-        machine.caches.observer = self
-        machine.tlb.observer = self
-        machine.btb.observer = self
-        machine.rsb.observer = self
-        machine.mds_buffers.observer = self
 
     # -- taint sources ----------------------------------------------------- #
 
@@ -304,11 +294,6 @@ class LeakageTracer:
     def sb_drain(self) -> None:
         self._sb_lines.clear()
 
-    def sb_forward(self, address: int) -> None:
-        """Committed store-to-load forwarding: no taint movement (the
-        value stays within its line); the timeline records it."""
-        return None
-
     def sb_bypass(self, address: int, possible: bool) -> None:
         """A speculative-store-bypass probe (the v4 attack predicate)."""
         if possible and address // LINE in self._sb_lines:
@@ -326,28 +311,15 @@ class LeakageTracer:
     def cache_flush(self, address: int) -> None:
         self._resident.discard(address // LINE)
 
-    def cache_flush_l1(self) -> None:
-        # L2 stays warm in the model's inclusive hierarchy; keep the
-        # resident set as the union (coarse but safe-side).
-        return None
+    # An L1 flush keeps the resident set: L2 stays warm in the model's
+    # inclusive hierarchy (coarse but safe-side).  Full TLB shootdowns,
+    # committed store forwarding and the conditional predictor are
+    # taint-neutral; those hooks stay the inherited no-ops, and the
+    # leakage-matrix tests pin the verdicts that rely on it.
 
     def tlb_fill(self, page: int) -> None:
         if page in self._pages:
             self._tlb_resident.add(page)
-
-    def tlb_flush(self, invalidated: int) -> None:
-        """A full shootdown (timeline-driven hook).  Deliberately a
-        no-op: taint residency tracking predates this hook and its
-        verdicts are pinned by the leakage-matrix tests."""
-        return None
-
-    # -- conditional predictor observer (timeline-driven; taint-neutral) ------ #
-
-    def cond_update(self, pc: int, taken: bool, state: int) -> None:
-        return None
-
-    def cond_flush(self) -> None:
-        return None
 
     # -- BTB / RSB observers -------------------------------------------------- #
 
@@ -469,12 +441,6 @@ class LeakageTracer:
             self._file(primitive, CACHE_SET, boundary,
                        "line={0:#x}".format(line))
 
-    def on_stlf_forward(self, address: int) -> None:
-        """Committed store-to-load forwarding: taint propagates with the
-        value (the deposit observers pick it up); no event — forwarding
-        your own architectural data is not a leak."""
-        return None
-
     def on_stlf_blocked(self, address: int) -> None:
         if address // LINE in self._sb_lines:
             self._block("ssbd", "stlf_block")
@@ -553,33 +519,3 @@ class LeakageTracer:
         for key, count in sorted(self.blocked.items()):
             lines.append("  blocked-by {0} x{1}".format(key, count))
         return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------- #
-# The installed tracer (ambient, like the ledger: None by default)
-# --------------------------------------------------------------------------- #
-
-_current: Optional[LeakageTracer] = None
-
-
-def current_leakage() -> Optional[LeakageTracer]:
-    """The leakage tracer new machines will adopt (None = tracing off)."""
-    return _current
-
-
-def install_leakage(tracer: Optional[LeakageTracer]) -> Optional[LeakageTracer]:
-    """Replace the installed tracer; returns the previous one."""
-    global _current
-    previous = _current
-    _current = tracer
-    return previous
-
-
-@contextmanager
-def use_leakage(tracer: Optional[LeakageTracer]) -> Iterator[Optional[LeakageTracer]]:
-    """Install ``tracer`` for the duration of the ``with`` body."""
-    previous = install_leakage(tracer)
-    try:
-        yield tracer
-    finally:
-        install_leakage(previous)

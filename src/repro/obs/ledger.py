@@ -23,11 +23,11 @@ simulated TSC advances — so by construction
 :class:`~repro.errors.LedgerInvariantError` on any mismatch (e.g. a
 charge site that bypassed the hook).
 
-Like the span tracer, the ledger is ambient: :func:`install_ledger` /
-:func:`use_ledger` set a module-level current ledger which machines
-adopt at construction.  When no ledger is installed the hot path costs
-a single ``is None`` test.  Ledgers from executor workers merge into
-the parent via :meth:`state` / :meth:`merge_state`, mirroring
+Like every observer, a ledger reaches machines through
+``use_observers(ledger)`` (machines built in the scope attach it) or
+``machine.attach(ledger)``.  A machine without a ledger pays a single
+``is None`` test on the hot path.  Ledgers from executor workers merge
+into the parent via :meth:`state` / :meth:`merge_state`, mirroring
 ``MetricsRegistry``.
 """
 
@@ -74,7 +74,9 @@ class CycleLedger:
         self._tag_mitigation: Optional[str] = None
         self._tag_primitive: Optional[str] = None
         self._splits: List[Tuple[int, str, str]] = []
-        self._attached: List[object] = []  # PerfCounters, duck-typed on .tsc
+        # (PerfCounters, TSC at attach): the invariant covers the cycles
+        # each machine charged after the ledger attached.
+        self._attached: List[Tuple[object, int]] = []
         self._merged_expected = 0
 
     # ------------------------------------------------------------------
@@ -146,16 +148,19 @@ class CycleLedger:
     # ------------------------------------------------------------------
     # Invariant.
 
-    def attach(self, counters: object) -> None:
-        """Register a machine's PerfCounters for invariant checking."""
-        self._attached.append(counters)
+    def bind_machine(self, machine: object) -> None:
+        """Register a machine's counter file for invariant checking
+        (``Machine.attach`` routes its TSC advances here)."""
+        counters = machine.counters
+        self._attached.append((counters, counters.tsc))
 
     def total(self) -> int:
         return sum(self._entries.values())
 
     def expected_total(self) -> int:
         """TSC cycles every attached machine charged, plus merged workers."""
-        return sum(c.tsc for c in self._attached) + self._merged_expected
+        return (sum(counters.tsc - start for counters, start in self._attached)
+                + self._merged_expected)
 
     def verify(self) -> int:
         """Check sum(entries) == sum(TSC deltas); return the total.
@@ -255,34 +260,6 @@ class CycleLedger:
 
     def report(self) -> str:
         return self.render_tree()
-
-
-# ----------------------------------------------------------------------
-# Ambient current ledger (mirrors obs.spans).
-
-_current: Optional[CycleLedger] = None
-
-
-def current_ledger() -> Optional[CycleLedger]:
-    """The ambient ledger new machines adopt, or None when accounting is off."""
-    return _current
-
-
-def install_ledger(ledger: Optional[CycleLedger]) -> Optional[CycleLedger]:
-    """Install *ledger* as the ambient ledger; returns the previous one."""
-    global _current
-    previous = _current
-    _current = ledger
-    return previous
-
-
-@contextmanager
-def use_ledger(ledger: Optional[CycleLedger]) -> Iterator[Optional[CycleLedger]]:
-    previous = install_ledger(ledger)
-    try:
-        yield ledger
-    finally:
-        install_ledger(previous)
 
 
 class _NullScope:

@@ -5,25 +5,26 @@ answer the complementary question "where in the stack did the cycles go?".
 A :class:`SpanTracer` keeps a single monotonically increasing **trace
 clock**, measured in simulated cycles, that follows the timestamp counter
 of whichever :class:`~repro.cpu.machine.Machine` is currently bound to it
-(machines bind themselves at construction).  Opening a span records the
-clock; closing it attributes the elapsed cycles — and the bound machine's
-perf-counter deltas — to that span.  Spans nest, so a Figure 2 run
-decomposes into ``study.figure2.broadwell`` > ``lebench.suite`` >
-``lebench.case.getpid`` > ``kernel.syscall`` > ``kernel.entry`` and every
-layer's share is visible.
+(machines built in the tracer's observer scope bind at construction).
+Opening a span records the clock; closing it attributes the elapsed
+cycles — and the bound machine's perf-counter deltas — to that span.
+Spans nest, so a Figure 2 run decomposes into
+``study.figure2.broadwell`` > ``lebench.suite`` >
+``lebench.case.getpid`` > ``kernel.syscall`` > ``kernel.entry`` and
+every layer's share is visible.
 
-Untraced runs pay (almost) nothing: the module-level default tracer is a
-:class:`NullTracer` whose :meth:`~NullTracer.span` returns a shared no-op
-context manager and whose hooks are empty methods.  Hot call sites
-additionally gate on ``tracer.enabled`` so the untraced fast path is one
-attribute load per boundary crossing.
+Untraced runs pay (almost) nothing: with no span tracer in scope, code
+sees a :class:`NullTracer` whose :meth:`~NullTracer.span` returns a
+shared no-op context manager.  Hot call sites additionally gate on
+``tracer.enabled`` so the untraced fast path is one attribute load per
+boundary crossing.
 
 Usage::
 
-    from repro.obs import SpanTracer, use_tracer
+    from repro.obs import SpanTracer, use_observers
 
     tracer = SpanTracer()
-    with use_tracer(tracer):
+    with use_observers(tracer):
         study.figure2([get_cpu("broadwell")], Settings.fast())
     print(tracer.coverage())          # fraction of cycles inside spans
     for span in tracer.find("kernel.syscall"):
@@ -32,10 +33,10 @@ Usage::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
+from .observers import current_observers
 
 __all__ = [
     "NULL_TRACER",
@@ -44,8 +45,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "current_tracer",
-    "install_tracer",
-    "use_tracer",
 ]
 
 
@@ -68,7 +67,8 @@ _NULL_SPAN = NullSpan()
 
 
 class NullTracer:
-    """Tracer that records nothing; installed by default.
+    """Tracer that records nothing: what code sees outside a span tracer's
+    scope.
 
     Every hook is a no-op, and :meth:`span` always hands back one shared
     :class:`NullSpan`, so instrumentation points cost an attribute lookup
@@ -84,9 +84,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def instant(self, name: str, **attrs: Any) -> None:
-        return None
-
-    def bind_machine(self, machine: Any) -> None:
         return None
 
 
@@ -219,8 +216,8 @@ class SpanTracer:
     def bind_machine(self, machine: Any) -> None:
         """Adopt ``machine``'s TSC as the clock source.
 
-        Called automatically from ``Machine.__init__``; the previously
-        bound machine's elapsed cycles are retired into the clock base.
+        Called from ``Machine.attach``; the previously bound machine's
+        elapsed cycles are retired into the clock base.
         """
         if machine is self._machine:
             return
@@ -254,10 +251,10 @@ class SpanTracer:
 
     # -- cross-process transport ------------------------------------------ #
 
-    def to_payload(self) -> Dict[str, Any]:
+    def state(self) -> Dict[str, Any]:
         """Serialize the complete timeline as plain JSON types.
 
-        The inverse is :meth:`absorb`; together they carry a worker
+        The inverse is :meth:`merge_state`; together they carry a worker
         process's spans, instants and metrics back to the parent tracer.
         Open spans are closed at the current clock reading first.
         """
@@ -280,8 +277,8 @@ class SpanTracer:
             "metrics": self.metrics.state(),
         }
 
-    def absorb(self, payload: Dict[str, Any]) -> None:
-        """Merge a child tracer's :meth:`to_payload` into this timeline.
+    def merge_state(self, payload: Dict[str, Any]) -> None:
+        """Merge a child tracer's :meth:`state` into this timeline.
 
         The child's spans are re-based at the current clock reading (its
         cycles happened "elsewhere", concurrently in wall time but on an
@@ -355,31 +352,13 @@ class SpanTracer:
         return "\n".join(lines) + "\n"
 
 
-# --------------------------------------------------------------------------- #
-# The installed tracer
-# --------------------------------------------------------------------------- #
-
-_current: "NullTracer | SpanTracer" = NULL_TRACER
-
-
 def current_tracer() -> "NullTracer | SpanTracer":
-    """The tracer new machines and kernels will report to."""
-    return _current
+    """The span tracer in the current observer scope, or the null tracer.
 
-
-def install_tracer(tracer: "NullTracer | SpanTracer") -> "NullTracer | SpanTracer":
-    """Replace the installed tracer; returns the previous one."""
-    global _current
-    previous = _current
-    _current = tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: "NullTracer | SpanTracer") -> Iterator["NullTracer | SpanTracer"]:
-    """Install ``tracer`` for the duration of the ``with`` body."""
-    previous = install_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        install_tracer(previous)
+    For code that opens spans without a machine at hand; machines use
+    the tracer they attached (``machine.obs``).
+    """
+    for observer in reversed(current_observers()):
+        if isinstance(observer, SpanTracer):
+            return observer
+    return NULL_TRACER

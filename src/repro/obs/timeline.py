@@ -12,12 +12,13 @@ the moment it fired.
 
 Design constraints, mirrored from :mod:`repro.obs.leakage`:
 
-* **Opt-in and cheap when off.**  The timeline reuses the leakage
-  tracer's single ``observer`` slot per structure, so the detached cost
-  stays one ``is None`` test per hook site (enforced by
-  ``benchmarks/bench_obs_overhead.py``).  When both a leakage tracer and
-  a timeline attach to one machine, a :class:`TeeObserver` fans the slot
-  out to both — the hot path still performs a single identity test.
+* **Opt-in and cheap when off.**  The timeline is a
+  :class:`~repro.obs.observers.StructureHooks` subscriber like the
+  leakage tracer: attach it with ``use_observers(timeline)`` or
+  ``machine.attach(timeline)``.  A detached machine pays one ``is None``
+  test per hook site (enforced by ``benchmarks/bench_obs_overhead.py``);
+  with both subscribers attached, the machine fans each slot out to
+  both.
 * **Bounded.**  Events land in a ring buffer (``collections.deque`` with
   ``maxlen``): once ``capacity`` events are held, each new event evicts
   the oldest and bumps ``dropped``.  Memory is bounded by the ring size
@@ -45,11 +46,12 @@ renders it.
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from collections import deque
+
+from .observers import StructureHooks
 
 #: Default ring capacity: enough for a syscall-heavy kernel benchmark
 #: window while keeping an attached recorder's memory footprint small.
@@ -106,37 +108,7 @@ class TimelineEvent:
         }
 
 
-class TeeObserver:
-    """Fan one structure's single observer slot out to two observers.
-
-    ``first`` is the previously installed observer (in practice the
-    leakage tracer) and ``timeline`` the event recorder.  Hook methods
-    are materialized lazily per name and cached on the instance, calling
-    ``first`` only when it implements the hook — the leakage tracer
-    predates some timeline-only hooks.
-    """
-
-    def __init__(self, first: Any, timeline: "EventTimeline") -> None:
-        self.first = first
-        self.timeline = timeline
-
-    def __getattr__(self, name: str):
-        if name.startswith("__"):
-            raise AttributeError(name)
-        first_fn = getattr(self.first, name, None)
-        timeline_fn = getattr(self.timeline, name)
-        if first_fn is None:
-            fan = timeline_fn
-        else:
-            def fan(*args: Any) -> None:
-                first_fn(*args)
-                timeline_fn(*args)
-        # Cache so later dispatches are one instance-dict lookup.
-        object.__setattr__(self, name, fan)
-        return fan
-
-
-class EventTimeline:
+class EventTimeline(StructureHooks):
     """Bounded ring-buffer flight recorder over one machine's structures.
 
     ``capacity`` bounds held events (``None`` = unbounded, for the
@@ -144,8 +116,6 @@ class EventTimeline:
     event ever filed (never truncated), which is what ships across
     process boundaries via :meth:`state`.
     """
-
-    enabled = True
 
     def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
         if capacity is not None and capacity < 1:
@@ -162,29 +132,14 @@ class EventTimeline:
     # -- wiring ----------------------------------------------------------- #
 
     def bind_machine(self, machine: Any) -> None:
-        """Adopt ``machine``: observe all of its speculative structures.
-
-        Composes with an already-attached leakage tracer by installing a
-        :class:`TeeObserver` in the shared slot; rebinding is idempotent.
-        """
+        """Adopt ``machine`` (called from ``Machine.attach``, which wires
+        the structure hooks): stamp events with its clock and mode."""
         self._machine = machine
         self.cpu_model = machine.cpu.key
-        for structure in (machine.store_buffer, machine.caches,
-                          machine.tlb, machine.btb, machine.rsb,
-                          machine.mds_buffers, machine.cond_predictor):
-            existing = structure.observer
-            if existing is None or existing is self:
-                structure.observer = self
-            elif isinstance(existing, TeeObserver):
-                existing.timeline = self
-            else:
-                structure.observer = TeeObserver(existing, self)
 
     # -- internals ---------------------------------------------------------- #
 
     def _file(self, structure: str, action: str, key: str) -> None:
-        if not self.enabled:
-            return
         machine = self._machine
         if machine is None:
             tsc, mode, instr = 0, "?", 0
@@ -519,34 +474,3 @@ def render_divergence(divergence: Optional[Divergence],
             marker = ">" if diverging else " "
             lines.append(f"  {marker} #{event.seq} {event.render()}")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------- #
-# Ambient installation (mirrors obs.spans / obs.ledger / obs.leakage)
-# --------------------------------------------------------------------------- #
-
-_current: Optional[EventTimeline] = None
-
-
-def current_timeline() -> Optional[EventTimeline]:
-    """The ambient timeline new machines adopt (None = recording off)."""
-    return _current
-
-
-def install_timeline(timeline: Optional[EventTimeline]
-                     ) -> Optional[EventTimeline]:
-    """Install ``timeline`` as ambient; returns the previous one."""
-    global _current
-    previous = _current
-    _current = timeline
-    return previous
-
-
-@contextmanager
-def use_timeline(timeline: EventTimeline) -> Iterator[EventTimeline]:
-    """Scoped ambient installation."""
-    previous = install_timeline(timeline)
-    try:
-        yield timeline
-    finally:
-        install_timeline(previous)

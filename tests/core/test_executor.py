@@ -288,7 +288,7 @@ class TestWorkerObservability:
     def test_worker_spans_merge_into_parent_tracer(self):
         from repro import obs
         tracer = obs.SpanTracer()
-        with obs.use_tracer(tracer):
+        with obs.use_observers(tracer):
             study.figure5([get_cpu("zen3")], settings=SETTINGS,
                           executor=StudyExecutor(jobs=3))
         spans = tracer.find("study.figure5.zen3")

@@ -14,7 +14,7 @@ import pytest
 from repro.core.stats import suite_geometric_mean
 from repro.core.study import Settings, lebench_geomean
 from repro.cpu import counters as ctr
-from repro.cpu.machine import Machine, use_scrub_probe
+from repro.cpu.machine import Machine
 from repro.cpu.model import all_cpus, get_cpu
 from repro.cpu.replicas import (
     STATS,
@@ -28,6 +28,7 @@ from repro.cpu.replicas import (
 )
 from repro.cpu.smt import SMTCore
 from repro.mitigations.base import MitigationConfig
+from repro.obs.observers import use_observers
 from repro.mitigations.policy import linux_default
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import lebench
@@ -135,10 +136,11 @@ def test_firing_schedule_predicts_real_scrub_flushes():
     cpu = get_cpu("cascade_lake")
     config = linux_default(cpu)
     probe = ScrubProbe()
-    with use_scrub_probe(probe):
+    with use_observers(probe):
         machine = Machine(cpu, seed=21)
         lebench.run_suite(machine, config, iterations=3, warmup=1)
-    (entries,) = probe.entries
+    assert probe.machines == [machine]
+    entries = machine.scrub_entries
     assert entries > 0
     low, high = cpu.predictor.eibrs_scrub_period
     schedule = firing_schedule(21, low, high, entries)
@@ -150,18 +152,21 @@ def test_probe_is_purely_observational():
     cpu = get_cpu("ice_lake_server")
     run_fn = _cell_run_fn(cpu, linux_default(cpu))
     bare = run_fn(33)
-    with use_scrub_probe(ScrubProbe()):
+    with use_observers(ScrubProbe()):
         probed = run_fn(33)
     assert bare == probed
 
 
-def test_use_scrub_probe_restores_previous_probe():
+def test_inner_probe_scope_restores_outer_probe():
     outer = ScrubProbe()
-    with use_scrub_probe(outer):
-        with use_scrub_probe(ScrubProbe()):
-            pass
+    with use_observers(outer):
+        inner = ScrubProbe()
+        with use_observers(inner):
+            shadowed = Machine(get_cpu("broadwell"), seed=2)
         machine = Machine(get_cpu("broadwell"), seed=1)
-    assert machine in outer.machines
+    assert outer.machines == [machine]
+    assert inner.machines == [shadowed]
+    assert machine.hooks is None  # the probe forces no interpretation
 
 
 def test_replica_seed_contract():

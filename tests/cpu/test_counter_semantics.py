@@ -59,9 +59,7 @@ def test_transient_work_never_reaches_an_attached_ledger(machine):
     ``add_cycles``) must not see them, or the sum-to-TSC invariant breaks."""
     from repro.obs.ledger import CycleLedger
     ledger = CycleLedger()
-    machine.counters.ledger = ledger
-    machine.ledger = ledger
-    ledger.attach(machine.counters)
+    machine.attach(ledger)
     machine.speculate([isa.div(), isa.load(0x7A00_0000)])
     assert ledger.total() == 0
     assert ledger.verify() == machine.read_tsc()

@@ -26,6 +26,7 @@ from repro.cpu import engine
 from repro.cpu.counters import ALL_COUNTERS
 from repro.mitigations import MitigationConfig, linux_default
 from repro.obs import ledger as obs_ledger
+from repro.obs.observers import use_observers
 from repro.workloads.lebench import SUITE, run_suite
 
 #: One case per workload kind keeps the grid fast while still exercising
@@ -43,7 +44,7 @@ def _run_grid_cell(cpu, config, mode):
     """One suite run under ``mode``; returns (results, machine, ledger)."""
     with engine.use_engine(mode):
         ledger = obs_ledger.CycleLedger()
-        with obs_ledger.use_ledger(ledger):
+        with use_observers(ledger):
             machine = Machine(cpu, seed=7)
             results = run_suite(machine, config, iterations=3, warmup=1,
                                 cases=GRID_CASES)
@@ -113,7 +114,7 @@ def test_lebench_bit_identical_with_leakage_tracing(key):
     def traced_cell(mode):
         with engine.use_engine(mode):
             tracer = obs_leakage.LeakageTracer()
-            with obs_leakage.use_leakage(tracer):
+            with use_observers(tracer):
                 machine = Machine(cpu, seed=7)
                 tracer.taint_region(0x1000, 256)
                 results = run_suite(machine, config, iterations=3, warmup=1,
@@ -150,7 +151,7 @@ def test_lebench_bit_identical_with_timeline_recording(key):
     def recorded_cell(mode):
         with engine.use_engine(mode):
             timeline = obs_timeline.EventTimeline(capacity=None)
-            with obs_timeline.use_timeline(timeline):
+            with use_observers(timeline):
                 machine = Machine(cpu, seed=7)
                 results = run_suite(machine, config, iterations=3, warmup=1,
                                     cases=GRID_CASES)

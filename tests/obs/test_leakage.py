@@ -2,11 +2,8 @@
 
 from repro.cpu import Machine, Mode, get_cpu, isa
 from repro.obs import leakage as lk
-from repro.obs.leakage import (
-    LeakageTracer,
-    current_leakage,
-    use_leakage,
-)
+from repro.obs.leakage import LeakageTracer
+from repro.obs.observers import current_observers, use_observers
 
 SECRET = 0x1000
 DEST = 0x2000
@@ -18,7 +15,7 @@ NOP_PAD = 0x62_0000
 def traced_machine(cpu_key="broadwell", policy="test"):
     machine = Machine(get_cpu(cpu_key), seed=0)
     tracer = LeakageTracer(policy=policy)
-    machine.attach_leakage(tracer)
+    machine.attach(tracer)
     return machine, tracer
 
 
@@ -72,7 +69,7 @@ def test_drain_clears_pending_store_taint():
 
 def test_untraced_machine_has_no_observers():
     machine = Machine(get_cpu("broadwell"), seed=0)
-    assert machine.leakage is None
+    assert machine.hooks is None
     assert machine.store_buffer.observer is None
     assert machine.btb.observer is None
     assert machine.rsb.observer is None
@@ -83,12 +80,13 @@ def test_untraced_machine_has_no_observers():
 
 def test_ambient_tracer_adopted_at_construction():
     tracer = LeakageTracer()
-    with use_leakage(tracer):
+    with use_observers(tracer):
         machine = Machine(get_cpu("zen3"), seed=0)
-        assert machine.leakage is tracer
+        assert machine.hooks is tracer
+        assert machine.caches.observer is tracer
         assert tracer.cpu_model == "zen3"
-    assert current_leakage() is None
-    assert Machine(get_cpu("zen3"), seed=0).leakage is None
+    assert current_observers() == ()
+    assert Machine(get_cpu("zen3"), seed=0).hooks is None
 
 
 # --------------------------------------------------------------------------- #

@@ -15,12 +15,11 @@ from repro.obs.ledger import (
     BASE,
     OTHER,
     CycleLedger,
-    current_ledger,
     join_path,
     ledger_scope,
     split_path,
-    use_ledger,
 )
+from repro.obs.observers import current_observers, use_observers
 
 
 # ---------------------------------------------------------------------- #
@@ -107,20 +106,20 @@ def test_path_join_split_round_trip():
 # ---------------------------------------------------------------------- #
 
 def test_verify_passes_when_all_charges_route_through_counters():
-    from repro.cpu.counters import PerfCounters
     ledger = CycleLedger()
-    counters = PerfCounters(ledger=ledger)
-    ledger.attach(counters)
+    machine = Machine(get_cpu("broadwell"))
+    machine.attach(ledger)
+    counters = machine.counters
     counters.add_cycles(25)
     counters.add_cycles(17)
     assert ledger.verify() == 42
 
 
 def test_verify_catches_a_bypassing_charge_site():
-    from repro.cpu.counters import PerfCounters
     ledger = CycleLedger()
-    counters = PerfCounters(ledger=ledger)
-    ledger.attach(counters)
+    machine = Machine(get_cpu("broadwell"))
+    machine.attach(ledger)
+    counters = machine.counters
     counters.add_cycles(10)
     counters.tsc += 3  # a charge site that dodged add_cycles
     with pytest.raises(LedgerInvariantError):
@@ -159,14 +158,15 @@ def test_renderers_mention_totals_and_paths():
 
 
 def test_ambient_ledger_install_and_restore():
-    assert current_ledger() is None
+    assert current_observers() == ()
     ledger = CycleLedger()
-    with use_ledger(ledger):
-        assert current_ledger() is ledger
-        with use_ledger(None):
-            assert current_ledger() is None
-        assert current_ledger() is ledger
-    assert current_ledger() is None
+    with use_observers(ledger):
+        assert current_observers() == (ledger,)
+        inner = CycleLedger()
+        with use_observers(inner):  # an inner ledger replaces the outer
+            assert current_observers() == (inner,)
+        assert current_observers() == (ledger,)
+    assert current_observers() == ()
 
 
 def test_ledger_scope_is_free_without_a_ledger():
@@ -188,7 +188,7 @@ SYSCALL = HandlerProfile("test_call", work_cycles=400, loads=6, stores=4,
 
 def test_machine_adopts_ambient_ledger_and_sums_to_tsc(broadwell):
     ledger = CycleLedger()
-    with use_ledger(ledger):
+    with use_observers(ledger):
         machine = Machine(broadwell, seed=0)
         machine.run([isa.work(100), isa.load(0x1000), isa.store(0x2000)])
     assert ledger.verify() == machine.read_tsc()
@@ -201,7 +201,7 @@ def test_kernel_syscall_files_pti_under_entry_and_exit(broadwell):
     config = linux_default(broadwell)
     assert config.pti, "broadwell's default config must enable KPTI"
     ledger = CycleLedger()
-    with use_ledger(ledger):
+    with use_observers(ledger):
         machine = Machine(broadwell, seed=0)
         kernel = Kernel(machine, config)
         kernel.syscall(SYSCALL)
@@ -213,7 +213,7 @@ def test_kernel_syscall_files_pti_under_entry_and_exit(broadwell):
 
 def test_untagged_syscall_work_lands_in_handler_base(broadwell):
     ledger = CycleLedger()
-    with use_ledger(ledger):
+    with use_observers(ledger):
         machine = Machine(broadwell, seed=0)
         kernel = Kernel(machine, linux_default(broadwell))
         kernel.syscall(SYSCALL)
@@ -224,7 +224,7 @@ def test_js_hardening_is_attributed_to_spectre_v1_primitives(broadwell):
     config = MitigationConfig(js_index_masking=True, js_object_guards=True,
                               js_other=True)
     ledger = CycleLedger()
-    with use_ledger(ledger):
+    with use_observers(ledger):
         machine = Machine(broadwell, seed=0)
         runner = octane.OctaneRunner(machine, config)
         runner.measure(octane.get_workload("richards"), iterations=3,
@@ -249,7 +249,7 @@ def test_ledger_off_by_default_and_harmless(broadwell):
 
 def _figure2_ledger(jobs: int):
     ledger = CycleLedger()
-    with use_ledger(ledger):
+    with use_observers(ledger):
         results = figure2([get_cpu("broadwell")], Settings.fast(),
                           executor=StudyExecutor(jobs=jobs, cache_dir=None))
     assert results

@@ -12,12 +12,13 @@ from repro.obs.export import (
     write_flamegraph,
 )
 from repro.obs.provenance import build_manifest
-from repro.obs.spans import SpanTracer, use_tracer
+from repro.obs.observers import use_observers
+from repro.obs.spans import SpanTracer
 
 
 def traced_run():
     tracer = SpanTracer()
-    with use_tracer(tracer):
+    with use_observers(tracer):
         m = Machine(get_cpu("broadwell"))
         with tracer.span("outer", cpu="broadwell"):
             m.execute(isa.work(100))
@@ -85,7 +86,7 @@ def test_write_chrome_trace_and_flamegraph(tmp_path):
 
 def test_collapsed_stacks_merge_and_weight():
     tracer = SpanTracer()
-    with use_tracer(tracer):
+    with use_observers(tracer):
         m = Machine(get_cpu("broadwell"))
         for _ in range(2):
             with tracer.span("a"):
@@ -104,7 +105,7 @@ def test_collapsed_stacks_empty_tracer():
 def test_chrome_trace_carries_ledger_counter_tracks():
     from repro.obs.ledger import CycleLedger
     tracer = SpanTracer()
-    with use_tracer(tracer):
+    with use_observers(tracer):
         machine = Machine(get_cpu("broadwell"), seed=0)
         with tracer.span("cpu.block"):
             machine.run([isa.work(50)])
@@ -155,7 +156,7 @@ def test_counter_tracks_survive_json_round_trip():
     import json as _json
     from repro.obs.ledger import CycleLedger
     tracer = SpanTracer()
-    with use_tracer(tracer):
+    with use_observers(tracer):
         machine = Machine(get_cpu("broadwell"), seed=0)
         with tracer.span("cpu.block"):
             machine.run([isa.work(10)])
@@ -173,7 +174,7 @@ def test_counter_tracks_survive_json_round_trip():
 
 def test_no_counter_tracks_without_ledger():
     tracer = SpanTracer()
-    with use_tracer(tracer):
+    with use_observers(tracer):
         machine = Machine(get_cpu("broadwell"), seed=0)
         with tracer.span("cpu.block"):
             machine.run([isa.work(10)])

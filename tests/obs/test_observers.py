@@ -1,0 +1,137 @@
+"""The observer scope: every observer attaches through one path and none
+perturbs the simulation, alone or together, in any attach order.
+
+Each cell runs detached, under each observer alone, and under all four
+together in two opposite orders.  Counters and TSC must be identical in
+every run, and each observer must report the same thing whether it ran
+alone or shared the machine's hook slots with the others.
+"""
+
+import pytest
+
+from repro.core.probe import POLICY_OFF, SCENARIOS, SpeculationProbe
+from repro.cpu import Machine, get_cpu
+from repro.kernel import GETPID, Kernel
+from repro.mitigations import linux_default
+from repro.obs import (
+    CycleLedger,
+    EventTimeline,
+    LeakageTracer,
+    SpanTracer,
+    current_observers,
+    use_observers,
+)
+from repro.obs.observers import FanOut
+from repro.workloads.lebench import SUITE, run_suite
+
+CPU = "broadwell"
+KINDS = ("tracer", "ledger", "leakage", "timeline")
+
+
+def _fresh():
+    return {"tracer": SpanTracer(), "ledger": CycleLedger(),
+            "leakage": LeakageTracer(), "timeline": EventTimeline(capacity=None)}
+
+
+def _table9_cell():
+    """One Table 9 probe cell: user->user across a syscall, IBRS off."""
+    machine = Machine(get_cpu(CPU), seed=0)
+    machine.msr.set_ibrs(False)
+    probe = SpeculationProbe(machine, policy=POLICY_OFF)
+    verdict = probe.probe_verdict(SCENARIOS[1])
+    return machine, (verdict.speculated, verdict.leaked)
+
+
+def _lebench_cell():
+    """One LEBench cell under the Linux default mitigations."""
+    cpu = get_cpu(CPU)
+    case = next(case for case in SUITE if case.name == "small_read")
+    machine = Machine(cpu, seed=7)
+    results = run_suite(machine, linux_default(cpu), iterations=3, warmup=1,
+                        cases=(case,))
+    return machine, results
+
+
+def _run(cell, observers):
+    with use_observers(*observers):
+        machine, outcome = cell()
+    return machine, outcome
+
+
+def _reports(observers):
+    return {
+        "ledger": observers["ledger"].paths(),
+        "leakage": observers["leakage"].summary().to_dict(),
+        "timeline": (observers["timeline"].total,
+                     observers["timeline"].digest()),
+    }
+
+
+@pytest.mark.parametrize("cell", [_table9_cell, _lebench_cell],
+                         ids=["table9_probe", "lebench"])
+def test_observers_alone_and_together_see_the_same_run(cell):
+    detached, outcome = _run(cell, ())
+    reference = (detached.read_tsc(), detached.counters.snapshot(), outcome)
+
+    alone = {}
+    for kind in KINDS:
+        observers = _fresh()
+        machine, outcome = _run(cell, [observers[kind]])
+        assert (machine.read_tsc(), machine.counters.snapshot(),
+                outcome) == reference, kind
+        alone[kind] = observers[kind]
+    alone_reports = _reports(alone)
+    assert alone["ledger"].verify() > 0
+    assert alone_reports["timeline"][0] > 0
+
+    for order in (KINDS, tuple(reversed(KINDS))):
+        observers = _fresh()
+        machine, outcome = _run(cell, [observers[kind] for kind in order])
+        assert (machine.read_tsc(), machine.counters.snapshot(),
+                outcome) == reference, order
+        assert machine.ledger is observers["ledger"]
+        assert machine.obs is observers["tracer"]
+        fan = machine.caches.observer
+        assert isinstance(fan, FanOut) and fan is machine.hooks
+        assert fan.subscribers == tuple(observers[kind] for kind in order
+                                        if kind in ("leakage", "timeline"))
+        assert _reports(observers) == alone_reports, order
+        assert observers["tracer"].total_cycles() \
+            == alone["tracer"].total_cycles()
+
+
+def test_probe_cell_leaks_so_the_leakage_report_is_not_vacuous():
+    leakage = LeakageTracer()
+    _, (speculated, leaked) = _run(_table9_cell, [leakage])
+    assert speculated and leaked
+    assert leakage.total_events() > 0
+
+
+def test_nested_scopes_compose_and_an_inner_observer_replaces_its_type():
+    tracer, outer, inner = SpanTracer(), CycleLedger(), CycleLedger()
+    with use_observers(tracer, outer):
+        with use_observers(inner):
+            machine = Machine(get_cpu(CPU))
+        assert current_observers() == (tracer, outer)
+    assert current_observers() == ()
+    assert machine.observers == (tracer, inner)
+    assert machine.obs is tracer and machine.ledger is inner
+    assert machine.hooks is None  # neither forces interpretation
+
+
+def test_ledger_attached_mid_run_accounts_from_the_attach():
+    """A ledger attached to a warm machine files every later cycle, even
+    where the block engine replays segments recorded before it came."""
+    cpu = get_cpu(CPU)
+    warm = Kernel(Machine(cpu), linux_default(cpu))
+    reference = Kernel(Machine(cpu), linux_default(cpu))
+    for _ in range(8):
+        warm.syscall(GETPID)
+        reference.syscall(GETPID)
+    ledger = CycleLedger()
+    warm.machine.attach(ledger)
+    cycles = warm.syscall(GETPID)
+    assert cycles == reference.syscall(GETPID)
+    assert warm.machine.read_tsc() == reference.machine.read_tsc()
+    assert ledger.verify() == cycles
+    assert ledger.paths()["kernel.exit/mds/verw"] > 0

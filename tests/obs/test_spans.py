@@ -6,19 +6,14 @@ from repro.cpu import Machine, get_cpu
 from repro.cpu import isa
 from repro.kernel import GETPID, Kernel
 from repro.mitigations import linux_default
-from repro.obs.spans import (
-    NULL_TRACER,
-    NullTracer,
-    SpanTracer,
-    current_tracer,
-    install_tracer,
-    use_tracer,
-)
+from repro.obs.observers import use_observers
+from repro.obs.spans import NULL_TRACER, NullTracer, SpanTracer, current_tracer
 
 
 @pytest.fixture
 def tracer():
-    with use_tracer(SpanTracer()) as t:
+    t = SpanTracer()
+    with use_observers(t):
         yield t
 
 
@@ -34,25 +29,27 @@ def test_null_tracer_span_is_shared_noop():
     with a as span:
         assert span.set(more=1) is span
     NULL_TRACER.instant("nothing")
-    NULL_TRACER.bind_machine(object())
 
 
 def test_use_tracer_installs_and_restores():
+    """The observer scope installs a span tracer for its block and puts
+    the null tracer back when the block ends."""
     t = SpanTracer()
-    with use_tracer(t):
+    with use_observers(t):
         assert current_tracer() is t
         assert current_tracer().enabled
     assert current_tracer() is NULL_TRACER
 
 
 def test_install_tracer_returns_previous():
-    t = SpanTracer()
-    previous = install_tracer(t)
-    try:
-        assert previous is NULL_TRACER
-        assert current_tracer() is t
-    finally:
-        install_tracer(previous)
+    """An inner scope's tracer replaces the outer one; the outer tracer
+    is current again once the inner block ends."""
+    outer, inner = SpanTracer(), SpanTracer()
+    with use_observers(outer):
+        with use_observers(inner):
+            assert current_tracer() is inner
+        assert current_tracer() is outer
+    assert current_tracer() is NULL_TRACER
 
 
 def test_clock_follows_machine_tsc(tracer):
@@ -177,7 +174,7 @@ def test_untraced_machine_behaves_identically():
         return sum(kernel.syscall(GETPID) for _ in range(5))
 
     baseline = run()
-    with use_tracer(SpanTracer()):
+    with use_observers(SpanTracer()):
         traced = run()
     assert traced == baseline
 
@@ -195,7 +192,7 @@ def test_to_payload_serializes_timeline(tracer):
         with tracer.span("inner"):
             m.execute(isa.work(10))
     tracer.instant("mark", n=1)
-    payload = tracer.to_payload()
+    payload = tracer.state()
     assert payload["total_cycles"] == 40
     records = payload["spans"]
     assert [r["name"] for r in records] == ["outer", "inner"]
@@ -214,7 +211,7 @@ def test_to_payload_closes_open_spans_at_now(tracer):
     m = Machine(get_cpu("broadwell"))
     span = tracer.span("open").__enter__()
     m.execute(isa.work(25))
-    payload = tracer.to_payload()
+    payload = tracer.state()
     assert payload["spans"][0]["end"] == 25    # closed at now() in transit
     assert span.end is None                    # ...without mutating the live span
     span.__exit__(None, None, None)
@@ -225,14 +222,14 @@ def test_absorb_rebases_child_timeline(tracer):
     m.execute(isa.work(100))                   # parent clock at 100
 
     child = SpanTracer()
-    with use_tracer(child):
+    with use_observers(child):
         cm = Machine(get_cpu("zen3"))          # binds to the child's clock
         with child.span("worker.job") as job:
             cm.execute(isa.work(40))
             child.instant("worker.event")
         child.metrics.counter("worker.cells").inc(8)
 
-    tracer.absorb(child.to_payload())
+    tracer.merge_state(child.state())
     (absorbed,) = tracer.find("worker.job")
     assert absorbed.start == 100 and absorbed.end == 140
     assert absorbed is not job                 # rebuilt, not shared
@@ -243,12 +240,12 @@ def test_absorb_rebases_child_timeline(tracer):
 
 def test_absorb_preserves_parent_links_and_coverage(tracer):
     child = SpanTracer()
-    with use_tracer(child):
+    with use_observers(child):
         cm = Machine(get_cpu("broadwell"))
         with child.span("outer"):
             with child.span("inner"):
                 cm.execute(isa.work(60))
-    tracer.absorb(child.to_payload())
+    tracer.merge_state(child.state())
     (outer,) = tracer.find("outer")
     (inner,) = tracer.find("inner")
     assert inner.parent is outer
@@ -256,7 +253,7 @@ def test_absorb_preserves_parent_links_and_coverage(tracer):
     assert outer in tracer.roots and inner not in tracer.roots
     assert tracer.coverage() == pytest.approx(1.0)
     # successive absorptions stay monotonic
-    tracer.absorb(child.to_payload())
+    tracer.merge_state(child.state())
     assert tracer.total_cycles() == 120
 
 

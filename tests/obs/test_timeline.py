@@ -1,6 +1,7 @@
-"""Microarchitectural event timeline: recorder, ring bound, tee with the
-leakage tracer, engine-mode composition, worker transport, and the
-first-divergence differ."""
+"""Microarchitectural event timeline: recorder, ring bound, fan-out with
+a leakage tracer, engine-mode composition, worker transport, and the
+first-divergence differ.  Composition with all four observers at once is
+covered by test_observers.py."""
 
 import pytest
 
@@ -12,14 +13,13 @@ from repro.fuzz import generate_program
 from repro.obs import (
     EventTimeline,
     LeakageTracer,
-    current_timeline,
+    current_observers,
     first_divergence,
-    install_timeline,
     render_divergence,
-    use_leakage,
-    use_timeline,
+    use_observers,
 )
-from repro.obs.timeline import TeeObserver, TimelineEvent
+from repro.obs.observers import FanOut
+from repro.obs.timeline import TimelineEvent
 
 
 def _record_program(engine_mode=engine.ENGINE_INTERP, capacity=None,
@@ -29,7 +29,7 @@ def _record_program(engine_mode=engine.ENGINE_INTERP, capacity=None,
     program = generate_program(program_seed)
     with engine.use_engine(engine_mode):
         timeline = EventTimeline(capacity=capacity)
-        with use_timeline(timeline):
+        with use_observers(timeline):
             machine, retpoline = _policy_machine(get_cpu(cpu_key), policy, 11)
             program.install(machine, retpoline=retpoline)
             stream = program.instructions(retpoline=retpoline)
@@ -45,11 +45,12 @@ def _record_program(engine_mode=engine.ENGINE_INTERP, capacity=None,
 class TestRecorder:
     def test_machines_adopt_the_ambient_timeline(self):
         timeline = EventTimeline()
-        with use_timeline(timeline):
+        with use_observers(timeline):
             machine = Machine(get_cpu("broadwell"))
-        assert machine.timeline is timeline
-        assert current_timeline() is None
-        assert Machine(get_cpu("broadwell")).timeline is None
+        assert machine.hooks is timeline
+        assert machine.cond_predictor.observer is timeline
+        assert current_observers() == ()
+        assert Machine(get_cpu("broadwell")).hooks is None
 
     def test_records_events_across_structures(self):
         timeline = _record_program()
@@ -112,58 +113,34 @@ class TestRingBound:
 
 
 # --------------------------------------------------------------------------- #
-# Composition with the leakage tracer (shared observer slots)
+# Fan-out with a leakage tracer
 # --------------------------------------------------------------------------- #
 
 class TestTee:
+    """A timeline and a leakage tracer share every structure slot through
+    one FanOut, whichever of the two the machine adopts first."""
+
     def test_timeline_tees_behind_an_attached_leakage_tracer(self):
         timeline = EventTimeline()
-        with use_timeline(timeline):
+        with use_observers(timeline):
             machine = Machine(get_cpu("broadwell"))
             tracer = LeakageTracer()
-            machine.attach_leakage(tracer)
-        assert isinstance(machine.caches.observer, TeeObserver)
-        assert machine.caches.observer.first is tracer
-        assert machine.caches.observer.timeline is timeline
+            machine.attach(tracer)
+        fan = machine.caches.observer
+        assert isinstance(fan, FanOut) and fan is machine.hooks
+        assert fan.subscribers == (timeline, tracer)
+        assert machine.cond_predictor.observer is fan
 
     def test_leakage_first_then_timeline(self):
-        with use_leakage(LeakageTracer()) as tracer:
+        tracer = LeakageTracer()
+        with use_observers(tracer):
             timeline = EventTimeline()
-            with use_timeline(timeline):
+            with use_observers(timeline):
                 machine = Machine(get_cpu("broadwell"))
-        assert machine.leakage is tracer
-        assert machine.timeline is timeline
-        assert isinstance(machine.caches.observer, TeeObserver)
-
-    def test_both_observers_see_the_same_traffic(self):
-        """Events recorded through the tee match a timeline-only run."""
-        program = generate_program(5)
-
-        def run(with_leakage):
-            timeline = EventTimeline()
-            with use_timeline(timeline):
-                machine, retpoline = _policy_machine(
-                    get_cpu("broadwell"), "default", 11)
-                if with_leakage:
-                    machine.attach_leakage(LeakageTracer())
-                program.install(machine, retpoline=retpoline)
-                machine.run(program.instructions(retpoline=retpoline))
-            return timeline
-
-        solo = run(with_leakage=False)
-        teed = run(with_leakage=True)
-        assert solo.total == teed.total
-        assert [e.signature() for e in solo.events] \
-            == [e.signature() for e in teed.events]
-
-    def test_cond_predictor_reports_through_timeline_only(self):
-        """The conditional predictor is a timeline-only hook site — the
-        leakage tracer never claims its slot."""
-        timeline = EventTimeline()
-        with use_timeline(timeline):
-            machine = Machine(get_cpu("broadwell"))
-            machine.attach_leakage(LeakageTracer())
-        assert machine.cond_predictor.observer is timeline
+        assert machine.observers == (tracer, timeline)
+        fan = machine.caches.observer
+        assert isinstance(fan, FanOut) and fan is machine.hooks
+        assert fan.subscribers == (tracer, timeline)
 
 
 # --------------------------------------------------------------------------- #
@@ -183,20 +160,22 @@ class TestEngineComposition:
         assert first_divergence(interp, block) is None
 
     def test_attached_timeline_forces_interp_fallback(self):
-        """Machine.run skips the engine when a timeline is attached, and
-        even a direct engine call replays interpreted."""
+        """Machine.run skips the engine while a timeline is attached."""
         program = generate_program(7)
         with engine.use_engine(engine.ENGINE_BLOCK):
             timeline = EventTimeline()
-            with use_timeline(timeline):
+            with use_observers(timeline):
                 machine, retpoline = _policy_machine(
                     get_cpu("broadwell"), "default", 11)
                 program.install(machine, retpoline=retpoline)
                 stream = list(program.instructions(retpoline=retpoline))
                 assert machine.engine is not None
                 engine.STATS.reset()
-                machine.engine.run(stream)
-        assert engine.STATS.interp_fallbacks == 1
+                machine.run(stream)
+                machine.run(stream)
+        assert engine.STATS.interp_fallbacks == 0
+        assert engine.STATS.block_hits == 0
+        assert timeline.total > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -227,7 +206,7 @@ class TestWorkerTransport:
         specs = [CellSpec("vm_lebench", cpu, "vm_lebench", settings)
                  for cpu in ("zen", "zen2", "broadwell", "skylake_client")]
         timeline = EventTimeline(capacity=None)
-        with use_timeline(timeline):
+        with use_observers(timeline):
             StudyExecutor(jobs=2).run(specs)
         assert timeline.total > 0
         assert sum(timeline.counts.values()) == timeline.total
@@ -240,7 +219,7 @@ class TestWorkerTransport:
 
         def sweep(jobs):
             timeline = EventTimeline(capacity=None)
-            with use_timeline(timeline):
+            with use_observers(timeline):
                 StudyExecutor(jobs=jobs).run(specs)
             return timeline
 
@@ -326,11 +305,16 @@ class TestFirstDivergence:
 
 
 # --------------------------------------------------------------------------- #
-# Ambient install
+# Ambient scope
 # --------------------------------------------------------------------------- #
 
 def test_install_returns_previous():
-    timeline = EventTimeline()
-    assert install_timeline(timeline) is None
-    assert install_timeline(None) is timeline
-    assert current_timeline() is None
+    """An inner scope's timeline replaces the outer one for its block;
+    the outer timeline is back in scope once the inner block ends."""
+    outer, inner = EventTimeline(), EventTimeline()
+    with use_observers(outer):
+        with use_observers(inner):
+            assert current_observers() == (inner,)
+            assert Machine(get_cpu("broadwell")).hooks is inner
+        assert current_observers() == (outer,)
+    assert current_observers() == ()

@@ -582,3 +582,48 @@ def test_history_gc_dry_run_does_not_mutate(capsys, tmp_path):
     assert run_cli(capsys, "history", "list") == before
     out = run_cli(capsys, "history", "gc", "--keep", "1")
     assert "removed 1 run(s)" in out
+
+
+# --------------------------------------------------------------------------- #
+# Bad input: a one-line error and a non-zero exit, never a traceback
+# --------------------------------------------------------------------------- #
+
+MALFORMED_REPRODUCER = """\
+# cpu: broadwell
+# policy: off
+program fz_bad seed=1
+block b0 pc=0x1000
+load nowhere
+"""
+
+
+@pytest.mark.parametrize("command", ["fuzz", "explain"])
+def test_replay_of_a_malformed_reproducer_names_the_line(capsys, tmp_path,
+                                                          command):
+    path = tmp_path / "bad.prog"
+    path.write_text(MALFORMED_REPRODUCER)
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-history", command, "--replay", str(path)])
+    message = str(exc.value.code)
+    assert message.startswith(f"{command}: {path}: line 5: ")
+    assert "load nowhere" in message and "\n" not in message
+
+
+def test_history_list_on_a_corrupt_db_is_a_one_line_error(tmp_path):
+    db = tmp_path / "corrupt.db"
+    db.write_bytes(b"not an sqlite database\n" * 64)
+    with pytest.raises(SystemExit) as exc:
+        main(["history", "--db", str(db), "list"])
+    message = str(exc.value.code)
+    assert message.startswith("history: ") and "unreadable" in message
+    assert "\n" not in message
+
+
+def test_check_against_a_non_json_baseline_is_a_one_line_error(tmp_path):
+    path = tmp_path / "BENCH_bad.json"
+    path.write_text("not json\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-history", "check", "--against", str(path)])
+    message = str(exc.value.code)
+    assert message.startswith("check: ") and "is not JSON" in message
+    assert "\n" not in message
