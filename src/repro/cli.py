@@ -29,7 +29,6 @@ Parallelism and caching (see ``docs/parallelism.md``)::
     spectresim figure 2 --jobs 8                 # fan cells over 8 processes
     spectresim figure 2 --jobs 8                 # rerun: 100% cache hits
     spectresim figure 3 --no-cache               # force fresh simulation
-    spectresim export figure2 --jobs 4 --resume  # pick up an interrupted run
     spectresim all --outdir results --jobs 8 --cache-dir /tmp/sscache
 
 Run history (``bench``/``check``/``profile`` auto-record; disable with
@@ -101,11 +100,7 @@ def _study_executor(args: argparse.Namespace) -> "StudyExecutor":
         cache_dir = getattr(args, "cache_dir", None)
         if cache_dir is None and hasattr(args, "jobs"):
             cache_dir = default_cache_dir()
-    return StudyExecutor(
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=cache_dir,
-        resume=getattr(args, "resume", False),
-    )
+    return StudyExecutor(jobs=getattr(args, "jobs", 1), cache_dir=cache_dir)
 
 
 def _report_executor(label: str, executor: "StudyExecutor") -> None:
@@ -933,10 +928,8 @@ def _add_executor_flags(p: argparse.ArgumentParser) -> None:
                    help="persistent result cache location (default: "
                         "$SPECTRESIM_CACHE_DIR or ~/.cache/spectresim)")
     p.add_argument("--no-cache", action="store_true",
-                   help="skip the persistent cell cache and checkpoints")
-    p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted identical run from its "
-                        "checkpoint before consulting the cache")
+                   help="skip the persistent cell cache (a rerun then "
+                        "simulates every cell again)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -965,10 +958,10 @@ def build_parser() -> argparse.ArgumentParser:
              "run-history database")
     def _add_replicas_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--replicas", type=int, default=None, metavar="N",
-            help="seeded machine replicas per cell, executed through the "
-                 "batched SoA replica tier (default 1: the classic "
-                 "single-run measurement, bit for bit)")
+            "--replicas", type=_positive_int, default=None, metavar="N",
+            help="seeded machine replicas per cell, one simulation per "
+                 "distinct eIBRS scrub schedule (default 1: the classic "
+                 "single-run measurement)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,25 +14,24 @@ residual the paper plots as the unlabelled remainder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..mitigations.base import Knob, MitigationConfig
 from .stats import (
     DEFAULT_NOISE_SIGMA,
     Measurement,
-    ReplicaSampler,
+    NoisySampler,
     adaptive_measure,
     derive_seed,
 )
 
-#: Signature of a deterministic experiment: config -> metric value.
-RunFn = Callable[[MitigationConfig], float]
-
-#: Replica-aware variant: (config, machine_seed) -> metric value.  The
-#: runner must seed every machine it builds from ``machine_seed`` so the
-#: batch tier can enumerate seeded replicas (see repro.cpu.replicas).
-ReplicaRunFn = Callable[[MitigationConfig, int], float]
+#: Signature of a deterministic experiment: (config, machine_seed) ->
+#: metric value.  The runner must seed every machine it builds from
+#: ``machine_seed`` so seeded replicas can be enumerated (see
+#: repro.cpu.replicas).
+RunFn = Callable[[MitigationConfig, int], float]
 
 #: Metric directions.
 CYCLES = "cycles"   # lower is better (LEBench, PARSEC, LFS)
@@ -95,33 +94,25 @@ def _measure_config(
     seed: int,
     rel_tol: float,
     max_samples: int,
-    machine_seed: int = 0,
-    replicas: int = 1,
-    run_replica: Optional[ReplicaRunFn] = None,
+    machine_seed: int,
+    replicas: int,
 ) -> Measurement:
     """Measure one configuration with the section-4.1 methodology.
 
     The simulator is deterministic per machine seed, so each replica's
-    value is computed once — through the batched replica tier
-    (:mod:`repro.cpu.replicas`), which collapses converged replicas onto
-    one probe run.  The run-to-run variability of real hardware is
-    layered on by the seeded :class:`ReplicaSampler`, and
-    :func:`adaptive_measure` converges the mean back out of the noise in
-    vectorized geometric chunks.  Without a replica-aware runner the
-    batch degenerates to the single probe run — the exact pre-batch
-    behavior, bit for bit.
+    value is computed once (:mod:`repro.cpu.replicas` runs one
+    simulation per distinct scrub schedule).  The run-to-run variability
+    of real hardware is layered on by a seeded :class:`NoisySampler`
+    cycling over those values, and :func:`adaptive_measure` converges
+    the mean back out of the noise.
     """
     from ..cpu import replicas as replicabatch
-    if run_replica is None:
-        replica_fn = lambda _machine_seed: run_fn(config)
-        replicas = 1
-    else:
-        replica_fn = lambda machine_seed: run_replica(config, machine_seed)
-    batch = replicabatch.run_replicas(replica_fn, seed=machine_seed,
-                                      n=replicas)
-    sampler = ReplicaSampler(batch.values, sigma=sigma, seed=seed)
-    return adaptive_measure(sampler, rel_tol=rel_tol, max_samples=max_samples,
-                            sample_batch=sampler.sample_batch)
+    values = replicabatch.run_replicas(
+        lambda machine_seed: run_fn(config, machine_seed),
+        seed=machine_seed, n=replicas)
+    sampler = NoisySampler(itertools.cycle(values).__next__, sigma=sigma,
+                           seed=seed)
+    return adaptive_measure(sampler, rel_tol=rel_tol, max_samples=max_samples)
 
 
 def attribute_overhead(
@@ -136,7 +127,6 @@ def attribute_overhead(
     max_samples: int = 60,
     seed: int = 0,
     replicas: int = 1,
-    run_replica: Optional[ReplicaRunFn] = None,
 ) -> AttributionResult:
     """Successively disable ``knobs`` starting from ``default_config``.
 
@@ -144,11 +134,10 @@ def attribute_overhead(
     on an AMD part) are skipped without measurement — their contribution
     is structurally zero, matching the blank cells of Table 1.
 
-    ``replicas``/``run_replica`` route each configuration's measurement
-    through the batched replica tier: ``run_replica(config, machine_seed)``
-    re-runs the cell with an explicit machine seed, and replica 0 uses
-    ``seed`` itself, so ``replicas=1`` reproduces the classic single-run
-    measurement exactly.
+    ``run_fn(config, machine_seed)`` runs the cell with an explicit
+    machine seed.  Each configuration averages its noise samples over
+    ``replicas`` seeded replicas; replica 0 uses ``seed`` itself, so
+    ``replicas=1`` is the classic single-run measurement.
     """
     if metric not in (CYCLES, SCORE):
         raise ValueError(f"unknown metric {metric!r}")
@@ -162,12 +151,10 @@ def attribute_overhead(
 
     baseline = _measure_config(run_fn, MitigationConfig.all_off(), sigma,
                                seed ^ 0x5A5A, rel_tol, max_samples,
-                               machine_seed=machine_seed, replicas=replicas,
-                               run_replica=run_replica)
+                               machine_seed, replicas)
     current_config = default_config
     current = _measure_config(run_fn, current_config, sigma, seed, rel_tol,
-                              max_samples, machine_seed=machine_seed,
-                              replicas=replicas, run_replica=run_replica)
+                              max_samples, machine_seed, replicas)
     result = AttributionResult(
         cpu=cpu, workload=workload, metric=metric,
         baseline=baseline, default=current,
@@ -178,9 +165,7 @@ def attribute_overhead(
         if next_config == current_config:
             continue  # mitigation not in use on this part
         nxt = _measure_config(run_fn, next_config, sigma, seed + index,
-                              rel_tol, max_samples,
-                              machine_seed=machine_seed, replicas=replicas,
-                              run_replica=run_replica)
+                              rel_tol, max_samples, machine_seed, replicas)
         if metric == SCORE:
             percent = 100.0 * (nxt.mean - current.mean) / baseline.mean
         else:

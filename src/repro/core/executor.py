@@ -17,9 +17,9 @@ This module turns that grid into explicit work items and executes them:
 * completed cells are memoized in a content-addressed on-disk cache
   keyed by the spec plus the package version *and* a source fingerprint
   (:func:`~repro.obs.provenance.code_fingerprint`), so re-runs skip
-  finished work and stale caches can never survive a code change;
-* progress checkpoints to disk after every cell, so an interrupted
-  ``spectresim figure 2`` resumes (``--resume``) instead of restarting;
+  finished work and stale caches can never survive a code change, and
+  each cell is written as it completes, so rerunning an interrupted
+  ``spectresim figure 2`` simulates only the missing cells;
 * every observer in the caller's scope (span tracer, ledger, ...) has a
   fresh twin in each worker whose ``state()`` merges back into it, keeping
   ``--trace`` and ``profile`` output whole across process boundaries.
@@ -211,7 +211,7 @@ def decode_result(kind: str, data: Dict[str, Any]) -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# On-disk cache + run checkpoints
+# On-disk cache
 # --------------------------------------------------------------------------- #
 
 def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
@@ -266,9 +266,6 @@ class ResultCache:
             return None, self.STALE
         return decode_result(kind, record["result"]), self.HIT
 
-    def get(self, spec: CellSpec, kind: str) -> Optional[Any]:
-        return self.lookup(spec, kind)[0]
-
     def put(self, spec: CellSpec, kind: str, result: Any) -> None:
         _atomic_write_json(self._path(spec.digest()), {
             "key": spec.key(),
@@ -276,49 +273,6 @@ class ResultCache:
             "version": cache_version(),
             "result": encode_result(kind, result),
         })
-
-
-class RunCheckpoint:
-    """Progress journal for one enumerated run.
-
-    Identified by the digest of the run's full cell list; stores each
-    completed cell's encoded result inline, so resuming works even if the
-    cell cache is disabled or swept.  Updated atomically after every
-    cell; deleted once the run completes.
-    """
-
-    def __init__(self, root: str, specs: Sequence[CellSpec]) -> None:
-        material = "\n".join(spec.digest() for spec in specs)
-        self.run_digest = hashlib.sha256(material.encode()).hexdigest()
-        self.path = os.path.join(root, "checkpoints",
-                                 self.run_digest + ".json")
-        self._completed: Dict[str, Dict[str, Any]] = {}
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Previously completed cells (digest -> encoded result)."""
-        try:
-            with open(self.path) as f:
-                record = json.load(f)
-        except (OSError, ValueError):
-            return {}
-        if record.get("run") != self.run_digest:
-            return {}
-        self._completed = dict(record.get("completed", {}))
-        return dict(self._completed)
-
-    def record(self, spec: CellSpec, kind: str, result: Any) -> None:
-        self._completed[spec.digest()] = {
-            "kind": kind, "result": encode_result(kind, result)}
-        _atomic_write_json(self.path, {
-            "run": self.run_digest,
-            "completed": self._completed,
-        })
-
-    def discard(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
 
 
 # --------------------------------------------------------------------------- #
@@ -333,20 +287,15 @@ class RunStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stale: int = 0
-    resumed: int = 0
     executed: int = 0
     jobs: int = 1
     wall_s: float = 0.0
-    replicas: int = 0
-    replicas_batched: int = 0
-    replicas_scalar: int = 0
 
     def summary(self) -> str:
         return (f"{self.total} cells: {self.cache_hits} cache hits, "
-                f"{self.resumed} resumed, {self.executed} executed "
+                f"{self.executed} executed "
                 f"(jobs={self.jobs}, {self.cache_misses} misses, "
-                f"{self.cache_stale} stale, {self.replicas} replicas, "
-                f"{self.wall_s:.2f}s)")
+                f"{self.cache_stale} stale, {self.wall_s:.2f}s)")
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -362,29 +311,14 @@ class RunStats:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.cache_stale += other.cache_stale
-        self.resumed += other.resumed
         self.executed += other.executed
         self.jobs = max(self.jobs, other.jobs)
         self.wall_s += other.wall_s
-        self.replicas += other.replicas
-        self.replicas_batched += other.replicas_batched
-        self.replicas_scalar += other.replicas_scalar
 
     def cache_hit_rate(self) -> float:
-        """Fraction of cache lookups that hit (resumed cells excluded)."""
+        """Fraction of cache lookups that hit."""
         looked = self.cache_hits + self.cache_misses + self.cache_stale
         return self.cache_hits / looked if looked else 0.0
-
-    def replicas_per_s(self) -> float:
-        """Replica throughput of the run (the grid's wall-clock floor)."""
-        return self.replicas / self.wall_s if self.wall_s > 0 else 0.0
-
-    def batch_hit_rate(self) -> float:
-        """Fraction of non-probe replicas served by the SoA broadcast
-        (1.0 when no batch had more than one replica — vacuously, none
-        needed a scalar fallback)."""
-        eligible = self.replicas_batched + self.replicas_scalar
-        return self.replicas_batched / eligible if eligible else 1.0
 
 
 def _worker_run_cell(spec_dict: Dict[str, Any], kinds: Sequence[type],
@@ -428,7 +362,7 @@ def _worker_run_cell(spec_dict: Dict[str, Any], kinds: Sequence[type],
 
 class StudyExecutor:
     """Executes study cells: in-process, across a process pool, or not at
-    all (cache/checkpoint hits).
+    all (cache hits).
 
     ``jobs=1`` (the default, and what the plain :func:`~repro.core.study`
     drivers use) runs cells inline under the caller's tracer — the
@@ -437,18 +371,15 @@ class StudyExecutor:
     the assembled results are bit-identical; only wall-clock differs.
 
     ``cache_dir=None`` (the library default) disables all persistence;
-    the CLI turns it on by default.  ``resume=True`` additionally replays
-    a matching run checkpoint before consulting the cell cache.
+    the CLI turns it on by default.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
-                 resume: bool = False,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.resume = resume
         self.stats = RunStats(jobs=jobs)
         self._metrics = metrics
         self._own_metrics = MetricsRegistry()
@@ -480,16 +411,10 @@ class StudyExecutor:
         """
         from . import study
         started = time.perf_counter()
-        replicas_before = replicabatch.STATS.as_dict()
         self.stats = RunStats(total=len(specs), jobs=self.jobs)
         self._count("scheduled", len(specs))
 
         cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        checkpoint = (RunCheckpoint(self.cache_dir, specs)
-                      if self.cache_dir else None)
-        resumed: Dict[str, Dict[str, Any]] = {}
-        if checkpoint is not None and self.resume:
-            resumed = checkpoint.load()
 
         # TTY-gated live line on stderr; a no-op in CI and pipes, so the
         # stderr the parallel-smoke gates grep stays byte-identical.
@@ -498,20 +423,12 @@ class StudyExecutor:
         pending: List[Tuple[int, CellSpec]] = []
         for index, spec in enumerate(specs):
             kind = study.DRIVER_KINDS[spec.driver]
-            record = resumed.get(spec.digest())
-            if record is not None and record.get("kind") == kind:
-                results[index] = decode_result(kind, record["result"])
-                self.stats.resumed += 1
-                self._count("resumed")
-                continue
             if cache is not None:
                 hit, outcome = cache.lookup(spec, kind)
                 if outcome == ResultCache.HIT:
                     results[index] = hit
                     self.stats.cache_hits += 1
                     self._count("cache_hit")
-                    if checkpoint is not None:
-                        checkpoint.record(spec, kind, hit)
                     continue
                 if outcome == ResultCache.STALE:
                     self.stats.cache_stale += 1
@@ -520,7 +437,7 @@ class StudyExecutor:
                     self.stats.cache_misses += 1
                     self._count("cache_miss")
             pending.append((index, spec))
-        meter.update(len(results))  # cache/checkpoint hits count as done
+        meter.update(len(results))  # cache hits count as done
 
         def record_completion(index: int, spec: CellSpec, result: Any) -> None:
             kind = study.DRIVER_KINDS[spec.driver]
@@ -529,8 +446,6 @@ class StudyExecutor:
             self._count("executed")
             if cache is not None:
                 cache.put(spec, kind, result)
-            if checkpoint is not None:
-                checkpoint.record(spec, kind, result)
             meter.update(len(results))
 
         try:
@@ -542,29 +457,8 @@ class StudyExecutor:
         finally:
             meter.close()
 
-        if checkpoint is not None and len(results) == len(specs):
-            checkpoint.discard()
         self.stats.wall_s = time.perf_counter() - started
-        # Replica-tier delta for this run: inline cells accumulate into
-        # the process counters directly; pool workers ship their per-cell
-        # counters home (merged in _run_pool), so both paths land here.
-        replicas_after = replicabatch.STATS.as_dict()
-        self.stats.replicas = (replicas_after["replicas"]
-                               - replicas_before["replicas"])
-        self.stats.replicas_batched = (replicas_after["batched"]
-                                       - replicas_before["batched"])
-        self.stats.replicas_scalar = (
-            replicas_after["scalar_fallbacks"]
-            - replicas_before["scalar_fallbacks"])
         return [results[index] for index in range(len(specs))]
-
-    def telemetry(self) -> Dict[str, Any]:
-        """The last run's counters plus derived rates, for history rows."""
-        out = self.stats.as_dict()
-        out["cache_hit_rate"] = self.stats.cache_hit_rate()
-        out["replicas_per_s"] = self.stats.replicas_per_s()
-        out["batch_hit_rate"] = self.stats.batch_hit_rate()
-        return out
 
     def _run_inline(self, spec: CellSpec) -> Any:
         """The serial path: the cell runs under the caller's tracer."""

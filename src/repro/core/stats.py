@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Iterable, List, Mapping, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -102,22 +102,11 @@ def adaptive_measure(
     min_samples: int = 5,
     max_samples: int = 100,
     confidence: float = 0.95,
-    sample_batch: Optional[Callable[[int], Sequence[float]]] = None,
 ) -> Measurement:
     """Repeat ``sample()`` until the CI is tight enough (section 4.1).
 
     Stops when the 95% CI half-width falls below ``rel_tol`` of the mean,
     or at ``max_samples`` (the paper's runs also have to end eventually).
-
-    ``sample_batch``, when given, must return ``n`` samples from the
-    *same* stream that ``sample()`` would walk one call at a time (see
-    :meth:`NoisySampler.sample_batch`).  The loop then draws in geometric
-    chunks — ``min_samples``, then the current count again, capped at
-    what is left before ``max_samples`` — instead of one sample per
-    iteration.  Convergence is still checked at every prefix length the
-    scalar loop would check, so the returned measurement (mean, CI bound
-    and sample count alike) is bit-identical to the scalar path; a chunk
-    may merely leave some drawn-but-unused samples behind.
     """
     if min_samples < 2:
         raise ValueError("need at least 2 samples for a confidence interval")
@@ -131,24 +120,12 @@ def adaptive_measure(
             f"rel_tol must be positive, got {rel_tol!r}: a non-positive "
             f"tolerance can never be met, so every measurement would "
             f"silently burn max_samples")
-    if sample_batch is None:
-        values: List[float] = [sample() for _ in range(min_samples)]
-        while True:
-            m = confidence_interval(values, confidence)
-            if m.relative_error <= rel_tol or len(values) >= max_samples:
-                return m
-            values.append(sample())
-    values = list(sample_batch(min_samples))
-    m = confidence_interval(values, confidence)
-    if m.relative_error <= rel_tol or len(values) >= max_samples:
-        return m
+    values: List[float] = [sample() for _ in range(min_samples)]
     while True:
-        chunk = sample_batch(min(len(values), max_samples - len(values)))
-        for value in chunk:
-            values.append(value)
-            m = confidence_interval(values, confidence)
-            if m.relative_error <= rel_tol or len(values) >= max_samples:
-                return m
+        m = confidence_interval(values, confidence)
+        if m.relative_error <= rel_tol or len(values) >= max_samples:
+            return m
+        values.append(sample())
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -204,7 +181,9 @@ class NoisySampler:
     Real machines vary a couple percent between runs of the same
     configuration (section 4.1); the simulator is deterministic, so this
     multiplicative log-normal-ish noise restores that property — seeded,
-    hence reproducible.
+    hence reproducible.  ``fn`` is called once per sample, so sampling
+    over seeded replicas (:mod:`repro.cpu.replicas`) passes
+    ``itertools.cycle(values).__next__``.
     """
 
     def __init__(self, fn: Callable[[], float], sigma: float = DEFAULT_NOISE_SIGMA,
@@ -220,60 +199,3 @@ class NoisySampler:
         if self._sigma == 0:
             return value
         return value * float(np.exp(self._rng.normal(0.0, self._sigma)))
-
-    def sample_batch(self, n: int) -> List[float]:
-        """``n`` samples in one vectorized draw, bit-identical to ``n``
-        sequential calls: NumPy's sized ``normal`` consumes the same RNG
-        stream as ``n`` scalar draws, prefix-stably.  The wrapped function
-        is evaluated once — it is deterministic by class contract."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        value = float(self._fn())
-        if self._sigma == 0:
-            return [value] * n
-        draws = self._rng.normal(0.0, self._sigma, size=n)
-        return [value * float(np.exp(x)) for x in draws]
-
-
-class ReplicaSampler:
-    """Noise sampling over a batch of per-replica deterministic values.
-
-    The replica tier (:mod:`repro.cpu.replicas`) produces one
-    deterministic metric per seeded machine replica; sample ``j`` then
-    multiplies replica ``j % n``'s metric by the ``j``-th draw of one
-    shared noise stream.  With a single replica this is exactly the
-    :class:`NoisySampler` contract — same stream, same floats — which is
-    what keeps one-replica studies bit-identical to the pre-batch code
-    path.  ``__call__`` and :meth:`sample_batch` walk the same stream, so
-    :func:`adaptive_measure` converges identically through either.
-    """
-
-    def __init__(self, values: Sequence[float],
-                 sigma: float = DEFAULT_NOISE_SIGMA, seed: int = 0) -> None:
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError("need at least one replica value")
-        self._values = arr
-        self._sigma = sigma
-        self._rng = np.random.default_rng(seed)
-        self._index = 0
-
-    def __call__(self) -> float:
-        value = float(self._values[self._index % self._values.size])
-        self._index += 1
-        if self._sigma == 0:
-            return value
-        return value * float(np.exp(self._rng.normal(0.0, self._sigma)))
-
-    def sample_batch(self, n: int) -> List[float]:
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        idx = (self._index + np.arange(n)) % self._values.size
-        picked = self._values[idx]
-        self._index += n
-        if self._sigma == 0:
-            return [float(v) for v in picked]
-        draws = self._rng.normal(0.0, self._sigma, size=n)
-        return [float(v) * float(np.exp(x)) for v, x in zip(picked, draws)]

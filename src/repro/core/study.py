@@ -17,6 +17,7 @@ streams, or their errors correlate and bias the attribution stacks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,7 @@ from .attribution import CYCLES, SCORE, AttributionResult, attribute_overhead
 from .stats import (
     DEFAULT_NOISE_SIGMA,
     Measurement,
-    ReplicaSampler,
+    NoisySampler,
     adaptive_measure,
     derive_seed,
     suite_geometric_mean,
@@ -63,11 +64,10 @@ class Settings:
     """Measurement effort; ``fast()`` keeps tests snappy.
 
     ``replicas`` is the number of seeded machine replicas each cell
-    executes through the batched replica tier (see
-    :mod:`repro.cpu.replicas`): noise samples cycle over the replica
-    metrics, so the measured mean averages over machine-seed variation
-    the way real-hardware campaigns average over reboots.  The default
-    of 1 reproduces the classic single-run measurement bit for bit.
+    averages over (see :mod:`repro.cpu.replicas`): noise samples cycle
+    over the replica metrics, so the measured mean averages over
+    machine-seed variation the way real-hardware campaigns average over
+    reboots.  The default of 1 is the classic single-run measurement.
     """
 
     iterations: int = 24
@@ -125,8 +125,7 @@ def _figure2_cell(spec) -> AttributionResult:
     settings = spec.settings
     seed = spec.seed()
     tracer = obs_spans.current_tracer()
-    run_fn = lambda config: lebench_geomean(cpu, config, settings, seed=seed)
-    run_replica = lambda config, machine_seed: lebench_geomean(
+    run_fn = lambda config, machine_seed: lebench_geomean(
         cpu, config, settings, seed=machine_seed)
     with tracer.span(f"study.figure2.{cpu.key}", cpu=cpu.key,
                      workload="lebench"):
@@ -135,7 +134,7 @@ def _figure2_cell(spec) -> AttributionResult:
             cpu=cpu.key, workload="lebench", metric=CYCLES,
             sigma=settings.sigma, rel_tol=settings.rel_tol,
             max_samples=settings.max_samples, seed=seed,
-            replicas=settings.replicas, run_replica=run_replica,
+            replicas=settings.replicas,
         )
 
 
@@ -171,8 +170,7 @@ def _figure3_cell(spec) -> AttributionResult:
     settings = spec.settings
     seed = spec.seed()
     tracer = obs_spans.current_tracer()
-    run_fn = lambda config: octane_suite_score(cpu, config, settings, seed=seed)
-    run_replica = lambda config, machine_seed: octane_suite_score(
+    run_fn = lambda config, machine_seed: octane_suite_score(
         cpu, config, settings, seed=machine_seed)
     with tracer.span(f"study.figure3.{cpu.key}", cpu=cpu.key,
                      workload="octane2"):
@@ -181,7 +179,7 @@ def _figure3_cell(spec) -> AttributionResult:
             cpu=cpu.key, workload="octane2", metric=SCORE,
             sigma=settings.sigma, rel_tol=settings.rel_tol,
             max_samples=settings.max_samples, seed=seed,
-            replicas=settings.replicas, run_replica=run_replica,
+            replicas=settings.replicas,
         )
 
 
@@ -228,22 +226,17 @@ def _paired(cpu: CPUModel, workload: str, base_fn: Callable[[int], float],
     if seed is None:
         seed = derive_seed(settings.seed, cpu.key, workload)
     from ..cpu import replicas as replicabatch
-    base_batch = replicabatch.run_replicas(base_fn, seed=seed,
+
+    def measure(run_fn: Callable[[int], float], tag: str) -> Measurement:
+        values = replicabatch.run_replicas(run_fn, seed=seed,
                                            n=settings.replicas)
-    treat_batch = replicabatch.run_replicas(treat_fn, seed=seed,
-                                            n=settings.replicas)
-    base_sampler = ReplicaSampler(base_batch.values, settings.sigma,
-                                  derive_seed(seed, "base"))
-    treat_sampler = ReplicaSampler(treat_batch.values, settings.sigma,
-                                   derive_seed(seed, "treat"))
-    base = adaptive_measure(
-        base_sampler, rel_tol=settings.rel_tol,
-        max_samples=settings.max_samples,
-        sample_batch=base_sampler.sample_batch)
-    treat = adaptive_measure(
-        treat_sampler, rel_tol=settings.rel_tol,
-        max_samples=settings.max_samples,
-        sample_batch=treat_sampler.sample_batch)
+        sampler = NoisySampler(itertools.cycle(values).__next__,
+                               settings.sigma, derive_seed(seed, tag))
+        return adaptive_measure(sampler, rel_tol=settings.rel_tol,
+                                max_samples=settings.max_samples)
+
+    base = measure(base_fn, "base")
+    treat = measure(treat_fn, "treat")
     pct = 100.0 * (treat.mean / base.mean - 1.0)
     return PairedOverhead(cpu=cpu.key, workload=workload, baseline=base,
                           treated=treat, overhead_percent=pct)

@@ -217,6 +217,7 @@ def collect(
     *own* performance is tracked longitudinally next to the study values.
     """
     from ..core import study
+    from ..core.executor import RunStats
     from ..cpu import engine as blockengine
     from ..cpu import replicas as replicabatch
 
@@ -229,7 +230,7 @@ def collect(
     engine_before = blockengine.STATS.as_dict()
     replicas_before = replicabatch.STATS.as_dict()
     phases: Dict[str, float] = {}
-    executor_totals: Optional[Dict[str, Any]] = None
+    executor_totals = RunStats()
 
     values: Dict[str, Dict[str, float]] = {}
     for driver in driver_names:
@@ -255,17 +256,8 @@ def collect(
         else:
             raise BaselineError(f"unknown bench driver {driver!r}")
         phases[driver] = time.perf_counter() - phase_started
-        if executor is not None and hasattr(executor, "stats"):
-            stats = executor.stats.as_dict()
-            if executor_totals is None:
-                executor_totals = dict(stats)
-            else:
-                for name, value in stats.items():
-                    if name == "jobs":
-                        executor_totals[name] = max(executor_totals[name],
-                                                    value)
-                    else:
-                        executor_totals[name] += value
+        if executor is not None:
+            executor_totals.absorb(executor.stats)
         if report is not None:
             report(driver)
 
@@ -311,15 +303,11 @@ def collect(
                            if wall > 0 else 0.0),
         "wall_s": wall,
     }
-    if executor_totals is not None:
-        looked = (executor_totals["cache_hits"]
-                  + executor_totals["cache_misses"]
-                  + executor_totals["cache_stale"])
-        telemetry["executor"] = executor_totals
-        telemetry["cache_hit_rate"] = (
-            executor_totals["cache_hits"] / looked if looked else 0.0)
+    if executor is not None:
+        telemetry["executor"] = executor_totals.as_dict()
+        telemetry["cache_hit_rate"] = executor_totals.cache_hit_rate()
         telemetry["cells_per_s"] = (
-            executor_totals["total"] / wall if wall > 0 else 0.0)
+            executor_totals.total / wall if wall > 0 else 0.0)
 
     manifest = build_manifest(
         command=command,

@@ -1,14 +1,12 @@
-"""The parallel study executor: determinism, caching, checkpoint resume.
+"""The parallel study executor: determinism, caching, interrupted runs.
 
 The acceptance criteria from the engine's design: parallel runs are
 byte-identical to serial runs, warm-cache reruns execute zero simulation
-cells, and interrupted runs resume from their checkpoint instead of
-restarting.
+cells, and rerunning an interrupted run simulates only the cells it had
+not finished.
 """
 
 import json
-import os
-import shutil
 
 import pytest
 
@@ -171,7 +169,7 @@ class TestCache:
 
 
 # --------------------------------------------------------------------------- #
-# Checkpointing and resume
+# Interrupted runs: the cell cache is the checkpoint
 # --------------------------------------------------------------------------- #
 
 def _failing_runner(real_runner, fail_cpu):
@@ -182,26 +180,30 @@ def _failing_runner(real_runner, fail_cpu):
     return runner
 
 
+def _interrupt(monkeypatch, cache_dir, cpus, fail_cpu):
+    """Run vm_lebench over ``cpus`` until the cell on ``fail_cpu`` fails,
+    then restore the real cell runner."""
+    real = study.CELL_RUNNERS["vm_lebench"]
+    monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench",
+                        _failing_runner(real, fail_cpu))
+    with pytest.raises(ExecutorError, match=f"vm_lebench/{fail_cpu}"):
+        study.vm_lebench_overheads(
+            cpus, SETTINGS, executor=StudyExecutor(cache_dir=cache_dir))
+    monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench", real)
+
+
 class TestResume:
     def test_interrupted_run_resumes_from_checkpoint(self, tmp_path,
                                                      monkeypatch):
+        """Each cell is cached as it completes, so a rerun serves the
+        finished cells from the cache and simulates only the failed one."""
         cache_dir = str(tmp_path / "cache")
         cpus = [get_cpu("zen"), get_cpu("zen2"), get_cpu("zen3")]
-        real = study.CELL_RUNNERS["vm_lebench"]
-        monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench",
-                            _failing_runner(real, "zen3"))
-        with pytest.raises(ExecutorError, match="vm_lebench/zen3"):
-            study.vm_lebench_overheads(
-                cpus, SETTINGS, executor=StudyExecutor(cache_dir=cache_dir))
-
-        # Remove the cell cache so only the checkpoint can satisfy the
-        # completed cells: resume must not re-simulate them.
-        shutil.rmtree(os.path.join(cache_dir, "cells"))
-        monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench", real)
-        resumed = StudyExecutor(cache_dir=cache_dir, resume=True)
-        results = study.vm_lebench_overheads(cpus, SETTINGS, executor=resumed)
-        assert resumed.stats.resumed == 2
-        assert resumed.stats.executed == 1
+        _interrupt(monkeypatch, cache_dir, cpus, "zen3")
+        rerun = StudyExecutor(cache_dir=cache_dir)
+        results = study.vm_lebench_overheads(cpus, SETTINGS, executor=rerun)
+        assert rerun.stats.cache_hits == 2
+        assert rerun.stats.executed == 1
         assert [r.cpu for r in results] == ["zen", "zen2", "zen3"]
 
     def test_resumed_results_match_a_straight_run(self, tmp_path,
@@ -210,41 +212,11 @@ class TestResume:
         cpus = [get_cpu("zen"), get_cpu("zen2")]
         straight = study.vm_lebench_overheads(cpus, SETTINGS,
                                               executor=StudyExecutor())
-        real = study.CELL_RUNNERS["vm_lebench"]
-        monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench",
-                            _failing_runner(real, "zen2"))
-        with pytest.raises(ExecutorError):
-            study.vm_lebench_overheads(
-                cpus, SETTINGS, executor=StudyExecutor(cache_dir=cache_dir))
-        monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench", real)
-        resumed = study.vm_lebench_overheads(
-            cpus, SETTINGS,
-            executor=StudyExecutor(cache_dir=cache_dir, resume=True))
-        assert resumed == straight
-
-    def test_checkpoint_is_discarded_after_completion(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        study.vm_lebench_overheads(
-            [get_cpu("zen")], SETTINGS,
-            executor=StudyExecutor(cache_dir=cache_dir))
-        checkpoints = os.path.join(cache_dir, "checkpoints")
-        assert not os.path.isdir(checkpoints) or not os.listdir(checkpoints)
-
-    def test_without_resume_flag_checkpoint_is_ignored(self, tmp_path,
-                                                       monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        cpus = [get_cpu("zen"), get_cpu("zen2")]
-        real = study.CELL_RUNNERS["vm_lebench"]
-        monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench",
-                            _failing_runner(real, "zen2"))
-        with pytest.raises(ExecutorError):
-            study.vm_lebench_overheads(
-                cpus, SETTINGS, executor=StudyExecutor(cache_dir=cache_dir))
-        shutil.rmtree(os.path.join(cache_dir, "cells"))
-        monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench", real)
-        fresh = StudyExecutor(cache_dir=cache_dir, resume=False)
-        study.vm_lebench_overheads(cpus, SETTINGS, executor=fresh)
-        assert fresh.stats.resumed == 0 and fresh.stats.executed == 2
+        _interrupt(monkeypatch, cache_dir, cpus, "zen2")
+        rerun = StudyExecutor(cache_dir=cache_dir)
+        results = study.vm_lebench_overheads(cpus, SETTINGS, executor=rerun)
+        assert rerun.stats.cache_hits == 1 and rerun.stats.executed == 1
+        assert results == straight
 
 
 # --------------------------------------------------------------------------- #
@@ -363,5 +335,5 @@ class TestCacheOutcomes:
         ex = StudyExecutor(cache_dir=cache_dir)
         study.figure5([get_cpu("zen3")], settings=SETTINGS, executor=ex)
         summary = ex.stats.summary()
-        assert "3 cells: 0 cache hits, 0 resumed, 3 executed" in summary
+        assert "3 cells: 0 cache hits, 3 executed" in summary
         assert "3 misses" in summary and "0 stale" in summary

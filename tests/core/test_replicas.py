@@ -1,14 +1,13 @@
-"""Differential suite for the batched SoA replica tier.
+"""Differential suite for seeded replicas.
 
-The non-negotiable contract (ISSUE 9): a batch of N replicas must be
-bit-identical to N independent scalar runs — across every CPU model,
-with and without the eIBRS periodic scrub in play, through the SoA
-broadcast fast path and the scalar-fallback slow path alike.
+The non-negotiable contract: ``run_replicas`` over N replicas must be
+bit-identical to N independent runs — across every CPU model, with and
+without the eIBRS periodic scrub in play, whether a replica reuses an
+earlier run's value or runs itself.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core.stats import suite_geometric_mean
@@ -18,7 +17,6 @@ from repro.cpu.machine import Machine
 from repro.cpu.model import all_cpus, get_cpu
 from repro.cpu.replicas import (
     STATS,
-    ReplicaBatch,
     ReplicaStats,
     ScrubProbe,
     firing_schedule,
@@ -27,6 +25,7 @@ from repro.cpu.replicas import (
     run_replicas,
 )
 from repro.cpu.smt import SMTCore
+from repro.kernel import GETPID, Kernel
 from repro.mitigations.base import MitigationConfig
 from repro.obs.observers import use_observers
 from repro.mitigations.policy import linux_default
@@ -45,6 +44,16 @@ def _cell_run_fn(cpu, config):
                                                 seed=machine_seed)
 
 
+def _counting(run_fn):
+    """``run_fn`` plus the list of machine seeds it was called with."""
+    calls = []
+
+    def counted(machine_seed):
+        calls.append(machine_seed)
+        return run_fn(machine_seed)
+    return counted, calls
+
+
 # --------------------------------------------------------------------------- #
 # The bit-identity grid: every CPU model x policy
 # --------------------------------------------------------------------------- #
@@ -57,60 +66,80 @@ def test_batched_matches_scalar_bitwise(cpu_key, policy):
               else linux_default(cpu))
     run_fn = _cell_run_fn(cpu, config)
     n, seed = 3, 7
-    reference = np.array([run_fn(replica_seed(seed, i)) for i in range(n)])
-    batch = run_replicas(run_fn, seed=seed, n=n)
-    assert np.array_equal(batch.values, reference)
-    assert batch.converged[0]  # the probe row is always authoritative
+    reference = [run_fn(replica_seed(seed, i)) for i in range(n)]
+    assert run_replicas(run_fn, seed=seed, n=n) == reference
 
 
 def test_no_scrub_part_collapses_to_one_probe_run():
     """Broadwell has no periodic scrub: every replica's schedule is
-    trivially equal and the whole batch is served by the broadcast —
-    the steady state the >= 5x bench floor relies on."""
-    run_fn = _cell_run_fn(get_cpu("broadwell"), MitigationConfig.all_off())
+    empty and one run serves them all — the steady state the >= 5x
+    bench floor relies on."""
+    run_fn, calls = _counting(
+        _cell_run_fn(get_cpu("broadwell"), MitigationConfig.all_off()))
     STATS.reset()
-    batch = run_replicas(run_fn, seed=7, n=6)
-    assert batch.converged.all()
-    assert STATS.probe_runs == 1
+    values = run_replicas(run_fn, seed=7, n=6)
+    assert calls == [7]
     assert STATS.batched == 5
     assert STATS.scalar_fallbacks == 0
-    assert np.all(batch.values == batch.values[0])
+    assert values == [values[0]] * 6
 
 
 def test_scrub_part_with_eibrs_off_also_collapses():
     """cascade_lake draws its scrub interval at construction, but with
     mitigations off no kernel entry consults it — schedules are compared
-    only over *eligible* entries, so the batch still collapses."""
-    run_fn = _cell_run_fn(get_cpu("cascade_lake"), MitigationConfig.all_off())
+    only over *eligible* entries, so one run still serves every replica."""
+    run_fn, calls = _counting(
+        _cell_run_fn(get_cpu("cascade_lake"), MitigationConfig.all_off()))
     STATS.reset()
-    batch = run_replicas(run_fn, seed=7, n=4)
-    assert batch.converged.all()
+    run_replicas(run_fn, seed=7, n=4)
+    assert len(calls) == 1
     assert STATS.scalar_fallbacks == 0
 
 
 def test_divergent_replicas_fall_back_and_reconverge():
-    """cascade_lake under linux_default fires the scrub: replicas with
-    differing firing schedules re-run scalar, and the batch re-converges
-    to one dense SoA whose rows are still bit-exact."""
+    """cascade_lake under linux_default fires the scrub: at seed 7 the
+    four replicas have four distinct firing schedules, so each runs
+    itself, and every value is still bit-exact."""
     cpu = get_cpu("cascade_lake")
-    run_fn = _cell_run_fn(cpu, linux_default(cpu))
+    run_fn, calls = _counting(_cell_run_fn(cpu, linux_default(cpu)))
     n, seed = 4, 7
     STATS.reset()
-    batch = run_replicas(run_fn, seed=seed, n=n)
-    assert batch.converged[0]
-    assert not batch.converged.all()          # divergence actually occurred
-    assert STATS.scalar_fallbacks == int((~batch.converged).sum())
-    assert STATS.batched + STATS.scalar_fallbacks == n - 1
-    reference = np.array([run_fn(replica_seed(seed, i)) for i in range(n)])
-    assert np.array_equal(batch.values, reference)
-    # SoA columns are dense: cycles accumulated for every row.
-    assert (batch.tsc > 0).all()
+    values = run_replicas(run_fn, seed=seed, n=n)
+    assert calls == [replica_seed(seed, i) for i in range(n)]
+    assert STATS.scalar_fallbacks == n - 1 and STATS.batched == 0
+    assert values == [run_fn(replica_seed(seed, i)) for i in range(n)]
+
+
+def test_replicas_sharing_a_schedule_run_once():
+    """Replicas after the first that share a firing schedule run once
+    between them, not once each: 12 getpid round trips on cascade_lake
+    see 12 scrub-eligible entries, and at seed 0 the eight replicas'
+    schedules take only two distinct values."""
+    cpu = get_cpu("cascade_lake")
+    config = linux_default(cpu)
+
+    def getpid_cycles(machine_seed):
+        kernel = Kernel(Machine(cpu, seed=machine_seed), config)
+        return float(sum(kernel.syscall(GETPID) for _ in range(12)))
+
+    probe = ScrubProbe()
+    with use_observers(probe):
+        getpid_cycles(0)
+    assert [probe.schedule(0, replica_seed(0, i)) for i in range(8)] == [
+        ((),), ((9,),), ((),), ((),), ((9,),), ((9,),), ((),), ((),)]
+
+    run_fn, calls = _counting(getpid_cycles)
+    STATS.reset()
+    values = run_replicas(run_fn, seed=0, n=8)
+    assert values == [getpid_cycles(replica_seed(0, i)) for i in range(8)]
+    assert calls == [0, replica_seed(0, 1)]
+    assert STATS.batched == 6 and STATS.scalar_fallbacks == 1
 
 
 def test_smt_sibling_seed_offset_is_respected():
-    """SMTCore builds thread1 at seed + 1; the probe compares each
-    machine at its offset from the replica seed, so SMT cells stay
-    bit-exact through the batch tier."""
+    """SMTCore builds thread1 at seed + 1; the probe reads each
+    machine's schedule at its offset from the replica seed, so SMT cells
+    stay bit-exact through run_replicas."""
     cpu = get_cpu("cascade_lake")
     config = linux_default(cpu)
 
@@ -121,9 +150,8 @@ def test_smt_sibling_seed_offset_is_respected():
         return suite_geometric_mean(a) + suite_geometric_mean(b)
 
     n, seed = 3, 11
-    reference = np.array([run_fn(replica_seed(seed, i)) for i in range(n)])
-    batch = run_replicas(run_fn, seed=seed, n=n)
-    assert np.array_equal(batch.values, reference)
+    reference = [run_fn(replica_seed(seed, i)) for i in range(n)]
+    assert run_replicas(run_fn, seed=seed, n=n) == reference
 
 
 # --------------------------------------------------------------------------- #
@@ -188,11 +216,11 @@ def test_firing_schedule_empty_without_entries():
 def test_stats_merge_matches_worker_protocol():
     parent, worker = ReplicaStats(), ReplicaStats()
     worker.batches, worker.replicas, worker.batched = 2, 8, 5
-    worker.scalar_fallbacks, worker.probe_runs = 1, 2
+    worker.scalar_fallbacks = 1
     parent.merge(worker.as_dict())
     parent.merge(worker.as_dict())
     assert parent.as_dict() == {"batches": 4, "replicas": 16, "batched": 10,
-                                "scalar_fallbacks": 2, "probe_runs": 4}
+                                "scalar_fallbacks": 2}
     assert parent.hit_rate() == pytest.approx(10 / 12)
 
 
@@ -203,7 +231,7 @@ def test_stats_hit_rate_is_vacuously_perfect_when_idle():
 def test_stats_summary_mentions_the_numbers():
     stats = ReplicaStats()
     stats.replicas, stats.batches, stats.batched = 9, 3, 4
-    stats.scalar_fallbacks, stats.probe_runs = 2, 3
+    stats.scalar_fallbacks = 2
     text = stats.summary()
     assert "9 replicas in 3 batches" in text
     assert "66.7% batch hit rate" in text
@@ -217,9 +245,11 @@ def test_publish_metrics_exports_nonzero_counters():
     publish_metrics(registry)
     assert registry.counter("replicas.replicas").value == 3
     assert registry.counter("replicas.batched").value == 2
-    assert registry.counter("replicas.probe_runs").value == 1
+    assert "replicas.scalar_fallbacks" not in registry.collect()
 
 
 def test_replica_batch_validation():
-    with pytest.raises(ValueError):
-        ReplicaBatch(0)
+    run_fn, calls = _counting(lambda machine_seed: 1.0)
+    with pytest.raises(ValueError, match="at least one replica"):
+        run_replicas(run_fn, seed=0, n=0)
+    assert calls == []

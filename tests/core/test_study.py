@@ -85,7 +85,7 @@ def test_paired_noise_seeds_are_tag_derived(settings):
     derive_seed(seed, "base") / derive_seed(seed, "treat"), not the
     adjacent raw seeds seed/seed+1 — a neighboring cell's stream can sit
     at seed+1 and would correlate this cell's treated-arm errors."""
-    from repro.core.stats import ReplicaSampler, adaptive_measure, derive_seed
+    from repro.core.stats import NoisySampler, adaptive_measure, derive_seed
 
     seed = 1234
     result = study._paired(get_cpu("zen"), "unit",
@@ -94,8 +94,8 @@ def test_paired_noise_seeds_are_tag_derived(settings):
                            settings, seed=seed)
 
     def manual(value, tag):
-        sampler = ReplicaSampler([value], settings.sigma,
-                                 derive_seed(seed, tag))
+        sampler = NoisySampler(lambda: value, settings.sigma,
+                               derive_seed(seed, tag))
         return adaptive_measure(sampler, rel_tol=settings.rel_tol,
                                 max_samples=settings.max_samples)
 

@@ -124,7 +124,7 @@ def test_self_perf_panel_shows_replica_tiles(store):
     payload["telemetry"] = {"cells_per_s": 2.0, "replicas_per_s": 48.5,
                             "replicas": {"batches": 2, "replicas": 8,
                                          "batched": 5, "scalar_fallbacks": 1,
-                                         "probe_runs": 2, "hit_rate": 0.75}}
+                                         "hit_rate": 0.75}}
     store.record_payload(payload)
     first = render_report(store)
     assert first == render_report(store)  # byte-stable with replica tiles

@@ -389,11 +389,13 @@ def test_profile_records_telemetry_run(capsys, tmp_path):
 
 
 def test_jobs_rejected_at_parse_time(capsys):
-    # Satellite fix: a bad --jobs is an argparse usage error (exit 2,
-    # one line on stderr), not a ValueError traceback from the executor.
+    # A bad --jobs or --replicas is an argparse usage error (exit 2, one
+    # line on stderr), not a ValueError traceback from the executor.
     for argv in (["figure", "2", "--jobs", "0"],
                  ["export", "figure2", "--jobs", "-3"],
-                 ["fuzz", "--jobs", "x"]):
+                 ["fuzz", "--jobs", "x"],
+                 ["figure", "2", "--fast", "--cpus", "broadwell",
+                  "--replicas", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
