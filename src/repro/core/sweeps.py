@@ -19,6 +19,12 @@ from ..kernel import HandlerProfile, Kernel
 from ..mitigations.base import MitigationConfig
 
 
+def _within(x: float, x0: float, x1: float) -> float:
+    """``x`` clamped into ``[x0, x1]``: an interpolated crossing with
+    ``t`` in [0, 1] can land one ulp outside its segment after rounding."""
+    return min(max(x, x0), x1)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """One swept curve: x values and the measured y per x."""
@@ -72,7 +78,8 @@ class SweepResult:
           match first), so the interpolation denominator ``y0 - y1`` is
           strictly positive and no equality guard is needed; a segment
           whose left endpoint sits exactly *at* the threshold reports its
-          left x.
+          left x.  The result is clamped into the segment, where rounding
+          could otherwise put it one ulp past ``x1``.
         """
         for i, y in enumerate(self.ys):
             if y < threshold:
@@ -81,7 +88,7 @@ class SweepResult:
                 x0, x1 = self.xs[i - 1], self.xs[i]
                 y0 = self.ys[i - 1]
                 t = (y0 - threshold) / (y0 - y)
-                return x0 + t * (x1 - x0)
+                return _within(x0 + t * (x1 - x0), x0, x1)
         return None
 
 
@@ -110,7 +117,7 @@ def find_crossover(a: SweepResult, b: SweepResult) -> Optional[float]:
             # Interpolate the zero crossing within the last segment.
             x0 = a.xs[a.xs.index(x) - 1]
             t = prev_diff / (prev_diff - diff)
-            return x0 + t * (x - x0)
+            return _within(x0 + t * (x - x0), x0, x)
         prev_diff = diff
     return None
 

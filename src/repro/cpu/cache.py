@@ -13,8 +13,8 @@ and tracks line residency with LRU replacement.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional
+from collections import OrderedDict, defaultdict
+from typing import DefaultDict
 
 
 class Cache:
@@ -37,26 +37,18 @@ class Cache:
         self.ways = ways
         self.line_bytes = line_bytes
         self.num_sets = size_bytes // (ways * line_bytes)
-        # Each set is an OrderedDict mapping line tag -> True, in LRU order
+        # Set index -> OrderedDict mapping line tag -> True, in LRU order
         # (oldest first).  OrderedDict.move_to_end gives O(1) LRU updates.
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
-
-    # -- address helpers ----------------------------------------------------
-
-    def _line(self, address: int) -> int:
-        return address // self.line_bytes
-
-    def _set_index(self, line: int) -> int:
-        return line % self.num_sets
-
-    # -- cache operations ---------------------------------------------------
+        # A set is allocated on its first fill and then kept (flushes clear
+        # it in place), so a machine that touches few sets builds few, and
+        # the block engine's memos can bind predicates to set objects.
+        self._sets: DefaultDict[int, "OrderedDict[int, bool]"] = defaultdict(
+            OrderedDict)
 
     def access(self, address: int) -> bool:
         """Access one address; return True on hit.  Misses fill the line."""
-        line = self._line(address)
-        current = self._sets[self._set_index(line)]
+        line = address // self.line_bytes
+        current = self._sets[line % self.num_sets]
         if line in current:
             current.move_to_end(line)
             return True
@@ -70,13 +62,16 @@ class Cache:
 
         This is what a flush+reload attacker's timing measurement observes.
         """
-        line = self._line(address)
-        return line in self._sets[self._set_index(line)]
+        line = address // self.line_bytes
+        current = self._sets.get(line % self.num_sets)
+        return current is not None and line in current
 
     def flush_line(self, address: int) -> None:
         """``clflush`` one line."""
-        line = self._line(address)
-        self._sets[self._set_index(line)].pop(line, None)
+        line = address // self.line_bytes
+        current = self._sets.get(line % self.num_sets)
+        if current is not None:
+            current.pop(line, None)
 
     def flush_all(self) -> int:
         """Flush the whole cache; returns the number of lines evicted.
@@ -84,14 +79,15 @@ class Cache:
         Used by the L1TF mitigation (``IA32_FLUSH_CMD``) before VM entry.
         The eviction count lets the machine charge a realistic refill cost.
         """
-        count = sum(len(s) for s in self._sets)
-        for s in self._sets:
+        count = 0
+        for s in self._sets.values():
+            count += len(s)
             s.clear()
         return count
 
     def resident_lines(self) -> int:
         """Number of valid lines currently held."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def __contains__(self, address: int) -> bool:
         return self.probe(address)

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.stats import (
+    T95_QUANTILES,
     Measurement,
     NoisySampler,
     adaptive_measure,
@@ -53,6 +58,63 @@ def test_ci_contains_true_mean_usually():
         if m.ci_low <= 50 <= m.ci_high:
             hits += 1
     assert hits >= 85  # 95% nominal, allow slack
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_ci_rejects_confidence_outside_the_unit_interval(confidence):
+    with pytest.raises(ValueError, match=f"got {confidence!r}"):
+        confidence_interval([1.0, 2.0, 3.0], confidence=confidence)
+
+
+def test_adaptive_measure_rejects_confidence_outside_the_unit_interval():
+    calls = []
+
+    def sample():
+        calls.append(1)
+        return float(len(calls))
+
+    with pytest.raises(ValueError, match="got 2.0"):
+        adaptive_measure(sample, confidence=2.0, max_samples=100)
+    assert len(calls) == 5  # fails at the first interval, not at the cap
+
+
+class TestTQuantiles:
+    """The committed 95% t quantiles stand in for ``scipy.stats.t.ppf``."""
+
+    def test_table_matches_scipy(self):
+        from scipy import stats as scipy_stats
+        assert len(T95_QUANTILES) == 99
+        for df, value in enumerate(T95_QUANTILES, start=1):
+            expected = float(scipy_stats.t.ppf(0.5 + 0.95 / 2.0, df))
+            assert value == pytest.approx(expected, rel=1e-12), df
+
+    @pytest.mark.parametrize("df", [1, 99])
+    def test_ci_reads_the_table(self, df):
+        samples = [float(i % 7) for i in range(df + 1)]
+        sem = float(np.std(samples, ddof=1)) / math.sqrt(df + 1)
+        m = confidence_interval(samples)
+        assert m.ci_half_width == T95_QUANTILES[df - 1] * sem
+
+    @pytest.mark.parametrize("df, confidence",
+                             [(100, 0.95), (999, 0.95), (9, 0.99)])
+    def test_fallback_equals_scipy(self, df, confidence):
+        from scipy import stats as scipy_stats
+        samples = [float(i % 7) for i in range(df + 1)]
+        sem = float(np.std(samples, ddof=1)) / math.sqrt(df + 1)
+        t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
+        m = confidence_interval(samples, confidence)
+        assert m.ci_half_width == t_crit * sem
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        code = ("import sys, repro.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 def test_overlap_detection():

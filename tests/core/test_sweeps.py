@@ -93,6 +93,12 @@ class TestFirstBelowRegressions:
         assert SweepResult("x", (4.0,), (1.0,)).first_below(2.0) == 4.0
         assert SweepResult("x", (4.0,), (9.0,)).first_below(2.0) is None
 
+    def test_crossing_at_the_segment_end_stays_inside_the_grid(self):
+        # t rounds to 1.0 and x0 + t * (x1 - x0) to one ulp past x1.
+        curve = SweepResult("x", (9.752632555660966, 103037.82397954074),
+                            (2.9377374361552437, 0.0))
+        assert curve.first_below(2.2e-16) == 103037.82397954074
+
 
 class TestCrossover:
     def test_crossing_curves(self):
@@ -110,6 +116,12 @@ class TestCrossover:
         a = SweepResult("x", (0.0, 1.0), (1.0, 1.0))
         b = SweepResult("x", (0.0, 1.0), (5.0, 5.0))
         assert find_crossover(a, b) == 0.0
+
+    def test_curves_touching_at_the_last_point_cross_there(self):
+        xs = (5.281565586970828, 89739.47345067094)
+        a = SweepResult("a", xs, (1.0, 0.5))
+        b = SweepResult("b", xs, (0.0, 0.5))
+        assert find_crossover(a, b) == 89739.47345067094
 
     def test_mismatched_grids_rejected(self):
         a = SweepResult("x", (0.0, 1.0), (1.0, 1.0))

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cpu import Machine
 from repro.cpu.cache import Cache, CacheHierarchy
+from repro.cpu.model import all_cpus
 
 
 def make_cache(size=4096, ways=4, line=64):
@@ -115,3 +117,36 @@ class TestHierarchy:
         h.access(0x2000)
         h.flush_line(0x2000)
         assert h.access(0x2000) == 0
+
+
+class TestLazySets:
+    """Sets are allocated on first fill and kept: a fresh machine builds
+    none, and flushes clear sets in place so the block engine's memos,
+    which bind predicates to set objects, stay live."""
+
+    @pytest.mark.parametrize("cpu", all_cpus(), ids=lambda c: c.key)
+    def test_fresh_machine_allocates_no_sets(self, cpu):
+        caches = Machine(cpu).caches
+        assert len(caches.l1._sets) == 0
+        assert len(caches.l2._sets) == 0
+
+    def test_one_access_allocates_one_set_per_level_reached(self):
+        h = CacheHierarchy(Cache(4096, 4), Cache(16384, 4))
+        assert h.probe_l1(0x1000) is False
+        h.flush_line(0x1000)
+        assert (len(h.l1._sets), len(h.l2._sets)) == (0, 0)
+        assert h.access(0x1000) == 0  # memory: fills L1 and L2
+        assert (len(h.l1._sets), len(h.l2._sets)) == (1, 1)
+        assert h.access(0x1000) == 1  # L1 hit: L2 is not reached
+        h.access(0x1000 + 16 * 64)  # same L1 set, new L2 set
+        assert (len(h.l1._sets), len(h.l2._sets)) == (1, 2)
+
+    def test_flush_l1_counts_lines_and_keeps_set_objects(self):
+        h = CacheHierarchy(Cache(4096, 4), Cache(16384, 4))
+        for i in range(10):
+            h.access(i * 64)
+        before = dict(h.l1._sets)
+        assert h.flush_l1() == 10
+        assert h.l1.resident_lines() == 0
+        assert h.l1._sets.keys() == before.keys()
+        assert all(h.l1._sets[i] is s for i, s in before.items())

@@ -1,6 +1,6 @@
 """Hypothesis properties of the sweep/crossover machinery."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sweeps import SweepResult, find_crossover, sweep
@@ -38,6 +38,8 @@ def test_interpolation_exact_at_grid_points(curve):
 
 
 @given(curves(), ys)
+@example(SweepResult("x", (9.752632555660966, 103037.82397954074),
+                     (2.9377374361552437, 0.0)), 2.2e-16)
 @settings(max_examples=100)
 def test_first_below_returns_x_in_range_or_none(curve, threshold):
     crossing = curve.first_below(threshold)
