@@ -11,14 +11,14 @@ paper: ~500 cycles on vulnerable parts), or to disable SMT so no sibling
 thread can sample concurrently.
 
 We model each buffer class as "the last value that passed through it,
-tagged with the privilege mode that produced it".  That is exactly the
-property MDS exploits and ``verw`` erases; the data values themselves are
-model payloads used by the attack-demonstration tests.
+tagged with the privilege mode that produced it": a ``(value, mode)``
+residue tuple.  That is exactly the property MDS exploits and ``verw``
+erases; the data values themselves are model payloads used by the
+attack-demonstration tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .modes import Mode
@@ -28,14 +28,6 @@ STORE_BUFFER = "store_buffer"
 LOAD_PORT = "load_port"
 
 _ALL = (FILL_BUFFER, STORE_BUFFER, LOAD_PORT)
-
-
-@dataclass
-class Residue:
-    """Stale data lingering in one buffer."""
-
-    value: int
-    mode: Mode
 
 
 class MicroarchBuffers:
@@ -48,7 +40,8 @@ class MicroarchBuffers:
 
     def __init__(self, vulnerable: bool) -> None:
         self.vulnerable = vulnerable
-        self._residue: Dict[str, Optional[Residue]] = {name: None for name in _ALL}
+        self._residue: Dict[str, Optional[Tuple[int, Mode]]] = {
+            name: None for name in _ALL}
         #: Structure-hook subscriber (``repro.obs.observers``), set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
@@ -57,14 +50,14 @@ class MicroarchBuffers:
 
     def deposit_load(self, value: int, mode: Mode) -> None:
         """A load passed through a fill buffer and a load port."""
-        self._residue[FILL_BUFFER] = Residue(value, mode)
-        self._residue[LOAD_PORT] = Residue(value, mode)
+        residue = self._residue
+        residue[FILL_BUFFER] = residue[LOAD_PORT] = (value, mode)
         if self.observer is not None:
             self.observer.residue_load(value, mode)
 
     def deposit_store(self, value: int, mode: Mode) -> None:
         """A store left its data in the store buffer (Fallout surface)."""
-        self._residue[STORE_BUFFER] = Residue(value, mode)
+        self._residue[STORE_BUFFER] = (value, mode)
         if self.observer is not None:
             self.observer.residue_store(value, mode)
 
@@ -92,8 +85,8 @@ class MicroarchBuffers:
         leaked: Dict[str, int] = {}
         for name in _ALL:
             residue = self._residue[name]
-            if residue is not None and residue.mode is not attacker_mode:
-                leaked[name] = residue.value
+            if residue is not None and residue[1] is not attacker_mode:
+                leaked[name] = residue[0]
         return leaked
 
     def holds_foreign_data(self, attacker_mode: Mode) -> bool:

@@ -109,12 +109,19 @@ class CacheHierarchy:
         self.observer = None
 
     def access(self, address: int) -> int:
-        if self.l1.access(address):
+        # Cache.access on L1, inline: most loads and stores hit L1, and
+        # this is the simulator's hottest call.
+        l1 = self.l1
+        line = address // l1.line_bytes
+        current = l1._sets[line % l1.num_sets]
+        if line in current:
+            current.move_to_end(line)
             level = 1
-        elif self.l2.access(address):
-            level = 2
         else:
-            level = 0
+            current[line] = True
+            if len(current) > l1.ways:
+                current.popitem(last=False)
+            level = 2 if self.l2.access(address) else 0
         if self.observer is not None:
             self.observer.cache_fill(address, level)
         return level

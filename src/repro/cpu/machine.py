@@ -38,26 +38,25 @@ from .buffers import MicroarchBuffers
 from .condbp import ConditionalPredictor
 from .cache import Cache, CacheHierarchy
 from .counters import PerfCounters
-from .isa import Instruction, Op, OP_DEFAULT_TAGS, SERIALIZING_OPS
+from .isa import Instruction, Op, SERIALIZING_OPS
 from .model import CPUModel
 from .modes import Mode
 from .msr import MSRFile
 from .rsb import BENIGN_ENTRY, ReturnStackBuffer
 from .storebuffer import StoreBuffer
-
-_RETIRED = ctr.INSTRUCTIONS_RETIRED
 from .tlb import TLB
+
+# Counters the hot paths bump inline (``events[name] += 1`` is exactly
+# ``counters.bump(name)`` for a canonical name).
+_RETIRED = ctr.INSTRUCTIONS_RETIRED
+_TLB_MISSES = ctr.TLB_MISSES
+_L1_MISSES = ctr.L1_MISSES
+_STLF_HITS = ctr.STLF_HITS
+_STLF_BLOCKED = ctr.STLF_BLOCKED
 
 #: Retpoline flavors (paper Figure 4).
 GENERIC_RETPOLINE = "generic"
 AMD_RETPOLINE = "amd"
-
-#: Default (mitigation, primitive) attribution for ops that *are* a
-#: mitigation primitive even when the emitting site forgot to tag them.
-#: Explicit Instruction.mitigation tags always win.  The table lives in
-#: repro.cpu.isa so instructions can resolve their tag at construction;
-#: the old name is kept as an alias.
-_OP_DEFAULT_TAGS = OP_DEFAULT_TAGS
 
 
 class Machine:
@@ -66,7 +65,10 @@ class Machine:
     def __init__(self, cpu: CPUModel, seed: int = 0, microcode_patched: bool = True,
                  engine: Optional[str] = None) -> None:
         self.cpu = cpu
-        self.costs = cpu.costs
+        self.costs = costs = cpu.costs
+        # Load latency indexed by the level CacheHierarchy.access returns
+        # (0 = memory, 1 = L1, 2 = L2); cost tables are frozen.
+        self._load_cycles = (costs.load_mem, costs.load_l1, costs.load_l2)
         self.mode = Mode.USER
         self.microcode_patched = microcode_patched
 
@@ -269,15 +271,6 @@ class Machine:
         events[_RETIRED] = events.get(_RETIRED, 0) + 1
         return cycles
 
-    def _attribution_tag(self, instr: Instruction):
-        """(mitigation, primitive) the ledger files this instruction under.
-
-        Tags are now resolved once at Instruction construction (see
-        ``Instruction.attr_tag``); this accessor remains for callers and
-        tests that consult the policy explicitly.
-        """
-        return instr.attr_tag
-
     # -- per-op dispatch targets (bound via the module-level _DISPATCH
     #    table; each returns the instruction's cycle cost) --------------- #
 
@@ -399,54 +392,53 @@ class Machine:
     # -- op helpers ----------------------------------------------------- #
 
     def _execute_load(self, instr: Instruction) -> int:
+        address = instr.address
         if instr.kernel_address and not self.mode.is_kernel:
             # Architectural access to kernel memory from user mode faults.
             # (Transient accesses go through _transient_load instead.)
-            raise SegmentationFault(instr.address, str(self.mode))
-        costs = self.costs
-        cycles = 0
-        if not self.tlb.access(instr.address):
-            self.counters.bump(ctr.TLB_MISSES)
-            cycles += costs.tlb_miss
-        if self.store_buffer.match(instr.address):
+            raise SegmentationFault(address, str(self.mode))
+        events = self.counters.events
+        if self.tlb.access(address):
+            cycles = 0
+        else:
+            events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
+            cycles = self.costs.tlb_miss
+        if self.store_buffer.match(address):
             if self.msr.ssbd_enabled:
                 # SSBD: the load must wait for older store addresses.
-                self.counters.bump(ctr.STLF_BLOCKED)
+                events[_STLF_BLOCKED] = events.get(_STLF_BLOCKED, 0) + 1
                 if self.hooks is not None:
-                    self.hooks.on_stlf_blocked(instr.address)
-                level = self.caches.access(instr.address)
+                    self.hooks.on_stlf_blocked(address)
+                level = self.caches.access(address)
+                if level != 1:
+                    events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
                 penalty = self.cpu.ssbd_load_penalty
-                cycles += self._load_latency(level) + penalty
+                cycles += self._load_cycles[level] + penalty
                 if self.ledger is not None:
                     self.ledger.add_split(penalty, "ssbd", "stlf_block")
             else:
-                self.counters.bump(ctr.STLF_HITS)
-                self.caches.access(instr.address)  # line still warms
-                cycles += costs.store_forward
+                events[_STLF_HITS] = events.get(_STLF_HITS, 0) + 1
+                self.caches.access(address)  # line still warms
+                cycles += self.costs.store_forward
         else:
-            level = self.caches.access(instr.address)
-            cycles += self._load_latency(level)
-        self.mds_buffers.deposit_load(instr.value or instr.address, self.mode)
+            level = self.caches.access(address)
+            if level != 1:
+                events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
+            cycles += self._load_cycles[level]
+        self.mds_buffers.deposit_load(instr.value or address, self.mode)
         return cycles
 
-    def _load_latency(self, level: int) -> int:
-        costs = self.costs
-        if level == 1:
-            return costs.load_l1
-        if level == 2:
-            self.counters.bump(ctr.L1_MISSES)
-            return costs.load_l2
-        self.counters.bump(ctr.L1_MISSES)
-        return costs.load_mem
-
     def _execute_store(self, instr: Instruction) -> int:
+        address = instr.address
         cycles = self.costs.store
-        if not self.tlb.access(instr.address):
-            self.counters.bump(ctr.TLB_MISSES)
+        if not self.tlb.access(address):
+            events = self.counters.events
+            events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
             cycles += self.costs.tlb_miss
-        self.caches.access(instr.address)  # write-allocate
-        self.store_buffer.push(instr.address, instr.value)
-        self.mds_buffers.deposit_store(instr.value or instr.address, self.mode)
+        self.caches.access(address)  # write-allocate
+        value = instr.value
+        self.store_buffer.push(address, value)
+        self.mds_buffers.deposit_store(value or address, self.mode)
         return cycles
 
     def _execute_cond_branch(self, instr: Instruction) -> int:

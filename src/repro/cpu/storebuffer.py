@@ -29,9 +29,11 @@ from typing import Optional
 
 
 class StoreBuffer:
-    """A bounded window of pending stores keyed by (line-granular) address."""
+    """A bounded window of pending stores keyed by 64-byte line.
 
-    LINE = 64
+    A line is ``address >> 6``, which equals ``address // 64`` for every
+    int.
+    """
 
     def __init__(self, depth: int = 56) -> None:
         self.depth = depth
@@ -44,14 +46,10 @@ class StoreBuffer:
     def __len__(self) -> int:
         return len(self._pending)
 
-    @classmethod
-    def _line_of(cls, address: int) -> int:
-        return address // cls.LINE
-
     def push(self, address: int, value: int = 0) -> None:
         """Retire a store into the buffer; oldest entries drain to memory."""
         pending = self._pending
-        line = address // 64
+        line = address >> 6
         if line in pending:
             pending.move_to_end(line)
         pending[line] = value
@@ -69,7 +67,7 @@ class StoreBuffer:
         pop = pending.popitem
         observer = self.observer
         for address, value in stores:
-            line = address // 64
+            line = address >> 6
             if line in pending:
                 move(line)
             pending[line] = value
@@ -80,11 +78,11 @@ class StoreBuffer:
 
     def match(self, address: int) -> bool:
         """Is there a pending store the load at ``address`` would hit?"""
-        return self._line_of(address) in self._pending
+        return (address >> 6) in self._pending
 
     def forward(self, address: int) -> Optional[int]:
         """Store-to-load forwarding: value of the youngest matching store."""
-        value = self._pending.get(self._line_of(address))
+        value = self._pending.get(address >> 6)
         if value is not None and self.observer is not None:
             self.observer.sb_forward(address)
         return value

@@ -34,33 +34,28 @@ class TLB:
         #: ``Machine.attach``; None when detached.
         self.observer = None
 
-    # -- address helpers ----------------------------------------------------
-
-    @staticmethod
-    def page_of(address: int) -> int:
-        return address // PAGE_SIZE
-
     # -- lookups -------------------------------------------------------------
 
     def access(self, address: int) -> bool:
         """Translate one address; returns True on TLB hit, filling on miss."""
-        page = self.page_of(address)
+        page = address >> 12  # == address // PAGE_SIZE for every int
         if page in self._global_pages:
             return True
         key = (self.current_pcid if self.supports_pcid else 0, page)
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
             return True
-        self._entries[key] = True
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries[key] = True
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
         if self.observer is not None:
             self.observer.tlb_fill(page)
         return False
 
     def insert_global(self, address: int) -> None:
         """Mark a page global (kernel text/data without KPTI)."""
-        self._global_pages.add(self.page_of(address))
+        self._global_pages.add(address >> 12)
 
     # -- cr3 switching --------------------------------------------------------
 

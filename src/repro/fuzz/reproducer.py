@@ -14,6 +14,7 @@ import os
 from typing import Dict, List, Tuple
 
 from ..cpu import get_cpu
+from ..errors import SegmentationFault
 from .generator import Program, parse_program
 from .harness import ExplainReport, Violation, check_cell, explain_cell
 from .minimize import minimize_program
@@ -93,7 +94,12 @@ def minimize_violation(program: Program, violation: Violation,
     cpu = get_cpu(violation.cpu)
 
     def still_fails(candidate: Program) -> bool:
-        found = check_cell(candidate, cpu, violation.policy, base_seed)
+        try:
+            found = check_cell(candidate, cpu, violation.policy, base_seed)
+        except SegmentationFault:
+            # Dropping a kernel-entry block can leave a kernel-address
+            # load running in user mode; that candidate does not reproduce.
+            return False
         return any(v.oracle == violation.oracle for v in found)
 
     return minimize_program(program, still_fails)

@@ -1,13 +1,16 @@
 """Machine committed-path execution: costs, state effects, measurement."""
 
+import random
+
 import pytest
 
-from repro.cpu import Machine, Mode, get_cpu
+from repro.cpu import Machine, Mode, all_cpus, get_cpu
 from repro.cpu import counters as ctr
 from repro.cpu import isa
 from repro.cpu import msr as msrdef
 from repro.cpu.machine import AMD_RETPOLINE, GENERIC_RETPOLINE
 from repro.errors import SegmentationFault, UnsupportedFeatureError
+from repro.obs.ledger import CycleLedger
 
 
 @pytest.fixture
@@ -227,3 +230,135 @@ def test_measure_subtracts_loop_overhead(m):
 def test_run_sums_costs(m):
     total = m.run([isa.work(10), isa.work(20)])
     assert total == 30
+
+
+# -- the committed load/store path against a reference --------------------- #
+#
+# Machine._execute_load/_execute_store inline their counter bumps, read
+# the load latency from a table and rely on CacheHierarchy.access probing
+# L1 inline.  The reference below spells the same semantics as separate
+# public structure calls, with the two cache levels as plain Cache.access
+# calls, and files its cycles the way Machine.execute does.
+
+def _reference_level(caches, address):
+    return 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
+
+
+def _reference_latency(m, level):
+    if level == 1:
+        return m.costs.load_l1
+    m.counters.bump(ctr.L1_MISSES)
+    return m.costs.load_l2 if level == 2 else m.costs.load_mem
+
+
+def _reference_load(m, instr):
+    if instr.kernel_address and not m.mode.is_kernel:
+        raise SegmentationFault(instr.address, str(m.mode))
+    cycles = 0
+    if not m.tlb.access(instr.address):
+        m.counters.bump(ctr.TLB_MISSES)
+        cycles += m.costs.tlb_miss
+    if m.store_buffer.match(instr.address):
+        if m.msr.ssbd_enabled:
+            m.counters.bump(ctr.STLF_BLOCKED)
+            level = _reference_level(m.caches, instr.address)
+            penalty = m.cpu.ssbd_load_penalty
+            cycles += _reference_latency(m, level) + penalty
+            m.ledger.add_split(penalty, "ssbd", "stlf_block")
+        else:
+            m.counters.bump(ctr.STLF_HITS)
+            _reference_level(m.caches, instr.address)
+            cycles += m.costs.store_forward
+    else:
+        cycles += _reference_latency(m, _reference_level(m.caches, instr.address))
+    m.mds_buffers.deposit_load(instr.value or instr.address, m.mode)
+    return cycles
+
+
+def _reference_store(m, instr):
+    cycles = m.costs.store
+    if not m.tlb.access(instr.address):
+        m.counters.bump(ctr.TLB_MISSES)
+        cycles += m.costs.tlb_miss
+    _reference_level(m.caches, instr.address)
+    m.store_buffer.push(instr.address, instr.value)
+    m.mds_buffers.deposit_store(instr.value or instr.address, m.mode)
+    return cycles
+
+
+def _reference_execute(m, instr):
+    if instr.op is isa.Op.LOAD:
+        cycles = _reference_load(m, instr)
+    elif instr.op is isa.Op.STORE:
+        cycles = _reference_store(m, instr)
+    else:
+        return m.execute(instr)
+    m.ledger.set_tag(*instr.attr_tag)
+    m.counters.add_cycles(cycles)
+    m.ledger.clear_tag()
+    m.counters.bump(ctr.INSTRUCTIONS_RETIRED)
+    return cycles
+
+
+def _memory_stream(rng, l1_stride):
+    """Loads and stores over lines that collide in one L1 set (L2 hits),
+    flushed lines (memory), fresh pages and cr3 switches (TLB misses),
+    kernel-mode kernel loads, verw and L1D flushes."""
+    addresses = [0x5000_0000 + k * l1_stride for k in range(12)]
+    addresses += [0x5100_0000 + 64 * k for k in range(6)]
+    stream = []
+    for _ in range(400):
+        address = rng.choice(addresses)
+        roll = rng.randrange(20)
+        if roll < 8:
+            stream.append(isa.Instruction(isa.Op.LOAD, address=address,
+                                          value=rng.choice((0, 7))))
+        elif roll < 15:
+            stream.append(isa.store(address, value=rng.randrange(3)))
+        elif roll == 15:
+            stream.append(isa.clflush(address))
+        elif roll == 16:
+            stream.append(isa.mov_cr3(pcid=rng.randrange(3)))
+        elif roll == 17:
+            stream.extend([isa.syscall_instr(),
+                           isa.load(0xFFFF_8000_0000_0000 + 64 * rng.randrange(4),
+                                    kernel=True),
+                           isa.sysret_instr()])
+        elif roll == 18:
+            stream.append(isa.verw())
+        else:
+            stream.append(isa.l1d_flush())
+    return stream
+
+
+@pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus()])
+@pytest.mark.parametrize("ssbd", [False, True])
+def test_load_store_path_matches_reference(cpu, ssbd):
+    machines = []
+    for _ in range(2):
+        machine = Machine(get_cpu(cpu), seed=3)
+        machine.attach(CycleLedger())
+        machine.msr.set_ssbd(ssbd)
+        machines.append(machine)
+    fast, ref = machines
+    l1 = fast.caches.l1
+    stream = _memory_stream(random.Random(7), l1.num_sets * l1.line_bytes)
+    for instr in stream:
+        assert fast.execute(instr) == _reference_execute(ref, instr)
+
+    assert fast.read_tsc() == ref.read_tsc()
+    assert list(fast.counters.events.items()) == list(ref.counters.events.items())
+    assert fast.ledger.paths() == ref.ledger.paths()
+    for mode in Mode:
+        assert fast.mds_buffers.sample(mode) == ref.mds_buffers.sample(mode)
+    assert list(fast.tlb._entries.items()) == list(ref.tlb._entries.items())
+    assert (list(fast.store_buffer._pending.items())
+            == list(ref.store_buffer._pending.items()))
+    # Every branch of the load path ran.
+    blocked = fast.counters.read(ctr.STLF_BLOCKED)
+    forwarded = fast.counters.read(ctr.STLF_HITS)
+    assert (blocked > 0 and forwarded == 0) if ssbd else (forwarded > 0 and blocked == 0)
+    for name in (ctr.L1_MISSES, ctr.TLB_MISSES):
+        assert fast.counters.read(name) > 0
+    if ssbd:
+        assert fast.ledger.rollup("primitive").get("stlf_block", 0) > 0

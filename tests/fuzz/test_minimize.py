@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.probe import POLICY_OFF
 from repro.cpu import get_cpu
+from repro.errors import SegmentationFault
 from repro.fuzz import (
+    ORACLE_PARITY,
     FuzzConfig,
     check_cell,
     fuzz_campaign,
@@ -14,6 +16,7 @@ from repro.fuzz import (
     minimize_program,
     minimize_violation,
     parity_fault,
+    parse_program,
     replay_reproducer,
     write_reproducer,
 )
@@ -78,3 +81,32 @@ def test_reproducer_round_trip(tmp_path):
         assert replay_reproducer(path)
     # Replay with the engine fixed (fault scope exited): clean.
     assert replay_reproducer(path) == []
+
+
+#: A kernel-entry block guarding a kernel-address load, then the fault op.
+_GUARDED_KERNEL_LOAD = """\
+program fzguard seed=0
+block b0 pc=0x400000
+  syscall
+block b1 pc=0x401000
+  load 0xc00040 kernel
+  verw
+  sysret
+"""
+
+
+def test_candidate_that_faults_counts_as_not_reproducing():
+    program = parse_program(_GUARDED_KERNEL_LOAD)
+    cpu = get_cpu("broadwell")
+    unguarded = program.clone()
+    del unguarded.blocks[0]
+    with parity_fault("verw"):
+        found = check_cell(program, cpu, POLICY_OFF, base_seed=2)
+        violation = next(v for v in found if v.oracle == ORACLE_PARITY)
+        # Dropping the syscall block leaves the kernel load in user mode.
+        with pytest.raises(SegmentationFault):
+            check_cell(unguarded, cpu, POLICY_OFF, base_seed=2)
+        minimized = minimize_violation(program, violation, base_seed=2)
+        assert minimized.instruction_count() < program.instruction_count()
+        again = check_cell(minimized, cpu, POLICY_OFF, base_seed=2)
+        assert any(v.oracle == ORACLE_PARITY for v in again)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.cache import Cache
+from repro.cpu.cache import Cache, CacheHierarchy
 
 addresses = st.integers(min_value=0, max_value=1 << 40)
 
@@ -67,3 +67,37 @@ def test_probe_never_changes_resident_count(addrs):
     for addr in addrs:
         cache.probe(addr)
     assert cache.resident_lines() == before
+
+
+def _contents(cache):
+    """Set index -> resident lines in LRU order (oldest first)."""
+    return {index: list(lines) for index, lines in cache._sets.items()}
+
+
+near = st.integers(min_value=0, max_value=1 << 14)
+hierarchy_ops = st.lists(st.one_of(
+    st.tuples(st.just("access"), st.one_of(near, addresses)),
+    st.tuples(st.just("flush_line"), near),
+    st.tuples(st.just("flush_l1"), st.just(0)),
+), max_size=300)
+
+
+@given(hierarchy_ops)
+@settings(max_examples=100)
+def test_hierarchy_access_matches_two_cache_accesses(ops):
+    """CacheHierarchy.access probes L1 inline; it must return the level
+    and leave the LRU state that L1-then-L2 Cache.access calls do."""
+    hierarchy = CacheHierarchy(Cache(4 * 2 * 64, 2), Cache(16 * 4 * 64, 4))
+    l1, l2 = Cache(4 * 2 * 64, 2), Cache(16 * 4 * 64, 4)
+    for op, addr in ops:
+        if op == "access":
+            expected = 1 if l1.access(addr) else 2 if l2.access(addr) else 0
+            assert hierarchy.access(addr) == expected
+        elif op == "flush_line":
+            hierarchy.flush_line(addr)
+            l1.flush_line(addr)
+            l2.flush_line(addr)
+        else:
+            assert hierarchy.flush_l1() == l1.flush_all()
+        assert _contents(hierarchy.l1) == _contents(l1)
+        assert _contents(hierarchy.l2) == _contents(l2)
