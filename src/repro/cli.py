@@ -37,6 +37,7 @@ Run history (``bench``/``check``/``profile`` auto-record; disable with
     spectresim history list
     spectresim history diff 1 2                  # ledger blame waterfall
     spectresim history diff prev latest
+    spectresim history diff base.json run.json   # payload files (export/bench)
     spectresim history report --out history.html
     spectresim history record BENCH_2.json --allow-dirty
     spectresim history gc --keep 50 --dry-run
@@ -49,7 +50,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import obs
 from .cpu import Machine, Mode, all_cpus, get_cpu
@@ -342,55 +343,42 @@ def _run_manifest(command: str, settings: Optional[Settings],
 
 
 def cmd_export(args: argparse.Namespace) -> str:
-    """Emit one experiment's results as JSON."""
-    from .core import export
+    """Emit one experiment as a bench payload (JSON)."""
+    import json
+    from .obs import baseline
     settings = _settings(args)
     cpus = _selected_cpus(args)
-    executor = _study_executor(args)
-    manifest = _run_manifest(f"export {args.experiment}", settings, cpus)
-    if args.experiment == "figure2":
-        out = export.attributions_to_json(
-            study.figure2(cpus, settings, executor=executor),
-            provenance=manifest) + "\n"
-        _report_executor("figure2", executor)
-        return out
-    if args.experiment == "figure3":
-        out = export.attributions_to_json(
-            study.figure3(cpus, settings, executor=executor),
-            provenance=manifest) + "\n"
-        _report_executor("figure3", executor)
-        return out
-    if args.experiment == "figure5":
-        out = export.paired_to_json(
-            study.figure5(cpus, settings=settings, executor=executor),
-            provenance=manifest) + "\n"
-        _report_executor("figure5", executor)
-        return out
-    if args.experiment == "table9":
-        return export.speculation_matrix_to_json(
-            speculation_matrix(tuple(cpus), ibrs=False),
-            provenance=manifest) + "\n"
-    if args.experiment == "table10":
-        return export.speculation_matrix_to_json(
-            speculation_matrix(tuple(cpus), ibrs=True),
-            provenance=manifest) + "\n"
-    raise SystemExit(f"unknown experiment {args.experiment!r}")
+    command = f"export {args.experiment}"
+    timing = {}
+    if args.experiment in ("table9", "table10"):
+        # Tables 9/10 are the probe grid under the off/ibrs policy: the
+        # cells' ``speculated`` bits are the tables' entries.
+        from .core.probe import POLICY_IBRS, POLICY_OFF, leakage_report
+        policy = POLICY_IBRS if args.experiment == "table10" else POLICY_OFF
+        leakage = leakage_report(tuple(cpus), policy=policy)
+        leakage.pop("events")
+        payload = {"schema": baseline.SCHEMA_VERSION,
+                   "kind": baseline.BENCH_KIND,
+                   "cpus": [cpu.key for cpu in cpus],
+                   "values": {}, "ledger": {}, "leakage": leakage}
+    else:
+        executor = _study_executor(args)
+        payload = baseline.collect(
+            cpus=[cpu.key for cpu in cpus], settings=settings,
+            drivers=[args.experiment], executor=executor, command=command,
+            report=lambda driver: _report_executor(driver, executor))
+        timing = {key: payload["provenance"][key]
+                  for key in ("wall_time_s", "sim_cycles")}
+    # The CLI manifest adds the per-CPU mitigation config to collect's.
+    payload["provenance"] = _run_manifest(command, settings, cpus,
+                                          **timing).to_dict()
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_summary(args: argparse.Namespace) -> str:
     """Recompute the paper's section-8 answers from the data."""
     from .core.summary import render_summary, summarize
     return render_summary(summarize(_settings(args)))
-
-
-def cmd_regress(args: argparse.Namespace) -> str:
-    """Diff two exported JSON result files."""
-    from .core.regression import diff_results, render_diff
-    with open(args.old) as f:
-        old = f.read()
-    with open(args.new) as f:
-        new = f.read()
-    return render_diff(diff_results(old, new, tolerance=args.tolerance))
 
 
 def cmd_profile(args: argparse.Namespace) -> str:
@@ -512,8 +500,19 @@ def cmd_check(args: argparse.Namespace) -> str:
     return report
 
 
+def _diff_side(ref: str, store) -> Tuple[Dict, str]:
+    """One side of ``history diff``: a ``.json`` payload file, else a run
+    reference resolved in ``store``; returns (payload, label)."""
+    from .obs import baseline
+    if ref.endswith(".json"):
+        return baseline.load_bench(ref), ref
+    run_id = store.resolve(ref)
+    return store.load_run(run_id), f"run {run_id}"
+
+
 def cmd_history(args: argparse.Namespace) -> str:
     """Run-history store: record, list, diff, report, gc."""
+    import contextlib
     from .errors import HistoryError
     from .obs import history as hist
     from .obs import report as histreport
@@ -545,12 +544,16 @@ def cmd_history(args: argparse.Namespace) -> str:
                     f"{run.ledger_cycles:>14,}  {run.command}")
             return "\n".join(lines) + "\n"
         if args.history_command == "diff":
-            with hist.HistoryStore(path) as store:
-                id_a = store.resolve(args.run_a)
-                id_b = store.resolve(args.run_b)
-                diff = store.diff(id_a, id_b)
-            rendered = hist.render_diff(diff, label_a=f"run {id_a}",
-                                        label_b=f"run {id_b}")
+            refs = (args.run_a, args.run_b)
+            # A file-to-file diff never opens (or creates) the database.
+            needs_store = not all(ref.endswith(".json") for ref in refs)
+            with (hist.HistoryStore(path) if needs_store
+                  else contextlib.nullcontext()) as store:
+                (old, label_a), (new, label_b) = [
+                    _diff_side(ref, store) for ref in refs]
+            diff = hist.diff_payloads(old, new)
+            rendered = hist.render_diff(diff, label_a=label_a,
+                                        label_b=label_b)
             if diff.failed:
                 # Same contract as 'spectresim check': print the report,
                 # then exit nonzero so CI gates on it.
@@ -574,7 +577,7 @@ def cmd_history(args: argparse.Namespace) -> str:
                         f"[{doomed}], keeping {kept} -> {path}\n")
             return (f"history: removed {len(removed)} run(s), kept {kept} "
                     f"-> {path}\n")
-    except HistoryError as exc:
+    except (BaselineError, HistoryError) as exc:
         raise SystemExit(f"history: {exc}")
     raise SystemExit(f"unknown history action {args.history_command!r}")
 
@@ -1002,7 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpu", default="broadwell")
     p.add_argument("--threshold", type=float, default=5.0)
 
-    p = sub.add_parser("export", help="emit one experiment as JSON")
+    p = sub.add_parser("export",
+                       help="emit one experiment as a bench payload (JSON)")
     p.add_argument("experiment",
                    choices=["figure2", "figure3", "figure5",
                             "table9", "table10"])
@@ -1014,11 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summary",
                        help="recompute the paper's section-8 answers")
     p.add_argument("--fast", action="store_true", default=True)
-
-    p = sub.add_parser("regress", help="diff two exported JSON result files")
-    p.add_argument("old")
-    p.add_argument("new")
-    p.add_argument("--tolerance", type=float, default=0.5)
 
     p = sub.add_parser(
         "profile",
@@ -1087,12 +1086,15 @@ def build_parser() -> argparse.ArgumentParser:
     hsub.add_parser("list", help="list recorded runs")
     hp = hsub.add_parser(
         "diff",
-        help="diff two runs cell-by-cell with a per-mitigation ledger "
-             "blame waterfall (deltas sum exactly to each cell's TSC "
-             "delta)")
-    hp.add_argument("run_a", help="run id, 'latest', or 'prev'")
+        help="diff two bench payloads (files or recorded runs) "
+             "cell-by-cell with a per-mitigation ledger blame waterfall "
+             "(deltas sum exactly to each cell's TSC delta)")
+    hp.add_argument("run_a",
+                    help="bench payload file (*.json), run id, 'latest', "
+                         "or 'prev'")
     hp.add_argument("run_b", nargs="?", default="latest",
-                    help="run id, 'latest' (default), or 'prev'")
+                    help="bench payload file (*.json), run id, 'latest' "
+                         "(default), or 'prev'")
     hp = hsub.add_parser(
         "report", help="render the self-contained HTML dashboard")
     hp.add_argument("--out", metavar="PATH", default="history.html")
@@ -1216,7 +1218,6 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "export": cmd_export,
     "summary": cmd_summary,
-    "regress": cmd_regress,
     "profile": cmd_profile,
     "bench": cmd_bench,
     "check": cmd_check,

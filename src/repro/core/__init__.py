@@ -22,12 +22,6 @@ from .executor import (
     StudyExecutor,
     default_cache_dir,
 )
-from .export import (
-    attributions_to_json,
-    paired_to_csv,
-    paired_to_json,
-    speculation_matrix_to_json,
-)
 from .probe import (
     KERNEL_TO_USER,
     SCENARIOS,
@@ -91,14 +85,10 @@ __all__ = [
     "SweepResult",
     "adaptive_measure",
     "attribute_overhead",
-    "attributions_to_json",
     "default_cache_dir",
     "derive_seed",
     "find_crossover",
     "overhead_vs_operation_size",
-    "paired_to_csv",
-    "paired_to_json",
-    "speculation_matrix_to_json",
     "ssbd_overhead_vs_forwarding_density",
     "sweep",
     "confidence_interval",

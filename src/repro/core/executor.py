@@ -46,8 +46,6 @@ from ..errors import ExecutorError
 from ..obs.progress import ProgressLine
 from ..obs import ledger as obs_ledger
 from ..obs import observers as obs_observers
-from ..obs import spans as obs_spans
-from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import code_fingerprint
 from .attribution import AttributionResult, Contribution
 from .stats import Measurement, derive_seed
@@ -374,31 +372,12 @@ class StudyExecutor:
     the CLI turns it on by default.
     """
 
-    def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.stats = RunStats(jobs=jobs)
-        self._metrics = metrics
-        self._own_metrics = MetricsRegistry()
-
-    # -- wiring ----------------------------------------------------------- #
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """Where executor counters land: an explicit registry if one was
-        given, else the installed tracer's, else a private one."""
-        if self._metrics is not None:
-            return self._metrics
-        tracer = obs_spans.current_tracer()
-        if getattr(tracer, "enabled", False):
-            return tracer.metrics
-        return self._own_metrics
-
-    def _count(self, event: str, amount: int = 1) -> None:
-        self.metrics.counter(f"executor.cells.{event}").inc(amount)
 
     # -- execution --------------------------------------------------------- #
 
@@ -412,7 +391,6 @@ class StudyExecutor:
         from . import study
         started = time.perf_counter()
         self.stats = RunStats(total=len(specs), jobs=self.jobs)
-        self._count("scheduled", len(specs))
 
         cache = ResultCache(self.cache_dir) if self.cache_dir else None
 
@@ -428,14 +406,11 @@ class StudyExecutor:
                 if outcome == ResultCache.HIT:
                     results[index] = hit
                     self.stats.cache_hits += 1
-                    self._count("cache_hit")
                     continue
                 if outcome == ResultCache.STALE:
                     self.stats.cache_stale += 1
-                    self._count("cache_stale")
                 else:
                     self.stats.cache_misses += 1
-                    self._count("cache_miss")
             pending.append((index, spec))
         meter.update(len(results))  # cache hits count as done
 
@@ -443,7 +418,6 @@ class StudyExecutor:
             kind = study.DRIVER_KINDS[spec.driver]
             results[index] = result
             self.stats.executed += 1
-            self._count("executed")
             if cache is not None:
                 cache.put(spec, kind, result)
             meter.update(len(results))

@@ -292,21 +292,13 @@ def speculation_row(
 ) -> Optional[Dict[Scenario, ProbeVerdict]]:
     """One CPU's Table 9 (``ibrs=False``) or Table 10 (``ibrs=True``) row.
 
-    Returns None when the configuration is impossible — Zen has no IBRS
-    support, which the paper's Table 10 marks N/A.  Cells are
-    :class:`ProbeVerdict` objects; they compare equal to the bare booleans
-    the row used to carry.
+    The leakage grid's row under the ``off`` or ``ibrs`` policy (see
+    :func:`leakage_row`).  Returns None when the configuration is
+    impossible — Zen has no IBRS support, which the paper's Table 10
+    marks N/A.  Cells are :class:`ProbeVerdict` objects; they compare
+    equal to the bare booleans the row used to carry.
     """
-    if ibrs and not (cpu.predictor.supports_ibrs or cpu.predictor.supports_eibrs):
-        return None
-    policy = POLICY_IBRS if ibrs else POLICY_OFF
-    row: Dict[Scenario, ProbeVerdict] = {}
-    for scenario in SCENARIOS:
-        machine = Machine(cpu, seed=seed)
-        machine.msr.set_ibrs(ibrs)
-        probe = SpeculationProbe(machine, policy=policy)
-        row[scenario] = probe.probe_verdict(scenario, trials)
-    return row
+    return leakage_row(cpu, POLICY_IBRS if ibrs else POLICY_OFF, trials, seed)
 
 
 def speculation_matrix(
@@ -371,16 +363,6 @@ def leakage_row(
         probe = SpeculationProbe(machine, retpoline=retpoline, policy=policy)
         row[scenario] = probe.probe_verdict(scenario, trials)
     return row
-
-
-def leakage_matrix(
-    cpus: Tuple[CPUModel, ...],
-    policy: str = POLICY_DEFAULT,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> Dict[str, Optional[Dict[Scenario, ProbeVerdict]]]:
-    """The probe grid over ``cpus`` under one mitigation policy."""
-    return {cpu.key: leakage_row(cpu, policy, trials, seed) for cpu in cpus}
 
 
 def leakage_report(

@@ -63,9 +63,7 @@ from .provenance import (
     build_manifest,
     code_fingerprint,
     config_to_dict,
-    manifest_comment_lines,
     settings_to_dict,
-    stamp_payload,
 )
 
 __all__ = [
@@ -97,11 +95,9 @@ __all__ = [
     "diff_payloads",
     "first_divergence",
     "ledger_scope",
-    "manifest_comment_lines",
     "render_diff",
     "render_divergence",
     "settings_to_dict",
-    "stamp_payload",
     "to_chrome_trace",
     "to_chrome_trace_json",
     "to_collapsed_stacks",

@@ -17,6 +17,10 @@ future run can be compared against into a versioned ``BENCH_<n>.json``:
   up as a flipped cell, not just a cycle delta;
 * **provenance** — the usual manifest (seed, versions, fingerprint).
 
+The payload is the one result format: ``spectresim export`` writes it
+for a single driver, and ``spectresim history diff`` compares any two,
+whether files or recorded runs.
+
 ``spectresim check --against BENCH_1.json`` re-runs the same grid (the
 baseline records its own cpus/settings, so the comparison is apples to
 apples) and diffs.  Tolerances are noise-aware: a value regresses only
@@ -36,23 +40,16 @@ import math
 import os
 import re
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import BaselineError
-# The comparison machinery lives in obs.history (the single diff engine
-# shared with ``history diff`` and ``core.regression``); the names below
-# stay importable from here for API stability.  BaselineDiff *is* the
-# history engine's RunDiff.
-from .history import (  # noqa: F401  (re-exported API)
+from .history import (
     DEFAULT_LEDGER_REL_TOL,
     DEFAULT_MIN_PERCENT_POINTS,
     DEFAULT_SIGMA_MULTIPLIER,
-    JS_KNOB_PRIMITIVES as _JS_KNOB_PRIMITIVES,
-    LedgerDrift,
-    RunDiff as BaselineDiff,
-    ValueDelta,
-    blame_paths as _blame_paths,
+    RunDiff,
     diff_payloads,
+    render_diff,
 )
 from .ledger import CycleLedger
 from .observers import use_observers
@@ -370,7 +367,7 @@ def load_bench(path: str) -> Dict[str, Any]:
         raise BaselineError(f"cannot read baseline {path!r}: {exc}") from exc
     except ValueError as exc:
         raise BaselineError(f"baseline {path!r} is not JSON: {exc}") from exc
-    if payload.get("kind") != BENCH_KIND:
+    if not isinstance(payload, dict) or payload.get("kind") != BENCH_KIND:
         raise BaselineError(f"{path!r} is not a spectresim bench payload")
     if payload.get("schema") != SCHEMA_VERSION:
         raise BaselineError(
@@ -383,55 +380,11 @@ def load_bench(path: str) -> Dict[str, Any]:
 # Comparison
 # --------------------------------------------------------------------------- #
 
-def compare(baseline: Dict[str, Any],
-            current: Dict[str, Any]) -> BaselineDiff:
-    """Diff ``current`` against ``baseline`` with the baseline's tolerances.
-
-    Thin wrapper over :func:`repro.obs.history.diff_payloads`, which is
-    the one diff engine for ``check``, ``history diff`` and the export
-    regression differ alike.
-    """
-    return diff_payloads(baseline, current)
-
-
-def render_report(diff: BaselineDiff) -> str:
-    """The per-cell, per-mitigation blame report ``check`` prints."""
-    lines: List[str] = []
-    for delta in diff.regressions:
-        lines.append(
-            f"REGRESSION {delta.key}: {delta.old:+.2f}% -> {delta.new:+.2f}% "
-            f"({delta.delta:+.2f}pp, allowed +/-{delta.allowed:.2f}pp)")
-        for blame in delta.blame:
-            lines.append(f"  blame: {blame}")
-        if not delta.blame:
-            lines.append("  blame: no matching ledger drift "
-                         "(measurement-level change)")
-    for drift in diff.ledger_regressions:
-        lines.append(f"LEDGER REGRESSION {drift.describe()}")
-    for key in diff.missing:
-        lines.append(f"MISSING {key}: present in baseline, absent in this run")
-    for delta in diff.improvements:
-        lines.append(
-            f"improvement {delta.key}: {delta.old:+.2f}% -> {delta.new:+.2f}% "
-            f"({delta.delta:+.2f}pp)")
-    for drift in diff.ledger_improvements:
-        lines.append(f"ledger improvement {drift.describe()}")
-    for key in diff.new_keys:
-        lines.append(f"new {key}: not in baseline (re-bench to track it)")
-    verdict = "FAIL" if diff.failed else "OK"
-    lines.append(
-        f"{diff.compared} values compared: {len(diff.regressions)} "
-        f"regressions, {len(diff.improvements)} improvements, "
-        f"{len(diff.ledger_regressions)} ledger regressions, "
-        f"{len(diff.missing)} missing -> {verdict}")
-    return "\n".join(lines) + "\n"
-
-
 def check_against(baseline_path: str,
                   executor: Optional[Any] = None,
                   command: str = "check",
                   report: Optional[Any] = None,
-                  on_payload: Optional[Any] = None) -> Tuple[BaselineDiff, str]:
+                  on_payload: Optional[Any] = None) -> Tuple[RunDiff, str]:
     """Re-run the baseline's own grid and diff: (diff, report).
 
     The fresh run reuses the cpus, settings, and drivers recorded in the
@@ -443,6 +396,10 @@ def check_against(baseline_path: str,
     from ..core import study
 
     payload = load_bench(baseline_path)
+    for key in ("cpus", "settings"):
+        if key not in payload:
+            raise BaselineError(
+                f"baseline {baseline_path!r} has no {key!r} key to re-run")
     settings = study.Settings(**payload["settings"])
     current = collect(
         cpus=payload["cpus"],
@@ -454,5 +411,5 @@ def check_against(baseline_path: str,
     )
     if on_payload is not None:
         on_payload(current)
-    diff = compare(payload, current)
-    return diff, render_report(diff)
+    diff = diff_payloads(payload, current)
+    return diff, render_diff(diff, label_a=baseline_path, label_b="this run")

@@ -18,10 +18,10 @@ profile run appends one row-set to:
   (cpu, primitive, boundary, policy) cell with its blocked/leaked
   verdict, event count and blocked-by attribution.
 
-On top of the store sits the **diff engine** shared by every comparison
-path in the repo: ``spectresim check`` (:mod:`repro.obs.baseline`
-delegates here), ``spectresim regress`` (:mod:`repro.core.regression`
-wraps :func:`diff_values`), and ``spectresim history diff``.  Value
+On top of the store sits the **diff engine** and its one renderer,
+shared by both comparison commands: ``spectresim check``
+(:mod:`repro.obs.baseline` delegates here) and ``spectresim history
+diff``, which compares bench payload files or recorded runs.  Value
 comparisons are noise-aware — a delta is significant only beyond
 ``sigma_multiplier × hypot(u_old, u_new) + floor`` — while ledger entries
 are deterministic integers diffed exactly.  Each changed ledger cell is
@@ -100,7 +100,7 @@ def default_history_db() -> str:
 
 
 # --------------------------------------------------------------------------- #
-# The diff engine (pure functions; baseline.py and regression.py wrap these)
+# The diff engine (pure functions; baseline.py and the CLI call these)
 # --------------------------------------------------------------------------- #
 
 @dataclass
@@ -174,9 +174,8 @@ class ValuesDiff:
 class RunDiff:
     """Everything a run-vs-run comparison found.
 
-    The value/ledger regression fields match what the bench gate's
-    ``check`` historically reported (``baseline.BaselineDiff`` is now an
-    alias of this class); ``cells`` adds the per-CPU blame waterfalls.
+    Value and ledger regressions/improvements, missing and new keys, and
+    ``cells``, the per-CPU blame waterfalls.
     """
 
     regressions: List[ValueDelta] = field(default_factory=list)
@@ -206,10 +205,9 @@ def diff_values(old: Mapping[Any, Tuple[float, float]],
                 floor: float = DEFAULT_MIN_PERCENT_POINTS) -> ValuesDiff:
     """Noise-aware comparison of two ``key -> (value, uncertainty)`` maps.
 
-    Keys may be any sortable type (the bench gate uses strings; the
-    regression differ uses tuples).  A key moves into ``regressions`` /
-    ``improvements`` only when the delta exceeds
-    ``sigma_multiplier × hypot(u_old, u_new) + floor``.
+    Keys may be any sortable type (bench payloads use strings).  A key
+    moves into ``regressions`` / ``improvements`` only when the delta
+    exceeds ``sigma_multiplier × hypot(u_old, u_new) + floor``.
     """
     diff = ValuesDiff()
     diff.new_keys = sorted(set(new) - set(old))
@@ -368,7 +366,9 @@ def diff_payloads(old: Mapping[str, Any], new: Mapping[str, Any],
 
 def render_diff(diff: RunDiff, label_a: str = "old",
                 label_b: str = "new") -> str:
-    """Full text report: waterfalls per cell, then value deltas."""
+    """The one text report of a :class:`RunDiff` (``check`` and ``history
+    diff``): waterfalls per cell, value and ledger deltas with blame, and
+    a closing verdict line."""
     lines = [f"diff {label_a} -> {label_b}"]
     if diff.fingerprint_changed:
         old_fp, new_fp = diff.fingerprints
@@ -385,23 +385,32 @@ def render_diff(diff: RunDiff, label_a: str = "old",
             lines.append(f"  path: {drift.describe()}")
     for delta in diff.regressions:
         lines.append(
-            f"REGRESSION {delta.key}: {delta.old:+.2f} -> {delta.new:+.2f} "
-            f"({delta.delta:+.2f}, allowed +/-{delta.allowed:.2f})")
+            f"REGRESSION {delta.key}: {delta.old:+.2f}% -> {delta.new:+.2f}% "
+            f"({delta.delta:+.2f}pp, allowed +/-{delta.allowed:.2f}pp)")
         for blame in delta.blame:
             lines.append(f"  blame: {blame}")
-    for delta in diff.improvements:
-        lines.append(
-            f"improvement {delta.key}: {delta.old:+.2f} -> {delta.new:+.2f} "
-            f"({delta.delta:+.2f})")
+        if not delta.blame:
+            lines.append("  blame: no matching ledger drift "
+                         "(measurement-level change)")
+    for drift in diff.ledger_regressions:
+        lines.append(f"LEDGER REGRESSION {drift.describe()}")
     for key in diff.missing:
         lines.append(f"MISSING {key}: present in {label_a}, absent in "
                      f"{label_b}")
+    for delta in diff.improvements:
+        lines.append(
+            f"improvement {delta.key}: {delta.old:+.2f}% -> {delta.new:+.2f}% "
+            f"({delta.delta:+.2f}pp)")
+    for drift in diff.ledger_improvements:
+        lines.append(f"ledger improvement {drift.describe()}")
     for key in diff.new_keys:
         lines.append(f"new {key}: only in {label_b}")
     lines.append(
         f"{diff.compared} values compared: {len(diff.regressions)} "
         f"regressions, {len(diff.improvements)} improvements, "
-        f"{len(diff.cells)} changed cells, {len(diff.missing)} missing")
+        f"{len(diff.ledger_regressions)} ledger regressions, "
+        f"{len(diff.cells)} changed cells, {len(diff.missing)} missing "
+        f"-> {'FAIL' if diff.failed else 'OK'}")
     return "\n".join(lines) + "\n"
 
 

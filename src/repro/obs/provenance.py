@@ -4,14 +4,8 @@ A result file that cannot say which seed, CPU models, mitigation
 configuration and package version produced it is a liability — the
 paper's own methodology section exists because "what exactly was running"
 is most of the reproduction problem.  :class:`RunManifest` captures that
-context once, and the exporters embed it next to the results.
-
-JSON artifacts become envelopes::
-
-    {"provenance": {...}, "results": [...]}
-
-CSV artifacts carry the manifest as ``#``-prefixed comment lines above
-the header row, so naive parsers that skip comments keep working.
+context once, and every bench payload (``bench``, ``check``, ``export``)
+carries it as its ``provenance`` block.
 """
 
 from __future__ import annotations
@@ -32,8 +26,6 @@ __all__ = [
     "fingerprint_inputs",
     "config_to_dict",
     "settings_to_dict",
-    "stamp_payload",
-    "manifest_comment_lines",
 ]
 
 #: Version of the manifest schema itself, so downstream tooling can detect
@@ -170,18 +162,3 @@ def build_manifest(
         extra=dict(extra),
     )
 
-
-def stamp_payload(results: Any, manifest: RunManifest) -> Dict[str, Any]:
-    """Wrap ``results`` in the provenance envelope used by JSON exports."""
-    return {"provenance": manifest.to_dict(), "results": results}
-
-
-def manifest_comment_lines(manifest: RunManifest) -> List[str]:
-    """The manifest as ``# key: value`` lines for CSV headers."""
-    lines = [f"# provenance schema v{manifest.schema_version}"]
-    data = manifest.to_dict()
-    for key in ("command", "seed", "cpus", "version", "created_at"):
-        lines.append(f"# {key}: {data[key]}")
-    if manifest.config is not None:
-        lines.append(f"# config: {manifest.config}")
-    return lines

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.core import export, study
+from repro.core import study
 from repro.core.executor import (
+    ATTRIBUTION,
     CellSpec,
     ResultCache,
     StudyExecutor,
@@ -21,17 +22,8 @@ from repro.core.executor import (
 from repro.core.study import Settings
 from repro.cpu import get_cpu
 from repro.errors import ExecutorError
-from repro.obs import MetricsRegistry
 
 SETTINGS = Settings.fast()
-
-
-def _stable_parts(text):
-    payload = json.loads(text)
-    provenance = dict(payload["provenance"])
-    provenance.pop("created_at")
-    provenance.pop("wall_time_s")
-    return payload["results"], provenance
 
 
 # --------------------------------------------------------------------------- #
@@ -94,11 +86,13 @@ class TestResultCodec:
 class TestDeterminism:
     def test_parallel_figure2_export_is_byte_identical_to_serial(self):
         cpus = [get_cpu("zen2"), get_cpu("broadwell")]
-        serial = export.attributions_to_json(
-            study.figure2(cpus, SETTINGS, executor=StudyExecutor(jobs=1)))
-        parallel = export.attributions_to_json(
-            study.figure2(cpus, SETTINGS, executor=StudyExecutor(jobs=4)))
-        assert _stable_parts(serial) == _stable_parts(parallel)
+        serial = [json.dumps(encode_result(ATTRIBUTION, result))
+                  for result in study.figure2(
+                      cpus, SETTINGS, executor=StudyExecutor(jobs=1))]
+        parallel = [json.dumps(encode_result(ATTRIBUTION, result))
+                    for result in study.figure2(
+                        cpus, SETTINGS, executor=StudyExecutor(jobs=4))]
+        assert serial == parallel
 
     def test_parallel_figure5_matches_serial(self):
         cpus = [get_cpu("zen3")]
@@ -121,19 +115,17 @@ class TestDeterminism:
 class TestCache:
     def test_warm_cache_executes_zero_cells(self, tmp_path):
         cache = str(tmp_path / "cache")
-        cold = StudyExecutor(jobs=1, cache_dir=cache,
-                             metrics=MetricsRegistry())
+        cold = StudyExecutor(jobs=1, cache_dir=cache)
         first = study.figure5([get_cpu("zen3")], settings=SETTINGS,
                               executor=cold)
-        assert cold.metrics.counter("executor.cells.executed").value == 3
-        assert cold.metrics.counter("executor.cells.cache_hit").value == 0
+        assert cold.stats.executed == 3
+        assert cold.stats.cache_hits == 0
 
-        warm = StudyExecutor(jobs=1, cache_dir=cache,
-                             metrics=MetricsRegistry())
+        warm = StudyExecutor(jobs=1, cache_dir=cache)
         second = study.figure5([get_cpu("zen3")], settings=SETTINGS,
                                executor=warm)
-        assert warm.metrics.counter("executor.cells.cache_hit").value == 3
-        assert "executor.cells.executed" not in warm.metrics
+        assert warm.stats.cache_hits == 3
+        assert warm.stats.executed == 0
         assert first == second  # cached results decode bit-identical
 
     def test_cache_serves_parallel_runs(self, tmp_path):
@@ -272,11 +264,13 @@ class TestWorkerObservability:
         assert hist is not None and hist.count == 3
 
     def test_untraced_parallel_run_collects_nothing(self):
+        from repro.obs import current_observers
         from repro.obs.spans import current_tracer
         assert not current_tracer().enabled
         ex = StudyExecutor(jobs=2)
         study.figure5([get_cpu("zen3")], settings=SETTINGS, executor=ex)
-        assert "span.study.figure5.zen3.cycles" not in ex.metrics
+        assert ex.stats.executed == 3
+        assert current_observers() == () and not current_tracer().enabled
 
 
 # --------------------------------------------------------------------------- #
@@ -285,22 +279,19 @@ class TestWorkerObservability:
 
 class TestCacheOutcomes:
     def test_cold_run_counts_every_cell_as_a_miss(self, tmp_path):
-        ex = StudyExecutor(cache_dir=str(tmp_path / "cache"),
-                           metrics=MetricsRegistry())
+        ex = StudyExecutor(cache_dir=str(tmp_path / "cache"))
         study.figure5([get_cpu("zen3")], settings=SETTINGS, executor=ex)
         assert ex.stats.cache_misses == 3
         assert ex.stats.cache_stale == 0
-        assert ex.metrics.counter("executor.cells.cache_miss").value == 3
 
     def test_warm_run_counts_neither_miss_nor_stale(self, tmp_path):
         cache = str(tmp_path / "cache")
         study.figure5([get_cpu("zen3")], settings=SETTINGS,
                       executor=StudyExecutor(cache_dir=cache))
-        warm = StudyExecutor(cache_dir=cache, metrics=MetricsRegistry())
+        warm = StudyExecutor(cache_dir=cache)
         study.figure5([get_cpu("zen3")], settings=SETTINGS, executor=warm)
         assert warm.stats.cache_hits == 3
         assert warm.stats.cache_misses == 0 and warm.stats.cache_stale == 0
-        assert "executor.cells.cache_miss" not in warm.metrics
 
     def test_corrupt_entry_is_stale_not_miss(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -310,11 +301,10 @@ class TestCacheOutcomes:
         cache = ResultCache(cache_dir)
         with open(cache._path(spec.digest()), "w") as f:
             f.write("{ not json")
-        again = StudyExecutor(cache_dir=cache_dir, metrics=MetricsRegistry())
+        again = StudyExecutor(cache_dir=cache_dir)
         study.vm_lebench_overheads([get_cpu("zen")], SETTINGS, executor=again)
         assert again.stats.cache_stale == 1
         assert again.stats.cache_misses == 0
-        assert again.metrics.counter("executor.cells.cache_stale").value == 1
 
     def test_lookup_classifies_hit_miss_stale(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.core import export, study
+from repro.core import study
+from repro.core.executor import ATTRIBUTION, PAIRED, encode_result
 from repro.core.probe import speculation_matrix
 from repro.core.study import Settings
 from repro.cpu import Machine, get_cpu
@@ -35,28 +36,24 @@ def test_lebench_suite_is_deterministic():
     assert a == b
 
 
-def _stable_parts(text):
-    """Everything in an export envelope that must be bit-stable: the
-    results, and the provenance minus the wall-clock fields."""
-    payload = json.loads(text)
-    provenance = dict(payload["provenance"])
-    provenance.pop("created_at")
-    provenance.pop("wall_time_s")
-    return payload["results"], provenance
+def _encoded(kind, results):
+    """The lossless result codec as JSON text: equal text means every
+    measurement and percentage is bit-identical."""
+    return json.dumps([encode_result(kind, result) for result in results])
 
 
 def test_figure2_export_is_stable_across_runs():
     cpus = [get_cpu("zen2")]
-    first = export.attributions_to_json(study.figure2(cpus, SETTINGS))
-    second = export.attributions_to_json(study.figure2(cpus, SETTINGS))
-    assert _stable_parts(first) == _stable_parts(second)
+    first = _encoded(ATTRIBUTION, study.figure2(cpus, SETTINGS))
+    second = _encoded(ATTRIBUTION, study.figure2(cpus, SETTINGS))
+    assert first == second
 
 
 def test_figure5_export_is_stable_across_runs():
     cpus = [get_cpu("zen3")]
-    first = export.paired_to_json(study.figure5(cpus, settings=SETTINGS))
-    second = export.paired_to_json(study.figure5(cpus, settings=SETTINGS))
-    assert _stable_parts(first) == _stable_parts(second)
+    first = _encoded(PAIRED, study.figure5(cpus, settings=SETTINGS))
+    second = _encoded(PAIRED, study.figure5(cpus, settings=SETTINGS))
+    assert first == second
 
 
 def test_speculation_matrices_are_stable():

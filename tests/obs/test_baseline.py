@@ -10,6 +10,7 @@ from repro.core.study import Settings
 from repro.cpu.model import get_cpu as real_get_cpu
 from repro.errors import BaselineError
 from repro.obs import baseline
+from repro.obs.history import diff_payloads, render_diff
 
 
 FAST = Settings.fast()
@@ -86,7 +87,7 @@ def test_noise_within_tolerance_is_not_a_regression():
                     {"value": 10.0, "uncertainty": 0.5}})
     new = _payload({"figure2/broadwell/lebench:pti":
                     {"value": 11.0, "uncertainty": 0.5}})
-    diff = baseline.compare(old, new)
+    diff = diff_payloads(old, new)
     # allowed = 3*hypot(0.5, 0.5) + 0.25 ≈ 2.37pp > 1pp delta
     assert not diff.failed and not diff.regressions
     assert diff.compared == 1
@@ -101,14 +102,14 @@ def test_regression_beyond_tolerance_fails_with_blame():
                     {"value": 14.0, "uncertainty": 0.1}},
                    {"kernel.entry/pti/mov_cr3": 1400,
                     "kernel.handler/base/work": 5000})
-    diff = baseline.compare(old, new)
+    diff = diff_payloads(old, new)
     assert diff.failed
     (reg,) = diff.regressions
     assert reg.key.endswith(":pti")
     assert any("kernel.entry/pti/mov_cr3" in blame for blame in reg.blame)
     # The unrelated base entry did not drift and is not blamed.
     assert not any("base/work" in blame for blame in reg.blame)
-    assert "REGRESSION" in baseline.render_report(diff)
+    assert "REGRESSION" in render_diff(diff)
 
 
 def test_js_knob_blame_matches_by_primitive():
@@ -120,7 +121,7 @@ def test_js_knob_blame_matches_by_primitive():
                     {"value": 9.0, "uncertainty": 0.05}},
                    {"jsengine/spectre_v1/index_mask": 2000,
                     "jsengine/spectre_v1/object_guard": 1000})
-    diff = baseline.compare(old, new)
+    diff = diff_payloads(old, new)
     (reg,) = diff.regressions
     assert any("index_mask" in blame for blame in reg.blame)
     assert not any("object_guard" in blame for blame in reg.blame)
@@ -130,7 +131,7 @@ def test_improvements_and_missing_keys_are_reported():
     old = _payload({"a:total": {"value": 10.0, "uncertainty": 0.1},
                     "b:total": {"value": 10.0, "uncertainty": 0.1}})
     new = _payload({"a:total": {"value": 5.0, "uncertainty": 0.1}})
-    diff = baseline.compare(old, new)
+    diff = diff_payloads(old, new)
     assert [d.key for d in diff.improvements] == ["a:total"]
     assert diff.missing == ["b:total"]
     assert diff.failed  # a vanished cell fails the gate
@@ -139,7 +140,7 @@ def test_improvements_and_missing_keys_are_reported():
 def test_ledger_drift_alone_is_flagged():
     old = _payload({}, {"kernel.sched/lazyfp/xsave": 100})
     new = _payload({}, {"kernel.sched/lazyfp/xsave": 101})
-    diff = baseline.compare(old, new)
+    diff = diff_payloads(old, new)
     assert diff.failed
     (drift,) = diff.ledger_regressions
     assert drift.path == "kernel.sched/lazyfp/xsave"
@@ -154,7 +155,7 @@ def test_self_snapshot_shows_zero_regressions():
     """Acceptance: bench then check against the snapshot -> no diff."""
     snapshot = _collect_fast()
     fresh = _collect_fast()
-    diff = baseline.compare(snapshot, fresh)
+    diff = diff_payloads(snapshot, fresh)
     assert not diff.failed
     assert not diff.regressions and not diff.ledger_regressions
     assert diff.compared == len(snapshot["values"]) > 0
@@ -189,7 +190,7 @@ def test_perturbed_pti_cost_is_flagged_with_mov_cr3_blame(monkeypatch):
     monkeypatch.setattr("repro.obs.baseline.get_cpu", patched_get_cpu)
 
     perturbed = _collect_fast()
-    diff = baseline.compare(snapshot, perturbed)
+    diff = diff_payloads(snapshot, perturbed)
     assert diff.failed
     pti_regressions = [d for d in diff.regressions if d.key.endswith(":pti")]
     assert pti_regressions, "the PTI cell must regress"
@@ -198,5 +199,5 @@ def test_perturbed_pti_cost_is_flagged_with_mov_cr3_blame(monkeypatch):
     drifted = {d.path for d in diff.ledger_regressions}
     assert "kernel.entry/pti/mov_cr3" in drifted
     assert "kernel.exit/pti/mov_cr3" in drifted
-    report = baseline.render_report(diff)
+    report = render_diff(diff)
     assert "pti/mov_cr3" in report and "FAIL" in report

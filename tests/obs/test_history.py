@@ -248,6 +248,37 @@ def test_blame_paths_matches_knob_and_js_primitives():
     assert blame_paths("f2/bw/lebench:ssbd", drifts) == []
 
 
+def test_diff_payloads_of_identical_payloads_is_empty():
+    diff = diff_payloads(make_payload(), make_payload())
+    assert not diff.failed
+    assert diff.compared == 5
+    assert (diff.regressions, diff.improvements, diff.missing,
+            diff.new_keys) == ([], [], [], [])
+    assert (diff.ledger_regressions, diff.ledger_improvements,
+            diff.cells) == ([], [], [])
+    assert render_diff(diff, "a", "b").endswith(
+        "5 values compared: 0 regressions, 0 improvements, "
+        "0 ledger regressions, 0 changed cells, 0 missing -> OK\n")
+
+
+def test_diff_payloads_reports_a_moved_value_with_its_delta():
+    key = "figure2/cascade_lake/lebench:total"
+    old = make_payload()
+    up = make_payload()
+    up["values"][key]["value"] += 3.0
+    diff = diff_payloads(old, up)
+    (moved,) = diff.regressions
+    assert (moved.key, moved.old, moved.new) == (key, 6.0, 9.0)
+    assert moved.delta == pytest.approx(3.0)
+    assert diff.failed and diff.improvements == []
+    down = make_payload()
+    down["values"][key]["value"] -= 3.0
+    diff = diff_payloads(old, down)
+    (moved,) = diff.improvements
+    assert moved.key == key and moved.delta == pytest.approx(-3.0)
+    assert not diff.failed and diff.regressions == []
+
+
 def test_diff_payloads_uses_old_payloads_tolerance():
     old = make_payload()
     new = make_payload()

@@ -10,9 +10,7 @@ from repro.obs.provenance import (
     SCHEMA_VERSION,
     build_manifest,
     config_to_dict,
-    manifest_comment_lines,
     settings_to_dict,
-    stamp_payload,
 )
 
 
@@ -54,27 +52,6 @@ def test_extra_fields_flatten_into_dict():
     assert data["note"] == "hello"
     assert data["runs"] == 3
     assert "extra" not in data
-
-
-def test_stamp_payload_envelope():
-    manifest = build_manifest(command="c", cpus=["zen"])
-    envelope = stamp_payload([{"x": 1}], manifest)
-    assert set(envelope) == {"provenance", "results"}
-    assert envelope["results"] == [{"x": 1}]
-    json.dumps(envelope)  # must be fully serializable
-
-
-def test_manifest_comment_lines():
-    manifest = build_manifest(
-        command="export", cpus=["zen"], seed=4,
-        config={"pti": True})
-    lines = manifest_comment_lines(manifest)
-    assert all(line.startswith("#") for line in lines)
-    joined = "\n".join(lines)
-    assert "# seed: 4" in joined
-    assert "# command: export" in joined
-    assert "# config:" in joined
-    assert f"# version: {__version__}" in joined
 
 
 def test_fingerprint_inputs_cover_history_and_report_modules():

@@ -119,34 +119,42 @@ def test_export_table9_is_valid_json(capsys):
     import json
     out = run_cli(capsys, "export", "table9", "--cpus", "zen3")
     payload = json.loads(out)
-    assert payload["results"]["zen3"]["user->user (direct)"] is False
+    assert payload["kind"] == "spectresim-bench"
+    assert payload["values"] == {} and payload["ledger"] == {}
+    leakage = payload["leakage"]
+    assert leakage["policy"] == "off" and "events" not in leakage
+    assert leakage["matrix"]["zen3"]["user->user (direct)"]["speculated"] \
+        is False
     assert payload["provenance"]["cpus"] == ["zen3"]
 
 
-def test_export_figure5_is_valid_json(capsys):
+def test_export_table10_has_a_null_zen_row(capsys):
     import json
-    out = run_cli(capsys, "export", "figure5", "--fast", "--cpus", "zen")
+    payload = json.loads(run_cli(capsys, "export", "table10",
+                                 "--cpus", "zen"))
+    assert payload["leakage"]["policy"] == "ibrs"
+    assert payload["leakage"]["matrix"] == {"zen": None}  # no IBRS on Zen
+
+
+def test_export_figure5_is_valid_json(capsys, tmp_path):
+    import json
+    out = run_cli(capsys, "export", "figure5", "--fast", "--cpus", "zen",
+                  "--no-cache")
     payload = json.loads(out)
-    assert {entry["workload"] for entry in payload["results"]} == \
-        {"swaptions", "facesim", "bodytrack"}
+    assert payload["kind"] == "spectresim-bench"
+    assert sorted(payload["values"]) == [
+        f"figure5/zen/{workload}:overhead"
+        for workload in ("bodytrack", "facesim", "swaptions")]
     prov = payload["provenance"]
     assert prov["command"] == "export figure5"
     assert prov["seed"] is not None
     assert "zen" in prov["config"]
     assert prov["version"]
-
-
-def test_regress_command(capsys, tmp_path):
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text('[{"cpu": "zen3", "workload": "swaptions", '
-                   '"overhead_percent": 34.0, "significant": true}]')
-    new.write_text('[{"cpu": "zen3", "workload": "swaptions", '
-                   '"overhead_percent": 20.0, "significant": true}]')
-    out = run_cli(capsys, "regress", str(old), str(new))
-    assert "zen3/swaptions" in out
-    out_same = run_cli(capsys, "regress", str(old), str(old))
-    assert "no changes" in out_same
+    # The same values, to the bit, that bench snapshots for this grid.
+    bench_path = str(tmp_path / "BENCH_zen.json")
+    run_cli(capsys, "--no-history", "bench", "--fast", "--cpus", "zen",
+            "--drivers", "figure5", "--out", bench_path, "--no-cache")
+    assert payload["values"] == json.load(open(bench_path))["values"]
 
 
 def test_all_writes_artifacts(capsys, tmp_path):
@@ -574,6 +582,61 @@ def test_fuzz_writes_machine_readable_summary(capsys, tmp_path):
     assert summary["reproducers"]
 
 
+def _export_to(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_text(run_cli(capsys, "export", "figure5", "--fast",
+                            "--cpus", "zen"))
+    return path
+
+
+def test_history_diff_of_two_identical_exports_is_clean(capsys, tmp_path):
+    a = _export_to(capsys, tmp_path, "a.json")
+    b = _export_to(capsys, tmp_path, "b.json")
+    fresh_db = tmp_path / "fresh.db"
+    out = run_cli(capsys, "--history-db", str(fresh_db),
+                  "history", "diff", str(a), str(b))
+    assert "0 regressions" in out and "-> OK" in out
+    # A file-to-file diff never opens the database, so creates none.
+    assert not fresh_db.exists()
+    assert not os.path.exists(os.environ["SPECTRESIM_HISTORY_DB"])
+
+
+def test_history_diff_between_files_names_a_raised_value(capsys, tmp_path):
+    import json
+    a = _export_to(capsys, tmp_path, "a.json")
+    payload = json.loads(a.read_text())
+    key = "figure5/zen/swaptions:overhead"
+    payload["values"][key]["value"] += 5.0
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["history", "diff", str(a), str(b)])
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert f"REGRESSION {key}" in out and "FAIL" in out
+
+
+def test_history_diff_between_files_reports_a_missing_key(capsys, tmp_path):
+    import json
+    a = _export_to(capsys, tmp_path, "a.json")
+    payload = json.loads(a.read_text())
+    key = "figure5/zen/facesim:overhead"
+    del payload["values"][key]
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["history", "diff", str(a), str(b)])
+    assert exc.value.code == 1
+    assert f"MISSING {key}" in capsys.readouterr().out
+
+
+def test_history_diff_compares_a_file_with_a_recorded_run(capsys, tmp_path):
+    bench_path = _bench_to(capsys, tmp_path, "B1.json")  # auto-records
+    out = run_cli(capsys, "history", "diff", bench_path, "latest")
+    assert f"diff {bench_path} -> run 1" in out
+    assert "0 regressions" in out and "-> OK" in out
+
+
 def test_history_gc_dry_run_does_not_mutate(capsys, tmp_path):
     bench_path = _bench_to(capsys, tmp_path, "B1.json")
     _bench_to(capsys, tmp_path, "B2.json")
@@ -629,3 +692,24 @@ def test_check_against_a_non_json_baseline_is_a_one_line_error(tmp_path):
     message = str(exc.value.code)
     assert message.startswith("check: ") and "is not JSON" in message
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("argv,content", [
+    ("history record {}", None),
+    ("history record {}", "not json {"),
+    ("history record {}", "[]"),
+    ("history diff {} {}", "[]"),
+    ("check --against {}", "[]"),
+    ("check --against {}", '{"kind": "spectresim-bench", "schema": 1}'),
+], ids=["record-missing", "record-not-json", "record-list", "diff-list",
+        "check-list", "check-no-grid"])
+def test_bad_payload_file_is_a_one_line_error(tmp_path, argv, content):
+    path = tmp_path / "payload.json"
+    if content is not None:
+        path.write_text(content)
+    args = [str(path) if arg == "{}" else arg for arg in argv.split()]
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-history"] + args)
+    message = str(exc.value.code)
+    assert message.startswith(f"{args[0]}: ") and "\n" not in message
+    assert str(path) in message
