@@ -947,9 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine", choices=list(blockengine.ENGINE_MODES),
         default=blockengine.default_engine(),
-        help="instruction execution engine: 'block' (default) compiles "
-             "hot sequences into batched cycle/counter/ledger deltas, "
-             "'interp' interprets every instruction; both are "
+        help="instruction execution engine: 'interp' (default) interprets "
+             "every instruction, 'block' compiles hot sequences into "
+             "batched cycle/counter/ledger deltas; both are "
              "bit-identical (see docs/performance.md)")
     parser.add_argument(
         "--history-db", metavar="PATH", default=None,

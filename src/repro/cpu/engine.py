@@ -227,11 +227,11 @@ def publish_metrics(registry: Any) -> None:
 # ----------------------------------------------------------------------
 # Ambient engine mode (mirrors obs.spans / obs.ledger).
 
-_default_mode = os.environ.get("SPECTRESIM_ENGINE", ENGINE_BLOCK)
+_default_mode = os.environ.get("SPECTRESIM_ENGINE", ENGINE_INTERP)
 
 
 def default_engine() -> str:
-    """The engine mode new machines adopt (``block`` unless overridden)."""
+    """The engine mode new machines adopt (``interp`` unless overridden)."""
     return _default_mode
 
 

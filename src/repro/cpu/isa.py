@@ -195,8 +195,8 @@ class Instruction:
             self.attr_tag = _wrmsr_tag(msr, value)
         else:
             self.attr_tag = _DEFAULT_TAGS[op]
-        # Execute-dispatch target, filled lazily by Machine.execute on
-        # first use.  Per-op, machine-independent; caching it here turns
+        # Execute-dispatch target, filled lazily by Machine.run on first
+        # use.  Per-op, machine-independent; caching it here turns
         # the hot dispatch into one attribute load (instructions are
         # interned, so the lookup happens once per distinct instruction).
         self.handler = None

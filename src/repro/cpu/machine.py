@@ -41,7 +41,7 @@ from .counters import PerfCounters
 from .isa import Instruction, Op, SERIALIZING_OPS
 from .model import CPUModel
 from .modes import Mode
-from .msr import MSRFile
+from .msr import IA32_SPEC_CTRL, SPEC_CTRL_IBRS, SPEC_CTRL_STIBP, MSRFile
 from .rsb import BENIGN_ENTRY, ReturnStackBuffer
 from .storebuffer import StoreBuffer
 from .tlb import TLB
@@ -53,6 +53,12 @@ _TLB_MISSES = ctr.TLB_MISSES
 _L1_MISSES = ctr.L1_MISSES
 _STLF_HITS = ctr.STLF_HITS
 _STLF_BLOCKED = ctr.STLF_BLOCKED
+_BTB_HITS = ctr.BTB_HITS
+_BTB_MISSES = ctr.BTB_MISSES
+_MISPREDICTED_INDIRECT = ctr.MISPREDICTED_INDIRECT
+_VERW_CLEARS = ctr.VERW_CLEARS
+_KERNEL_ENTRIES = ctr.KERNEL_ENTRIES
+_BTB_FLUSH_ON_ENTRY = ctr.BTB_FLUSH_ON_ENTRY
 
 #: Retpoline flavors (paper Figure 4).
 GENERIC_RETPOLINE = "generic"
@@ -142,9 +148,9 @@ class Machine:
         # last transient load addresses so demos can check the side channel.
         self.transient_loads: List[int] = []
 
-        # Block-compilation engine: a transparent fast path for run() that
+        # Block-compilation engine: an opt-in fast path for run() that
         # memoizes straight-line sequence deltas (see repro.cpu.engine).
-        # None means pure interpretation (--engine=interp).
+        # None, the default, means pure interpretation (--engine=interp).
         self.engine_mode = engine if engine is not None else blockengine.default_engine()
         self.engine = (blockengine.BlockEngine(self)
                        if self.engine_mode == blockengine.ENGINE_BLOCK else None)
@@ -223,20 +229,44 @@ class Machine:
     def run(self, instructions: Iterable[Instruction]) -> int:
         """Execute a stream on the committed path; returns total cycles.
 
-        Concrete multi-instruction sequences route through the block
-        engine (when enabled and no structure-hook subscriber is
-        attached); everything else — generators, single instructions,
-        hooked runs — interprets instruction by instruction.  Both paths
-        are bit-identical by construction (see repro.cpu.engine).
+        The one dispatch loop: each instruction's handler runs, its cycles
+        advance the TSC (filed under the instruction's ledger tag when a
+        ledger is attached) and ``inst_retired.any`` counts it, in that
+        order, so a fault mid-stream leaves the TSC and the retired count
+        where the last completed instruction left them.
+
+        With ``--engine=block`` (and no structure-hook subscriber
+        attached), concrete multi-instruction sequences route through the
+        block engine instead; both paths are bit-identical by construction
+        (see repro.cpu.engine).
         """
         engine = self.engine
         if (engine is not None and self.hooks is None
                 and instructions.__class__ in (list, tuple)
                 and len(instructions) > 1):
             return engine.run(instructions)
+        counters = self.counters
+        events = counters.events
+        ledger = self.ledger
         total = 0
         for instr in instructions:
-            total += self.execute(instr)
+            handler = instr.handler
+            if handler is None:
+                handler = _DISPATCH.get(instr.op)
+                if handler is None:  # pragma: no cover - exhaustive over Op
+                    raise UnsupportedFeatureError(f"unhandled op {instr.op}")
+                instr.handler = handler
+            cycles = handler(self, instr)
+            if ledger is None:
+                # add_cycles() without an attached ledger is exactly this.
+                counters.tsc += cycles
+            else:
+                mitigation, primitive = instr.attr_tag
+                ledger.set_tag(mitigation, primitive)
+                counters.add_cycles(cycles)
+                ledger.clear_tag()
+            events[_RETIRED] = events.get(_RETIRED, 0) + 1
+            total += cycles
         return total
 
     def prime_block(self, instructions: Sequence[Instruction]) -> None:
@@ -249,27 +279,7 @@ class Machine:
 
     def execute(self, instr: Instruction) -> int:
         """Execute one instruction on the committed path; returns cycles."""
-        handler = instr.handler
-        if handler is None:
-            handler = _DISPATCH.get(instr.op)
-            if handler is None:  # pragma: no cover - exhaustive over Op
-                raise UnsupportedFeatureError(f"unhandled op {instr.op}")
-            instr.handler = handler
-        cycles = handler(self, instr)
-
-        counters = self.counters
-        ledger = self.ledger
-        if ledger is None:
-            # add_cycles() without an attached ledger is exactly this.
-            counters.tsc += cycles
-        else:
-            mitigation, primitive = instr.attr_tag
-            ledger.set_tag(mitigation, primitive)
-            counters.add_cycles(cycles)
-            ledger.clear_tag()
-        events = counters.events
-        events[_RETIRED] = events.get(_RETIRED, 0) + 1
-        return cycles
+        return self.run((instr,))
 
     # -- per-op dispatch targets (bound via the module-level _DISPATCH
     #    table; each returns the instruction's cycle cost) --------------- #
@@ -467,16 +477,20 @@ class Machine:
                     hooks.window_end()
         return cycles
 
-    def _indirect_prediction_allowed(self) -> bool:
+    def _indirect_prediction_allowed(self, ibrs: Optional[int] = None) -> bool:
         """Does this CPU consult the BTB for indirect branches right now?
 
         Encodes the section-6 policy matrix: plain parts always predict;
         IBRS on pre-eIBRS parts (and Zen 2/3) blocks all prediction; Ice
         Lake Client with IBRS set stops predicting in kernel mode.
+        ``ibrs`` is the IA32_SPEC_CTRL IBRS bit when the caller has
+        already read the MSR; by default it is read here.
         """
-        behavior = self.cpu.predictor
-        if not self.msr.ibrs_enabled:
+        if ibrs is None:
+            ibrs = self.msr.ibrs_enabled
+        if not ibrs:
             return True
+        behavior = self.cpu.predictor
         if behavior.ibrs_blocks_all_prediction and not behavior.supports_eibrs:
             return False
         if behavior.supports_eibrs:
@@ -499,7 +513,11 @@ class Machine:
                 self.hooks.on_predictor_bypass(instr.pc, "retpoline")
             return costs.indirect_base + extra
 
-        if not self._indirect_prediction_allowed():
+        # IBRS, STIBP and eIBRS all derive from IA32_SPEC_CTRL, and
+        # nothing on this path writes it: read it once.
+        spec_ctrl = self.msr.read(IA32_SPEC_CTRL)
+        ibrs = spec_ctrl & SPEC_CTRL_IBRS
+        if ibrs and not self._indirect_prediction_allowed(ibrs):
             # IBRS is suppressing prediction: pay the Table 5 IBRS delta.
             extra = costs.ibrs_extra if costs.ibrs_extra is not None else 0
             if self.ledger is not None:
@@ -510,32 +528,32 @@ class Machine:
                            thread=self.thread_id)
             return costs.indirect_base + extra
 
+        stibp = spec_ctrl & SPEC_CTRL_STIBP
         predicted = self.btb.lookup(instr.pc, self.mode,
-                                    thread=self.thread_id,
-                                    stibp=self.msr.stibp_enabled)
+                                    thread=self.thread_id, stibp=stibp)
         cycles = costs.indirect_base
-        if self.msr.eibrs_active and costs.ibrs_extra:
+        if ibrs and self.msr.supports_eibrs and costs.ibrs_extra:
             cycles += costs.ibrs_extra
             if self.ledger is not None:
                 self.ledger.add_split(costs.ibrs_extra, "spectre_v2", "eibrs")
         hooks = self.hooks
+        events = self.counters.events
         if predicted is None:
-            self.counters.bump(ctr.BTB_MISSES)
+            events[_BTB_MISSES] = events.get(_BTB_MISSES, 0) + 1
             cycles += costs.mispredict_penalty
             if hooks is not None:
                 # A tainted entry may exist but be invisible here (mode
                 # tagging, STIBP): hardware isolation blocked the redirect.
                 hooks.on_redirect_suppressed(instr.pc)
         elif predicted == instr.target:
-            self.counters.bump(ctr.BTB_HITS)
+            events[_BTB_HITS] = events.get(_BTB_HITS, 0) + 1
         else:
             # Mispredict: transient execution runs at the *redirect* target
             # (None on Zen 3, where the probe could never land).
-            self.counters.bump(ctr.MISPREDICTED_INDIRECT)
+            events[_MISPREDICTED_INDIRECT] = events.get(_MISPREDICTED_INDIRECT, 0) + 1
             cycles += costs.mispredict_penalty
             redirect = self.btb.redirect_target(
-                instr.pc, self.mode, thread=self.thread_id,
-                stibp=self.msr.stibp_enabled)
+                instr.pc, self.mode, thread=self.thread_id, stibp=stibp)
             if redirect is not None:
                 if hooks is not None:
                     hooks.window_begin(obs_leakage.SPECTRE_BTB, self.mode,
@@ -613,16 +631,18 @@ class Machine:
         )
         if clearing:
             self.mds_buffers.clear()
-            self.counters.bump(ctr.VERW_CLEARS)
+            events = self.counters.events
+            events[_VERW_CLEARS] = events.get(_VERW_CLEARS, 0) + 1
             return self.costs.verw_clear  # type: ignore[return-value]
         return self.costs.verw_legacy
 
     def _execute_syscall_entry(self) -> int:
         previous = self.mode
-        self.mode = Mode.GUEST_KERNEL if self.mode.is_guest else Mode.KERNEL
+        self.mode = Mode.GUEST_KERNEL if previous.is_guest else Mode.KERNEL
         if self.hooks is not None:
             self.hooks.on_boundary(previous, self.mode)
-        self.counters.bump(ctr.KERNEL_ENTRIES)
+        events = self.counters.events
+        events[_KERNEL_ENTRIES] = events.get(_KERNEL_ENTRIES, 0) + 1
         cycles = self.costs.syscall
         behavior = self.cpu.predictor
         if behavior.eibrs_periodic_scrub and self.msr.eibrs_active:
@@ -631,7 +651,7 @@ class Machine:
             if self._scrub_countdown <= 0:
                 self._scrub_countdown = self._next_scrub_interval()
                 self.btb.flush()
-                self.counters.bump(ctr.BTB_FLUSH_ON_ENTRY)
+                events[_BTB_FLUSH_ON_ENTRY] = events.get(_BTB_FLUSH_ON_ENTRY, 0) + 1
                 cycles += behavior.eibrs_scrub_extra_cycles
                 if self.ledger is not None:
                     self.ledger.add_split(behavior.eibrs_scrub_extra_cycles,

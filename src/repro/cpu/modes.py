@@ -12,20 +12,21 @@ import enum
 
 
 class Mode(enum.Enum):
-    """Hardware privilege mode."""
+    """Hardware privilege mode.
+
+    ``is_kernel`` and ``is_guest`` are plain member attributes, set once
+    per member: the committed path tests them on every load and kernel
+    crossing.
+    """
 
     USER = "user"
     KERNEL = "kernel"
     GUEST_USER = "guest_user"
     GUEST_KERNEL = "guest_kernel"
 
-    @property
-    def is_kernel(self) -> bool:
-        return self in (Mode.KERNEL, Mode.GUEST_KERNEL)
-
-    @property
-    def is_guest(self) -> bool:
-        return self in (Mode.GUEST_USER, Mode.GUEST_KERNEL)
+    def __init__(self, value: str) -> None:
+        self.is_kernel = value in ("kernel", "guest_kernel")
+        self.is_guest = value in ("guest_user", "guest_kernel")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

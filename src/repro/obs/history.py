@@ -27,7 +27,9 @@ comparisons are noise-aware — a delta is significant only beyond
 are deterministic integers diffed exactly.  Each changed ledger cell is
 explained as a per-mitigation **blame waterfall** whose steps sum
 *exactly* to the cell's TSC delta (an invariant this module enforces,
-inherited from the ledger's own sum-to-TSC construction).
+inherited from the ledger's own sum-to-TSC construction).  Leakage
+verdicts are compared exactly too: a cell whose ``leaked`` bit flipped
+fails the diff.
 
 Fingerprint hygiene: recording a payload whose ``code_fingerprint`` does
 not match the running code raises :class:`~repro.errors.HistoryError`
@@ -55,6 +57,7 @@ __all__ = [
     "DEFAULT_SIGMA_MULTIPLIER",
     "CellDelta",
     "HistoryStore",
+    "LeakageFlip",
     "LedgerDrift",
     "RunDiff",
     "RunInfo",
@@ -62,6 +65,7 @@ __all__ = [
     "blame_paths",
     "cell_waterfall",
     "default_history_db",
+    "diff_leakage",
     "diff_ledgers",
     "diff_payloads",
     "diff_values",
@@ -138,6 +142,20 @@ class LedgerDrift:
 
 
 @dataclass
+class LeakageFlip:
+    """One leakage cell whose ``leaked`` verdict changed."""
+
+    cpu: str
+    boundary: str
+    old: bool
+    new: bool
+
+    def describe(self) -> str:
+        return (f"{self.cpu} {self.boundary}: leaked "
+                f"{str(self.old).lower()} -> {str(self.new).lower()}")
+
+
+@dataclass
 class CellDelta:
     """One changed ledger cell: a per-mitigation blame waterfall.
 
@@ -174,8 +192,9 @@ class ValuesDiff:
 class RunDiff:
     """Everything a run-vs-run comparison found.
 
-    Value and ledger regressions/improvements, missing and new keys, and
-    ``cells``, the per-CPU blame waterfalls.
+    Value and ledger regressions/improvements, missing and new keys,
+    ``cells``, the per-CPU blame waterfalls, and the flipped leakage
+    verdicts out of ``leakage_compared`` cells.
     """
 
     regressions: List[ValueDelta] = field(default_factory=list)
@@ -186,12 +205,14 @@ class RunDiff:
     new_keys: List[str] = field(default_factory=list)
     compared: int = 0
     cells: List[CellDelta] = field(default_factory=list)
+    leakage_flips: List[LeakageFlip] = field(default_factory=list)
+    leakage_compared: int = 0
     fingerprints: Tuple[str, str] = ("", "")
 
     @property
     def failed(self) -> bool:
         return bool(self.regressions or self.ledger_regressions
-                    or self.missing)
+                    or self.missing or self.leakage_flips)
 
     @property
     def fingerprint_changed(self) -> bool:
@@ -249,6 +270,35 @@ def diff_ledgers(old_ledgers: Mapping[str, Any],
             drifts.append(LedgerDrift(cpu=cpu, path=path, old=old_v,
                                       new=new_v))
     return drifts
+
+
+def diff_leakage(old: Mapping[str, Any],
+                 new: Mapping[str, Any]) -> Tuple[List[LeakageFlip], int]:
+    """Flipped verdicts across two payload ``leakage`` blocks, and the
+    number of cells compared.
+
+    Blocks compare only under the same ``policy``, and only the (cpu,
+    boundary) cells present on both sides; a null row (a CPU the policy
+    cannot run, such as Zen under ``ibrs``) holds no cells.  ``leaked``
+    is the one bit compared: runs stored in the history DB keep it but
+    not ``speculated``.
+    """
+    if (old.get("policy") or "default") != (new.get("policy") or "default"):
+        return [], 0
+    old_matrix = old.get("matrix") or {}
+    new_matrix = new.get("matrix") or {}
+    flips: List[LeakageFlip] = []
+    compared = 0
+    for cpu in sorted(set(old_matrix) & set(new_matrix)):
+        old_row = old_matrix[cpu] or {}
+        new_row = new_matrix[cpu] or {}
+        for boundary in sorted(set(old_row) & set(new_row)):
+            compared += 1
+            was = bool(old_row[boundary].get("leaked"))
+            now = bool(new_row[boundary].get("leaked"))
+            if was != now:
+                flips.append(LeakageFlip(cpu, boundary, was, now))
+    return flips, compared
 
 
 def cell_waterfall(cpu: str,
@@ -313,7 +363,8 @@ def diff_payloads(old: Mapping[str, Any], new: Mapping[str, Any],
 
     This is the engine behind ``spectresim check`` and ``spectresim
     history diff``: noise-aware value deltas with ledger blame, exact
-    per-path ledger drifts, and a blame waterfall for every changed cell.
+    per-path ledger drifts, a blame waterfall for every changed cell, and
+    exact leakage verdicts when both payloads carry a leakage block.
     """
     tolerance = dict(tolerance if tolerance is not None
                      else old.get("tolerance", {}))
@@ -361,14 +412,17 @@ def diff_payloads(old: Mapping[str, Any], new: Mapping[str, Any],
     diff.compared = values.compared
     for delta in diff.regressions:
         delta.blame = blame_paths(delta.key, drifts)
+    if old.get("leakage") and new.get("leakage"):
+        diff.leakage_flips, diff.leakage_compared = diff_leakage(
+            old["leakage"], new["leakage"])
     return diff
 
 
 def render_diff(diff: RunDiff, label_a: str = "old",
                 label_b: str = "new") -> str:
     """The one text report of a :class:`RunDiff` (``check`` and ``history
-    diff``): waterfalls per cell, value and ledger deltas with blame, and
-    a closing verdict line."""
+    diff``): waterfalls per cell, value and ledger deltas with blame,
+    flipped leakage cells, and a closing verdict line."""
     lines = [f"diff {label_a} -> {label_b}"]
     if diff.fingerprint_changed:
         old_fp, new_fp = diff.fingerprints
@@ -394,6 +448,8 @@ def render_diff(diff: RunDiff, label_a: str = "old",
                          "(measurement-level change)")
     for drift in diff.ledger_regressions:
         lines.append(f"LEDGER REGRESSION {drift.describe()}")
+    for flip in diff.leakage_flips:
+        lines.append(f"LEAKAGE {flip.describe()}")
     for key in diff.missing:
         lines.append(f"MISSING {key}: present in {label_a}, absent in "
                      f"{label_b}")
@@ -405,12 +461,15 @@ def render_diff(diff: RunDiff, label_a: str = "old",
         lines.append(f"ledger improvement {drift.describe()}")
     for key in diff.new_keys:
         lines.append(f"new {key}: only in {label_b}")
+    leakage = (f", {len(diff.leakage_flips)} leakage flips in "
+               f"{diff.leakage_compared} cells"
+               if diff.leakage_compared else "")
     lines.append(
         f"{diff.compared} values compared: {len(diff.regressions)} "
         f"regressions, {len(diff.improvements)} improvements, "
         f"{len(diff.ledger_regressions)} ledger regressions, "
-        f"{len(diff.cells)} changed cells, {len(diff.missing)} missing "
-        f"-> {'FAIL' if diff.failed else 'OK'}")
+        f"{len(diff.cells)} changed cells, {len(diff.missing)} missing"
+        f"{leakage} -> {'FAIL' if diff.failed else 'OK'}")
     return "\n".join(lines) + "\n"
 
 

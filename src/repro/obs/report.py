@@ -14,8 +14,9 @@ with the longitudinal views the paper itself is built around:
 * **blame waterfall** — the latest run diffed against its predecessor,
   each changed ledger cell decomposed into per-mitigation cycle steps
   that sum exactly to the cell's TSC delta;
-* **simulator self-performance** — cells/sec, engine hit rate, cache
-  hit rate, wall time, as stat tiles with sparklines;
+* **simulator self-performance** — cells/sec, cache hit rate, replica
+  throughput and batch hit rate, wall time, as stat tiles with
+  sparklines;
 * **regression annotations** — every consecutive-run diff that found a
   noise-significant regression, plus fingerprint changes and rows that
   were recorded ``--allow-dirty``.
@@ -286,7 +287,6 @@ def _section_self_perf(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
     tiles = []
     specs = [
         ("cells / sec", "cells_per_s", "", 1),
-        ("engine hit rate", "engine.hit_rate", "%", 2),
         ("cache hit rate", "cache_hit_rate", "%", 2),
         ("replicas / sec", "replicas_per_s", "", 1),
         ("batch hit rate", "replicas.hit_rate", "%", 2),

@@ -20,9 +20,10 @@ forwarding density, mirroring their real memory behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Tuple
 
 from ..cpu import isa
+from ..cpu.isa import Instruction
 from ..cpu.machine import Machine
 from ..kernel import HandlerProfile, Kernel, Process
 from ..mitigations.base import MitigationConfig
@@ -95,24 +96,29 @@ class PARSECRunner:
                           ssbd_prctl=ssbd_process)
         kernel.context_switch(process)
 
-    def run_iteration(self) -> int:
-        """One outer-loop iteration; returns cycles."""
-        machine = self.machine
+    def iteration_block(self) -> List[Instruction]:
+        """The next outer-loop iteration's instructions, in order: the
+        work, the store/load pairs, then the streaming loads."""
         w = self.workload
-        cycles = machine.execute(isa.work(w.work_cycles))
         strides = w.stride_count()
         base = HEAP_BASE
+        block = [isa.work(w.work_cycles)]
         # Store-to-load forwarding traffic: write a slot, read it right
         # back (accumulator/array-update patterns).
         for i in range(w.store_load_pairs):
             addr = base + 64 * ((self._cursor + i) % strides)
-            cycles += machine.execute(isa.store(addr))
-            cycles += machine.execute(isa.load(addr))
+            block.append(isa.store(addr))
+            block.append(isa.load(addr))
         # Streaming loads over the working set (misses when it exceeds L2).
         for i in range(w.plain_loads):
             addr = base + (1 << 24) + 64 * ((self._cursor * w.plain_loads + i) % strides)
-            cycles += machine.execute(isa.load(addr))
+            block.append(isa.load(addr))
         self._cursor += w.plain_loads
+        return block
+
+    def run_iteration(self) -> int:
+        """One outer-loop iteration, run as one block; returns cycles."""
+        cycles = self.machine.run(self.iteration_block())
         self._iteration += 1
         if self._iteration % TIMER_PERIOD == 0:
             cycles += self.kernel.page_fault(TIMER_PROFILE)

@@ -4,13 +4,20 @@ import random
 
 import pytest
 
-from repro.cpu import Machine, Mode, all_cpus, get_cpu
+from repro.cpu import Machine, Mode, all_cpus, engine, get_cpu
 from repro.cpu import counters as ctr
 from repro.cpu import isa
+from repro.cpu import machine as machine_mod
 from repro.cpu import msr as msrdef
 from repro.cpu.machine import AMD_RETPOLINE, GENERIC_RETPOLINE
 from repro.errors import SegmentationFault, UnsupportedFeatureError
+from repro.jsengine import octane
+from repro.jsengine.jit import JITCompiler
+from repro.kernel import GETPID, Kernel
+from repro.mitigations import linux_default
 from repro.obs.ledger import CycleLedger
+from repro.workloads import parsec
+from repro.workloads.lfs import READ_PROFILE
 
 
 @pytest.fixture
@@ -362,3 +369,100 @@ def test_load_store_path_matches_reference(cpu, ssbd):
         assert fast.counters.read(name) > 0
     if ssbd:
         assert fast.ledger.rollup("primitive").get("stlf_block", 0) > 0
+
+
+# -- the one dispatch loop against a per-instruction reference -------------- #
+#
+# Machine.run holds the per-instruction body: handler dispatch, the TSC
+# (or ledger) charge and the retired-instruction count.  The reference
+# below spells that body out with public counter and ledger calls,
+# calling each op handler from the dispatch table directly.
+
+def _reference_run(m, block):
+    total = 0
+    for instr in block:
+        cycles = machine_mod._DISPATCH[instr.op](m, instr)
+        if m.ledger is None:
+            m.counters.tsc += cycles
+        else:
+            m.ledger.set_tag(*instr.attr_tag)
+            m.counters.add_cycles(cycles)
+            m.ledger.clear_tag()
+        m.counters.bump(ctr.INSTRUCTIONS_RETIRED)
+        total += cycles
+    return total
+
+
+def _booted(cpu, ledger=False):
+    """A machine with a booted kernel."""
+    machine = Machine(cpu, seed=3)
+    if ledger:
+        machine.attach(CycleLedger())
+    return machine, Kernel(machine, linux_default(cpu))
+
+
+def _machine_state(m):
+    return {
+        "tsc": m.counters.tsc,
+        "events": list(m.counters.events.items()),
+        "mode": m.mode,
+        "pcid": m.tlb.current_pcid,
+        "tlb": list(m.tlb._entries.items()),
+        "store_buffer": list(m.store_buffer._pending.items()),
+        "l1": [(index, list(lines.items()))
+               for index, lines in m.caches.l1._sets.items()],
+        "l2": [(index, list(lines.items()))
+               for index, lines in m.caches.l2._sets.items()],
+        "mds": dict(m.mds_buffers._residue),
+        "btb": list(m.btb._table.items()),
+        "bhb": m.bhb.value,
+        "rsb": list(m.rsb._stack),
+    }
+
+
+@pytest.mark.parametrize("ledger", [False, True], ids=["bare", "ledger"])
+@pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus()])
+def test_run_loop_matches_reference(cpu, ledger):
+    fast, kernel = _booted(get_cpu(cpu), ledger)
+    ref, _ = _booted(get_cpu(cpu), ledger)
+    assert _machine_state(fast) == _machine_state(ref)
+    blocks = []
+    for profile in (GETPID, READ_PROFILE):
+        blocks += [kernel._entry, kernel._compiled(profile), kernel._exit]
+    jit = JITCompiler(fast, kernel.config)
+    blocks.append(jit.compile_iteration(
+        octane.SUITE[0].mix, heap_base=octane.HEAP_BASE, cursor=0))
+    # A PARSEC runner context-switches its machine to a fresh process, so
+    # it runs on a third machine; only its block is used.
+    _, parsec_kernel = _booted(get_cpu(cpu))
+    blocks.append(parsec.PARSECRunner(parsec_kernel, parsec.SWAPTIONS)
+                  .iteration_block())
+    for _ in range(2):  # cold, then warm structures
+        for block in blocks:
+            assert fast.run(block) == _reference_run(ref, block)
+            assert _machine_state(fast) == _machine_state(ref)
+    if ledger:
+        assert fast.ledger.paths() == ref.ledger.paths()
+        fast.ledger.verify()
+
+
+def test_fault_mid_block_leaves_tsc_and_retired_count_as_reference():
+    block = [isa.work(40), isa.load(0x7000_0000),
+             isa.load(0xFFFF_8880_0000_0000, kernel=True), isa.work(10)]
+    fast = Machine(get_cpu("broadwell"), seed=0)
+    ref = Machine(get_cpu("broadwell"), seed=0)
+    with pytest.raises(SegmentationFault):
+        fast.run(block)
+    with pytest.raises(SegmentationFault):
+        _reference_run(ref, block)
+    assert fast.read_tsc() == ref.read_tsc() > 0
+    retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
+    assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 2
+    assert _machine_state(fast) == _machine_state(ref)
+
+
+def test_interpreter_is_the_default_engine():
+    assert Machine(get_cpu("broadwell")).engine is None
+    with engine.use_engine("block"):
+        assert isinstance(Machine(get_cpu("broadwell")).engine,
+                          engine.BlockEngine)

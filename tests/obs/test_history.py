@@ -11,6 +11,7 @@ from repro.obs.history import (
     blame_paths,
     cell_waterfall,
     default_history_db,
+    diff_leakage,
     diff_payloads,
     diff_values,
     render_diff,
@@ -259,6 +260,47 @@ def test_diff_payloads_of_identical_payloads_is_empty():
     assert render_diff(diff, "a", "b").endswith(
         "5 values compared: 0 regressions, 0 improvements, "
         "0 ledger regressions, 0 changed cells, 0 missing -> OK\n")
+
+
+def _leakage(policy, **rows):
+    return {"policy": policy, "matrix": {
+        cpu: None if row is None else
+        {boundary: {"leaked": leaked, "speculated": leaked}
+         for boundary, leaked in row.items()}
+        for cpu, row in rows.items()}}
+
+
+def test_diff_leakage_compares_leaked_on_cells_present_on_both_sides():
+    old = _leakage("ibrs", zen=None, broadwell={"u->k": False, "k->k": True},
+                   zen3={"u->k": False})
+    new = _leakage("ibrs", zen=None, broadwell={"u->k": True, "k->k": True})
+    (flip,), compared = diff_leakage(old, new)
+    assert compared == 2  # zen3 absent on one side, zen a null row
+    assert (flip.cpu, flip.boundary, flip.old, flip.new) == (
+        "broadwell", "u->k", False, True)
+    assert flip.describe() == "broadwell u->k: leaked false -> true"
+    # Runs stored in the history DB keep leaked but not speculated.
+    for row in new["matrix"]["broadwell"].values():
+        del row["speculated"]
+    assert diff_leakage(old, new) == ([flip], 2)
+
+
+def test_diff_leakage_skips_blocks_under_different_policies():
+    old = _leakage("off", broadwell={"u->k": True})
+    new = _leakage("ibrs", broadwell={"u->k": False})
+    assert diff_leakage(old, new) == ([], 0)
+
+
+def test_diff_payloads_fails_on_a_flipped_leakage_cell():
+    old, new = make_payload(), make_payload()
+    old["leakage"] = _leakage("default", cascade_lake={"k->k": True})
+    new["leakage"] = _leakage("default", cascade_lake={"k->k": False})
+    diff = diff_payloads(old, new)
+    assert diff.failed and diff.leakage_compared == 1
+    text = render_diff(diff, "a", "b")
+    assert "LEAKAGE cascade_lake k->k: leaked true -> false\n" in text
+    assert text.endswith("0 missing, 1 leakage flips in 1 cells -> FAIL\n")
+    assert not diff_payloads(old, old).failed
 
 
 def test_diff_payloads_reports_a_moved_value_with_its_delta():

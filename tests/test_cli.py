@@ -637,6 +637,54 @@ def test_history_diff_compares_a_file_with_a_recorded_run(capsys, tmp_path):
     assert "0 regressions" in out and "-> OK" in out
 
 
+def _table9_export_with_a_flip(capsys, tmp_path):
+    """``export table9 --cpus zen3`` as a.json, and b.json with one cell's
+    leaked/speculated bits flipped."""
+    import json
+    a = tmp_path / "a.json"
+    a.write_text(run_cli(capsys, "export", "table9", "--cpus", "zen3"))
+    payload = json.loads(a.read_text())
+    cell = payload["leakage"]["matrix"]["zen3"]["kernel->kernel (direct)"]
+    assert cell["leaked"] is False
+    cell["leaked"] = cell["speculated"] = True
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(payload))
+    return a, b
+
+
+LEAKAGE_FLIP = "LEAKAGE zen3 kernel->kernel (direct): leaked false -> true"
+
+
+def test_history_diff_between_files_names_a_flipped_leakage_cell(capsys,
+                                                                 tmp_path):
+    a, b = _table9_export_with_a_flip(capsys, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["history", "diff", str(a), str(b)])
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert LEAKAGE_FLIP in out
+    assert out.endswith("0 missing, 1 leakage flips in 5 cells -> FAIL\n")
+
+
+def test_history_diff_finds_a_leakage_flip_against_a_recorded_run(capsys,
+                                                                  tmp_path):
+    a, b = _table9_export_with_a_flip(capsys, tmp_path)
+    run_cli(capsys, "history", "record", str(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["history", "diff", "latest", str(b)])
+    assert exc.value.code == 1
+    assert LEAKAGE_FLIP in capsys.readouterr().out
+
+
+def test_history_diff_of_identical_table9_exports_is_clean(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    for path in (a, b):
+        path.write_text(run_cli(capsys, "export", "table9", "--cpus", "zen3"))
+    out = run_cli(capsys, "history", "diff", str(a), str(b))
+    assert out.endswith("0 missing, 0 leakage flips in 5 cells -> OK\n")
+
+
 def test_history_gc_dry_run_does_not_mutate(capsys, tmp_path):
     bench_path = _bench_to(capsys, tmp_path, "B1.json")
     _bench_to(capsys, tmp_path, "B2.json")
