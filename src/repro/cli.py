@@ -57,9 +57,9 @@ from .cpu import Machine, Mode, all_cpus, get_cpu
 from .cpu import engine as blockengine
 from .cpu import replicas as replicabatch
 from .core import microbench, reporting, study
-from .core.probe import DEFAULT_TRIALS, speculation_matrix
+from .core.probe import DEFAULT_TRIALS, POLICIES, POLICY_DEFAULT, speculation_matrix
 from .core.study import Settings
-from .errors import BaselineError, ProgramParseError
+from .errors import BaselineError, ProgramParseError, UnknownCPUError
 from .mitigations import linux_default
 from .mitigations.meltdown import attempt_meltdown
 from .mitigations.mds import attempt_mds_sample, kernel_touched_secret
@@ -80,6 +80,37 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
     return value
+
+
+def _cpu_key(text: str) -> str:
+    """argparse type shared by every ``--cpus`` and ``--cpu`` option: an
+    unknown key is a usage error naming it and the known CPUs."""
+    try:
+        get_cpu(text)
+    except UnknownCPUError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _cell_spec(text: str) -> str:
+    """argparse type for ``explain --cell CPU:POLICY``: both halves are
+    checked, so a bad key or policy is a usage error too."""
+    cpu_key, sep, policy = text.partition(":")
+    if not sep or not policy:
+        raise argparse.ArgumentTypeError(
+            f"expected CPU:POLICY (e.g. broadwell:off), got {text!r}")
+    _cpu_key(cpu_key)
+    if policy not in POLICIES:
+        raise argparse.ArgumentTypeError(
+            f"unknown leakage policy {policy!r}; known policies: "
+            f"{', '.join(POLICIES)}")
+    return text
+
+
+def _unreadable(command: str, path: str, exc: Exception) -> SystemExit:
+    """One-line exit for a reproducer that cannot be read or parsed."""
+    reason = getattr(exc, "strerror", None) or exc
+    return SystemExit(f"{command}: {path}: {reason}")
 
 
 def _settings(args: argparse.Namespace) -> Settings:
@@ -669,8 +700,8 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
     if args.replay:
         try:
             violations = fuzzmod.replay_reproducer(args.replay)
-        except ProgramParseError as exc:
-            raise SystemExit(f"fuzz: {args.replay}: {exc}")
+        except (OSError, ProgramParseError) as exc:
+            raise _unreadable("fuzz", args.replay, exc)
         if violations:
             lines = [f"fuzz: replay of {args.replay} still violates:"]
             lines.extend(_fuzz_violation_lines(violations))
@@ -790,17 +821,18 @@ def cmd_explain(args: argparse.Namespace) -> str:
     if args.replay:
         try:
             report = fuzzmod.explain_reproducer(args.replay)
-        except ProgramParseError as exc:
-            raise SystemExit(f"explain: {args.replay}: {exc}")
+        except (OSError, ProgramParseError) as exc:
+            raise _unreadable("explain", args.replay, exc)
         source = args.replay
     else:
-        cpu_key, sep, policy = args.cell.partition(":")
-        if not sep or not policy:
-            raise SystemExit("explain: --cell takes CPU:POLICY "
-                             "(e.g. broadwell:off)")
+        cpu_key, _, policy = args.cell.partition(":")
+        cpu = get_cpu(cpu_key)
+        if not fuzzmod.cell_supported(cpu, policy):
+            raise SystemExit(f"explain: {args.cell}: {cpu_key} has no IBRS "
+                             f"support (Table 10 marks it N/A)")
         program = fuzzmod.generate_program(
             derive_seed(args.seed, "fuzz-program", str(args.program)))
-        report = fuzzmod.explain_cell(program, get_cpu(cpu_key), policy,
+        report = fuzzmod.explain_cell(program, cpu, policy,
                                       args.seed, fault_op=args.fault)
         source = f"{program.name} on {args.cell}"
     wall = round(time.perf_counter() - started, 3)
@@ -977,32 +1009,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a paper figure (2, 3, 5)")
     p.add_argument("number", type=int)
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*")
+    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_replicas_flag(p)
     _add_executor_flags(p)
 
     p = sub.add_parser("vm", help="section 4.4 VM experiments")
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*")
+    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_replicas_flag(p)
     _add_executor_flags(p)
 
     p = sub.add_parser("parsec", help="section 4.5 compute experiment")
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*")
+    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_replicas_flag(p)
     _add_executor_flags(p)
 
     p = sub.add_parser("bimodal", help="section 6.2.2 eIBRS entry latency")
-    p.add_argument("--cpu", default="cascade_lake")
+    p.add_argument("--cpu", type=_cpu_key, default="cascade_lake")
     p.add_argument("--entries", type=int, default=200)
 
     p = sub.add_parser("attacks", help="attack demos with/without mitigations")
-    p.add_argument("--cpu", default="broadwell")
+    p.add_argument("--cpu", type=_cpu_key, default="broadwell")
 
     p = sub.add_parser("sweep", help="overhead curves and crossovers")
     p.add_argument("kind", choices=["opsize", "ssbd"])
-    p.add_argument("--cpu", default="broadwell")
+    p.add_argument("--cpu", type=_cpu_key, default="broadwell")
     p.add_argument("--threshold", type=float, default=5.0)
 
     p = sub.add_parser("export",
@@ -1011,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["figure2", "figure3", "figure5",
                             "table9", "table10"])
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*")
+    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_replicas_flag(p)
     _add_executor_flags(p)
 
@@ -1026,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["figure", "table"])
     p.add_argument("number", type=int)
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*")
+    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     p.add_argument("--iterations", type=int, default=1000,
                    help="iterations for table microbenchmarks")
     p.add_argument("--trace-out", metavar="PATH", default=None,
@@ -1045,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot the study grid into a versioned BENCH_<n>.json "
              "(values + ledger rollups + provenance)")
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*",
+    p.add_argument("--cpus", nargs="*", type=_cpu_key,
                    help="CPU keys to bench (default: pinned bench set)")
     p.add_argument("--drivers", nargs="*",
                    help="study drivers to snapshot (default: figure2 "
@@ -1113,11 +1145,11 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="leakage_command", required=True)
 
     def _add_leakage_flags(lp: argparse.ArgumentParser) -> None:
-        lp.add_argument("--policy", default="default",
-                        choices=["default", "off", "ibrs"],
+        lp.add_argument("--policy", default=POLICY_DEFAULT,
+                        choices=POLICIES,
                         help="mitigation policy the probe grid runs under "
                              "(default: each part's Linux-default strategy)")
-        lp.add_argument("--cpus", nargs="*",
+        lp.add_argument("--cpus", nargs="*", type=_cpu_key,
                         help="CPU keys to probe (default: all modelled CPUs)")
         lp.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="probe trials per (cpu, boundary) cell")
@@ -1150,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="CI-sized campaign: 6 programs over one part "
                         "per predictor family")
-    p.add_argument("--cpus", nargs="*",
+    p.add_argument("--cpus", nargs="*", type=_cpu_key,
                    help="CPU keys to sweep (default: all modelled CPUs)")
     p.add_argument("--trials", type=_positive_int, default=2, metavar="N",
                    help="probe trials per (cell, scenario); the contract "
@@ -1175,7 +1207,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reproducer file from 'spectresim fuzz'; a "
                         "'# fault:' directive re-applies the injected "
                         "parity fault on the second traced run")
-    p.add_argument("--cell", metavar="CPU:POLICY", default=None,
+    p.add_argument("--cell", metavar="CPU:POLICY", type=_cell_spec,
+                   default=None,
                    help="explain a generated cell (e.g. broadwell:off) "
                         "instead of a reproducer file")
     p.add_argument("--seed", type=int, default=1,
@@ -1201,7 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="run everything, write artifacts")
     p.add_argument("--outdir", default="results")
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*")
+    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_executor_flags(p)
 
     return parser

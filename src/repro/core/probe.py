@@ -42,7 +42,6 @@ from ..cpu import isa
 from ..cpu.machine import AMD_RETPOLINE, Machine
 from ..cpu.model import CPUModel
 from ..cpu.modes import Mode
-from ..errors import UnsupportedFeatureError
 from ..obs import leakage as obs_leakage
 
 #: Probe code layout: the shared branch site and the two landing pads.
@@ -57,6 +56,23 @@ TRAIN_ROUNDS = 8
 #: Independent probe trials; any success counts (the eIBRS periodic scrub
 #: can eat individual trials on the syscall paths, cf. section 6.2.2).
 DEFAULT_TRIALS = 6
+
+# The protocol's fixed instruction blocks, built once: each step of a
+# round is one ``Machine.run`` over an interned tuple.  The training
+# branch stays plain (attackers do not compile their own code with
+# retpolines); the victim branch is indexed by the probe's ``retpoline``.
+_TRAINING_BRANCH = isa.branch_indirect(VICTIM_TARGET, pc=BRANCH_PC)
+_TRAINING = (_TRAINING_BRANCH,) * TRAIN_ROUNDS
+_VICTIM_BRANCH = tuple(
+    isa.branch_indirect(NOP_TARGET, pc=BRANCH_PC, retpoline=retpoline)
+    for retpoline in (False, True))
+#: The victim branch bracketed by counter reads (``probe_once``).
+_VICTIM_BRACKET = tuple((isa.rdpmc(), victim, isa.rdpmc())
+                        for victim in _VICTIM_BRANCH)
+#: divide_happened() from Figure 6: fill the branch history with 16
+#: conditional branches, then flush the target variable from cache.
+_HISTORY_FILL = tuple(isa.branch_cond(pc=0x7000 + 4 * i)
+                      for i in range(16)) + (isa.clflush(NOP_TARGET),)
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,10 @@ KERNEL_TO_USER = Scenario(Mode.KERNEL, Mode.USER, True)
 POLICY_OFF = "off"          # everything disabled (Table 9 conditions)
 POLICY_IBRS = "ibrs"        # SPEC_CTRL.IBRS set (Table 10 conditions)
 POLICY_DEFAULT = "default"  # the Linux default V2 strategy per CPU
+
+#: Every leakage-grid policy, in sweep order (fuzz cell keys and history
+#: records depend on it).
+POLICIES: Tuple[str, ...] = (POLICY_DEFAULT, POLICY_OFF, POLICY_IBRS)
 
 
 class ProbeVerdict:
@@ -178,8 +198,8 @@ class SpeculationProbe:
     def train(self, mode: Mode, rounds: int = TRAIN_ROUNDS) -> None:
         machine = self.machine
         machine.mode = mode
-        for _ in range(rounds):
-            machine.execute(isa.branch_indirect(VICTIM_TARGET, pc=BRANCH_PC))
+        machine.run(_TRAINING if rounds == TRAIN_ROUNDS
+                    else (_TRAINING_BRANCH,) * rounds)
 
     def _intervening_transition(self, scenario: Scenario) -> None:
         """Cross modes with real syscall/sysret instructions."""
@@ -193,25 +213,23 @@ class SpeculationProbe:
             if scenario.victim_mode is Mode.KERNEL:
                 machine.execute(isa.syscall_instr())  # back to kernel
 
-    def probe_once(self, scenario: Scenario) -> bool:
-        """One full train->probe round; True if the pad ran transiently."""
+    def _prepare_round(self, scenario: Scenario) -> None:
+        """Everything a round does before the victim branch: train, cross
+        modes, then fill the branch history and flush the target."""
         machine = self.machine
         self.train(scenario.train_mode)
         if scenario.intervening_syscall:
             self._intervening_transition(scenario)
         machine.mode = scenario.victim_mode
+        machine.run(_HISTORY_FILL)
 
-        # divide_happened() from Figure 6: fill branch history, flush the
-        # target from cache, bracket the branch with counter reads.
-        for i in range(16):
-            machine.execute(isa.branch_cond(pc=0x7000 + 4 * i))
-        machine.execute(isa.clflush(NOP_TARGET))
-        before = machine.counters.read(ctr.DIVIDER_ACTIVE)
-        machine.execute(isa.rdpmc())
-        machine.execute(isa.branch_indirect(NOP_TARGET, pc=BRANCH_PC,
-                                            retpoline=self.retpoline))
-        machine.execute(isa.rdpmc())
-        return machine.counters.read(ctr.DIVIDER_ACTIVE) > before
+    def probe_once(self, scenario: Scenario) -> bool:
+        """One full train->probe round; True if the pad ran transiently."""
+        counters = self.machine.counters
+        self._prepare_round(scenario)
+        before = counters.read(ctr.DIVIDER_ACTIVE)
+        self.machine.run(_VICTIM_BRACKET[self.retpoline])
+        return counters.read(ctr.DIVIDER_ACTIVE) > before
 
     def probe(self, scenario: Scenario, trials: int = DEFAULT_TRIALS) -> bool:
         """True if any trial steers transient execution to the pad."""
@@ -228,21 +246,13 @@ class SpeculationProbe:
         at the harmless gadget.  This disagreement is exactly why the
         paper (and this probe) trusts the divider counter.
         """
-        machine = self.machine
-        self.train(scenario.train_mode)
-        if scenario.intervening_syscall:
-            self._intervening_transition(scenario)
-        machine.mode = scenario.victim_mode
-        for i in range(16):
-            machine.execute(isa.branch_cond(pc=0x7000 + 4 * i))
-        machine.execute(isa.clflush(NOP_TARGET))
-        div_before = machine.counters.read(ctr.DIVIDER_ACTIVE)
-        misp_before = machine.counters.read(ctr.MISPREDICTED_INDIRECT)
-        machine.execute(isa.branch_indirect(NOP_TARGET, pc=BRANCH_PC,
-                                            retpoline=self.retpoline))
-        mispredicted = machine.counters.read(
-            ctr.MISPREDICTED_INDIRECT) > misp_before
-        divider = machine.counters.read(ctr.DIVIDER_ACTIVE) > div_before
+        counters = self.machine.counters
+        self._prepare_round(scenario)
+        div_before = counters.read(ctr.DIVIDER_ACTIVE)
+        misp_before = counters.read(ctr.MISPREDICTED_INDIRECT)
+        self.machine.execute(_VICTIM_BRANCH[self.retpoline])
+        mispredicted = counters.read(ctr.MISPREDICTED_INDIRECT) > misp_before
+        divider = counters.read(ctr.DIVIDER_ACTIVE) > div_before
         return mispredicted, divider
 
     def probe_verdict(self, scenario: Scenario,

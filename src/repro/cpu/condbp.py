@@ -42,15 +42,22 @@ class ConditionalPredictor:
         """True = predict taken."""
         return self.state(pc) >= WEAK_TAKEN
 
-    def update(self, pc: int, taken: bool) -> None:
-        state = self.state(pc)
+    def update(self, pc: int, taken: bool) -> bool:
+        """Train ``pc`` on its outcome; returns the prediction it replaced
+        (what :meth:`predict` said just before), so a branch costs one
+        table lookup."""
+        counters = self._counters
+        state = counters.get(pc, self._initial)
+        predicted = state >= WEAK_TAKEN
         if taken:
-            state = min(STRONG_TAKEN, state + 1)
-        else:
-            state = max(STRONG_NOT_TAKEN, state - 1)
-        self._counters[pc] = state
+            if state < STRONG_TAKEN:
+                state += 1
+        elif state > STRONG_NOT_TAKEN:
+            state -= 1
+        counters[pc] = state
         if self.observer is not None:
             self.observer.cond_update(pc, taken, state)
+        return predicted
 
     def flush(self) -> None:
         self._counters.clear()

@@ -133,11 +133,13 @@ class Machine:
         # scrub interval is the only seed-dependent behavior, so the seed
         # and the count of scrub-eligible kernel entries are all the
         # replica tier (repro.cpu.replicas) needs to decide which replica
-        # seeds share this run's execution bit-for-bit.
+        # seeds share this run's execution bit-for-bit.  The generator is
+        # built, and the first interval drawn, at the first scrub-eligible
+        # entry: most machines never reach one.
         self.seed = seed
         self.scrub_entries = 0
-        self._rng = np.random.default_rng(seed)
-        self._scrub_countdown = self._next_scrub_interval()
+        self._rng: Optional[np.random.Generator] = None
+        self._scrub_countdown = 0
 
         # Wire MSR side effects.
         self.msr.on_ibpb(self._do_ibpb)
@@ -460,8 +462,7 @@ class Machine:
         """
         self.bhb.push(instr.pc)
         taken = bool(instr.value)
-        predicted = self.cond_predictor.predict(instr.pc)
-        self.cond_predictor.update(instr.pc, taken)
+        predicted = self.cond_predictor.update(instr.pc, taken)
         cycles = self.costs.cond_branch
         if predicted != taken:
             cycles += self.costs.mispredict_penalty
@@ -647,6 +648,9 @@ class Machine:
         behavior = self.cpu.predictor
         if behavior.eibrs_periodic_scrub and self.msr.eibrs_active:
             self.scrub_entries += 1
+            if self._rng is None:
+                self._rng = np.random.default_rng(self.seed)
+                self._scrub_countdown = self._next_scrub_interval()
             self._scrub_countdown -= 1
             if self._scrub_countdown <= 0:
                 self._scrub_countdown = self._next_scrub_interval()

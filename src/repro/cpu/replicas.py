@@ -9,9 +9,10 @@ average over reboots.
   seeded with :func:`replica_seed` ``(seed, i)``.  Replica 0 keeps the
   cell's own seed, so one replica is exactly the classic single run.
 * The machine is deterministic except for a single RNG consumer: the
-  eIBRS periodic BTB-scrub interval (paper section 6.2.2), redrawn once
-  at construction and once per scrub firing.  Two replicas whose scrub
-  *firing schedules* coincide therefore execute bit-identically.
+  eIBRS periodic BTB-scrub interval (paper section 6.2.2), drawn first
+  at the machine's first scrub-eligible kernel entry (not at
+  construction) and again at each scrub firing.  Two replicas whose
+  scrub *firing schedules* coincide therefore execute bit-identically.
 * :func:`run_replicas` runs replica 0 under a :class:`ScrubProbe` (an
   observer that collects the run's machines; each machine keeps its
   seed and counts its own scrub-eligible kernel entries — a count, never
@@ -67,9 +68,11 @@ def firing_schedule(seed: int, low: int, high: int,
     entries.
 
     Mirrors :class:`~repro.cpu.machine.Machine` draw-for-draw: one
-    interval draw at construction, then one per firing — the countdown
-    first reaches zero at the drawn interval's entry, so positions are
-    the running sum of the draws, truncated at ``entries``.
+    interval draw at the first eligible entry (the machine builds its
+    generator there, not at construction), then one per firing — the
+    countdown first reaches zero at the drawn interval's entry, so
+    positions are the running sum of the draws, truncated at
+    ``entries``.
     """
     if entries <= 0:
         return ()

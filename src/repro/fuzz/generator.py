@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cpu import isa
 from ..cpu.modes import Mode
@@ -123,13 +123,30 @@ class Block:
                      self.term.clone() if self.term is not None else None)
 
 
+#: One materialization: the committed stream and the landing pads, as
+#: ``(code address, instructions)`` pairs.
+Materialized = Tuple[Tuple[Any, ...], Tuple[Tuple[int, Tuple[Any, ...]], ...]]
+
+
 @dataclass
 class Program:
-    """A generated test case: named, seeded, printable, materializable."""
+    """A generated test case: named, seeded, printable, materializable.
+
+    To materialize a program is to turn its blocks into simulator
+    ``Instruction``s.  That happens once per ``retpoline`` value: every
+    machine the program runs on gets the same immutable tuples from
+    :meth:`instructions` and :meth:`install`.  The reuse is sound only
+    because a program is complete before its first materialization: the
+    generator and :func:`parse_program` return finished programs, and the
+    minimizer edits clones (a :meth:`clone` starts unmaterialized).  Edit
+    a clone, never a program that has run.
+    """
 
     name: str
     seed: int
     blocks: List[Block] = field(default_factory=list)
+    _materialized: Dict[bool, Materialized] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries ----------------------------------------------------------- #
 
@@ -225,7 +242,28 @@ class Program:
             return isa.ret(pc=instr.pc, target=next_pc)
         raise ValueError(f"unknown fuzz instruction kind {kind!r}")
 
-    def instructions(self, retpoline: bool = False) -> List[Any]:
+    def _materialize(self, retpoline: bool) -> Materialized:
+        """The stream and landing pads for ``retpoline``, built once."""
+        done = self._materialized.get(retpoline)
+        if done is not None:
+            return done
+        stream: List[Any] = []
+        pads: List[Tuple[int, Tuple[Any, ...]]] = []
+        for i, block in enumerate(self.blocks):
+            next_pc = (self.blocks[i + 1].pc
+                       if i + 1 < len(self.blocks) else 0)
+            body = tuple(self._materialize_one(instr, next_pc, retpoline)
+                         for instr in block.body)
+            stream.extend(body)
+            if block.term is not None:
+                stream.append(self._materialize_one(block.term, next_pc,
+                                                    retpoline))
+            if block.landing and body:
+                pads.append((block.pc, body))
+        done = self._materialized[retpoline] = (tuple(stream), tuple(pads))
+        return done
+
+    def instructions(self, retpoline: bool = False) -> Tuple[Any, ...]:
         """The flat committed-path instruction stream.
 
         ``retpoline`` converts indirect terminators into retpolines, the
@@ -233,30 +271,13 @@ class Program:
         program *text* stays policy-independent (one reproducer replays
         under every policy).
         """
-        stream: List[Any] = []
-        for i, block in enumerate(self.blocks):
-            next_pc = (self.blocks[i + 1].pc
-                       if i + 1 < len(self.blocks) else 0)
-            for instr in block.body:
-                stream.append(self._materialize_one(instr, next_pc,
-                                                    retpoline))
-            if block.term is not None:
-                stream.append(self._materialize_one(block.term, next_pc,
-                                                    retpoline))
-        return stream
+        return self._materialize(retpoline)[0]
 
     def install(self, machine: Any, retpoline: bool = False) -> None:
         """Register landing blocks as code: mispredicted terminators
         steering transient execution to their pcs run their bodies."""
-        for i, block in enumerate(self.blocks):
-            if not block.landing:
-                continue
-            next_pc = (self.blocks[i + 1].pc
-                       if i + 1 < len(self.blocks) else 0)
-            pad = [self._materialize_one(instr, next_pc, retpoline)
-                   for instr in block.body]
-            if pad:
-                machine.register_code(block.pc, pad)
+        for pc, pad in self._materialize(retpoline)[1]:
+            machine.register_code(pc, pad)
 
     # -- text form ----------------------------------------------------------- #
 

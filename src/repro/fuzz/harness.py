@@ -30,12 +30,14 @@ them.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.probe import (
+    POLICIES,
     POLICY_DEFAULT,
     POLICY_IBRS,
     POLICY_OFF,
@@ -53,9 +55,6 @@ from ..obs import ledger as obs_ledger
 from ..obs import timeline as obs_timeline
 from ..obs.observers import use_observers
 from .generator import Program, generate_program, parse_program
-
-#: Policy sweep order (stable: cell keys and history records depend on it).
-POLICIES: Tuple[str, ...] = (POLICY_DEFAULT, POLICY_OFF, POLICY_IBRS)
 
 ORACLE_PARITY = "engine_parity"
 ORACLE_LEAKAGE = "leakage_contract"
@@ -443,12 +442,19 @@ def check_cell(program: Program, cpu: CPUModel, policy: str,
     return violations
 
 
+@functools.lru_cache(maxsize=64)
+def _parsed(text: str) -> Program:
+    """One parse per program text per process: every cell of a program
+    shares one :class:`Program`, and with it its materialized streams."""
+    return parse_program(text)
+
+
 def _cell_worker(args: Tuple[str, str, str, int, int, int, Optional[str]]
                  ) -> List[Violation]:
     """Module-level so ProcessPoolExecutor can pickle it; ships the
     parity-fault op explicitly so parallel runs match serial ones."""
     text, cpu_key, policy, base_seed, repeats, trials, fault = args
-    program = parse_program(text)
+    program = _parsed(text)
     cpu = get_cpu(cpu_key)
     if fault is not None:
         with parity_fault(fault):

@@ -2,15 +2,25 @@
 
 import pytest
 
-from repro.cpu import CPU_ORDER, Machine, Mode, all_cpus, get_cpu
+from repro.cpu import CPU_ORDER, Instruction, Machine, Mode, Op, all_cpus, get_cpu
+from repro.cpu import counters as ctr
 from repro.core.probe import (
+    BRANCH_PC,
     KERNEL_TO_USER,
+    NOP_TARGET,
+    POLICY_DEFAULT,
+    POLICY_IBRS,
+    POLICY_OFF,
     SCENARIOS,
+    TRAIN_ROUNDS,
+    VICTIM_TARGET,
     Scenario,
     SpeculationProbe,
+    _policy_machine,
     speculation_matrix,
     speculation_row,
 )
+from repro.obs.leakage import LeakageTracer
 
 #: Paper Table 9 (IBRS disabled): True = check mark.  Column order follows
 #: SCENARIOS: u->k(sc), u->u(sc), k->k(sc), u->u, k->k.
@@ -120,3 +130,111 @@ class TestBothCounters:
         assert machine.counters.read(
             ctr.MISPREDICTED_INDIRECT) > misp_before
         assert machine.counters.read(ctr.DIVIDER_ACTIVE) == div_before
+
+
+# --------------------------------------------------------------------------- #
+# Reference: the probe's fixed blocks against the step-by-step protocol
+# --------------------------------------------------------------------------- #
+
+def _ref_transition(machine, scenario):
+    syscall = Instruction(Op.SYSCALL)
+    sysret = Instruction(Op.SYSRET)
+    if scenario.train_mode is Mode.USER:
+        machine.execute(syscall)
+        if scenario.victim_mode is Mode.USER:
+            machine.execute(sysret)
+    else:
+        machine.execute(sysret)
+        if scenario.victim_mode is Mode.KERNEL:
+            machine.execute(syscall)
+
+
+def _ref_prepare(machine, scenario):
+    """Train, cross modes, fill history, flush: fresh instructions, one
+    ``execute`` each."""
+    machine.mode = scenario.train_mode
+    for _ in range(TRAIN_ROUNDS):
+        machine.execute(Instruction(Op.BRANCH_INDIRECT,
+                                    target=VICTIM_TARGET, pc=BRANCH_PC))
+    if scenario.intervening_syscall:
+        _ref_transition(machine, scenario)
+    machine.mode = scenario.victim_mode
+    for i in range(16):
+        machine.execute(Instruction(Op.BRANCH_COND, pc=0x7000 + 4 * i))
+    machine.execute(Instruction(Op.CLFLUSH, address=NOP_TARGET))
+
+
+def _ref_victim(retpoline):
+    return Instruction(Op.BRANCH_INDIRECT, target=NOP_TARGET, pc=BRANCH_PC,
+                       retpoline=retpoline)
+
+
+def _ref_probe_once(machine, scenario, retpoline):
+    _ref_prepare(machine, scenario)
+    before = machine.counters.read(ctr.DIVIDER_ACTIVE)
+    machine.execute(Instruction(Op.RDPMC))
+    machine.execute(_ref_victim(retpoline))
+    machine.execute(Instruction(Op.RDPMC))
+    return machine.counters.read(ctr.DIVIDER_ACTIVE) > before
+
+
+def _ref_probe_both_counters(machine, scenario, retpoline):
+    _ref_prepare(machine, scenario)
+    div_before = machine.counters.read(ctr.DIVIDER_ACTIVE)
+    misp_before = machine.counters.read(ctr.MISPREDICTED_INDIRECT)
+    machine.execute(_ref_victim(retpoline))
+    return (machine.counters.read(ctr.MISPREDICTED_INDIRECT) > misp_before,
+            machine.counters.read(ctr.DIVIDER_ACTIVE) > div_before)
+
+
+def _probe_state(machine, tracer):
+    state = (machine.read_tsc(), list(machine.counters.events.items()),
+             list(machine.btb._table.items()), machine.bhb.value,
+             list(machine.rsb._stack), machine.rsb.underflows,
+             list(machine.cond_predictor._counters.items()), machine.mode)
+    if tracer is None:
+        return state
+    return state + (list(tracer.counts.items()),
+                    list(tracer.blocked.items()), tracer.total_events())
+
+
+def _has_ibrs(key):
+    predictor = get_cpu(key).predictor
+    return predictor.supports_ibrs or predictor.supports_eibrs
+
+
+#: Every (cpu, policy) cell but Table 10's N/A row (IBRS on Zen).
+PROBE_CELLS = [(key, policy) for key in CPU_ORDER
+               for policy in (POLICY_OFF, POLICY_IBRS, POLICY_DEFAULT)
+               if policy != POLICY_IBRS or _has_ibrs(key)]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
+@pytest.mark.parametrize("key,policy", PROBE_CELLS)
+def test_probe_blocks_match_the_step_by_step_protocol(key, policy, traced):
+    cpu = get_cpu(key)
+    for scenario in SCENARIOS:
+        twins = []
+        for _ in range(2):
+            machine, retpoline = _policy_machine(cpu, policy, seed=11)
+            probe = SpeculationProbe(machine, retpoline=retpoline,
+                                     policy=policy)
+            tracer = None
+            if traced:
+                tracer = LeakageTracer(policy=policy)
+                machine.attach(tracer)
+                tracer.taint_code(VICTIM_TARGET)
+            twins.append((probe, tracer))
+        (probe, tracer), (ref, ref_tracer) = twins
+        for step in ("both", "once", "both", "once"):
+            if step == "once":
+                got = probe.probe_once(scenario)
+                want = _ref_probe_once(ref.machine, scenario, retpoline)
+            else:
+                got = probe.probe_both_counters(scenario)
+                want = _ref_probe_both_counters(ref.machine, scenario,
+                                                retpoline)
+            assert got == want, (scenario.label, step)
+            assert (_probe_state(probe.machine, tracer)
+                    == _probe_state(ref.machine, ref_tracer)), \
+                (scenario.label, step)

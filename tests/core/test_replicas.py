@@ -13,6 +13,7 @@ import pytest
 from repro.core.stats import suite_geometric_mean
 from repro.core.study import Settings, lebench_geomean
 from repro.cpu import counters as ctr
+from repro.cpu import isa
 from repro.cpu.machine import Machine
 from repro.cpu.model import all_cpus, get_cpu
 from repro.cpu.replicas import (
@@ -173,6 +174,45 @@ def test_firing_schedule_predicts_real_scrub_flushes():
     low, high = cpu.predictor.eibrs_scrub_period
     schedule = firing_schedule(21, low, high, entries)
     assert len(schedule) == machine.counters.read(ctr.BTB_FLUSH_ON_ENTRY) > 0
+
+
+@pytest.fixture
+def rng_builds(monkeypatch):
+    """Every ``np.random.default_rng`` call made during the test."""
+    import numpy as np
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls
+
+
+def test_machines_without_an_eligible_entry_build_no_generator(rng_builds):
+    cpu = get_cpu("broadwell")
+    lebench.run_suite(Machine(cpu, seed=4), linux_default(cpu),
+                      iterations=3, warmup=1)
+    eibrs_off = Machine(get_cpu("cascade_lake"), seed=4)
+    for _ in range(3):
+        eibrs_off.execute(isa.syscall_instr())
+        eibrs_off.execute(isa.sysret_instr())
+    assert eibrs_off.scrub_entries == 0
+    assert rng_builds == []
+
+
+def test_the_scrub_generator_is_built_at_the_first_eligible_entry(rng_builds):
+    machine = Machine(get_cpu("cascade_lake"), seed=4)
+    machine.msr.set_ibrs(True)
+    assert machine.msr.eibrs_active and rng_builds == []
+    machine.execute(isa.syscall_instr())
+    assert rng_builds == [(4,)]
+    for _ in range(3):
+        machine.execute(isa.sysret_instr())
+        machine.execute(isa.syscall_instr())
+    assert machine.scrub_entries == 4 and rng_builds == [(4,)]
 
 
 def test_probe_is_purely_observational():

@@ -1,7 +1,7 @@
 """Program generator: determinism, printable round-trip, legality."""
 
 from repro.cpu import Machine, Mode, get_cpu
-from repro.fuzz import generate_program, parse_program
+from repro.fuzz import FuzzInstr, generate_program, parse_program
 
 SEEDS = range(40)
 
@@ -60,3 +60,30 @@ def test_instruction_count_matches_stream():
         program = generate_program(seed)
         assert program.instruction_count() == len(program.instructions())
         assert program.instruction_count() > 0
+
+
+def test_a_program_materializes_once_per_retpoline_value():
+    program = generate_program(7)
+    for retpoline in (False, True):
+        stream = program.instructions(retpoline)
+        assert isinstance(stream, tuple)
+        assert program.instructions(retpoline) is stream
+    assert program.instructions(False) is not program.instructions(True)
+
+
+def test_a_clone_edited_after_its_parent_ran_keeps_them_apart():
+    parent = generate_program(7)
+    stream = parent.instructions()
+    machine = Machine(get_cpu("broadwell"), seed=1)
+    parent.install(machine)
+    pads = dict(machine.program)
+    clone = parent.clone()
+    clone.blocks[0].body.append(FuzzInstr("verw"))
+    clone.blocks[0].landing = True
+    assert len(clone.instructions()) == len(stream) + 1
+    assert parent.instructions() is stream
+    assert len(parent.instructions()) == parent.instruction_count()
+    fresh = Machine(get_cpu("broadwell"), seed=1)
+    parent.install(fresh)
+    assert fresh.program == pads
+    assert parse_program(parent.to_text()).to_text() == parent.to_text()

@@ -22,6 +22,7 @@ from repro.fuzz import (
     generate_corpus,
     generate_program,
     parity_fault,
+    parse_program,
 )
 
 
@@ -89,6 +90,23 @@ def test_parity_fault_is_caught():
     assert result.violations
     assert all(v.oracle == "engine_parity" for v in result.violations)
     assert all("tsc" in v.detail for v in result.violations)
+
+
+def test_a_program_parsed_once_checks_like_a_fresh_parse():
+    """Cells of one program share a parse and its materialized streams;
+    their verdicts must equal those of a fresh parse per cell."""
+    text = generate_corpus(FuzzConfig(seed=1, programs=4))[3].to_text()
+    shared = parse_program(text)
+    cells = [(key, policy) for key in ("broadwell", "cascade_lake", "zen3")
+             for policy in (POLICY_DEFAULT, POLICY_OFF, POLICY_IBRS)]
+    with parity_fault("verw"):
+        for key, policy in cells:
+            cpu = get_cpu(key)
+            reused = check_cell(shared, cpu, policy, base_seed=1)
+            fresh = check_cell(parse_program(text), cpu, policy,
+                               base_seed=1)
+            assert reused == fresh, (key, policy)
+            assert reused, (key, policy)
 
 
 def test_parity_fault_travels_to_workers():

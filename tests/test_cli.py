@@ -720,6 +720,45 @@ def test_replay_of_a_malformed_reproducer_names_the_line(capsys, tmp_path,
     message = str(exc.value.code)
     assert message.startswith(f"{command}: {path}: line 5: ")
     assert "load nowhere" in message and "\n" not in message
+    # A file that cannot be read at all gets the same one-line shape.
+    for unreadable, reason in ((tmp_path / "missing.prog",
+                                "No such file or directory"),
+                               (tmp_path, "Is a directory")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-history", command, "--replay", str(unreadable)])
+        assert exc.value.code == f"{command}: {unreadable}: {reason}"
+
+
+@pytest.mark.parametrize("argv,bad", [
+    ("figure 2 --fast --cpus nosuchcpu", "'nosuchcpu'"),
+    ("bench --fast --cpus nosuchcpu", "'nosuchcpu'"),
+    ("leakage matrix --cpus nosuchcpu", "'nosuchcpu'"),
+    ("profile figure 2 --fast --cpus nosuchcpu", "'nosuchcpu'"),
+    ("fuzz --programs 1 --cpus zen3 broadwel", "'broadwel'"),
+    ("attacks --cpu nosuchcpu", "'nosuchcpu'"),
+    ("explain --cell nosuch:off", "'nosuch'"),
+    ("explain --cell broadwell:bogus", "unknown leakage policy 'bogus'"),
+], ids=["figure", "bench", "leakage", "profile", "fuzz", "attacks",
+        "explain-cpu", "explain-policy"])
+def test_unknown_cpu_or_policy_is_a_usage_error(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-history"] + argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = err.strip().splitlines()[-1]
+    assert ": error: argument " in error and bad in error
+    if "policy" in bad:
+        assert "known policies: default, off, ibrs" in error
+    else:
+        assert "known CPUs: broadwell, skylake_client" in error
+
+
+def test_explain_of_an_unsupported_cell_is_a_one_line_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-history", "explain", "--cell", "zen:ibrs"])
+    assert exc.value.code == ("explain: zen:ibrs: zen has no IBRS support "
+                              "(Table 10 marks it N/A)")
 
 
 def test_history_list_on_a_corrupt_db_is_a_one_line_error(tmp_path):
