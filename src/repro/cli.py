@@ -21,8 +21,6 @@ Observability::
     spectresim fuzz --seed 1 --programs 25       # differential fuzzing
     spectresim fuzz --smoke                      # CI-sized campaign
     spectresim fuzz --replay fuzz-out/<case>.prog   # confirm a fix
-    spectresim explain --replay fuzz-out/<case>.prog   # first divergence
-    spectresim explain --cell broadwell:off --fault verw --json
 
 Parallelism and caching (see ``docs/parallelism.md``)::
 
@@ -59,7 +57,8 @@ from .cpu import replicas as replicabatch
 from .core import microbench, reporting, study
 from .core.probe import DEFAULT_TRIALS, POLICIES, POLICY_DEFAULT, speculation_matrix
 from .core.study import Settings
-from .errors import BaselineError, ProgramParseError, UnknownCPUError
+from .errors import (BaselineError, ProgramParseError, UnknownCPUError,
+                     UnsupportedFeatureError)
 from .mitigations import linux_default
 from .mitigations.meltdown import attempt_meltdown
 from .mitigations.mds import attempt_mds_sample, kernel_touched_secret
@@ -89,21 +88,6 @@ def _cpu_key(text: str) -> str:
         get_cpu(text)
     except UnknownCPUError as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
-    return text
-
-
-def _cell_spec(text: str) -> str:
-    """argparse type for ``explain --cell CPU:POLICY``: both halves are
-    checked, so a bad key or policy is a usage error too."""
-    cpu_key, sep, policy = text.partition(":")
-    if not sep or not policy:
-        raise argparse.ArgumentTypeError(
-            f"expected CPU:POLICY (e.g. broadwell:off), got {text!r}")
-    _cpu_key(cpu_key)
-    if policy not in POLICIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown leakage policy {policy!r}; known policies: "
-            f"{', '.join(POLICIES)}")
     return text
 
 
@@ -260,7 +244,11 @@ def cmd_parsec(args: argparse.Namespace) -> str:
 
 def cmd_bimodal(args: argparse.Namespace) -> str:
     cpu = get_cpu(args.cpu)
-    latencies = microbench.kernel_entry_latencies(cpu, entries=args.entries)
+    try:
+        latencies = microbench.kernel_entry_latencies(cpu,
+                                                      entries=args.entries)
+    except UnsupportedFeatureError as exc:
+        raise SystemExit(f"bimodal: {exc}")
     return reporting.render_entry_distribution(cpu.key, latencies)
 
 
@@ -497,10 +485,14 @@ def cmd_bench(args: argparse.Namespace) -> str:
     executor = _study_executor(args)
     settings = _settings(args)
     cpus = args.cpus or list(baseline.DEFAULT_BENCH_CPUS)
-    payload = baseline.collect(
-        cpus=cpus, settings=settings,
-        drivers=args.drivers or None, executor=executor, command="bench",
-        report=lambda driver: _report_executor(f"bench {driver}", executor))
+    try:
+        payload = baseline.collect(
+            cpus=cpus, settings=settings,
+            drivers=args.drivers or None, executor=executor, command="bench",
+            report=lambda driver: _report_executor(f"bench {driver}",
+                                                   executor))
+    except BaselineError as exc:
+        raise SystemExit(f"bench: {exc}")
     path = args.out or baseline.next_bench_path(args.dir)
     baseline.write_bench(payload, path)
     _history_autorecord(args, payload, kind="bench")
@@ -593,8 +585,12 @@ def cmd_history(args: argparse.Namespace) -> str:
             return rendered
         if args.history_command == "report":
             with hist.HistoryStore(path) as store:
-                out = histreport.write_report(store, args.out,
-                                              title=args.title)
+                try:
+                    out = histreport.write_report(store, args.out,
+                                                  title=args.title)
+                except OSError as exc:
+                    raise SystemExit(
+                        f"history: {args.out}: {exc.strerror or exc}")
                 count = len(store)
             return f"history: dashboard over {count} run(s) -> {out}\n"
         if args.history_command == "gc":
@@ -807,99 +803,6 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
     return report
 
 
-def cmd_explain(args: argparse.Namespace) -> str:
-    """First-divergence explainer: timeline-trace one parity cell and
-    pinpoint the earliest microarchitectural event where two runs of the
-    same cell disagree (structure, tsc, instruction index)."""
-    import json
-    from . import fuzz as fuzzmod
-    from .core.stats import derive_seed
-    if bool(args.replay) == bool(args.cell):
-        raise SystemExit("explain: exactly one of --replay or --cell "
-                         "is required")
-    started = time.perf_counter()
-    if args.replay:
-        try:
-            report = fuzzmod.explain_reproducer(args.replay)
-        except (OSError, ProgramParseError) as exc:
-            raise _unreadable("explain", args.replay, exc)
-        source = args.replay
-    else:
-        cpu_key, _, policy = args.cell.partition(":")
-        cpu = get_cpu(cpu_key)
-        if not fuzzmod.cell_supported(cpu, policy):
-            raise SystemExit(f"explain: {args.cell}: {cpu_key} has no IBRS "
-                             f"support (Table 10 marks it N/A)")
-        program = fuzzmod.generate_program(
-            derive_seed(args.seed, "fuzz-program", str(args.program)))
-        report = fuzzmod.explain_cell(program, cpu, policy,
-                                      args.seed, fault_op=args.fault)
-        source = f"{program.name} on {args.cell}"
-    wall = round(time.perf_counter() - started, 3)
-
-    current = report.telemetry()["timeline"]
-    against = None
-    if args.against:
-        from .obs.history import HistoryStore
-        with HistoryStore(_history_path(args)) as store:
-            run_id = store.resolve(args.against)
-            stored_all = store.load_run(run_id)["telemetry"]
-        stored = {name[len("timeline."):]: value
-                  for name, value in stored_all.items()
-                  if name.startswith("timeline.")}
-        if not stored:
-            raise SystemExit(f"explain: run {run_id} carries no "
-                             f"timeline telemetry (not an explain run?)")
-        mismatches = {}
-        for name in sorted(set(stored) | set(current)):
-            ours = current.get(name)
-            theirs = stored.get(name)
-            if ours != theirs:
-                mismatches[name] = {"current": ours, "recorded": theirs}
-        against = {"run": run_id, "matches": not mismatches,
-                   "mismatches": mismatches}
-
-    if args.trace_out:
-        obs.write_chrome_trace(args.trace_out, obs.SpanTracer(),
-                               timeline=report.timeline_base)
-
-    manifest = obs.build_manifest(
-        command="explain", seed=args.seed, cpus=[report.cpu],
-        config={"policy": report.policy, "source": source,
-                "fault_op": report.fault_op},
-        wall_time_s=wall)
-    _history_autorecord(args, {
-        "values": {},
-        "ledger": {},
-        "telemetry": report.telemetry(),
-        "tolerance": {},
-        "provenance": manifest.to_dict(),
-    }, kind="explain")
-
-    if args.json:
-        payload = report.to_dict()
-        payload["source"] = source
-        payload["against"] = against
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    lines = [f"explain: {source}",
-             report.render(window=args.window).rstrip("\n")]
-    if against is not None:
-        if against["matches"]:
-            lines.append(f"against run {against['run']}: event digest and "
-                         f"per-structure counts match")
-        else:
-            lines.append(f"against run {against['run']}: "
-                         f"{len(against['mismatches'])} mismatch(es)")
-            for name, pair in sorted(against["mismatches"].items()):
-                lines.append(f"  {name}: current={pair['current']} "
-                             f"recorded={pair['recorded']}")
-    if args.trace_out:
-        lines.append(f"trace: wrote {report.timeline_base.total} timeline "
-                     f"instants to {args.trace_out}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_all(args: argparse.Namespace) -> str:
     """Run every experiment, writing one file per artifact to --outdir."""
     os.makedirs(args.outdir, exist_ok=True)
@@ -1004,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="render a paper table (1-10)")
     p.add_argument("number", type=int)
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=_positive_int, default=1000)
 
     p = sub.add_parser("figure", help="regenerate a paper figure (2, 3, 5)")
     p.add_argument("number", type=int)
@@ -1027,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bimodal", help="section 6.2.2 eIBRS entry latency")
     p.add_argument("--cpu", type=_cpu_key, default="cascade_lake")
-    p.add_argument("--entries", type=int, default=200)
+    p.add_argument("--entries", type=_positive_int, default=200)
 
     p = sub.add_parser("attacks", help="attack demos with/without mitigations")
     p.add_argument("--cpu", type=_cpu_key, default="broadwell")
@@ -1059,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("number", type=int)
     p.add_argument("--fast", action="store_true")
     p.add_argument("--cpus", nargs="*", type=_cpu_key)
-    p.add_argument("--iterations", type=int, default=1000,
+    p.add_argument("--iterations", type=_positive_int, default=1000,
                    help="iterations for table microbenchmarks")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write Chrome trace-event JSON here")
@@ -1110,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="payload produced by 'spectresim bench'")
     hp.add_argument("--kind", default="bench",
                     choices=["bench", "check", "profile", "study",
-                             "fuzz", "explain"])
+                             "fuzz"])
     hp.add_argument("--allow-dirty", action="store_true",
                     help="record even when the payload's code fingerprint "
                          "does not match the running code; the row is "
@@ -1151,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: each part's Linux-default strategy)")
         lp.add_argument("--cpus", nargs="*", type=_cpu_key,
                         help="CPU keys to probe (default: all modelled CPUs)")
-        lp.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+        lp.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                         help="probe trials per (cpu, boundary) cell")
         lp.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
@@ -1198,39 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "of a fresh campaign; exits 1 if it still "
                         "violates")
 
-    p = sub.add_parser(
-        "explain",
-        help="first-divergence explainer: timeline-trace a parity cell "
-             "and pinpoint the earliest divergent microarchitectural "
-             "event (structure, tsc, instruction index)")
-    p.add_argument("--replay", metavar="FILE", default=None,
-                   help="reproducer file from 'spectresim fuzz'; a "
-                        "'# fault:' directive re-applies the injected "
-                        "parity fault on the second traced run")
-    p.add_argument("--cell", metavar="CPU:POLICY", type=_cell_spec,
-                   default=None,
-                   help="explain a generated cell (e.g. broadwell:off) "
-                        "instead of a reproducer file")
-    p.add_argument("--seed", type=int, default=1,
-                   help="base seed for --cell program generation")
-    p.add_argument("--program", type=int, default=0, metavar="N",
-                   help="fuzz-corpus index of the --cell program")
-    p.add_argument("--fault", metavar="OP", default=None,
-                   help="inject the deterministic parity fault on OP "
-                        "in the second traced run (--cell only)")
-    p.add_argument("--against", metavar="RUN", default=None,
-                   help="compare event digest and per-structure counts "
-                        "against a recorded explain run (id, 'latest', "
-                        "or 'prev')")
-    p.add_argument("--window", type=_positive_int, default=8, metavar="N",
-                   help="events of context on each side of the "
-                        "divergence (default: 8)")
-    p.add_argument("--json", action="store_true",
-                   help="emit machine-readable JSON instead of text")
-    p.add_argument("--trace-out", metavar="PATH", default=None,
-                   help="write the recorded event stream as Perfetto "
-                        "instant events (Chrome trace-event JSON) here")
-
     p = sub.add_parser("all", help="run everything, write artifacts")
     p.add_argument("--outdir", default="results")
     p.add_argument("--fast", action="store_true")
@@ -1257,7 +1127,6 @@ _COMMANDS = {
     "history": cmd_history,
     "leakage": cmd_leakage,
     "fuzz": cmd_fuzz,
-    "explain": cmd_explain,
     "all": cmd_all,
 }
 

@@ -328,10 +328,7 @@ def _worker_run_cell(spec_dict: Dict[str, Any], kinds: Sequence[type],
     observers: the worker runs the cell under a fresh instance of each
     and ships every ``state()`` home for the parent's ``merge_state()``.
     A worker :class:`~repro.obs.ledger.CycleLedger` first verifies the
-    sum-to-TSC invariant for the cell.  (A worker
-    :class:`~repro.obs.timeline.EventTimeline` holds the default ring, so
-    the parent's ring keeps each cell's newest events; counts and totals
-    merge exactly.)
+    sum-to-TSC invariant for the cell.
 
     ``engine_mode`` propagates the parent's ``--engine`` selection so a
     pool worker simulates with the same execution engine; the worker's

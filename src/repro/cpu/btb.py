@@ -109,7 +109,7 @@ class BranchTargetBuffer:
         # pc -> (target, mode, salt, thread)
         self._table: Dict[int, Tuple[int, Mode, int, int]] = {}
         self._install_counter = 0
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
 

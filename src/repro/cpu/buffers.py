@@ -42,7 +42,7 @@ class MicroarchBuffers:
         self.vulnerable = vulnerable
         self._residue: Dict[str, Optional[Tuple[int, Mode]]] = {
             name: None for name in _ALL}
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
 

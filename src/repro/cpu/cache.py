@@ -104,7 +104,7 @@ class CacheHierarchy:
     def __init__(self, l1: Cache, l2: Cache) -> None:
         self.l1 = l1
         self.l2 = l2
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
 
@@ -136,7 +136,4 @@ class CacheHierarchy:
             self.observer.cache_flush(address)
 
     def flush_l1(self) -> int:
-        count = self.l1.flush_all()
-        if self.observer is not None:
-            self.observer.cache_flush_l1()
-        return count
+        return self.l1.flush_all()

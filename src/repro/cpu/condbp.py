@@ -31,9 +31,6 @@ class ConditionalPredictor:
             raise ValueError("initial state must be a 2-bit counter value")
         self._initial = initial
         self._counters: Dict[int, int] = {}
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
-        #: ``Machine.attach``; None when detached.
-        self.observer = None
 
     def state(self, pc: int) -> int:
         return self._counters.get(pc, self._initial)
@@ -55,14 +52,10 @@ class ConditionalPredictor:
         elif state > STRONG_NOT_TAKEN:
             state -= 1
         counters[pc] = state
-        if self.observer is not None:
-            self.observer.cond_update(pc, taken, state)
         return predicted
 
     def flush(self) -> None:
         self._counters.clear()
-        if self.observer is not None:
-            self.observer.cond_flush()
 
     def __len__(self) -> int:
         return len(self._counters)

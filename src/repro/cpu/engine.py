@@ -354,8 +354,8 @@ class BlockEngine:
         The entry pins ``seq``, so a matching id means the same object;
         tuples are immutable and skip the in-place-mutation check that
         lists need.  Callers come through ``Machine.run``, which never
-        routes here while a structure-hook subscriber is attached:
-        compiled deltas model neither taint nor the per-event stream.
+        routes here while a leakage tracer is attached: compiled deltas
+        do not model taint.
         """
         entry = self._blocks.get(id(seq))
         if entry is None or (seq.__class__ is not tuple

@@ -122,8 +122,8 @@ class Machine:
 
         # Instrumentation, set only by attach(): the span tracer whose
         # clock this machine drives (the NullTracer records nothing), the
-        # cycle ledger, and the structure-hook subscriber.  Detached, each
-        # hook site costs one ``is None`` test.
+        # cycle ledger, and the leakage tracer that receives the structure
+        # hooks.  Detached, each hook site costs one ``is None`` test.
         self.observers: tuple = ()
         self.obs = obs_spans.NULL_TRACER
         self.ledger = None
@@ -166,32 +166,28 @@ class Machine:
         A :class:`~repro.obs.ledger.CycleLedger` files every TSC advance
         through the counter file; a :class:`~repro.obs.spans.SpanTracer`
         follows this machine's TSC as its trace clock.  A
-        :class:`~repro.obs.observers.StructureHooks` subscriber goes into
-        every structure's ``observer`` slot and receives the machine's
-        speculation hooks — alone, or behind one
-        :class:`~repro.obs.observers.FanOut` once several are attached —
-        and makes ``run()`` interpret.  Every observer then adopts the
-        machine through ``bind_machine``; a ledger accounts from the
-        attach onward.
+        :class:`~repro.obs.leakage.LeakageTracer` goes into every
+        structure's ``observer`` slot, receives the machine's speculation
+        hooks and makes ``run()`` interpret; a machine takes one tracer,
+        so attaching a second raises ``ValueError``.  Every observer then
+        adopts the machine through ``bind_machine``; a ledger accounts
+        from the attach onward.
         """
-        self.observers += (observer,)
-        if isinstance(observer, CycleLedger):
+        if isinstance(observer, obs_leakage.LeakageTracer):
+            if self.hooks is not None:
+                raise ValueError("machine already has a leakage tracer")
+            self.hooks = observer
+            for structure in (self.store_buffer, self.caches, self.tlb,
+                              self.btb, self.rsb, self.mds_buffers):
+                structure.observer = observer
+        elif isinstance(observer, CycleLedger):
             self.ledger = self.counters.ledger = observer
             if self.engine is not None:
                 # Memos recorded without a ledger carry no postings.
                 self.engine = blockengine.BlockEngine(self)
         elif isinstance(observer, obs_spans.SpanTracer):
             self.obs = observer
-        elif isinstance(observer, obs_observers.StructureHooks):
-            subscribers = [o for o in self.observers
-                           if isinstance(o, obs_observers.StructureHooks)]
-            hooks = (subscribers[0] if len(subscribers) == 1
-                     else obs_observers.FanOut(subscribers))
-            self.hooks = hooks
-            for structure in (self.store_buffer, self.caches, self.tlb,
-                              self.btb, self.rsb, self.mds_buffers,
-                              self.cond_predictor):
-                structure.observer = hooks
+        self.observers += (observer,)
         observer.bind_machine(self)
 
     # ------------------------------------------------------------------ #
@@ -237,8 +233,8 @@ class Machine:
         order, so a fault mid-stream leaves the TSC and the retired count
         where the last completed instruction left them.
 
-        With ``--engine=block`` (and no structure-hook subscriber
-        attached), concrete multi-instruction sequences route through the
+        With ``--engine=block`` (and no leakage tracer attached),
+        concrete multi-instruction sequences route through the
         block engine instead; both paths are bit-identical by construction
         (see repro.cpu.engine).
         """

@@ -33,7 +33,7 @@ class ReturnStackBuffer:
         self.underflow_falls_back_to_btb = underflow_falls_back_to_btb
         self._stack: List[int] = []
         self.underflows = 0
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
 

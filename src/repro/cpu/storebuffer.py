@@ -39,7 +39,7 @@ class StoreBuffer:
         self.depth = depth
         # line address -> value written (model payload; identity only)
         self._pending: "OrderedDict[int, int]" = OrderedDict()
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
 
@@ -82,10 +82,7 @@ class StoreBuffer:
 
     def forward(self, address: int) -> Optional[int]:
         """Store-to-load forwarding: value of the youngest matching store."""
-        value = self._pending.get(address >> 6)
-        if value is not None and self.observer is not None:
-            self.observer.sb_forward(address)
-        return value
+        return self._pending.get(address >> 6)
 
     def speculative_bypass_possible(self, address: int, ssbd: bool) -> bool:
         """Could a speculative load bypass a pending store here?

@@ -30,7 +30,7 @@ class TLB:
         self._entries: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
         self._global_pages: Set[int] = set()
         self.current_pcid = 0
-        #: Structure-hook subscriber (``repro.obs.observers``), set by
+        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
         #: ``Machine.attach``; None when detached.
         self.observer = None
 
@@ -73,8 +73,6 @@ class TLB:
             return 0
         invalidated = len(self._entries)
         self._entries.clear()
-        if self.observer is not None:
-            self.observer.tlb_flush(invalidated)
         return invalidated
 
     def flush_all(self, include_global: bool = False) -> int:
@@ -84,8 +82,6 @@ class TLB:
         if include_global:
             invalidated += len(self._global_pages)
             self._global_pages.clear()
-        if self.observer is not None:
-            self.observer.tlb_flush(invalidated)
         return invalidated
 
     def resident(self) -> int:

@@ -52,7 +52,6 @@ from ..cpu.counters import ALL_COUNTERS
 from ..cpu.model import CPUModel
 from ..obs import leakage as obs_leakage
 from ..obs import ledger as obs_ledger
-from ..obs import timeline as obs_timeline
 from ..obs.observers import use_observers
 from .generator import Program, generate_program, parse_program
 
@@ -75,10 +74,7 @@ class Violation:
     ``problems`` is the machine-readable form: one dict per finding,
     each with a ``kind`` plus kind-specific fields and its rendered
     ``detail`` line; the flat ``detail`` string is the joined rendering
-    kept for compatibility.  ``divergence`` (engine-parity only) carries
-    the first divergent timeline event — structure, tsc, instruction
-    index and the surrounding window — from
-    :func:`repro.obs.timeline.first_divergence`.
+    kept for compatibility.
     """
 
     oracle: str
@@ -89,7 +85,6 @@ class Violation:
     detail: str
     scenario: str = ""
     problems: Tuple[Dict[str, Any], ...] = ()
-    divergence: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -101,7 +96,6 @@ class Violation:
             "detail": self.detail,
             "scenario": self.scenario,
             "problems": [dict(problem) for problem in self.problems],
-            "divergence": self.divergence,
         }
 
 
@@ -158,133 +152,6 @@ def _problem(kind: str, detail: str, **fields: Any) -> Dict[str, Any]:
     return entry
 
 
-def _traced_parity_run(program: Program, cpu: CPUModel, policy: str,
-                       seed: int, repeats: int,
-                       fault_op: Optional[str] = None
-                       ) -> obs_timeline.EventTimeline:
-    """One interpreted, timeline-recorded run of a parity cell.
-
-    An attached timeline already forces interpretation (bit-identical by
-    the engine's differential contract), so the recorded stream stands
-    for *both* engine modes.  ``fault_op`` re-applies the injected
-    parity fault in the execution domain: the extra cycle per matching
-    op is charged *before* the instruction executes, so every event the
-    faulted instruction files — and everything after it — carries the
-    skewed TSC, and the first divergent event lands exactly on the
-    faulted instruction.
-    """
-    with engine.use_engine(engine.ENGINE_INTERP):
-        timeline = obs_timeline.EventTimeline(capacity=None)
-        with use_observers(timeline):
-            machine, retpoline = _policy_machine(cpu, policy, seed)
-            program.install(machine, retpoline=retpoline)
-            stream = program.instructions(retpoline=retpoline)
-            for _ in range(repeats):
-                if fault_op is None:
-                    machine.run(stream)
-                else:
-                    for instr in stream:
-                        if instr.op.name.lower() == fault_op:
-                            machine.counters.tsc += 1
-                        machine.execute(instr)
-    return timeline
-
-
-def explain_parity(program: Program, cpu: CPUModel, policy: str, seed: int,
-                   repeats: int = PARITY_REPEATS,
-                   fault_op: Optional[str] = None):
-    """Timeline-diffed diagnosis of one parity cell.
-
-    Returns ``(timeline_base, timeline_other, divergence)``: the clean
-    interpreted event stream, the stream with ``fault_op`` re-applied,
-    and their first divergence (None when the streams agree — e.g. a
-    hypothetical engine-internal divergence the interpreted replay
-    cannot reproduce, which the structured ``problems`` still record).
-    """
-    base = _traced_parity_run(program, cpu, policy, seed, repeats)
-    other = _traced_parity_run(program, cpu, policy, seed, repeats,
-                               fault_op=fault_op)
-    return base, other, obs_timeline.first_divergence(base, other)
-
-
-@dataclass
-class ExplainReport:
-    """One explained parity cell: two traced streams and their diff."""
-
-    program: str
-    cpu: str
-    policy: str
-    base_seed: int
-    fault_op: Optional[str]
-    timeline_base: obs_timeline.EventTimeline
-    timeline_other: obs_timeline.EventTimeline
-    divergence: Optional[obs_timeline.Divergence]
-
-    def diverged(self) -> bool:
-        return self.divergence is not None
-
-    def telemetry(self) -> Dict[str, Any]:
-        """Flat ``timeline.*`` gauges for the history store (floats only)."""
-        base = self.timeline_base
-        values: Dict[str, float] = {
-            "events": float(base.total),
-            "dropped": float(base.dropped),
-            "digest": float(base.digest()),
-            "diverged": 1.0 if self.diverged() else 0.0,
-        }
-        if self.divergence is not None:
-            values["divergence_index"] = float(self.divergence.index)
-            values["divergence_tsc"] = float(self.divergence.tsc)
-            values["divergence_instr"] = float(self.divergence.instr)
-        for structure, count in sorted(base.structure_counts().items()):
-            values[f"count.{structure}"] = float(count)
-        return {"timeline": values}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "program": self.program,
-            "cpu": self.cpu,
-            "policy": self.policy,
-            "base_seed": self.base_seed,
-            "fault_op": self.fault_op,
-            "base": self.timeline_base.stats(),
-            "other": self.timeline_other.stats(),
-            "divergence": (self.divergence.to_dict()
-                           if self.divergence is not None else None),
-        }
-
-    def render(self, window: int = 8) -> str:
-        lines = [f"cell: {self.program} cpu={self.cpu} "
-                 f"policy={self.policy} base-seed={self.base_seed}",
-                 f"events: base={self.timeline_base.total} "
-                 f"other={self.timeline_other.total}"]
-        if self.fault_op is not None:
-            lines.append(f"injected fault: op={self.fault_op}")
-        if self.divergence is None:
-            lines.append("streams agree: no divergent event")
-        else:
-            div = obs_timeline.first_divergence(
-                self.timeline_base, self.timeline_other, window=window)
-            lines.append(obs_timeline.render_divergence(
-                div, label_a="base", label_b="faulted"
-                if self.fault_op is not None else "other"))
-        return "\n".join(lines) + "\n"
-
-
-def explain_cell(program: Program, cpu: CPUModel, policy: str,
-                 base_seed: int, repeats: int = PARITY_REPEATS,
-                 fault_op: Optional[str] = None) -> ExplainReport:
-    """Trace one cell (same seed derivation as :func:`check_cell`) and
-    diff the clean stream against one with ``fault_op`` re-applied."""
-    seed = derive_seed(base_seed, "fuzz", program.name, cpu.key, policy)
-    base, other, div = explain_parity(program, cpu, policy, seed,
-                                      repeats=repeats, fault_op=fault_op)
-    return ExplainReport(program=program.name, cpu=cpu.key, policy=policy,
-                         base_seed=base_seed, fault_op=fault_op,
-                         timeline_base=base, timeline_other=other,
-                         divergence=div)
-
-
 def check_engine_parity(program: Program, cpu: CPUModel, policy: str,
                         seed: int,
                         repeats: int = PARITY_REPEATS) -> List[Violation]:
@@ -330,15 +197,10 @@ def check_engine_parity(program: Program, cpu: CPUModel, policy: str,
         problems.append(_problem(
             "injected_fault", f"injected_fault: op={_parity_fault_op}",
             op=_parity_fault_op))
-    _, _, diverged = explain_parity(program, cpu, policy, seed,
-                                    repeats=repeats,
-                                    fault_op=_parity_fault_op)
     return [Violation(oracle=ORACLE_PARITY, program=program.name,
                       seed=program.seed, cpu=cpu.key, policy=policy,
                       detail="; ".join(p["detail"] for p in problems),
-                      problems=tuple(problems),
-                      divergence=(diverged.to_dict()
-                                  if diverged is not None else None))]
+                      problems=tuple(problems))]
 
 
 # --------------------------------------------------------------------------- #

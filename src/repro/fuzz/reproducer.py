@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 from ..cpu import get_cpu
 from ..errors import SegmentationFault
 from .generator import Program, parse_program
-from .harness import ExplainReport, Violation, check_cell, explain_cell
+from .harness import Violation, check_cell
 from .minimize import minimize_program
 
 
@@ -31,11 +31,6 @@ def reproducer_text(program: Program, violation: Violation,
     ]
     if violation.scenario:
         lines.append(f"# scenario: {violation.scenario}")
-    for problem in violation.problems:
-        if problem.get("kind") == "injected_fault":
-            # Lets `spectresim explain --replay` re-apply the fault;
-            # `fuzz --replay` ignores it (clean replay semantics).
-            lines.append(f"# fault: {problem['op']}")
     lines.append(f"# detail: {violation.detail}")
     lines.append("# replay: spectresim fuzz --replay <this file>")
     return "\n".join(lines) + "\n" + program.to_text()
@@ -75,17 +70,6 @@ def replay_reproducer(path: str) -> List[Violation]:
     policy = directives["policy"]
     base_seed = int(directives.get("base-seed", "1"))
     return check_cell(program, cpu, policy, base_seed)
-
-
-def explain_reproducer(path: str) -> ExplainReport:
-    """Timeline-trace a reproducer's cell and diff against its injected
-    fault (if the file carries a ``# fault:`` directive)."""
-    program, directives = load_reproducer(path)
-    cpu = get_cpu(directives["cpu"])
-    policy = directives["policy"]
-    base_seed = int(directives.get("base-seed", "1"))
-    fault_op = directives.get("fault")
-    return explain_cell(program, cpu, policy, base_seed, fault_op=fault_op)
 
 
 def minimize_violation(program: Program, violation: Violation,

@@ -42,14 +42,7 @@ from .history import (
 from .leakage import LeakageEvent, LeakageSummary, LeakageTracer
 from .ledger import CycleLedger, ledger_scope
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .observers import StructureHooks, current_observers, use_observers
-from .timeline import (
-    Divergence,
-    EventTimeline,
-    TimelineEvent,
-    first_divergence,
-    render_divergence,
-)
+from .observers import current_observers, use_observers
 from .spans import NULL_TRACER, NullTracer, Span, SpanTracer, current_tracer
 from .export import (
     to_chrome_trace,
@@ -69,8 +62,6 @@ from .provenance import (
 __all__ = [
     "Counter",
     "CycleLedger",
-    "Divergence",
-    "EventTimeline",
     "Gauge",
     "Histogram",
     "HistoryStore",
@@ -84,8 +75,6 @@ __all__ = [
     "RunManifest",
     "Span",
     "SpanTracer",
-    "StructureHooks",
-    "TimelineEvent",
     "build_manifest",
     "code_fingerprint",
     "config_to_dict",
@@ -93,10 +82,8 @@ __all__ = [
     "current_tracer",
     "default_history_db",
     "diff_payloads",
-    "first_divergence",
     "ledger_scope",
     "render_diff",
-    "render_divergence",
     "settings_to_dict",
     "to_chrome_trace",
     "to_chrome_trace_json",

@@ -66,7 +66,10 @@ BENCH_KIND = "spectresim-bench"
 #: families appear in the baseline.
 DEFAULT_BENCH_CPUS: Tuple[str, ...] = ("broadwell", "cascade_lake")
 
-#: Default study drivers snapshotted by ``bench``.
+#: Every study driver :func:`collect` dispatches on, and the default
+#: subset snapshotted by ``bench``.
+BENCH_DRIVERS: Tuple[str, ...] = ("figure2", "figure3", "figure5",
+                                  "parsec_default", "vm_lebench")
 DEFAULT_BENCH_DRIVERS: Tuple[str, ...] = ("figure2", "figure3", "figure5")
 
 #: Iteration counts for the deterministic instrumented ledger reference
@@ -222,6 +225,10 @@ def collect(
     cpu_keys = list(cpus or DEFAULT_BENCH_CPUS)
     settings = settings or study.Settings()
     driver_names = list(drivers or DEFAULT_BENCH_DRIVERS)
+    for driver in driver_names:
+        if driver not in BENCH_DRIVERS:
+            raise BaselineError(f"unknown bench driver {driver!r} (known: "
+                                f"{', '.join(BENCH_DRIVERS)})")
     models = [get_cpu(key) for key in cpu_keys]
 
     engine_before = blockengine.STATS.as_dict()
@@ -250,8 +257,6 @@ def collect(
             for result in study.vm_lebench_overheads(
                     models, settings=settings, executor=executor):
                 values.update(_paired_values(driver, result))
-        else:
-            raise BaselineError(f"unknown bench driver {driver!r}")
         phases[driver] = time.perf_counter() - phase_started
         if executor is not None:
             executor_totals.absorb(executor.stats)

@@ -21,7 +21,6 @@ from .leakage import LeakageTracer
 from .ledger import CycleLedger
 from .provenance import RunManifest
 from .spans import Span, SpanTracer
-from .timeline import EventTimeline
 
 __all__ = [
     "to_chrome_trace",
@@ -88,29 +87,10 @@ def _leakage_instant_events(leakage: LeakageTracer) -> List[Dict[str, Any]]:
     ]
 
 
-def _timeline_instant_events(timeline: EventTimeline) -> List[Dict[str, Any]]:
-    """Perfetto instant events from the microarchitectural timeline.
-
-    One global ``ph: "i"`` instant per recorded :class:`TimelineEvent`
-    at its simulated-cycle timestamp, named ``structure.action`` so
-    Perfetto groups BTB/RSB/cache/TLB/store-buffer/MDS activity into
-    filterable tracks alongside spans and leak instants.
-    """
-    return [
-        {"name": event.path(), "cat": "timeline",
-         "ph": "i", "s": "g", "ts": event.tsc,
-         "pid": TRACE_PID, "tid": TRACE_TID,
-         "args": {"key": event.key, "mode": event.mode,
-                  "instr": event.instr, "seq": event.seq}}
-        for event in timeline.events
-    ]
-
-
 def to_chrome_trace(tracer: SpanTracer,
                     provenance: Optional[RunManifest] = None,
                     ledger: Optional[CycleLedger] = None,
-                    leakage: Optional[LeakageTracer] = None,
-                    timeline: Optional[EventTimeline] = None
+                    leakage: Optional[LeakageTracer] = None
                     ) -> Dict[str, Any]:
     """The tracer's spans and instants as a Trace Event Format object."""
     events: List[Dict[str, Any]] = [
@@ -138,9 +118,6 @@ def to_chrome_trace(tracer: SpanTracer,
     if leakage is not None:
         events.extend(_leakage_instant_events(leakage))
         other["leakage"] = leakage.state()
-    if timeline is not None:
-        events.extend(_timeline_instant_events(timeline))
-        other["timeline"] = timeline.stats()
     if provenance is not None:
         other["provenance"] = provenance.to_dict()
     return {
@@ -154,21 +131,19 @@ def to_chrome_trace_json(tracer: SpanTracer,
                          provenance: Optional[RunManifest] = None,
                          indent: Optional[int] = None,
                          ledger: Optional[CycleLedger] = None,
-                         leakage: Optional[LeakageTracer] = None,
-                         timeline: Optional[EventTimeline] = None) -> str:
+                         leakage: Optional[LeakageTracer] = None) -> str:
     return json.dumps(to_chrome_trace(tracer, provenance, ledger=ledger,
-                                      leakage=leakage, timeline=timeline),
+                                      leakage=leakage),
                       indent=indent)
 
 
 def write_chrome_trace(path: str, tracer: SpanTracer,
                        provenance: Optional[RunManifest] = None,
                        ledger: Optional[CycleLedger] = None,
-                       leakage: Optional[LeakageTracer] = None,
-                       timeline: Optional[EventTimeline] = None) -> None:
+                       leakage: Optional[LeakageTracer] = None) -> None:
     with open(path, "w") as f:
         f.write(to_chrome_trace_json(tracer, provenance, ledger=ledger,
-                                     leakage=leakage, timeline=timeline))
+                                     leakage=leakage))
 
 
 def to_collapsed_stacks(tracer: SpanTracer) -> str:

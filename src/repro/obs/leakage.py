@@ -9,11 +9,10 @@ landing pads (:meth:`~LeakageTracer.taint_code`), set by workloads and
 the speculation probe — and propagates the taint *mechanistically*
 through the microarchitectural structures that already exist: store
 buffer forwarding, L1/L2 fills, TLB walks, BTB/RSB-influenced fetch
-redirects, and the MDS fill/store/load-port buffers.  The tracer is a
-:class:`~repro.obs.observers.StructureHooks` subscriber: the machine
-puts it into each structure's ``observer`` slot (``None`` by default, so
-untraced runs pay one ``is None`` test per hook site, exactly like the
-ledger's counter-file hook).
+redirects, and the MDS fill/store/load-port buffers.  The machine puts
+the tracer into each structure's ``observer`` slot (``None`` by default,
+so untraced runs pay one ``is None`` test per hook site, exactly like
+the ledger's counter-file hook), and calls its speculation-path hooks.
 
 Whenever tainted data influences an architecturally observable channel
 during a transient window, the tracer files a :class:`LeakageEvent`:
@@ -53,8 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
-
-from .observers import StructureHooks
 
 __all__ = [
     "CACHE_SET",
@@ -170,7 +167,7 @@ class _Window:
         self.suppressed = False
 
 
-class LeakageTracer(StructureHooks):
+class LeakageTracer:
     """Taint state plus the leakage-event flight recorder.
 
     One tracer can serve several machines in sequence (the probe builds
@@ -314,8 +311,8 @@ class LeakageTracer(StructureHooks):
     # An L1 flush keeps the resident set: L2 stays warm in the model's
     # inclusive hierarchy (coarse but safe-side).  Full TLB shootdowns,
     # committed store forwarding and the conditional predictor are
-    # taint-neutral; those hooks stay the inherited no-ops, and the
-    # leakage-matrix tests pin the verdicts that rely on it.
+    # taint-neutral, so no hook reports them; the leakage-matrix tests
+    # pin the verdicts that rely on it.
 
     def tlb_fill(self, page: int) -> None:
         if page in self._pages:

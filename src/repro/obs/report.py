@@ -476,61 +476,6 @@ def _section_fuzz(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
             f"<tbody>{''.join(rows)}</tbody></table>")
 
 
-def _section_timeline(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
-    """Microarchitectural event-timeline runs: stream size, digest, and
-    the first-divergence verdict per recorded ``spectresim explain``."""
-    head = '<h2 id="timeline">Event timeline</h2>'
-    explain_runs = [run for run in runs if run.kind == "explain"]
-    if not explain_runs:
-        return (head + '<p class="note">no explain runs recorded yet '
-                '&#8212; run <code>spectresim explain</code>.</p>')
-    names = ("timeline.events", "timeline.dropped", "timeline.digest",
-             "timeline.diverged", "timeline.divergence_index",
-             "timeline.divergence_tsc", "timeline.divergence_instr")
-    trend = {name: dict(store.telemetry_trend(name)) for name in names}
-
-    def num(name: str, run_id: int) -> str:
-        value = trend[name].get(run_id)
-        return "&#8212;" if value is None else f"{int(value):,}"
-
-    rows = []
-    agreeing = 0
-    for run in explain_runs:
-        diverged = trend["timeline.diverged"].get(run.id)
-        if diverged == 0:
-            verdict = '<span class="ok">&#10003; streams agree</span>'
-            agreeing += 1
-        elif diverged is None:
-            verdict = "&#8212;"
-        else:
-            index = num("timeline.divergence_index", run.id)
-            tsc = num("timeline.divergence_tsc", run.id)
-            instr = num("timeline.divergence_instr", run.id)
-            verdict = (f'<span class="flag">diverged</span> at event '
-                       f'#{index} (tsc {tsc}, instr {instr})')
-        digest = trend["timeline.digest"].get(run.id)
-        digest_cell = ("&#8212;" if digest is None
-                       else f"{int(digest):08x}")
-        rows.append(
-            f"<tr><td>{run.id}</td><td>{_esc(run.created_at)}</td>"
-            f"<td class='num'>{num('timeline.events', run.id)}</td>"
-            f"<td class='num'>{num('timeline.dropped', run.id)}</td>"
-            f"<td class='num'><code>{digest_cell}</code></td>"
-            f"<td>{verdict}</td></tr>")
-    intro = (f'<p class="sub">{len(explain_runs)} explain run(s) recorded, '
-             f'{agreeing} with agreeing streams. Each run records every '
-             f'speculative-structure event (BTB, RSB, caches, TLB, '
-             f'store buffer, MDS buffers) into the flight recorder and '
-             f'binary-searches two streams to their first divergent event '
-             f'(see docs/observability.md).</p>')
-    return (head + intro +
-            '<table><thead><tr><th>run</th><th>recorded</th>'
-            '<th class="num">events</th><th class="num">dropped</th>'
-            '<th class="num">digest</th>'
-            '<th>verdict</th></tr></thead>'
-            f"<tbody>{''.join(rows)}</tbody></table>")
-
-
 def _section_waterfall(diff: Optional[RunDiff],
                        id_a: Optional[int], id_b: Optional[int]) -> str:
     head = '<h2 id="waterfall">Blame waterfall</h2>'
@@ -634,7 +579,6 @@ def render_report(store: HistoryStore, title: str = "spectresim run history",
         _section_mitigations(store, run_ids),
         _section_leakage(store, runs),
         _section_fuzz(store, runs),
-        _section_timeline(store, runs),
         _section_waterfall(latest_diff, latest_pair[0], latest_pair[1]),
         _section_annotations(diffs, runs),
         _section_runs_table(runs),

@@ -140,39 +140,42 @@ def test_lebench_bit_identical_with_leakage_tracing(key):
 
 @pytest.mark.parametrize("key", CPU_KEYS)
 def test_lebench_bit_identical_with_timeline_recording(key):
-    """An attached timeline must not perturb execution either, and the
-    block engine (which replays interpreted under a timeline) must emit
-    the interpreter's event stream exactly."""
-    from repro.obs import timeline as obs_timeline
+    """Recording the span timeline must not perturb execution either.
+    A span tracer does not force interpretation, so the block engine
+    keeps replaying and must close every span at the interpreter's
+    cycle, with the interpreter's counter deltas."""
+    from repro.obs.spans import SpanTracer
 
     cpu = get_cpu(key)
     config = linux_default(cpu)
 
     def recorded_cell(mode):
         with engine.use_engine(mode):
-            timeline = obs_timeline.EventTimeline(capacity=None)
-            with use_observers(timeline):
+            tracer = SpanTracer()
+            with use_observers(tracer):
                 machine = Machine(cpu, seed=7)
+                engine.STATS.reset()
                 results = run_suite(machine, config, iterations=3, warmup=1,
                                     cases=GRID_CASES)
-        return results, machine, timeline
+                block_hits = engine.STATS.block_hits
+        return results, machine, tracer, block_hits
 
-    blk_results, blk_machine, blk_timeline = \
+    blk_results, blk_machine, blk_tracer, blk_hits = \
         recorded_cell(engine.ENGINE_BLOCK)
-    int_results, int_machine, int_timeline = \
+    int_results, int_machine, int_tracer, int_hits = \
         recorded_cell(engine.ENGINE_INTERP)
     _, bare_machine, _ = _run_grid_cell(cpu, config, engine.ENGINE_INTERP)
 
+    assert blk_hits > 0 and int_hits == 0
     assert blk_results == int_results
     assert blk_machine.read_tsc() == int_machine.read_tsc()
     assert blk_machine.read_tsc() == bare_machine.read_tsc()
     for name in sorted(ALL_COUNTERS):
         assert blk_machine.counters.events.get(name, 0) == \
             int_machine.counters.events.get(name, 0), name
-    # Same event stream, event for event.
-    assert blk_timeline.total == int_timeline.total
-    assert blk_timeline.digest() == int_timeline.digest()
-    assert obs_timeline.first_divergence(blk_timeline, int_timeline) is None
+    # Same timeline, span for span.
+    assert blk_tracer.find("kernel.syscall")
+    assert blk_tracer.state() == int_tracer.state()
 
 
 @given(st.sampled_from(CPU_KEYS),

@@ -8,16 +8,13 @@ from repro.core.probe import (
     POLICY_OFF,
     SCENARIOS,
 )
-from repro.core.stats import derive_seed
 from repro.cpu import get_cpu
 from repro.fuzz import (
     CampaignResult,
-    ExplainReport,
     FuzzConfig,
     blocked_promise,
     cell_supported,
     check_cell,
-    explain_cell,
     fuzz_campaign,
     generate_corpus,
     generate_program,
@@ -178,7 +175,7 @@ def test_campaign_result_verdict_map_keys():
 
 
 # --------------------------------------------------------------------------- #
-# Structured problems + the divergence explainer
+# Structured problems
 # --------------------------------------------------------------------------- #
 
 def _faulted_campaign():
@@ -186,16 +183,6 @@ def _faulted_campaign():
                         policies=(POLICY_OFF,))
     with parity_fault("verw"):
         return fuzz_campaign(config)
-
-
-def _cell_stream(result, violation):
-    """Rebuild the violating cell's instruction stream."""
-    from repro.core.probe import _policy_machine
-    program = next(p for p in result.programs
-                   if p.name == violation.program)
-    seed = derive_seed(3, "fuzz", program.name, "broadwell", POLICY_OFF)
-    _, retpoline = _policy_machine(get_cpu("broadwell"), POLICY_OFF, seed)
-    return program, list(program.instructions(retpoline=retpoline))
 
 
 def test_parity_violation_carries_structured_problems():
@@ -211,68 +198,6 @@ def test_parity_violation_carries_structured_problems():
             p["detail"] for p in violation.problems)
         payload = violation.to_dict()
         assert payload["problems"] == list(violation.problems)
-        assert payload["divergence"] is not None
-
-
-def test_divergence_pinpoints_the_injected_instruction():
-    result = _faulted_campaign()
-    violation = result.violations[0]
-    div = violation.divergence
-    assert div is not None
-    assert div["structure"] == "mds"
-    _, stream = _cell_stream(result, violation)
-    faulted = stream[div["instr"] % len(stream)]
-    assert faulted.op.name.lower() == "verw"
-
-
-def test_explain_cell_without_fault_agrees():
-    program = generate_program(derive_seed(1, "fuzz-program", "0"))
-    report = explain_cell(program, get_cpu("broadwell"), POLICY_OFF,
-                          base_seed=1)
-    assert isinstance(report, ExplainReport)
-    assert not report.diverged()
-    assert report.divergence is None
-    assert "agree" in report.render()
-    telemetry = report.telemetry()["timeline"]
-    assert telemetry["diverged"] == 0.0
-    assert all(isinstance(v, float) for v in telemetry.values())
-
-
-def test_explain_cell_with_fault_diverges():
-    # Program index 3 of the seed-1 corpus contains a verw.
-    program = generate_program(derive_seed(1, "fuzz-program", "3"))
-    report = explain_cell(program, get_cpu("broadwell"), POLICY_OFF,
-                          base_seed=1, fault_op="verw")
-    assert report.diverged()
-    div = report.divergence
-    assert div.structure == "mds"
-    text = report.render()
-    assert f"first divergence at event #{div.index}" in text
-    assert "faulted" in text
-    telemetry = report.telemetry()["timeline"]
-    assert telemetry["diverged"] == 1.0
-    assert telemetry["divergence_instr"] == float(div.instr)
-    payload = report.to_dict()
-    assert payload["divergence"]["index"] == div.index
-    assert payload["fault_op"] == "verw"
-
-
-def test_reproducer_fault_directive_round_trips(tmp_path):
-    from repro.fuzz import explain_reproducer, load_reproducer, \
-        write_reproducer
-    result = _faulted_campaign()
-    violation = result.violations[0]
-    program = next(p for p in result.programs
-                   if p.name == violation.program)
-    path = write_reproducer(str(tmp_path), program, violation, base_seed=3)
-    with open(path) as handle:
-        text = handle.read()
-    assert "# fault: verw" in text
-    _, directives = load_reproducer(path)
-    assert directives.get("fault") == "verw"
-    report = explain_reproducer(path)
-    assert report.diverged()
-    assert report.divergence.to_dict() == violation.divergence
 
 
 def test_campaign_progress_callback_reports_each_cell():

@@ -1,6 +1,8 @@
 """Leakage tracer: taint propagation, mitigation clears, transport."""
 
-from repro.cpu import Machine, Mode, get_cpu, isa
+from repro.core.probe import _policy_machine
+from repro.cpu import Machine, Mode, engine, get_cpu, isa
+from repro.fuzz import generate_program
 from repro.obs import leakage as lk
 from repro.obs.leakage import LeakageTracer
 from repro.obs.observers import current_observers, use_observers
@@ -87,6 +89,30 @@ def test_ambient_tracer_adopted_at_construction():
         assert tracer.cpu_model == "zen3"
     assert current_observers() == ()
     assert Machine(get_cpu("zen3"), seed=0).hooks is None
+
+
+def _block_engine_counts(traced):
+    """Run generated program 7 twice under ``--engine block``; returns
+    the engine's (block hits, interpreter fallbacks)."""
+    program = generate_program(7)
+    with engine.use_engine(engine.ENGINE_BLOCK):
+        with use_observers(LeakageTracer() if traced else None):
+            machine, retpoline = _policy_machine(get_cpu("broadwell"),
+                                                 "default", 11)
+        program.install(machine, retpoline=retpoline)
+        stream = list(program.instructions(retpoline=retpoline))
+        assert machine.engine is not None
+        engine.STATS.reset()
+        machine.run(stream)
+        machine.run(stream)
+    return engine.STATS.block_hits, engine.STATS.interp_fallbacks
+
+
+def test_attached_tracer_forces_interp_fallback():
+    """Machine.run skips the block engine while a tracer is attached;
+    the same stream untraced does replay through it."""
+    assert _block_engine_counts(traced=True) == (0, 0)
+    assert _block_engine_counts(traced=False)[0] > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,10 @@
 """The observer scope: every observer attaches through one path and none
 perturbs the simulation, alone or together, in any attach order.
 
-Each cell runs detached, under each observer alone, and under all four
+Each cell runs detached, under each observer alone, and under all three
 together in two opposite orders.  Counters and TSC must be identical in
 every run, and each observer must report the same thing whether it ran
-alone or shared the machine's hook slots with the others.
+alone or shared the machine with the others.
 """
 
 import pytest
@@ -15,22 +15,20 @@ from repro.kernel import GETPID, Kernel
 from repro.mitigations import linux_default
 from repro.obs import (
     CycleLedger,
-    EventTimeline,
     LeakageTracer,
     SpanTracer,
     current_observers,
     use_observers,
 )
-from repro.obs.observers import FanOut
 from repro.workloads.lebench import SUITE, run_suite
 
 CPU = "broadwell"
-KINDS = ("tracer", "ledger", "leakage", "timeline")
+KINDS = ("tracer", "ledger", "leakage")
 
 
 def _fresh():
     return {"tracer": SpanTracer(), "ledger": CycleLedger(),
-            "leakage": LeakageTracer(), "timeline": EventTimeline(capacity=None)}
+            "leakage": LeakageTracer()}
 
 
 def _table9_cell():
@@ -58,12 +56,15 @@ def _run(cell, observers):
     return machine, outcome
 
 
+def _hook_slots(machine):
+    return (machine.store_buffer, machine.caches, machine.tlb, machine.btb,
+            machine.rsb, machine.mds_buffers)
+
+
 def _reports(observers):
     return {
         "ledger": observers["ledger"].paths(),
         "leakage": observers["leakage"].summary().to_dict(),
-        "timeline": (observers["timeline"].total,
-                     observers["timeline"].digest()),
     }
 
 
@@ -82,7 +83,6 @@ def test_observers_alone_and_together_see_the_same_run(cell):
         alone[kind] = observers[kind]
     alone_reports = _reports(alone)
     assert alone["ledger"].verify() > 0
-    assert alone_reports["timeline"][0] > 0
 
     for order in (KINDS, tuple(reversed(KINDS))):
         observers = _fresh()
@@ -91,10 +91,9 @@ def test_observers_alone_and_together_see_the_same_run(cell):
                 outcome) == reference, order
         assert machine.ledger is observers["ledger"]
         assert machine.obs is observers["tracer"]
-        fan = machine.caches.observer
-        assert isinstance(fan, FanOut) and fan is machine.hooks
-        assert fan.subscribers == tuple(observers[kind] for kind in order
-                                        if kind in ("leakage", "timeline"))
+        assert machine.hooks is observers["leakage"]
+        assert all(structure.observer is observers["leakage"]
+                   for structure in _hook_slots(machine))
         assert _reports(observers) == alone_reports, order
         assert observers["tracer"].total_cycles() \
             == alone["tracer"].total_cycles()
@@ -117,6 +116,18 @@ def test_nested_scopes_compose_and_an_inner_observer_replaces_its_type():
     assert machine.observers == (tracer, inner)
     assert machine.obs is tracer and machine.ledger is inner
     assert machine.hooks is None  # neither forces interpretation
+
+
+def test_a_second_leakage_tracer_is_refused():
+    first = LeakageTracer()
+    with use_observers(first):
+        machine = Machine(get_cpu(CPU))
+    with pytest.raises(ValueError, match="already has a leakage tracer"):
+        machine.attach(LeakageTracer())
+    assert machine.hooks is first
+    assert machine.observers == (first,)
+    assert all(structure.observer is first
+               for structure in _hook_slots(machine))
 
 
 def test_ledger_attached_mid_run_accounts_from_the_attach():

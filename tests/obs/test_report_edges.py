@@ -1,6 +1,5 @@
 """Dashboard edge cases: empty stores and only-dirty histories must
-still render byte-stable, well-formed, self-contained HTML, and the
-timeline panel must degrade to a note when no explain runs exist."""
+still render byte-stable, well-formed, self-contained HTML."""
 
 from html.parser import HTMLParser
 
@@ -79,7 +78,7 @@ def test_empty_store_renders_well_formed_and_stable(store):
     _assert_well_formed(first)
     # Every panel is present and degrades to its note.
     for anchor in ('id="self-perf"', 'id="trends"', 'id="mitigations"',
-                   'id="leakage"', 'id="fuzz"', 'id="timeline"',
+                   'id="leakage"', 'id="fuzz"',
                    'id="waterfall"', 'id="annotations"'):
         assert anchor in first
     assert "0 recorded run(s)" in first
@@ -96,27 +95,18 @@ def test_only_dirty_runs_render_well_formed_and_stable(store):
     assert "dirty" in first
 
 
-def test_timeline_panel_degrades_to_note_without_explain_runs(store):
-    store.record_payload(_payload())
-    html = render_report(store)
-    _assert_well_formed(html)
-    assert 'id="timeline"' in html
-    assert "no explain runs recorded yet" in html
-
-
-def test_timeline_panel_lists_explain_runs(store):
+def test_recorded_explain_runs_still_list_and_render(store):
+    # Databases written before the explain command was removed keep their
+    # explain runs: they list, diff and render like any other run.
     payload = _payload()
-    payload["telemetry"] = {"timeline": {
-        "events": 114.0, "dropped": 0.0, "digest": 3735928559.0,
-        "diverged": 1.0, "divergence_index": 29.0,
-        "divergence_tsc": 2966.0, "divergence_instr": 37.0,
-        "count.mds": 9.0, "count.cache": 40.0}}
+    payload["telemetry"] = {"timeline": {"events": 114.0, "diverged": 1.0}}
     store.record_payload(payload, kind="explain")
+    store.record_payload(_payload(1.0))
+    assert [run.kind for run in store.runs()] == ["explain", "bench"]
+    assert store.diff(1, 2).compared == 1
     html = render_report(store)
     _assert_well_formed(html)
-    assert "diverged" in html
-    assert "#29" in html and "instr 37" in html
-    assert f"{3735928559:08x}" in html
+    assert 'id="timeline"' not in html
 
 
 def test_self_perf_panel_shows_replica_tiles(store):

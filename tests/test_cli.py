@@ -397,13 +397,23 @@ def test_profile_records_telemetry_run(capsys, tmp_path):
 
 
 def test_jobs_rejected_at_parse_time(capsys):
-    # A bad --jobs or --replicas is an argparse usage error (exit 2, one
-    # line on stderr), not a ValueError traceback from the executor.
+    # A bad count (--jobs, --replicas, --trials, --iterations, --entries)
+    # is an argparse usage error (exit 2, one line on stderr), not a
+    # traceback from deep inside a study or a silently empty result.
     for argv in (["figure", "2", "--jobs", "0"],
                  ["export", "figure2", "--jobs", "-3"],
                  ["fuzz", "--jobs", "x"],
                  ["figure", "2", "--fast", "--cpus", "broadwell",
-                  "--replicas", "0"]):
+                  "--replicas", "0"],
+                 ["leakage", "matrix", "--cpus", "cascade_lake",
+                  "--trials", "0"],
+                 ["leakage", "events", "--cpus", "cascade_lake",
+                  "--trials", "-3"],
+                 ["table", "5", "--iterations", "0"],
+                 ["table", "5", "--iterations", "-2"],
+                 ["profile", "table", "5", "--iterations", "0"],
+                 ["bimodal", "--entries", "0"],
+                 ["bimodal", "--entries", "-5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -474,94 +484,6 @@ def test_fuzz_violations_exit_nonzero_with_reproducers(capsys, tmp_path):
     assert "summary.txt" in os.listdir(out_dir)
 
 
-# --------------------------------------------------------------------------- #
-# First-divergence explainer
-# --------------------------------------------------------------------------- #
-
-def _faulted_reproducer(tmp_path):
-    from repro.fuzz import (FuzzConfig, fuzz_campaign, parity_fault,
-                            write_reproducer)
-    from repro.core.probe import POLICY_OFF
-    config = FuzzConfig(seed=3, programs=6, cpu_keys=("broadwell",),
-                        policies=(POLICY_OFF,))
-    with parity_fault("verw"):
-        result = fuzz_campaign(config)
-        violation = result.violations[0]
-        program = next(p for p in result.programs
-                       if p.name == violation.program)
-        path = write_reproducer(str(tmp_path), program, violation,
-                                base_seed=3)
-    return path, violation
-
-
-def test_explain_replay_pinpoints_the_injected_fault(capsys, tmp_path):
-    path, violation = _faulted_reproducer(tmp_path)
-    out = run_cli(capsys, "--no-history", "explain", "--replay", path)
-    div = violation.divergence
-    assert f"first divergence at event #{div['index']}" in out
-    assert f"tsc={div['tsc']}" in out
-    assert f"instr={div['instr']}" in out
-    assert div["structure"] in out
-    assert "faulted" in out
-
-
-def test_explain_cell_json_and_trace(capsys, tmp_path):
-    import json
-    trace_path = str(tmp_path / "t.json")
-    out = run_cli(capsys, "--no-history", "explain", "--cell",
-                  "broadwell:off", "--seed", "1", "--program", "3",
-                  "--fault", "verw", "--json", "--trace-out", trace_path)
-    payload = json.loads(out)
-    assert payload["divergence"] is not None
-    assert payload["divergence"]["structure"] == "mds"
-    assert payload["fault_op"] == "verw"
-    assert payload["base"]["total"] > 0
-    trace = json.load(open(trace_path))
-    instants = [e for e in trace["traceEvents"] if e.get("ph") == "i"]
-    assert len(instants) == payload["base"]["held"]
-    assert trace["otherData"]["timeline"]["total"] \
-        == payload["base"]["total"]
-
-
-def test_explain_clean_cell_agrees(capsys):
-    out = run_cli(capsys, "--no-history", "explain", "--cell",
-                  "broadwell:off")
-    assert "agree" in out
-
-
-def test_explain_requires_exactly_one_source(capsys):
-    for argv in (["explain"],
-                 ["explain", "--replay", "x.prog", "--cell",
-                  "broadwell:off"]):
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["--no-history"] + argv)
-        capsys.readouterr()
-
-
-def test_explain_records_and_compares_against_history(capsys):
-    run_cli(capsys, "explain", "--cell", "broadwell:off", "--program", "3",
-            "--fault", "verw")
-    out = run_cli(capsys, "history", "list")
-    assert "explain" in out
-    # Same cell again: digests and counts must match the recorded run.
-    out = run_cli(capsys, "explain", "--cell", "broadwell:off",
-                  "--program", "3", "--fault", "verw",
-                  "--against", "latest")
-    assert "match" in out
-    # A different program mismatches.
-    out = run_cli(capsys, "--no-history", "explain", "--cell",
-                  "broadwell:off", "--program", "0",
-                  "--against", "latest")
-    assert "mismatch" in out
-
-
-def test_explain_against_non_explain_run_exits(capsys, tmp_path):
-    bench_path = _bench_to(capsys, tmp_path, "B1.json")
-    with pytest.raises(SystemExit, match="no\\s+timeline telemetry"):
-        main(["explain", "--cell", "broadwell:off", "--against", "latest"])
-    capsys.readouterr()
-
-
 def test_fuzz_writes_machine_readable_summary(capsys, tmp_path):
     import json
     from repro.fuzz import parity_fault
@@ -578,7 +500,6 @@ def test_fuzz_writes_machine_readable_summary(capsys, tmp_path):
     assert first["problems"]
     assert {p["kind"] for p in first["problems"]} >= {"tsc",
                                                       "injected_fault"}
-    assert first["divergence"]["structure"] == "mds"
     assert summary["reproducers"]
 
 
@@ -710,7 +631,7 @@ load nowhere
 """
 
 
-@pytest.mark.parametrize("command", ["fuzz", "explain"])
+@pytest.mark.parametrize("command", ["fuzz"])
 def test_replay_of_a_malformed_reproducer_names_the_line(capsys, tmp_path,
                                                           command):
     path = tmp_path / "bad.prog"
@@ -736,10 +657,7 @@ def test_replay_of_a_malformed_reproducer_names_the_line(capsys, tmp_path,
     ("profile figure 2 --fast --cpus nosuchcpu", "'nosuchcpu'"),
     ("fuzz --programs 1 --cpus zen3 broadwel", "'broadwel'"),
     ("attacks --cpu nosuchcpu", "'nosuchcpu'"),
-    ("explain --cell nosuch:off", "'nosuch'"),
-    ("explain --cell broadwell:bogus", "unknown leakage policy 'bogus'"),
-], ids=["figure", "bench", "leakage", "profile", "fuzz", "attacks",
-        "explain-cpu", "explain-policy"])
+], ids=["figure", "bench", "leakage", "profile", "fuzz", "attacks"])
 def test_unknown_cpu_or_policy_is_a_usage_error(capsys, argv, bad):
     with pytest.raises(SystemExit) as exc:
         main(["--no-history"] + argv.split())
@@ -748,17 +666,38 @@ def test_unknown_cpu_or_policy_is_a_usage_error(capsys, argv, bad):
     assert "Traceback" not in err
     error = err.strip().splitlines()[-1]
     assert ": error: argument " in error and bad in error
-    if "policy" in bad:
-        assert "known policies: default, off, ibrs" in error
-    else:
-        assert "known CPUs: broadwell, skylake_client" in error
+    assert "known CPUs: broadwell, skylake_client" in error
 
 
-def test_explain_of_an_unsupported_cell_is_a_one_line_error():
+@pytest.mark.parametrize("drivers", [["bogus"], ["figure2", "bogus"]],
+                         ids=["alone", "after-a-known-driver"])
+def test_bench_unknown_driver_is_a_one_line_error(tmp_path, monkeypatch,
+                                                  drivers):
+    # Every name is checked before any cell runs.
+    from repro.core import study
+    monkeypatch.setattr(study, "figure2", None)
     with pytest.raises(SystemExit) as exc:
-        main(["--no-history", "explain", "--cell", "zen:ibrs"])
-    assert exc.value.code == ("explain: zen:ibrs: zen has no IBRS support "
-                              "(Table 10 marks it N/A)")
+        main(["--no-history", "bench", "--fast", "--cpus", "broadwell",
+              "--out", str(tmp_path / "B.json"), "--drivers"] + drivers)
+    assert exc.value.code == (
+        "bench: unknown bench driver 'bogus' (known: figure2, figure3, "
+        "figure5, parsec_default, vm_lebench)")
+    assert not (tmp_path / "B.json").exists()
+
+
+def test_bimodal_on_a_part_without_eibrs_is_a_one_line_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["bimodal", "--cpu", "zen"])
+    assert exc.value.code == "bimodal: zen has no enhanced IBRS"
+
+
+def test_history_report_into_a_missing_directory_is_a_one_line_error(
+        tmp_path):
+    out = tmp_path / "no" / "such" / "x.html"
+    with pytest.raises(SystemExit) as exc:
+        main(["history", "--db", str(tmp_path / "h.db"), "report",
+              "--out", str(out)])
+    assert exc.value.code == f"history: {out}: No such file or directory"
 
 
 def test_history_list_on_a_corrupt_db_is_a_one_line_error(tmp_path):
