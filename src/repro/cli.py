@@ -402,6 +402,7 @@ def cmd_summary(args: argparse.Namespace) -> str:
 
 def cmd_profile(args: argparse.Namespace) -> str:
     """Run one artifact under the span tracer; write trace/flame files."""
+    import json
     settings = _settings(args)
     cpus = _selected_cpus(args)
     tracer = obs.SpanTracer()
@@ -419,6 +420,18 @@ def cmd_profile(args: argparse.Namespace) -> str:
     manifest = _run_manifest(
         f"profile {args.kind} {args.number}", settings, cpus,
         wall_time_s=round(wall, 3), sim_cycles=tracer.total_cycles())
+    engine_stats = blockengine.STATS.as_dict()
+    engine_stats["hit_rate"] = blockengine.STATS.hit_rate()
+    replica_stats = replicabatch.STATS.as_dict()
+    replica_stats["hit_rate"] = replicabatch.STATS.hit_rate()
+    telemetry = {
+        "wall_s": wall,
+        "engine": engine_stats,
+        "replicas": replica_stats,
+        "replicas_per_s": (replica_stats["replicas"] / wall
+                           if wall > 0 else 0.0),
+        "coverage": tracer.coverage(),
+    }
 
     lines = [rendered.rstrip("\n"), ""]
     if args.trace_out:
@@ -435,20 +448,15 @@ def cmd_profile(args: argparse.Namespace) -> str:
             f.write(ledger.report())
         lines.append(f"ledger: {ledger.total():,} cycles attributed, "
                      f"invariant verified -> {args.ledger_out}")
-    blockengine.publish_metrics(tracer.metrics)
-    replicabatch.publish_metrics(tracer.metrics)
     if args.metrics_out:
         with open(args.metrics_out, "w") as f:
-            f.write(tracer.metrics.to_json())
-        lines.append(f"metrics: wrote registry to {args.metrics_out}")
+            json.dump({"spans": tracer.self_cycles_by_name(),
+                       "telemetry": telemetry}, f, indent=2, sort_keys=True)
+        lines.append(f"metrics: wrote {args.metrics_out}")
 
     # Profile runs carry no study values, but their self-performance
     # telemetry (and ledger, when attributed) still belongs in the
     # longitudinal record.
-    engine_stats = blockengine.STATS.as_dict()
-    engine_stats["hit_rate"] = blockengine.STATS.hit_rate()
-    replica_stats = replicabatch.STATS.as_dict()
-    replica_stats["hit_rate"] = replicabatch.STATS.hit_rate()
     ledgers = {}
     if ledger is not None:
         ledgers["+".join(cpu.key for cpu in cpus)] = {
@@ -456,14 +464,7 @@ def cmd_profile(args: argparse.Namespace) -> str:
     _history_autorecord(args, {
         "values": {},
         "ledger": ledgers,
-        "telemetry": {
-            "wall_s": wall,
-            "engine": engine_stats,
-            "replicas": replica_stats,
-            "replicas_per_s": (replica_stats["replicas"] / wall
-                               if wall > 0 else 0.0),
-            "coverage": tracer.coverage(),
-        },
+        "telemetry": telemetry,
         "tolerance": {},
         "provenance": manifest.to_dict(),
     }, kind="profile")
@@ -614,9 +615,11 @@ def cmd_leakage(args: argparse.Namespace) -> str:
     import json
     from .core.probe import leakage_report
     cpus = _selected_cpus(args)
+    # The matrix shows no events, so it collects none.
+    events = args.leakage_command == "events"
     report = leakage_report(tuple(cpus), policy=args.policy,
                             trials=args.trials,
-                            max_events=args.max_events)
+                            max_events=args.max_events if events else 0)
     if args.leakage_command == "matrix":
         if args.json:
             slim = dict(report)
@@ -969,7 +972,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flame-out", metavar="PATH", default=None,
                    help="write collapsed-stack flamegraph format here")
     p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="write the metrics registry as JSON here")
+                   help="write self-cycles per span name and the run's "
+                        "engine/replica telemetry as JSON here")
     p.add_argument("--ledger-out", metavar="PATH", default=None,
                    help="attribute every cycle with the ledger and write "
                         "the (layer, mitigation, primitive) report here")
@@ -1058,8 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probe trials per (cpu, boundary) cell")
         lp.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
-        lp.add_argument("--max-events", type=int, default=200,
-                        help="cap on raw events carried in the report")
 
     lp = lsub.add_parser("matrix",
                          help="cpu x train->victim boundary verdicts with "
@@ -1067,6 +1069,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_leakage_flags(lp)
     lp = lsub.add_parser("events", help="the leakage event flight record")
     _add_leakage_flags(lp)
+    lp.add_argument("--max-events", type=_positive_int, default=200,
+                    help="cap on raw events carried in the report")
     lp.add_argument("--trace-out", metavar="PATH", default=None,
                     help="also write the events as Perfetto instant "
                          "events (Chrome trace-event JSON) here")
@@ -1132,22 +1136,24 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     blockengine.set_default_engine(args.engine)
-    trace_path = getattr(args, "trace", None)
-    if trace_path and args.command != "profile":
+    trace_path = args.trace
+    if trace_path and args.command == "profile":
+        parser.error("--trace does not apply to profile; "
+                     "use profile --trace-out PATH")
+    if trace_path:
         tracer = obs.SpanTracer()
         started = time.perf_counter()
         with obs.use_observers(tracer):
             output = _COMMANDS[args.command](args)
-        manifest = obs.build_manifest(
-            command=args.command,
-            settings=_settings(args)
-            if hasattr(args, "fast") else None,
-            cpus=[cpu.key for cpu in _selected_cpus(args)],
+        manifest = _run_manifest(
+            args.command,
+            _settings(args) if hasattr(args, "fast") else None,
+            _selected_cpus(args),
             wall_time_s=round(time.perf_counter() - started, 3),
-            sim_cycles=tracer.total_cycles(),
-        )
+            sim_cycles=tracer.total_cycles())
         obs.write_chrome_trace(trace_path, tracer, provenance=manifest)
         output += (f"[trace] {len(tracer.spans)} spans, "
                    f"{100.0 * tracer.coverage():.1f}% cycle coverage -> "

@@ -211,19 +211,6 @@ class EngineStats:
 STATS = EngineStats()
 
 
-def publish_metrics(registry: Any) -> None:
-    """Copy the current stats into a MetricsRegistry as counters.
-
-    Called on the parent's registry by ``spectresim profile`` and on the
-    worker's registry before its payload ships home, so parallel runs
-    aggregate naturally through the span tracer's merge_state path.
-    """
-    for name in EngineStats.FIELDS:
-        value = getattr(STATS, name)
-        if value:
-            registry.counter(f"engine.{name}").inc(value)
-
-
 # ----------------------------------------------------------------------
 # Ambient engine mode (mirrors obs.spans / obs.ledger).
 

@@ -165,14 +165,6 @@ class ReplicaStats:
 STATS = ReplicaStats()
 
 
-def publish_metrics(registry) -> None:
-    """Copy the replica counters into a metrics registry as
-    ``replicas.<name>`` counters (zero-valued fields are skipped)."""
-    for name, value in STATS.as_dict().items():
-        if value:
-            registry.counter(f"replicas.{name}").inc(value)
-
-
 def run_replicas(run_fn: Callable[[int], float], seed: int,
                  n: int = 1) -> List[float]:
     """The values of ``n`` seeded replicas of one cell.

@@ -1,4 +1,4 @@
-"""Cross-layer observability: span tracing, metrics, exporters, provenance.
+"""Cross-layer observability: span tracing, ledgers, exporters, provenance.
 
 The subsystem threads through every layer of the simulator:
 
@@ -7,8 +7,6 @@ The subsystem threads through every layer of the simulator:
   inside it attaches them through ``Machine.attach``;
 * :mod:`repro.obs.spans` — hierarchical span tracer on the simulated cycle
   clock, with a zero-cost null tracer seen outside any tracer's scope;
-* :mod:`repro.obs.metrics` — one registry of counters/gauges/histograms
-  bridging machine perf counters and study-level statistics;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and
   collapsed-stack flamegraph exporters;
 * :mod:`repro.obs.ledger` — hierarchical cycle-attribution ledger: every
@@ -41,7 +39,6 @@ from .history import (
 )
 from .leakage import LeakageEvent, LeakageSummary, LeakageTracer
 from .ledger import CycleLedger, ledger_scope
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observers import current_observers, use_observers
 from .spans import NULL_TRACER, NullTracer, Span, SpanTracer, current_tracer
 from .export import (
@@ -60,15 +57,11 @@ from .provenance import (
 )
 
 __all__ = [
-    "Counter",
     "CycleLedger",
-    "Gauge",
-    "Histogram",
     "HistoryStore",
     "LeakageEvent",
     "LeakageSummary",
     "LeakageTracer",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "RunDiff",

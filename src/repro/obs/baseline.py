@@ -42,7 +42,7 @@ import re
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..errors import BaselineError
+from ..errors import BaselineError, LedgerInvariantError, UnknownCPUError
 from .history import (
     DEFAULT_LEDGER_REL_TOL,
     DEFAULT_MIN_PERCENT_POINTS,
@@ -51,7 +51,7 @@ from .history import (
     diff_payloads,
     render_diff,
 )
-from .ledger import CycleLedger
+from .ledger import CycleLedger, split_path
 from .observers import use_observers
 from .provenance import build_manifest
 
@@ -378,7 +378,62 @@ def load_bench(path: str) -> Dict[str, Any]:
         raise BaselineError(
             f"baseline {path!r} has schema v{payload.get('schema')}, "
             f"this build reads v{SCHEMA_VERSION}")
+    _check_shape(payload, path)
     return payload
+
+
+def _malformed(path: str, field: str, want: str) -> BaselineError:
+    return BaselineError(f"baseline {path!r}: {field} must be {want}")
+
+
+def _number(value: Any, integer: bool = False) -> bool:
+    """Whether ``value`` is a finite JSON number (an integer if asked)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if integer else math.isfinite(value)
+
+
+def _check_shape(payload: Dict[str, Any], path: str) -> None:
+    """Reject the payload unless its values, ledger and leakage blocks
+    have the shape that :func:`~repro.obs.history.diff_payloads` and
+    ``HistoryStore.record_payload`` read."""
+    values = payload.get("values", {})
+    if not isinstance(values, dict):
+        raise _malformed(path, "values", "an object")
+    for key, record in values.items():
+        if not (isinstance(record, dict) and _number(record.get("value"))
+                and _number(record.get("uncertainty", 0.0))):
+            raise _malformed(path, f"values[{key!r}]",
+                             "an object with a finite numeric value "
+                             "and uncertainty")
+    ledger = payload.get("ledger", {})
+    if not isinstance(ledger, dict):
+        raise _malformed(path, "ledger", "an object")
+    for cpu, roll in ledger.items():
+        entries = roll.get("entries", {}) if isinstance(roll, dict) else None
+        if not isinstance(entries, dict):
+            raise _malformed(path, f"ledger[{cpu!r}]",
+                             "an object with an entries object")
+        for entry, cycles in entries.items():
+            try:
+                split_path(entry)
+            except LedgerInvariantError:
+                raise _malformed(path, f"ledger[{cpu!r}] path {entry!r}",
+                                 "layer/mitigation/primitive") from None
+            if not _number(cycles, integer=True):
+                raise _malformed(path, f"ledger[{cpu!r}][{entry!r}]",
+                                 "an integer")
+    leakage = payload.get("leakage")
+    if leakage is None:
+        return
+    matrix = leakage.get("matrix") if isinstance(leakage, dict) else None
+    if not isinstance(matrix, dict):
+        raise _malformed(path, "leakage", "null or an object with a matrix")
+    for cpu, row in matrix.items():
+        if row is not None and not (isinstance(row, dict) and all(
+                isinstance(cell, dict) for cell in row.values())):
+            raise _malformed(path, f"leakage.matrix[{cpu!r}]",
+                             "null or an object of boundary objects")
 
 
 # --------------------------------------------------------------------------- #
@@ -405,6 +460,29 @@ def check_against(baseline_path: str,
         if key not in payload:
             raise BaselineError(
                 f"baseline {baseline_path!r} has no {key!r} key to re-run")
+    # Missing fields keep their defaults: BENCH_1/2 predate ``replicas``.
+    defaults = {field.name: field.default
+                for field in dataclasses.fields(study.Settings)}
+    if not isinstance(payload["settings"], dict):
+        raise _malformed(baseline_path, "settings", "an object")
+    for name, value in payload["settings"].items():
+        if name not in defaults:
+            raise _malformed(baseline_path, f"settings key {name!r}",
+                             f"one of {', '.join(defaults)}")
+        integer = isinstance(defaults[name], int)
+        if not _number(value, integer):
+            raise _malformed(baseline_path, f"settings[{name!r}]",
+                             "an integer" if integer else "a finite number")
+    cpus = payload["cpus"]
+    if not (isinstance(cpus, list)
+            and all(isinstance(key, str) for key in cpus)):
+        raise _malformed(baseline_path, "cpus", "a list of CPU keys")
+    for key in cpus:
+        try:
+            get_cpu(key)
+        except UnknownCPUError as exc:
+            raise BaselineError(
+                f"baseline {baseline_path!r}: {exc.args[0]}") from None
     settings = study.Settings(**payload["settings"])
     current = collect(
         cpus=payload["cpus"],

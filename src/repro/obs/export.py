@@ -110,7 +110,6 @@ def to_chrome_trace(tracer: SpanTracer,
         "total_cycles": tracer.total_cycles(),
         "attributed_cycles": tracer.attributed_cycles(),
         "coverage": tracer.coverage(),
-        "metrics": tracer.metrics.collect(),
     }
     if ledger is not None:
         events.extend(_ledger_counter_events(ledger))

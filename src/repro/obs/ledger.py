@@ -27,8 +27,8 @@ Like every observer, a ledger reaches machines through
 ``use_observers(ledger)`` (machines built in the scope attach it) or
 ``machine.attach(ledger)``.  A machine without a ledger pays a single
 ``is None`` test on the hot path.  Ledgers from executor workers merge
-into the parent via :meth:`state` / :meth:`merge_state`, mirroring
-``MetricsRegistry``.
+into the parent via :meth:`state` / :meth:`merge_state`, as span
+tracers do.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class CycleLedger:
         return total
 
     # ------------------------------------------------------------------
-    # Merge (mirrors MetricsRegistry.state/merge_state).
+    # Merge (mirrors SpanTracer.state/merge_state).
 
     def state(self) -> Dict[str, object]:
         """Lossless dump for cross-process transport."""

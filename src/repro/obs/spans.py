@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
 from .observers import current_observers
 
 __all__ = [
@@ -145,7 +144,6 @@ class Span:
             self.counter_delta = machine.counters.delta(self._counters_before)
         self._machine = None
         self._counters_before = None
-        tracer._finish(self)
         return False
 
     def set(self, **attrs: Any) -> "Span":
@@ -195,8 +193,7 @@ class SpanTracer:
 
     enabled = True
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self.roots: List[Span] = []
         self.spans: List[Span] = []            # every span, in start order
         self.instants: List[Tuple[int, str, Dict[str, Any]]] = []
@@ -235,9 +232,6 @@ class SpanTracer:
         """A zero-duration event (e.g. one transient window) at now()."""
         self.instants.append((self.now(), name, attrs))
 
-    def _finish(self, span: Span) -> None:
-        self.metrics.histogram(f"span.{span.name}.cycles").observe(span.cycles)
-
     def advance(self, cycles: int) -> None:
         """Retire ``cycles`` simulated elsewhere into the trace clock.
 
@@ -255,7 +249,7 @@ class SpanTracer:
         """Serialize the complete timeline as plain JSON types.
 
         The inverse is :meth:`merge_state`; together they carry a worker
-        process's spans, instants and metrics back to the parent tracer.
+        process's spans and instants back to the parent tracer.
         Open spans are closed at the current clock reading first.
         """
         index = {id(span): i for i, span in enumerate(self.spans)}
@@ -274,7 +268,6 @@ class SpanTracer:
             "instants": [[ts, name, dict(attrs)]
                          for ts, name, attrs in self.instants],
             "total_cycles": self.total_cycles(),
-            "metrics": self.metrics.state(),
         }
 
     def merge_state(self, payload: Dict[str, Any]) -> None:
@@ -282,9 +275,9 @@ class SpanTracer:
 
         The child's spans are re-based at the current clock reading (its
         cycles happened "elsewhere", concurrently in wall time but on an
-        independent simulated clock), its metrics fold into this
-        registry, and the clock advances past its total so successive
-        absorptions stay monotonic and coverage accounting holds.
+        independent simulated clock), and the clock advances past its
+        total so successive absorptions stay monotonic and coverage
+        accounting holds.
         """
         base = self.now()
         rebuilt: List[Span] = []
@@ -304,7 +297,6 @@ class SpanTracer:
         for ts, name, attrs in payload["instants"]:
             self.instants.append((base + ts, name, attrs))
         self.advance(payload["total_cycles"])
-        self.metrics.merge_state(payload["metrics"])
 
     # -- queries --------------------------------------------------------- #
 

@@ -259,9 +259,6 @@ class TestWorkerObservability:
         assert len(spans) == 3  # one per PARSEC workload cell
         assert all(span.cycles > 0 for span in spans)
         assert tracer.total_cycles() >= tracer.attributed_cycles() > 0
-        # Worker metrics (span histograms) merged into the parent registry.
-        hist = tracer.metrics.get("span.study.figure5.zen3.cycles")
-        assert hist is not None and hist.count == 3
 
     def test_untraced_parallel_run_collects_nothing(self):
         from repro.obs import current_observers

@@ -21,7 +21,6 @@ from repro.cpu.replicas import (
     ReplicaStats,
     ScrubProbe,
     firing_schedule,
-    publish_metrics,
     replica_seed,
     run_replicas,
 )
@@ -30,7 +29,6 @@ from repro.kernel import GETPID, Kernel
 from repro.mitigations.base import MitigationConfig
 from repro.obs.observers import use_observers
 from repro.mitigations.policy import linux_default
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads import lebench
 
 ALL_CPU_KEYS = [cpu.key for cpu in all_cpus()]
@@ -275,17 +273,6 @@ def test_stats_summary_mentions_the_numbers():
     text = stats.summary()
     assert "9 replicas in 3 batches" in text
     assert "66.7% batch hit rate" in text
-
-
-def test_publish_metrics_exports_nonzero_counters():
-    registry = MetricsRegistry()
-    STATS.reset()
-    run_fn = _cell_run_fn(get_cpu("zen3"), MitigationConfig.all_off())
-    run_replicas(run_fn, seed=3, n=3)
-    publish_metrics(registry)
-    assert registry.counter("replicas.replicas").value == 3
-    assert registry.counter("replicas.batched").value == 2
-    assert "replicas.scalar_fallbacks" not in registry.collect()
 
 
 def test_replica_batch_validation():

@@ -57,7 +57,7 @@ def test_chrome_trace_other_data():
     assert other["total_cycles"] == 130
     assert other["attributed_cycles"] == 130
     assert other["coverage"] == 1.0
-    assert "span.outer.cycles" in other["metrics"]
+    assert "metrics" not in other
 
 
 def test_chrome_trace_embeds_provenance():

@@ -112,15 +112,6 @@ def test_coverage_and_find(tracer):
     assert tracer.find("missing") == []
 
 
-def test_finish_feeds_metrics_histogram(tracer):
-    m = Machine(get_cpu("broadwell"))
-    with tracer.span("timed"):
-        m.execute(isa.work(42))
-    hist = tracer.metrics.histogram("span.timed.cycles")
-    assert hist.count == 1
-    assert hist.sum == 42
-
-
 def test_instants_recorded_with_timestamps(tracer):
     m = Machine(get_cpu("broadwell"))
     m.execute(isa.work(10))
@@ -193,6 +184,7 @@ def test_to_payload_serializes_timeline(tracer):
             m.execute(isa.work(10))
     tracer.instant("mark", n=1)
     payload = tracer.state()
+    assert set(payload) == {"spans", "instants", "total_cycles"}
     assert payload["total_cycles"] == 40
     records = payload["spans"]
     assert [r["name"] for r in records] == ["outer", "inner"]
@@ -201,7 +193,6 @@ def test_to_payload_serializes_timeline(tracer):
     assert records[0]["attrs"] == {"cpu": "bw"}
     assert records[0]["start"] == 0 and records[0]["end"] == 40
     assert payload["instants"] == [[40, "mark", {"n": 1}]]
-    assert "span.outer.cycles" in payload["metrics"]
     import json as _json
     _json.dumps(payload)                       # plain JSON types only
     assert outer.end == 40
@@ -227,7 +218,6 @@ def test_absorb_rebases_child_timeline(tracer):
         with child.span("worker.job") as job:
             cm.execute(isa.work(40))
             child.instant("worker.event")
-        child.metrics.counter("worker.cells").inc(8)
 
     tracer.merge_state(child.state())
     (absorbed,) = tracer.find("worker.job")
@@ -235,7 +225,6 @@ def test_absorb_rebases_child_timeline(tracer):
     assert absorbed is not job                 # rebuilt, not shared
     assert (140, "worker.event", {}) in tracer.instants
     assert tracer.now() == 140                 # clock advanced past the child
-    assert tracer.metrics.counter("worker.cells").value == 8
 
 
 def test_absorb_preserves_parent_links_and_coverage(tracer):

@@ -193,7 +193,13 @@ def test_profile_figure_writes_trace_artifacts(capsys, tmp_path):
     prov = trace["otherData"]["provenance"]
     assert prov["seed"] is not None and prov["cpus"] == ["broadwell"]
     assert "kernel.syscall" in flame_path.read_text()
-    assert json.loads(metrics_path.read_text())
+    assert f"metrics: wrote {metrics_path}" in out
+    metrics = json.loads(metrics_path.read_text())
+    # Self-cycles per name: kernel.syscall's own are covered by children.
+    spans = metrics["spans"]
+    assert "kernel.syscall" in spans and spans["kernel.entry"] > 0
+    assert sum(spans.values()) == trace["otherData"]["attributed_cycles"]
+    assert {"engine", "replicas"} <= set(metrics["telemetry"])
 
 
 def test_profile_table(capsys, tmp_path):
@@ -215,6 +221,19 @@ def test_global_trace_flag(capsys, tmp_path):
     trace = json.loads(trace_path.read_text())
     names = {e["name"] for e in trace["traceEvents"]}
     assert "study.figure5.broadwell" in names
+    # The same manifest as profile's: per-CPU mitigation config included.
+    prov = trace["otherData"]["provenance"]
+    assert prov["seed"] is not None and prov["cpus"] == ["broadwell"]
+    assert set(prov["config"]) == {"broadwell"} and prov["version"]
+
+
+def test_global_trace_flag_on_profile_is_a_usage_error(capsys, tmp_path):
+    trace_path = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--trace", str(trace_path), "profile", "table", "1"])
+    assert exc.value.code == 2
+    assert "profile --trace-out" in capsys.readouterr().err
+    assert not trace_path.exists()
 
 
 def test_profile_leaves_null_tracer_installed(capsys, tmp_path):
@@ -397,9 +416,10 @@ def test_profile_records_telemetry_run(capsys, tmp_path):
 
 
 def test_jobs_rejected_at_parse_time(capsys):
-    # A bad count (--jobs, --replicas, --trials, --iterations, --entries)
-    # is an argparse usage error (exit 2, one line on stderr), not a
-    # traceback from deep inside a study or a silently empty result.
+    # A bad count (--jobs, --replicas, --trials, --iterations, --entries,
+    # --max-events) is an argparse usage error (exit 2, one line on
+    # stderr), not a traceback from deep inside a study or a silently
+    # empty result.
     for argv in (["figure", "2", "--jobs", "0"],
                  ["export", "figure2", "--jobs", "-3"],
                  ["fuzz", "--jobs", "x"],
@@ -409,6 +429,9 @@ def test_jobs_rejected_at_parse_time(capsys):
                   "--trials", "0"],
                  ["leakage", "events", "--cpus", "cascade_lake",
                   "--trials", "-3"],
+                 ["leakage", "events", "--max-events", "0"],
+                 ["leakage", "events", "--cpus", "cascade_lake",
+                  "--max-events", "-3"],
                  ["table", "5", "--iterations", "0"],
                  ["table", "5", "--iterations", "-2"],
                  ["profile", "table", "5", "--iterations", "0"],
@@ -419,6 +442,14 @@ def test_jobs_rejected_at_parse_time(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "expected a positive integer" in err
+
+
+def test_leakage_matrix_has_no_max_events_flag(capsys):
+    # The matrix never shows events, so it takes no cap on them.
+    with pytest.raises(SystemExit) as exc:
+        main(["leakage", "matrix", "--max-events", "5"])
+    assert exc.value.code == 2
+    assert "--max-events" in capsys.readouterr().err
 
 
 def test_fuzz_campaign_smoke(capsys, tmp_path):
@@ -597,13 +628,27 @@ def test_history_diff_finds_a_leakage_flip_against_a_recorded_run(capsys,
     assert LEAKAGE_FLIP in capsys.readouterr().out
 
 
-def test_history_diff_of_identical_table9_exports_is_clean(capsys, tmp_path):
+@pytest.mark.parametrize("table,cells", [("table9", 10), ("table10", 5)],
+                         ids=["table9", "table10"])
+def test_history_diff_of_identical_table_exports_is_clean(capsys, tmp_path,
+                                                         table, cells):
+    # Zen cannot run the ibrs policy: Table 10's zen row is null.
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     for path in (a, b):
-        path.write_text(run_cli(capsys, "export", "table9", "--cpus", "zen3"))
+        path.write_text(run_cli(capsys, "export", table,
+                                "--cpus", "zen", "zen3"))
     out = run_cli(capsys, "history", "diff", str(a), str(b))
-    assert out.endswith("0 missing, 0 leakage flips in 5 cells -> OK\n")
+    assert out.endswith(f"0 missing, 0 leakage flips in {cells} cells "
+                        f"-> OK\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_history_diff_of_each_committed_baseline_is_clean(capsys, n):
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                        "baselines", f"BENCH_{n}.json")
+    out = run_cli(capsys, "history", "diff", path, path)
+    assert "0 regressions" in out and out.endswith("-> OK\n")
 
 
 def test_history_gc_dry_run_does_not_mutate(capsys, tmp_path):
@@ -720,6 +765,11 @@ def test_check_against_a_non_json_baseline_is_a_one_line_error(tmp_path):
     assert "\n" not in message
 
 
+def _bench_text(**fields):
+    import json
+    return json.dumps({"kind": "spectresim-bench", "schema": 1, **fields})
+
+
 @pytest.mark.parametrize("argv,content", [
     ("history record {}", None),
     ("history record {}", "not json {"),
@@ -727,8 +777,28 @@ def test_check_against_a_non_json_baseline_is_a_one_line_error(tmp_path):
     ("history diff {} {}", "[]"),
     ("check --against {}", "[]"),
     ("check --against {}", '{"kind": "spectresim-bench", "schema": 1}'),
+    ("history diff {} {}", _bench_text(values={"k": {"uncertainty": 0.1}})),
+    ("history record {}", _bench_text(values={"k": {"uncertainty": 0.1}})),
+    ("history diff {} {}", _bench_text(values=[])),
+    ("history record {}", _bench_text(values=[])),
+    ("history record {}",
+     _bench_text(ledger={"broadwell": {"entries": {"bad": 5}}})),
+    ("history diff {} {}",
+     _bench_text(leakage={"matrix": {"zen": [{"leaked": False}]}})),
+    ("history record {}",
+     _bench_text(leakage={"matrix": {"zen": [{"leaked": False}]}})),
+    ("check --against {}",
+     _bench_text(cpus=["broadwell"], settings={"bogus": 1})),
+    ("check --against {}", _bench_text(cpus=["broadwell"], settings="fast")),
+    ("check --against {}",
+     _bench_text(cpus=["broadwell"], settings={"iterations": 2.5})),
+    ("check --against {}", _bench_text(cpus=["nosuchcpu"], settings={})),
 ], ids=["record-missing", "record-not-json", "record-list", "diff-list",
-        "check-list", "check-no-grid"])
+        "check-list", "check-no-grid", "diff-no-value", "record-no-value",
+        "diff-values-list", "record-values-list", "record-ledger-path",
+        "diff-leakage-row-list", "record-leakage-row-list",
+        "check-unknown-setting", "check-settings-string",
+        "check-float-iterations", "check-unknown-cpu"])
 def test_bad_payload_file_is_a_one_line_error(tmp_path, argv, content):
     path = tmp_path / "payload.json"
     if content is not None:
