@@ -8,7 +8,8 @@ MDS-leakable buffers, MSRs and performance counters — and executes
 Two execution paths exist:
 
 * the **committed** path (:meth:`execute` / :meth:`run`) advances the TSC
-  and architectural state;
+  and architectural state.  Its one loop, :meth:`run`, executes loads and
+  stores itself and every other op through its handler in ``_DISPATCH``;
 * the **transient** path (:meth:`_transient_window`) models wrong-path
   execution after a branch misprediction: it costs no committed cycles but
   leaves microarchitectural footprints — cache fills, divider activity,
@@ -34,7 +35,7 @@ from . import counters as ctr
 from . import engine as blockengine
 from . import msr as msrdef
 from .btb import BranchHistoryBuffer, BranchTargetBuffer
-from .buffers import MicroarchBuffers
+from .buffers import FILL_BUFFER, LOAD_PORT, STORE_BUFFER, MicroarchBuffers
 from .condbp import ConditionalPredictor
 from .cache import Cache, CacheHierarchy
 from .counters import PerfCounters
@@ -59,6 +60,12 @@ _MISPREDICTED_INDIRECT = ctr.MISPREDICTED_INDIRECT
 _VERW_CLEARS = ctr.VERW_CLEARS
 _KERNEL_ENTRIES = ctr.KERNEL_ENTRIES
 _BTB_FLUSH_ON_ENTRY = ctr.BTB_FLUSH_ON_ENTRY
+
+_LOAD = Op.LOAD
+
+#: The ``_DISPATCH`` entry of LOAD and STORE: ``Machine.run`` executes
+#: both inline, so every other op pays one identity test against it.
+_MEMORY = object()
 
 #: Retpoline flavors (paper Figure 4).
 GENERIC_RETPOLINE = "generic"
@@ -227,11 +234,20 @@ class Machine:
     def run(self, instructions: Iterable[Instruction]) -> int:
         """Execute a stream on the committed path; returns total cycles.
 
-        The one dispatch loop: each instruction's handler runs, its cycles
+        The one dispatch loop: each instruction executes, its cycles
         advance the TSC (filed under the instruction's ledger tag when a
         ledger is attached) and ``inst_retired.any`` counts it, in that
         order, so a fault mid-stream leaves the TSC and the retired count
         where the last completed instruction left them.
+
+        Loads and stores execute here.  The first one after any other op
+        binds the TLB, cache, store-buffer and MDS state they use, with
+        the mode and each structure's ``observer`` slot (SMT siblings
+        share caches and MDS buffers); the first forwarded load reads
+        the SSBD bit.  Only other ops change that state, so every other
+        op drops the binding.  Within a run, a repeat of the last page
+        or L1 line is a hit with no lookup: it is already the most
+        recent entry.
 
         With ``--engine=block`` (and no leakage tracer attached),
         concrete multi-instruction sequences route through the
@@ -247,6 +263,7 @@ class Machine:
         events = counters.events
         ledger = self.ledger
         total = 0
+        bound = False
         for instr in instructions:
             handler = instr.handler
             if handler is None:
@@ -254,7 +271,106 @@ class Machine:
                 if handler is None:  # pragma: no cover - exhaustive over Op
                     raise UnsupportedFeatureError(f"unhandled op {instr.op}")
                 instr.handler = handler
-            cycles = handler(self, instr)
+            if handler is not _MEMORY:
+                bound = False
+                cycles = handler(self, instr)
+            else:
+                if not bound:
+                    bound = True
+                    last_page = last_line = ssbd = None
+                    mode, costs = self.mode, self.costs
+                    tlb, caches, sb = self.tlb, self.caches, self.store_buffer
+                    tlb_entries, global_pages = tlb._entries, tlb._global_pages
+                    pcid = tlb.current_pcid if tlb.supports_pcid else 0
+                    l1 = caches.l1
+                    l1_sets, num_sets, ways = l1._sets, l1.num_sets, l1.ways
+                    line_bytes = l1.line_bytes
+                    pending, depth = sb._pending, sb.depth
+                    residue = self.mds_buffers._residue
+                    tlb_observer, cache_observer = tlb.observer, caches.observer
+                    sb_observer = sb.observer
+                    buffers_observer = self.mds_buffers.observer
+                address = instr.address
+                is_load = instr.op is _LOAD
+                if is_load and instr.kernel_address and not mode.is_kernel:
+                    # Architectural access to kernel memory from user mode
+                    # faults (transient ones go through _transient_load).
+                    raise SegmentationFault(address, str(mode))
+                cycles = 0
+                page = address >> 12
+                if page != last_page and page not in global_pages:
+                    key = (pcid, page)
+                    if key in tlb_entries:
+                        tlb_entries.move_to_end(key)
+                    else:
+                        tlb_entries[key] = True
+                        if len(tlb_entries) > tlb.capacity:
+                            tlb_entries.popitem(last=False)
+                        if tlb_observer is not None:
+                            tlb_observer.tlb_fill(page)
+                        events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
+                        cycles = costs.tlb_miss
+                last_page = page
+                if is_load:
+                    forwarded = (address >> 6) in pending
+                    if forwarded:
+                        if ssbd is None:
+                            ssbd = self.msr.ssbd_enabled
+                        if ssbd:
+                            # SSBD: the load must wait for older store
+                            # addresses.
+                            events[_STLF_BLOCKED] = events.get(_STLF_BLOCKED, 0) + 1
+                            if self.hooks is not None:
+                                self.hooks.on_stlf_blocked(address)
+                        else:
+                            events[_STLF_HITS] = events.get(_STLF_HITS, 0) + 1
+                # L1, then L2 on a miss; stores write-allocate, and a
+                # forwarded load's line still warms.
+                line = address // line_bytes
+                level = 1
+                if line != last_line:
+                    lines = l1_sets[line % num_sets]
+                    if line in lines:
+                        lines.move_to_end(line)
+                    else:
+                        lines[line] = True
+                        if len(lines) > ways:
+                            lines.popitem(last=False)
+                        level = 2 if caches.l2.access(address) else 0
+                last_line = line
+                if cache_observer is not None:
+                    cache_observer.cache_fill(address, level)
+                if is_load:
+                    if forwarded and not ssbd:
+                        cycles += costs.store_forward
+                    else:
+                        if level != 1:
+                            events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
+                        cycles += self._load_cycles[level]
+                        if forwarded:
+                            penalty = self.cpu.ssbd_load_penalty
+                            cycles += penalty
+                            if ledger is not None:
+                                ledger.add_split(penalty, "ssbd", "stlf_block")
+                    value = instr.value or address
+                    residue[FILL_BUFFER] = residue[LOAD_PORT] = (value, mode)
+                    if buffers_observer is not None:
+                        buffers_observer.residue_load(value, mode)
+                else:
+                    cycles += costs.store
+                    value = instr.value
+                    sb_line = address >> 6
+                    if sb_line in pending:
+                        pending.move_to_end(sb_line)
+                    pending[sb_line] = value
+                    if len(pending) > depth:
+                        pending.popitem(last=False)
+                    if sb_observer is not None:
+                        sb_observer.sb_push(address, value)
+                    value = value or address
+                    residue[STORE_BUFFER] = (value, mode)
+                    if buffers_observer is not None:
+                        buffers_observer.residue_store(value, mode)
             if ledger is None:
                 # add_cycles() without an attached ledger is exactly this.
                 counters.tsc += cycles
@@ -398,56 +514,6 @@ class Machine:
         return cycles
 
     # -- op helpers ----------------------------------------------------- #
-
-    def _execute_load(self, instr: Instruction) -> int:
-        address = instr.address
-        if instr.kernel_address and not self.mode.is_kernel:
-            # Architectural access to kernel memory from user mode faults.
-            # (Transient accesses go through _transient_load instead.)
-            raise SegmentationFault(address, str(self.mode))
-        events = self.counters.events
-        if self.tlb.access(address):
-            cycles = 0
-        else:
-            events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
-            cycles = self.costs.tlb_miss
-        if self.store_buffer.match(address):
-            if self.msr.ssbd_enabled:
-                # SSBD: the load must wait for older store addresses.
-                events[_STLF_BLOCKED] = events.get(_STLF_BLOCKED, 0) + 1
-                if self.hooks is not None:
-                    self.hooks.on_stlf_blocked(address)
-                level = self.caches.access(address)
-                if level != 1:
-                    events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
-                penalty = self.cpu.ssbd_load_penalty
-                cycles += self._load_cycles[level] + penalty
-                if self.ledger is not None:
-                    self.ledger.add_split(penalty, "ssbd", "stlf_block")
-            else:
-                events[_STLF_HITS] = events.get(_STLF_HITS, 0) + 1
-                self.caches.access(address)  # line still warms
-                cycles += self.costs.store_forward
-        else:
-            level = self.caches.access(address)
-            if level != 1:
-                events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
-            cycles += self._load_cycles[level]
-        self.mds_buffers.deposit_load(instr.value or address, self.mode)
-        return cycles
-
-    def _execute_store(self, instr: Instruction) -> int:
-        address = instr.address
-        cycles = self.costs.store
-        if not self.tlb.access(address):
-            events = self.counters.events
-            events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
-            cycles += self.costs.tlb_miss
-        self.caches.access(address)  # write-allocate
-        value = instr.value
-        self.store_buffer.push(address, value)
-        self.mds_buffers.deposit_store(value or address, self.mode)
-        return cycles
 
     def _execute_cond_branch(self, instr: Instruction) -> int:
         """A conditional branch through the 2-bit predictor.
@@ -811,8 +877,8 @@ _DISPATCH = {
     Op.DIV: Machine._op_div,
     Op.CMOV: Machine._op_cmov,
     Op.PAUSE: Machine._op_pause,
-    Op.LOAD: Machine._execute_load,
-    Op.STORE: Machine._execute_store,
+    Op.LOAD: _MEMORY,
+    Op.STORE: _MEMORY,
     Op.CLFLUSH: Machine._op_clflush,
     Op.BRANCH_COND: Machine._execute_cond_branch,
     Op.BRANCH_INDIRECT: Machine._op_indirect,

@@ -22,8 +22,9 @@ against the machine's store buffer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..cpu import isa
 from ..cpu.isa import Instruction
@@ -55,6 +56,31 @@ ARRAY_ACCESS_CYCLES = 4
 OBJECT_ACCESS_CYCLES = 5
 POINTER_DEREF_CYCLES = 2
 CALL_CYCLES = 6
+
+#: Heap lines the store/load pairs rotate through.
+PAIR_LINES = 512
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_ring(heap_base: int) -> Tuple[Instruction, ...]:
+    """A store and a load of each of the heap's lines, twice over, so
+    any rotation of up to :data:`PAIR_LINES` pairs is one slice."""
+    pairs: List[Instruction] = []
+    for line in range(PAIR_LINES):
+        address = heap_base + 64 * line
+        pairs += (isa.store(address), isa.load(address))
+    return tuple(pairs) * 2
+
+
+def store_load_pairs(heap_base: int, cursor: int,
+                     count: int) -> Tuple[Instruction, ...]:
+    """``count`` store/load pairs, pair ``i`` on heap line
+    ``(cursor + i) % PAIR_LINES``, as slices of one interned ring."""
+    ring = _pair_ring(heap_base)
+    start = 2 * (cursor % PAIR_LINES)
+    laps, rest = divmod(count, PAIR_LINES)
+    return (ring[start:start + 2 * PAIR_LINES] * laps
+            + ring[start:start + 2 * rest])
 
 
 class JITCompiler:
@@ -110,8 +136,5 @@ class JITCompiler:
             if extra:
                 block.append(isa.work(extra, mitigation="spectre_v1",
                                       primitive="pointer_poison"))
-        for i in range(mix.store_load_pairs):
-            address = heap_base + 64 * ((cursor + i) % 512)
-            block.append(isa.store(address))
-            block.append(isa.load(address))
+        block += store_load_pairs(heap_base, cursor, mix.store_load_pairs)
         return block

@@ -30,6 +30,7 @@ from .jit import (
     OBJECT_ACCESS_CYCLES,
     OpMix,
     POINTER_DEREF_CYCLES,
+    store_load_pairs,
 )
 
 #: Conditional branches per iteration whose predicate SLH must maintain,
@@ -66,10 +67,7 @@ class SLHCompiler:
         cycles += predicate_branches * self.machine.costs.alu
 
         block: List[Instruction] = [isa.work(cycles)]
-        for i in range(mix.store_load_pairs):
-            address = heap_base + 64 * ((cursor + i) % 512)
-            block.append(isa.store(address))
-            block.append(isa.load(address))
+        block += store_load_pairs(heap_base, cursor, mix.store_load_pairs)
         return block
 
 

@@ -393,10 +393,45 @@ def _number(value: Any, integer: bool = False) -> bool:
     return isinstance(value, int) if integer else math.isfinite(value)
 
 
+_TEXT = (lambda value: value is None or isinstance(value, str),
+         "null or a string")
+_REAL = (lambda value: value is None or _number(value),
+         "null or a finite number")
+_FLAG = (lambda value: isinstance(value, bool), "a boolean")
+
+#: Field -> (check, what it must be), for the provenance fields and the
+#: leakage cell fields that the history store and diff read.
+_PROVENANCE_FIELDS = {
+    "code_fingerprint": _TEXT, "created_at": _TEXT, "command": _TEXT,
+    "version": _TEXT, "wall_time_s": _REAL, "sim_cycles": _REAL,
+    "seed": (lambda value: value is None or _number(value, integer=True),
+             "null or an integer"),
+}
+_CELL_FIELDS = {
+    "leaked": _FLAG, "speculated": _FLAG, "mispredicted": _FLAG,
+    "events": (lambda value: _number(value, integer=True), "an integer"),
+    "blocked_by": (lambda value: isinstance(value, list) and all(
+        isinstance(item, str) for item in value), "a list of strings"),
+    "primitive": (lambda value: isinstance(value, str), "a string"),
+}
+
+
+def _check_fields(path: str, where: str, record: Dict[str, Any],
+                  fields: Dict[str, Tuple[Any, str]]) -> None:
+    for field, (check, want) in fields.items():
+        if field in record and not check(record[field]):
+            raise _malformed(path, f"{where}.{field}", want)
+
+
 def _check_shape(payload: Dict[str, Any], path: str) -> None:
-    """Reject the payload unless its values, ledger and leakage blocks
-    have the shape that :func:`~repro.obs.history.diff_payloads` and
+    """Reject the payload unless its provenance, values, ledger and
+    leakage blocks have the shape that
+    :func:`~repro.obs.history.diff_payloads` and
     ``HistoryStore.record_payload`` read."""
+    provenance = payload.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise _malformed(path, "provenance", "null or an object")
+    _check_fields(path, "provenance", provenance or {}, _PROVENANCE_FIELDS)
     values = payload.get("values", {})
     if not isinstance(values, dict):
         raise _malformed(path, "values", "an object")
@@ -429,11 +464,17 @@ def _check_shape(payload: Dict[str, Any], path: str) -> None:
     matrix = leakage.get("matrix") if isinstance(leakage, dict) else None
     if not isinstance(matrix, dict):
         raise _malformed(path, "leakage", "null or an object with a matrix")
+    policy = leakage.get("policy")
+    if policy is not None and not isinstance(policy, str):
+        raise _malformed(path, "leakage.policy", "null or a string")
     for cpu, row in matrix.items():
         if row is not None and not (isinstance(row, dict) and all(
                 isinstance(cell, dict) for cell in row.values())):
             raise _malformed(path, f"leakage.matrix[{cpu!r}]",
                              "null or an object of boundary objects")
+        for boundary, cell in (row or {}).items():
+            _check_fields(path, f"leakage.matrix[{cpu!r}][{boundary!r}]",
+                          cell, _CELL_FIELDS)
 
 
 # --------------------------------------------------------------------------- #

@@ -10,11 +10,13 @@ from repro.cpu import isa
 from repro.cpu import machine as machine_mod
 from repro.cpu import msr as msrdef
 from repro.cpu.machine import AMD_RETPOLINE, GENERIC_RETPOLINE
+from repro.cpu.smt import SMTCore
 from repro.errors import SegmentationFault, UnsupportedFeatureError
 from repro.jsengine import octane
 from repro.jsengine.jit import JITCompiler
 from repro.kernel import GETPID, Kernel
 from repro.mitigations import linux_default
+from repro.obs.leakage import LeakageTracer
 from repro.obs.ledger import CycleLedger
 from repro.workloads import parsec
 from repro.workloads.lfs import READ_PROFILE
@@ -241,14 +243,17 @@ def test_run_sums_costs(m):
 
 # -- the committed load/store path against a reference --------------------- #
 #
-# Machine._execute_load/_execute_store inline their counter bumps, read
-# the load latency from a table and rely on CacheHierarchy.access probing
-# L1 inline.  The reference below spells the same semantics as separate
-# public structure calls, with the two cache levels as plain Cache.access
-# calls, and files its cycles the way Machine.execute does.
+# Machine.run executes loads and stores inline, against structure state
+# bound once per run of memory ops.  The reference below spells the same
+# semantics as separate public structure calls, with the two cache levels
+# as plain Cache.access calls, and files its cycles the way
+# Machine.execute does.
 
 def _reference_level(caches, address):
-    return 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
+    level = 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
+    if caches.observer is not None:
+        caches.observer.cache_fill(address, level)
+    return level
 
 
 def _reference_latency(m, level):
@@ -268,10 +273,13 @@ def _reference_load(m, instr):
     if m.store_buffer.match(instr.address):
         if m.msr.ssbd_enabled:
             m.counters.bump(ctr.STLF_BLOCKED)
+            if m.hooks is not None:
+                m.hooks.on_stlf_blocked(instr.address)
             level = _reference_level(m.caches, instr.address)
             penalty = m.cpu.ssbd_load_penalty
             cycles += _reference_latency(m, level) + penalty
-            m.ledger.add_split(penalty, "ssbd", "stlf_block")
+            if m.ledger is not None:
+                m.ledger.add_split(penalty, "ssbd", "stlf_block")
         else:
             m.counters.bump(ctr.STLF_HITS)
             _reference_level(m.caches, instr.address)
@@ -373,15 +381,21 @@ def test_load_store_path_matches_reference(cpu, ssbd):
 
 # -- the one dispatch loop against a per-instruction reference -------------- #
 #
-# Machine.run holds the per-instruction body: handler dispatch, the TSC
-# (or ledger) charge and the retired-instruction count.  The reference
-# below spells that body out with public counter and ledger calls,
-# calling each op handler from the dispatch table directly.
+# Machine.run holds the per-instruction body: dispatch, the inline load
+# and store, the TSC (or ledger) charge and the retired-instruction count.
+# The reference below spells that body out with public counter and ledger
+# calls, running loads and stores through the reference above and every
+# other op through its handler in the dispatch table.
 
 def _reference_run(m, block):
     total = 0
     for instr in block:
-        cycles = machine_mod._DISPATCH[instr.op](m, instr)
+        if instr.op is isa.Op.LOAD:
+            cycles = _reference_load(m, instr)
+        elif instr.op is isa.Op.STORE:
+            cycles = _reference_store(m, instr)
+        else:
+            cycles = machine_mod._DISPATCH[instr.op](m, instr)
         if m.ledger is None:
             m.counters.tsc += cycles
         else:
@@ -459,6 +473,118 @@ def test_fault_mid_block_leaves_tsc_and_retired_count_as_reference():
     retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
     assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 2
     assert _machine_state(fast) == _machine_state(ref)
+
+
+# -- memory runs: the binding and the most-recent shortcut ------------------ #
+#
+# Machine.run binds the memory state at the first load or store after any
+# other op, and treats a repeat of the last page or L1 line as a hit.  The
+# chunks below cut one memory stream at seeded points and splice in ops
+# that change the bound state between two accesses to one page or line.
+
+def _invalidation_points(address, pcid, ssbd):
+    flip = 0 if ssbd else msrdef.SPEC_CTRL_SSBD
+    restore = msrdef.SPEC_CTRL_SSBD if ssbd else 0
+    return [
+        [isa.load(address), isa.mov_cr3(pcid=pcid), isa.load(address + 8)],
+        [isa.store(address), isa.clflush(address), isa.load(address)],
+        [isa.load(address), isa.l1d_flush(), isa.store(address)],
+        [isa.store(address), isa.wrmsr(msrdef.IA32_SPEC_CTRL, flip),
+         isa.load(address), isa.wrmsr(msrdef.IA32_SPEC_CTRL, restore),
+         isa.load(address)],
+    ]
+
+
+def _memory_chunks(machine, ssbd):
+    """The memory stream in seeded chunks of 1-40 instructions; every
+    other chunk has an invalidation point spliced into its middle."""
+    l1 = machine.caches.l1
+    stride = l1.num_sets * l1.line_bytes
+    stream = _memory_stream(random.Random(7), stride)
+    rng = random.Random(11)
+    chunks = []
+    start = 0
+    while start < len(stream):
+        size = rng.randint(1, 40)
+        chunk = stream[start:start + size]
+        start += size
+        if len(chunks) % 2 == 0:
+            address = 0x5000_0000 + stride * rng.randrange(12)
+            points = _invalidation_points(address, 8 + len(chunks), ssbd)
+            middle = len(chunk) // 2
+            chunk[middle:middle] = points[len(chunks) // 2 % len(points)]
+        chunks.append(chunk)
+    return chunks
+
+
+def _tainted_tracer(machine):
+    l1 = machine.caches.l1
+    stride = l1.num_sets * l1.line_bytes
+    tracer = LeakageTracer()
+    for address in (0x5000_0000, 0x5000_0000 + 3 * stride, 0x5100_0040):
+        tracer.taint_address(address)
+    return tracer
+
+
+def _tracer_state(tracer):
+    return (tracer.state(), tracer._lines, tracer._pages, tracer._sb_lines,
+            tracer._residue, tracer._resident, tracer._tlb_resident)
+
+
+@pytest.mark.parametrize("observer", ["bare", "ledger", "tracer"])
+@pytest.mark.parametrize("ssbd", [False, True], ids=["ssbd_off", "ssbd_on"])
+@pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus()])
+def test_memory_runs_match_reference(cpu, ssbd, observer):
+    machines = []
+    for _ in range(2):
+        machine = Machine(get_cpu(cpu), seed=3)
+        machine.msr.set_ssbd(ssbd)
+        if observer == "ledger":
+            machine.attach(CycleLedger())
+        elif observer == "tracer":
+            machine.attach(_tainted_tracer(machine))
+        machines.append(machine)
+    fast, ref = machines
+    residue_seen = False
+    for chunk in _memory_chunks(fast, ssbd):
+        assert fast.run(chunk) == _reference_run(ref, chunk)
+        assert _machine_state(fast) == _machine_state(ref)
+        if observer == "tracer":
+            assert _tracer_state(fast.hooks) == _tracer_state(ref.hooks)
+            residue_seen = residue_seen or bool(fast.hooks._residue)
+    if observer == "ledger":
+        assert fast.ledger.paths() == ref.ledger.paths()
+        fast.ledger.verify()
+    if observer == "tracer":
+        assert fast.hooks._resident and residue_seen
+    # The SSBD flips give both store-to-load outcomes on either setting.
+    for name in (ctr.STLF_BLOCKED, ctr.STLF_HITS, ctr.L1_MISSES,
+                 ctr.TLB_MISSES):
+        assert fast.counters.read(name) > 0
+
+
+@pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus() if cpu.smt])
+def test_sibling_memory_runs_reach_the_tracer_on_thread0(cpu):
+    # SMT siblings share the caches and MDS buffers, so thread 1's fills
+    # and residue reach a tracer attached to thread 0 through the
+    # structures' observer slots; thread 1 itself has no hooks.
+    tracers = []
+    threads = []
+    for _ in range(2):
+        core = SMTCore(get_cpu(cpu), seed=3)
+        tracer = _tainted_tracer(core.thread0)
+        core.thread0.attach(tracer)
+        tracers.append(tracer)
+        threads.append(core.thread1)
+    fast, ref = threads
+    assert fast.hooks is None
+    residue_seen = False
+    for chunk in _memory_chunks(fast, ssbd=False):
+        assert fast.run(chunk) == _reference_run(ref, chunk)
+        assert _machine_state(fast) == _machine_state(ref)
+        assert _tracer_state(tracers[0]) == _tracer_state(tracers[1])
+        residue_seen = residue_seen or bool(tracers[0]._residue)
+    assert tracers[0]._resident and residue_seen
 
 
 def test_interpreter_is_the_default_engine():

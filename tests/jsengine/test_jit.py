@@ -1,10 +1,13 @@
 """Model JIT: hardening insertion and its per-access pricing."""
 
+import dataclasses
+
 import pytest
 
-from repro.cpu import Machine, get_cpu
+from repro.cpu import Machine, get_cpu, isa
 from repro.cpu.isa import Op
-from repro.jsengine.jit import JITCompiler, OpMix
+from repro.jsengine.jit import JITCompiler, OpMix, _pair_ring
+from repro.jsengine.slh import SLHCompiler
 from repro.mitigations import MitigationConfig
 
 
@@ -81,3 +84,29 @@ def test_cursor_rotates_pair_addresses(machine):
     addrs_a = [i.address for i in block_a if i.op is Op.STORE]
     addrs_b = [i.address for i in block_b if i.op is Op.STORE]
     assert addrs_a != addrs_b
+
+
+def _spelled_out_pairs(heap_base, cursor, count):
+    block = []
+    for i in range(count):
+        address = heap_base + 64 * ((cursor + i) % 512)
+        block.append(isa.store(address))
+        block.append(isa.load(address))
+    return block
+
+
+@pytest.mark.parametrize("count", [0, 1, 55, 512, 513, 1100])
+@pytest.mark.parametrize("cursor", [0, 1, 511, 512, 1023, 4099])
+def test_pairs_are_the_interned_per_pair_instructions(machine, cursor, count):
+    # isa.store and isa.load intern a bounded number of operand sets, and
+    # an earlier test may have evicted the ring's: rebuild it first.
+    _pair_ring.cache_clear()
+    mix = dataclasses.replace(MIX, store_load_pairs=count)
+    for compiler in (JITCompiler(machine, MitigationConfig.all_off()),
+                     SLHCompiler(machine)):
+        block = compiler.compile_iteration(mix, heap_base=0x4000_0000,
+                                           cursor=cursor)
+        pairs = [i for i in block if i.op is not Op.WORK]
+        expected = _spelled_out_pairs(0x4000_0000, cursor, count)
+        assert len(pairs) == len(expected) == 2 * count
+        assert all(got is want for got, want in zip(pairs, expected))

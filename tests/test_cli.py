@@ -793,12 +793,48 @@ def _bench_text(**fields):
     ("check --against {}",
      _bench_text(cpus=["broadwell"], settings={"iterations": 2.5})),
     ("check --against {}", _bench_text(cpus=["nosuchcpu"], settings={})),
+    ("history diff {} {}", _bench_text(provenance=[])),
+    ("history record {}", _bench_text(provenance=[])),
+    ("history diff {} {}", _bench_text(provenance={"code_fingerprint": 7})),
+    ("history record {}", _bench_text(provenance={"created_at": []})),
+    ("history record {}", _bench_text(provenance={"command": {}})),
+    ("history record {}", _bench_text(provenance={"version": 2})),
+    ("history record {}", _bench_text(provenance={"seed": "7"})),
+    ("history record {}", _bench_text(provenance={"seed": 7.5})),
+    ("history record {}", _bench_text(provenance={"wall_time_s": "1s"})),
+    ("history record {}", _bench_text(provenance={"sim_cycles": [1]})),
+    ("history diff {} {}", _bench_text(leakage={"policy": 3, "matrix": {}})),
+    ("history record {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"events": "x"}}}})),
+    ("history diff {} {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"events": "x"}}}})),
+    ("history diff {} {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"leaked": "no"}}}})),
+    ("history diff {} {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"speculated": 1}}}})),
+    ("history diff {} {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"mispredicted": None}}}})),
+    ("history record {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"blocked_by": "ibpb"}}}})),
+    ("history record {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"blocked_by": [1]}}}})),
+    ("history record {}",
+     _bench_text(leakage={"matrix": {"zen": {"b": {"primitive": 5}}}})),
 ], ids=["record-missing", "record-not-json", "record-list", "diff-list",
         "check-list", "check-no-grid", "diff-no-value", "record-no-value",
         "diff-values-list", "record-values-list", "record-ledger-path",
         "diff-leakage-row-list", "record-leakage-row-list",
         "check-unknown-setting", "check-settings-string",
-        "check-float-iterations", "check-unknown-cpu"])
+        "check-float-iterations", "check-unknown-cpu",
+        "diff-provenance-list", "record-provenance-list",
+        "diff-fingerprint-number", "record-created-at-list",
+        "record-command-object", "record-version-number",
+        "record-seed-string", "record-seed-float",
+        "record-wall-time-string", "record-sim-cycles-list",
+        "diff-policy-number", "record-events-string", "diff-events-string",
+        "diff-leaked-string", "diff-speculated-number",
+        "diff-mispredicted-null", "record-blocked-by-string",
+        "record-blocked-by-numbers", "record-primitive-number"])
 def test_bad_payload_file_is_a_one_line_error(tmp_path, argv, content):
     path = tmp_path / "payload.json"
     if content is not None:
