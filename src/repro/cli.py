@@ -29,15 +29,17 @@ Parallelism and caching (see ``docs/parallelism.md``)::
     spectresim figure 3 --no-cache               # force fresh simulation
     spectresim all --outdir results --jobs 8 --cache-dir /tmp/sscache
 
-Run history (``bench``/``check``/``profile`` auto-record; disable with
-``--no-history``)::
+Run history (``bench``/``check``/``profile``/``fuzz`` auto-record into
+``$SPECTRESIM_HISTORY_DB``, else ``history.db`` in the cell-cache
+directory; ``--history-db PATH`` picks another store and
+``--no-history`` disables recording)::
 
     spectresim history list
     spectresim history diff 1 2                  # ledger blame waterfall
     spectresim history diff prev latest
     spectresim history diff base.json run.json   # payload files (export/bench)
     spectresim history report --out history.html
-    spectresim history record BENCH_2.json --allow-dirty
+    spectresim history record benchmarks/baselines/BENCH_3.json --allow-dirty
     spectresim history gc --keep 50 --dry-run
     spectresim history gc --keep 50
 """
@@ -126,12 +128,9 @@ def _report_executor(label: str, executor: "StudyExecutor") -> None:
 
 
 def _history_path(args: argparse.Namespace) -> str:
-    """Resolve the history db: ``history --db``, global ``--history-db``,
-    then ``$SPECTRESIM_HISTORY_DB`` / the committed fixture."""
+    """Resolve the history db: ``--history-db``, else the default."""
     from .obs.history import default_history_db
-    return (getattr(args, "db", None)
-            or getattr(args, "history_db", None)
-            or default_history_db())
+    return args.history_db or default_history_db()
 
 
 def _history_autorecord(args: argparse.Namespace, payload: Dict,
@@ -891,11 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical (see docs/performance.md)")
     parser.add_argument(
         "--history-db", metavar="PATH", default=None,
-        help="run-history database (default: $SPECTRESIM_HISTORY_DB or "
-             "benchmarks/baselines/history.db)")
+        help="run-history database (default: $SPECTRESIM_HISTORY_DB, "
+             "else history.db in the cell-cache directory)")
     parser.add_argument(
         "--no-history", action="store_true",
-        help="do not auto-record bench/check/profile runs into the "
+        help="do not auto-record bench/check/profile/fuzz runs into the "
              "run-history database")
     def _add_replicas_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -955,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summary",
                        help="recompute the paper's section-8 answers")
-    p.add_argument("--fast", action="store_true", default=True)
+    p.set_defaults(fast=True)
 
     p = sub.add_parser(
         "profile",
@@ -1008,8 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         "history",
         help="run-history store: record runs, diff any two with ledger "
              "blame, render the HTML dashboard")
-    p.add_argument("--db", metavar="PATH", default=None,
-                   help="history database (overrides --history-db)")
     hsub = p.add_subparsers(dest="history_command", required=True)
     hp = hsub.add_parser("record",
                          help="append a bench payload as a new run")
@@ -1105,10 +1102,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "of a fresh campaign; exits 1 if it still "
                         "violates")
 
-    p = sub.add_parser("all", help="run everything, write artifacts")
+    p = sub.add_parser("all", help="run everything over every modelled "
+                                   "CPU, write artifacts")
     p.add_argument("--outdir", default="results")
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_executor_flags(p)
 
     return parser

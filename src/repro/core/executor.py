@@ -76,25 +76,21 @@ class CellSpec:
     """One independent cell of a study sweep grid.
 
     Hashable and picklable: ``settings`` is the frozen
-    :class:`~repro.core.study.Settings` dataclass and ``params`` a sorted
-    tuple of extra key/value pairs.  The spec is the *complete* input of
-    the cell — two equal specs must produce bit-identical results, which
-    is what makes the on-disk cache sound.
+    :class:`~repro.core.study.Settings` dataclass.  The spec is the
+    *complete* input of the cell — two equal specs must produce
+    bit-identical results, which is what makes the on-disk cache sound.
     """
 
     driver: str                    # e.g. "figure2"
     cpu: str                       # CPU model key
     workload: str                  # suite or workload name
     settings: Any                  # core.study.Settings (frozen dataclass)
-    params: Tuple[Tuple[str, Any], ...] = ()
 
     def key(self) -> str:
         """Canonical human-readable identity of the cell."""
         settings = json.dumps(dataclasses.asdict(self.settings),
                               sort_keys=True)
-        params = json.dumps(list(self.params), sort_keys=True)
-        return (f"{self.driver}/{self.cpu}/{self.workload}"
-                f"?params={params}&settings={settings}")
+        return f"{self.driver}/{self.cpu}/{self.workload}?settings={settings}"
 
     def digest(self) -> str:
         """Content address: spec key + code/config version."""
@@ -103,9 +99,8 @@ class CellSpec:
 
     def seed(self) -> int:
         """The cell's private noise seed (stable across processes)."""
-        parts = [self.driver, self.cpu, self.workload]
-        parts.extend(f"{name}={value}" for name, value in self.params)
-        return derive_seed(self.settings.seed, *parts)
+        return derive_seed(self.settings.seed, self.driver, self.cpu,
+                           self.workload)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -113,7 +108,6 @@ class CellSpec:
             "cpu": self.cpu,
             "workload": self.workload,
             "settings": dataclasses.asdict(self.settings),
-            "params": [list(pair) for pair in self.params],
         }
 
     @classmethod
@@ -124,7 +118,6 @@ class CellSpec:
             cpu=data["cpu"],
             workload=data["workload"],
             settings=Settings(**data["settings"]),
-            params=tuple(tuple(pair) for pair in data["params"]),
         )
 
 

@@ -102,8 +102,9 @@ class BaselineError(SpectreSimError):
 class HistoryError(SpectreSimError):
     """Raised for run-history store failures.
 
-    Covers missing runs, incompatible on-disk schemas, and recording a
-    payload whose code fingerprint does not match the running code (which
-    would silently mix rows from different code in one trend line; pass
-    ``--allow-dirty`` to record it flagged instead).
+    Covers missing runs, a store that cannot be opened or is in another
+    on-disk layout, and recording a payload whose code fingerprint does
+    not match the running code (which would silently mix rows from
+    different code in one trend line; pass ``--allow-dirty`` to record it
+    flagged instead).
     """

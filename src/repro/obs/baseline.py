@@ -185,7 +185,7 @@ def leakage_snapshot(policy: str = "default", seed: int = 0) -> Dict[str, Any]:
     Linux-default Spectre-v2 strategy).  Deterministic -- the probe is a
     fixed instruction sequence, no noise sampling -- so the resulting
     blocked/leaked matrix is exact and diffable across runs.  Raw events
-    are dropped from the payload (the per-run history DB and Perfetto
+    are dropped from the payload (``leakage events`` and its Perfetto
     export carry those); the matrix, merged state, and summary stay.
     """
     from ..core.probe import leakage_report
@@ -213,8 +213,8 @@ def collect(
     The payload also carries a ``telemetry`` block — per-phase host
     wall-clock, whole-campaign executor counters, the block-engine
     counter delta for this collection, and cells/sec — which the run
-    history store flattens into numeric time series so the simulator's
-    *own* performance is tracked longitudinally next to the study values.
+    history dashboard plots as time series so the simulator's *own*
+    performance is tracked longitudinally next to the study values.
     """
     from ..core import study
     from ..core.executor import RunStats
@@ -400,7 +400,7 @@ _REAL = (lambda value: value is None or _number(value),
 _FLAG = (lambda value: isinstance(value, bool), "a boolean")
 
 #: Field -> (check, what it must be), for the provenance fields and the
-#: leakage cell fields that the history store and diff read.
+#: leakage cell fields that the diff and the history dashboard read.
 _PROVENANCE_FIELDS = {
     "code_fingerprint": _TEXT, "created_at": _TEXT, "command": _TEXT,
     "version": _TEXT, "wall_time_s": _REAL, "sim_cycles": _REAL,
@@ -426,8 +426,8 @@ def _check_fields(path: str, where: str, record: Dict[str, Any],
 def _check_shape(payload: Dict[str, Any], path: str) -> None:
     """Reject the payload unless its provenance, values, ledger and
     leakage blocks have the shape that
-    :func:`~repro.obs.history.diff_payloads` and
-    ``HistoryStore.record_payload`` read."""
+    :func:`~repro.obs.history.diff_payloads` and the history dashboard
+    read."""
     provenance = payload.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise _malformed(path, "provenance", "null or an object")

@@ -4,19 +4,11 @@ The paper is a *longitudinal* study: its headline figures plot how
 mitigation cost evolves across kernel versions and microarchitectures.
 This module gives the simulator the same posture toward its own results.
 A :class:`HistoryStore` is a SQLite database that every bench/check/
-profile run appends one row-set to:
-
-* ``runs`` — one row per recorded run: provenance manifest, code
-  fingerprint, schema version, wall time, simulated cycles;
-* ``cells`` — every study value the run produced (per cell, per
-  mitigation knob) with its propagated measurement uncertainty;
-* ``ledger`` — the deterministic per-CPU cycle-attribution rollups
-  (``layer/mitigation/primitive -> cycles``);
-* ``telemetry`` — the simulator's *own* performance: cells/sec, engine
-  and cache hit rates, host wall-clock per phase;
-* ``leakage`` — the taint oracle's probe grid (schema v2): one row per
-  (cpu, primitive, boundary, policy) cell with its blocked/leaked
-  verdict, event count and blocked-by attribution.
+profile/fuzz run appends one row to.  Its one ``runs`` table keeps the
+run's id, kind and dirty flag next to the bench payload JSON as
+recorded, so :meth:`HistoryStore.load_run` returns exactly the payload
+that was recorded: values, ledger rollups, nested telemetry, the whole
+leakage block and the provenance manifest.
 
 On top of the store sits the **diff engine** and its one renderer,
 shared by both comparison commands: ``spectresim check``
@@ -72,12 +64,6 @@ __all__ = [
     "render_diff",
 ]
 
-#: On-disk store schema version (bump on incompatible layout changes).
-#: v2 adds the ``leakage`` table (per-run blocked/leaked probe cells);
-#: v1 stores migrate in place on open — the new table is simply created
-#: and existing rows are untouched.
-SCHEMA_VERSION = 2
-
 #: Noise tolerance defaults shared with the bench gate: a value regresses
 #: when it worsens by more than multiplier × hypot(u_old, u_new) + floor.
 DEFAULT_SIGMA_MULTIPLIER = 3.0
@@ -98,9 +84,12 @@ JS_KNOB_PRIMITIVES = {
 
 
 def default_history_db() -> str:
-    """``$SPECTRESIM_HISTORY_DB`` or the committed repo fixture."""
+    """``$SPECTRESIM_HISTORY_DB``, else ``history.db`` in the cell-cache
+    directory: outside the source tree, so recording never dirties a
+    checkout."""
+    from ..core.executor import default_cache_dir
     return (os.environ.get("SPECTRESIM_HISTORY_DB")
-            or os.path.join("benchmarks", "baselines", "history.db"))
+            or os.path.join(default_cache_dir(), "history.db"))
 
 
 # --------------------------------------------------------------------------- #
@@ -280,8 +269,9 @@ def diff_leakage(old: Mapping[str, Any],
     Blocks compare only under the same ``policy``, and only the (cpu,
     boundary) cells present on both sides; a null row (a CPU the policy
     cannot run, such as Zen under ``ibrs``) holds no cells.  ``leaked``
-    is the one bit compared: runs stored in the history DB keep it but
-    not ``speculated``.
+    is the one bit compared, because it is the security verdict; a
+    ``speculated`` bit (a Table 9/10 entry) that moves alone shows a
+    change in what the probe saw, not a leak.
     """
     if (old.get("policy") or "default") != (new.get("policy") or "default"):
         return [], 0
@@ -478,142 +468,97 @@ def render_diff(diff: RunDiff, label_a: str = "old",
 # --------------------------------------------------------------------------- #
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS runs (
-    id          INTEGER PRIMARY KEY AUTOINCREMENT,
-    created_at  TEXT NOT NULL DEFAULT '',
-    command     TEXT NOT NULL DEFAULT '',
-    kind        TEXT NOT NULL DEFAULT 'bench',
-    fingerprint TEXT NOT NULL DEFAULT '',
-    version     TEXT NOT NULL DEFAULT '',
-    seed        INTEGER,
-    dirty       INTEGER NOT NULL DEFAULT 0,
-    wall_time_s REAL,
-    sim_cycles  INTEGER,
-    tolerance   TEXT NOT NULL DEFAULT '{}',
-    manifest    TEXT NOT NULL DEFAULT '{}'
-);
-CREATE TABLE IF NOT EXISTS cells (
-    run_id      INTEGER NOT NULL,
-    key         TEXT NOT NULL,
-    value       REAL NOT NULL,
-    uncertainty REAL NOT NULL DEFAULT 0.0,
-    PRIMARY KEY (run_id, key)
-);
-CREATE TABLE IF NOT EXISTS ledger (
-    run_id INTEGER NOT NULL,
-    cpu    TEXT NOT NULL,
-    path   TEXT NOT NULL,
-    cycles INTEGER NOT NULL,
-    PRIMARY KEY (run_id, cpu, path)
-);
-CREATE TABLE IF NOT EXISTS telemetry (
-    run_id INTEGER NOT NULL,
-    name   TEXT NOT NULL,
-    value  REAL NOT NULL,
-    PRIMARY KEY (run_id, name)
-);
-CREATE TABLE IF NOT EXISTS leakage (
-    run_id     INTEGER NOT NULL,
-    cpu        TEXT NOT NULL,
-    primitive  TEXT NOT NULL,
-    boundary   TEXT NOT NULL,
-    policy     TEXT NOT NULL,
-    blocked    INTEGER NOT NULL,
-    events     INTEGER NOT NULL DEFAULT 0,
-    blocked_by TEXT NOT NULL DEFAULT '',
-    PRIMARY KEY (run_id, cpu, primitive, boundary, policy)
-);
-CREATE INDEX IF NOT EXISTS cells_by_key   ON cells (key, run_id);
-CREATE INDEX IF NOT EXISTS ledger_by_cpu  ON ledger (cpu, path, run_id);
-CREATE INDEX IF NOT EXISTS leakage_by_cpu ON leakage (cpu, boundary, run_id);
-"""
+    id      INTEGER PRIMARY KEY AUTOINCREMENT,
+    kind    TEXT NOT NULL,
+    dirty   INTEGER NOT NULL,
+    payload TEXT NOT NULL
+)"""
 
-#: Schema versions :class:`HistoryStore` upgrades in place on open.
-#: v1 -> v2 is purely additive (the ``leakage`` table), so the migration
-#: is the ``CREATE TABLE IF NOT EXISTS`` that already ran plus a version
-#: stamp.
-MIGRATABLE_VERSIONS = (1,)
+#: The ``runs`` columns of the one-table layout.  A store with any other
+#: ``runs`` table (such as the older layout that split each payload over
+#: five tables) is refused rather than converted.
+_COLUMNS = ("id", "kind", "dirty", "payload")
+
+_SELECT = "SELECT id, kind, dirty, payload FROM runs"
 
 
 @dataclass(frozen=True)
 class RunInfo:
-    """One row of ``history list``."""
+    """One recorded run: its row, and the payload exactly as recorded."""
 
     id: int
-    created_at: str
-    command: str
     kind: str
-    fingerprint: str
-    version: str
-    seed: Optional[int]
     dirty: bool
-    wall_time_s: Optional[float]
-    sim_cycles: Optional[int]
-    values: int
-    ledger_cycles: int
+    payload: Dict[str, Any]
+
+    @property
+    def _manifest(self) -> Mapping[str, Any]:
+        return self.payload.get("provenance") or {}
+
+    @property
+    def created_at(self) -> str:
+        return str(self._manifest.get("created_at") or "")
+
+    @property
+    def command(self) -> str:
+        return str(self._manifest.get("command") or "")
+
+    @property
+    def fingerprint(self) -> str:
+        return str(self._manifest.get("code_fingerprint") or "")
+
+    @property
+    def wall_time_s(self) -> Optional[float]:
+        wall = self._manifest.get("wall_time_s")
+        return None if wall is None else float(wall)
+
+    @property
+    def values(self) -> int:
+        return len(self.payload.get("values") or {})
+
+    @property
+    def ledger_cycles(self) -> int:
+        return sum(int(cycles)
+                   for roll in (self.payload.get("ledger") or {}).values()
+                   for cycles in roll.get("entries", {}).values())
 
 
-def _flatten_telemetry(obj: Any, prefix: str = "",
-                       out: Optional[Dict[str, float]] = None) -> Dict[str, float]:
-    """``{"engine": {"block_hits": 3}} -> {"engine.block_hits": 3.0}``.
-
-    Non-numeric leaves are dropped: telemetry rows are strictly numeric
-    time series.
-    """
-    if out is None:
-        out = {}
-    if isinstance(obj, Mapping):
-        for key in sorted(obj):
-            _flatten_telemetry(obj[key], f"{prefix}.{key}" if prefix else
-                               str(key), out)
-    elif isinstance(obj, bool):
-        pass
-    elif isinstance(obj, (int, float)):
-        out[prefix] = float(obj)
-    return out
+def _run_info(row: Tuple[int, str, int, str]) -> RunInfo:
+    run_id, kind, dirty, payload = row
+    return RunInfo(id=run_id, kind=kind, dirty=bool(dirty),
+                   payload=json.loads(payload))
 
 
-class HistoryStore:
-    """SQLite-backed, append-only store of run results over time."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
+def _connect(path: str) -> sqlite3.Connection:
+    """Open (creating if need be) the store at ``path``; any failure is a
+    one-line :class:`~repro.errors.HistoryError` naming the path."""
+    db = None
+    try:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._db = sqlite3.connect(path)
-        try:
-            self._db.executescript(_SCHEMA)
-            row = self._db.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-        except sqlite3.DatabaseError as exc:
-            self._db.close()
-            raise HistoryError(
-                f"history db {path!r} is unreadable: {exc}") from exc
-        if row is None:
-            self._db.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),))
-            self._db.commit()
-        elif int(row[0]) != SCHEMA_VERSION:
-            version = int(row[0])
-            if version in MIGRATABLE_VERSIONS:
-                # Additive migration: the executescript above already
-                # created any missing tables/indexes; stamp the version.
-                self._db.execute(
-                    "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                    (str(SCHEMA_VERSION),))
-                self._db.commit()
-            else:
-                self._db.close()
-                raise HistoryError(
-                    f"history db {path!r} has schema v{version}, this build "
-                    f"reads v{SCHEMA_VERSION}")
+        db = sqlite3.connect(path)
+        db.execute(_SCHEMA)
+        columns = tuple(row[1] for row in
+                        db.execute("PRAGMA table_info(runs)"))
+        if columns == _COLUMNS:
+            return db
+        problem = ("in a layout this build does not read; record the "
+                   "payloads into a new db")
+    except (OSError, sqlite3.Error) as exc:
+        problem = f"unreadable: {exc}"
+    if db is not None:
+        db.close()
+    raise HistoryError(f"history db {path!r} is {problem}")
+
+
+class HistoryStore:
+    """SQLite-backed, append-only store of run payloads over time."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._db = _connect(path)
 
     # -- lifecycle --------------------------------------------------------- #
 
@@ -629,10 +574,18 @@ class HistoryStore:
     def __len__(self) -> int:
         return int(self._db.execute("SELECT COUNT(*) FROM runs").fetchone()[0])
 
+    def _write(self, sql: str, params: Sequence[Any]) -> sqlite3.Cursor:
+        """Run one statement in its own transaction."""
+        try:
+            with self._db:
+                return self._db.execute(sql, params)
+        except sqlite3.Error as exc:
+            raise HistoryError(
+                f"history db {self.path!r} is not writable: {exc}") from exc
+
     # -- recording --------------------------------------------------------- #
 
     def record_payload(self, payload: Mapping[str, Any],
-                       command: Optional[str] = None,
                        kind: str = "bench",
                        allow_dirty: bool = False) -> int:
         """Append one bench-shaped payload as a new run; returns its id.
@@ -643,7 +596,7 @@ class HistoryStore:
         Dirty rows are recorded with ``dirty=1`` and annotated by the
         dashboard.
         """
-        manifest = dict(payload.get("provenance") or {})
+        manifest = payload.get("provenance") or {}
         fingerprint = str(manifest.get("code_fingerprint") or "")
         dirty = fingerprint != code_fingerprint()
         if dirty and not allow_dirty:
@@ -652,80 +605,28 @@ class HistoryStore:
                 f"not match the running code ({code_fingerprint()}); "
                 f"recording it would mix rows from different code in one "
                 f"trend line — pass --allow-dirty to record it flagged")
-        seed = manifest.get("seed")
-        cursor = self._db.execute(
-            "INSERT INTO runs (created_at, command, kind, fingerprint, "
-            "version, seed, dirty, wall_time_s, sim_cycles, tolerance, "
-            "manifest) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (str(manifest.get("created_at") or ""),
-             str(command if command is not None
-                 else manifest.get("command") or ""),
-             kind,
-             fingerprint,
-             str(manifest.get("version") or ""),
-             int(seed) if seed is not None else None,
-             1 if dirty else 0,
-             manifest.get("wall_time_s"),
-             manifest.get("sim_cycles"),
-             json.dumps(payload.get("tolerance", {}), sort_keys=True),
-             json.dumps(manifest, sort_keys=True)))
-        run_id = int(cursor.lastrowid)
-        self._db.executemany(
-            "INSERT INTO cells (run_id, key, value, uncertainty) "
-            "VALUES (?, ?, ?, ?)",
-            [(run_id, key, float(rec["value"]),
-              float(rec.get("uncertainty", 0.0)))
-             for key, rec in sorted(payload.get("values", {}).items())])
-        self._db.executemany(
-            "INSERT INTO ledger (run_id, cpu, path, cycles) "
-            "VALUES (?, ?, ?, ?)",
-            [(run_id, cpu, path, int(cycles))
-             for cpu, roll in sorted(payload.get("ledger", {}).items())
-             for path, cycles in sorted(roll.get("entries", {}).items())])
-        self._db.executemany(
-            "INSERT INTO telemetry (run_id, name, value) VALUES (?, ?, ?)",
-            sorted((run_id, name, value) for name, value in
-                   _flatten_telemetry(payload.get("telemetry", {})).items()))
-        leakage = payload.get("leakage") or {}
-        policy = str(leakage.get("policy") or "default")
-        self._db.executemany(
-            "INSERT INTO leakage (run_id, cpu, primitive, boundary, policy, "
-            "blocked, events, blocked_by) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            [(run_id, cpu,
-              str(cell.get("primitive", "spectre_btb")),
-              boundary, policy,
-              0 if cell.get("leaked") else 1,
-              int(cell.get("events", 0)),
-              ",".join(cell.get("blocked_by", [])))
-             for cpu, row in sorted((leakage.get("matrix") or {}).items())
-             if row is not None
-             for boundary, cell in sorted(row.items())])
-        self._db.commit()
-        return run_id
+        cursor = self._write(
+            "INSERT INTO runs (kind, dirty, payload) VALUES (?, ?, ?)",
+            (kind, int(dirty), json.dumps(payload)))
+        return int(cursor.lastrowid)
 
     # -- queries ----------------------------------------------------------- #
 
     def runs(self) -> List[RunInfo]:
         """Every recorded run, oldest first."""
-        rows = self._db.execute(
-            "SELECT r.id, r.created_at, r.command, r.kind, r.fingerprint, "
-            "r.version, r.seed, r.dirty, r.wall_time_s, r.sim_cycles, "
-            "(SELECT COUNT(*) FROM cells c WHERE c.run_id = r.id), "
-            "(SELECT COALESCE(SUM(cycles), 0) FROM ledger l "
-            " WHERE l.run_id = r.id) "
-            "FROM runs r ORDER BY r.id").fetchall()
-        return [RunInfo(id=row[0], created_at=row[1], command=row[2],
-                        kind=row[3], fingerprint=row[4], version=row[5],
-                        seed=row[6], dirty=bool(row[7]), wall_time_s=row[8],
-                        sim_cycles=row[9], values=row[10],
-                        ledger_cycles=row[11])
-                for row in rows]
+        return [_run_info(row)
+                for row in self._db.execute(f"{_SELECT} ORDER BY id")]
 
     def run_info(self, run_id: int) -> RunInfo:
-        for info in self.runs():
-            if info.id == run_id:
-                return info
-        raise HistoryError(f"no run {run_id} in {self.path!r}")
+        row = self._db.execute(f"{_SELECT} WHERE id = ?",
+                               (run_id,)).fetchone()
+        if row is None:
+            raise HistoryError(f"no run {run_id} in {self.path!r}")
+        return _run_info(row)
+
+    def load_run(self, run_id: int) -> Dict[str, Any]:
+        """One run's payload, exactly as recorded."""
+        return self.run_info(run_id).payload
 
     def resolve(self, ref: Any) -> int:
         """A run reference — an id, ``"latest"``, or ``"prev"`` — as an id."""
@@ -750,84 +651,6 @@ class HistoryStore:
             raise HistoryError(f"no run {run_id} in {self.path!r}")
         return run_id
 
-    def load_run(self, run_id: int) -> Dict[str, Any]:
-        """One run reconstructed in the bench payload shape."""
-        row = self._db.execute(
-            "SELECT tolerance, manifest FROM runs WHERE id = ?",
-            (run_id,)).fetchone()
-        if row is None:
-            raise HistoryError(f"no run {run_id} in {self.path!r}")
-        values = {
-            key: {"value": value, "uncertainty": uncertainty}
-            for key, value, uncertainty in self._db.execute(
-                "SELECT key, value, uncertainty FROM cells "
-                "WHERE run_id = ? ORDER BY key", (run_id,))
-        }
-        ledgers: Dict[str, Dict[str, Any]] = {}
-        for cpu, path, cycles in self._db.execute(
-                "SELECT cpu, path, cycles FROM ledger "
-                "WHERE run_id = ? ORDER BY cpu, path", (run_id,)):
-            ledgers.setdefault(cpu, {"entries": {}, "total": 0})
-            ledgers[cpu]["entries"][path] = cycles
-            ledgers[cpu]["total"] += cycles
-        telemetry = {
-            name: value for name, value in self._db.execute(
-                "SELECT name, value FROM telemetry "
-                "WHERE run_id = ? ORDER BY name", (run_id,))
-        }
-        payload = {
-            "values": values,
-            "ledger": ledgers,
-            "telemetry": telemetry,
-            "tolerance": json.loads(row[0]),
-            "provenance": json.loads(row[1]),
-        }
-        leakage = self.leakage_matrix(run_id)
-        if leakage["matrix"]:
-            payload["leakage"] = leakage
-        return payload
-
-    def leakage_matrix(self, run_id: int) -> Dict[str, Any]:
-        """One run's stored leakage surface, in the payload shape."""
-        matrix: Dict[str, Dict[str, Any]] = {}
-        policy = "default"
-        for cpu, primitive, boundary, row_policy, blocked, events, \
-                blocked_by in self._db.execute(
-                    "SELECT cpu, primitive, boundary, policy, blocked, "
-                    "events, blocked_by FROM leakage WHERE run_id = ? "
-                    "ORDER BY cpu, boundary", (run_id,)):
-            policy = row_policy
-            matrix.setdefault(cpu, {})[boundary] = {
-                "primitive": primitive,
-                "leaked": not blocked,
-                "events": events,
-                "blocked_by": [b for b in blocked_by.split(",") if b],
-            }
-        return {"policy": policy, "matrix": matrix}
-
-    def trend(self, key: str) -> List[Tuple[int, float, float]]:
-        """``(run_id, value, uncertainty)`` per run recording ``key``."""
-        return [tuple(row) for row in self._db.execute(
-            "SELECT run_id, value, uncertainty FROM cells "
-            "WHERE key = ? ORDER BY run_id", (key,))]
-
-    def value_keys(self) -> List[str]:
-        return [row[0] for row in self._db.execute(
-            "SELECT DISTINCT key FROM cells ORDER BY key")]
-
-    def telemetry_trend(self, name: str) -> List[Tuple[int, float]]:
-        return [tuple(row) for row in self._db.execute(
-            "SELECT run_id, value FROM telemetry "
-            "WHERE name = ? ORDER BY run_id", (name,))]
-
-    # -- comparison --------------------------------------------------------- #
-
-    def diff(self, run_a: Any, run_b: Any) -> RunDiff:
-        """Diff two stored runs (noise tolerances come from run A)."""
-        id_a = self.resolve(run_a)
-        id_b = self.resolve(run_b)
-        return diff_payloads(self.load_run(id_a), self.load_run(id_b))
-
     # -- retention ---------------------------------------------------------- #
 
     def gc(self, keep: int, dry_run: bool = False) -> List[int]:
@@ -841,12 +664,6 @@ class HistoryStore:
         ids = [row[0] for row in
                self._db.execute("SELECT id FROM runs ORDER BY id").fetchall()]
         doomed = ids[:max(0, len(ids) - keep)]
-        if dry_run:
-            return doomed
-        for run_id in doomed:
-            for table in ("cells", "ledger", "telemetry", "leakage"):
-                self._db.execute(f"DELETE FROM {table} WHERE run_id = ?",  # noqa: S608
-                                 (run_id,))
-            self._db.execute("DELETE FROM runs WHERE id = ?", (run_id,))
-        self._db.commit()
+        if doomed and not dry_run:
+            self._write("DELETE FROM runs WHERE id <= ?", (doomed[-1],))
         return doomed

@@ -30,9 +30,9 @@ identifies the data vintage instead).
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .history import CellDelta, HistoryStore, RunDiff, RunInfo
+from .history import CellDelta, HistoryStore, RunDiff, RunInfo, diff_payloads
 
 __all__ = ["render_report", "write_report"]
 
@@ -136,6 +136,41 @@ def _coord(value: float) -> str:
 
 def _series_color(index: int) -> str:
     return f"var(--series-{index + 1})"
+
+
+def _flatten(obj: Any, prefix: str = "",
+             out: Optional[Dict[str, float]] = None) -> Dict[str, float]:
+    """``{"engine": {"block_hits": 3}} -> {"engine.block_hits": 3.0}``;
+    booleans and other non-numeric leaves are dropped."""
+    if out is None:
+        out = {}
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            _flatten(obj[key], f"{prefix}.{key}" if prefix else str(key), out)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        out[prefix] = float(obj)
+    return out
+
+
+#: ``name -> {run id: value}`` for dotted telemetry names, and
+#: ``key -> [(run id, value)]`` for study values, both oldest run first.
+TelemetrySeries = Dict[str, Dict[int, float]]
+ValueSeries = Dict[str, List[Tuple[int, float]]]
+
+
+def _series(runs: Sequence[RunInfo]) -> Tuple[TelemetrySeries, ValueSeries]:
+    """Every run's telemetry leaves and study values, read from its
+    recorded payload once."""
+    telemetry: TelemetrySeries = {}
+    values: ValueSeries = {}
+    for run in runs:
+        flat = _flatten(run.payload.get("telemetry") or {})
+        for name, value in flat.items():
+            telemetry.setdefault(name, {})[run.id] = value
+        for key, record in (run.payload.get("values") or {}).items():
+            values.setdefault(key, []).append((run.id,
+                                               float(record["value"])))
+    return telemetry, values
 
 
 def _split_key(key: str) -> Tuple[str, str, str, str]:
@@ -283,7 +318,8 @@ def _waterfall_svg(cell: CellDelta, width: int = 520) -> str:
 # Sections
 # --------------------------------------------------------------------------- #
 
-def _section_self_perf(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
+def _section_self_perf(telemetry: TelemetrySeries,
+                       runs: Sequence[RunInfo]) -> str:
     tiles = []
     specs = [
         ("cells / sec", "cells_per_s", "", 1),
@@ -292,8 +328,7 @@ def _section_self_perf(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
         ("batch hit rate", "replicas.hit_rate", "%", 2),
     ]
     for label, name, unit, digits in specs:
-        trend = store.telemetry_trend(name)
-        values = [v for _rid, v in trend]
+        values = list(telemetry.get(name, {}).values())
         shown = [v * 100.0 for v in values] if unit == "%" else values
         latest = _num(shown[-1], digits) if shown else "&#8212;"
         spark = _sparkline(shown) if len(shown) >= 2 else ""
@@ -317,15 +352,12 @@ def _section_self_perf(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
             f'<div class="tiles">{"".join(tiles)}</div>{note}')
 
 
-def _section_trends(store: HistoryStore, run_ids: Sequence[int]) -> str:
-    groups: Dict[Tuple[str, str], Dict[str, List[Tuple[int, float]]]] = {}
-    for key in store.value_keys():
+def _section_trends(values: ValueSeries, run_ids: Sequence[int]) -> str:
+    groups: Dict[Tuple[str, str], ValueSeries] = {}
+    for key in sorted(values):
         driver, cpu, workload, knob = _split_key(key)
-        if knob not in ("total", "overhead"):
-            continue
-        trend = [(rid, value) for rid, value, _u in store.trend(key)]
-        if trend:
-            groups.setdefault((driver, workload), {})[cpu] = trend
+        if knob in ("total", "overhead"):
+            groups.setdefault((driver, workload), {})[cpu] = values[key]
     if not groups:
         return ('<h2 id="trends">Headline trends</h2>'
                 '<p class="note">no recorded study values yet</p>')
@@ -342,17 +374,15 @@ def _section_trends(store: HistoryStore, run_ids: Sequence[int]) -> str:
             f'<div class="cards">{"".join(cards)}</div>')
 
 
-def _section_mitigations(store: HistoryStore,
+def _section_mitigations(values: ValueSeries,
                          run_ids: Sequence[int]) -> str:
     by_knob: Dict[str, Dict[int, List[float]]] = {}
-    cpus_by_knob: Dict[str, set] = {}
-    for key in store.value_keys():
-        _driver, cpu, _workload, knob = _split_key(key)
+    for key in sorted(values):
+        knob = _split_key(key)[3]
         if knob in ("total", "other", "overhead", ""):
             continue
-        for rid, value, _u in store.trend(key):
+        for rid, value in values[key]:
             by_knob.setdefault(knob, {}).setdefault(rid, []).append(value)
-        cpus_by_knob.setdefault(knob, set()).add(cpu)
     if not by_knob:
         return ('<h2 id="mitigations">Per-mitigation cost evolution</h2>'
                 '<p class="note">no attributed mitigation costs '
@@ -377,42 +407,40 @@ def _section_mitigations(store: HistoryStore,
             f'<div class="cards">{"".join(cards)}</div>{note}')
 
 
-def _section_leakage(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
+def _section_leakage(runs: Sequence[RunInfo]) -> str:
     """Per-CPU × per-boundary leakage matrix from the newest run that
     recorded a taint-oracle surface (see :mod:`repro.obs.leakage`)."""
     head = '<h2 id="leakage">Speculative-leakage surface</h2>'
-    matrix_run: Optional[RunInfo] = None
-    surface: Dict[str, object] = {}
-    for run in reversed(runs):
-        surface = store.leakage_matrix(run.id)
-        if surface.get("matrix"):
-            matrix_run = run
+    for matrix_run in reversed(runs):
+        surface = matrix_run.payload.get("leakage") or {}
+        # A null row (a CPU the policy cannot run) has no cells to show.
+        matrix = {cpu: row for cpu, row in
+                  (surface.get("matrix") or {}).items() if row}
+        if matrix:
             break
-    if matrix_run is None:
+    else:
         return (head + '<p class="note">no leakage surface recorded yet '
                 '&#8212; runs predate the taint tracer.</p>')
-    matrix = surface["matrix"]
-    policy = surface.get("policy", "default")
-    boundaries = sorted({boundary
-                         for row in matrix.values() if row
+    policy = surface.get("policy") or "default"
+    boundaries = sorted({boundary for row in matrix.values()
                          for boundary in row})
     header = "".join(f"<th>{_esc(b)}</th>" for b in boundaries)
     rows = []
     leaks = 0
     for cpu in sorted(matrix):
-        row = matrix[cpu]
         cells = []
         for boundary in boundaries:
-            cell = (row or {}).get(boundary)
+            cell = matrix[cpu].get(boundary)
             if cell is None:
                 cells.append("<td>&#8212;</td>")
-            elif cell["leaked"]:
+            elif cell.get("leaked"):
                 leaks += 1
+                events = int(cell.get("events", 0))
                 cells.append('<td><span class="flag">LEAK</span> '
-                             f'<span class="note">{cell["events"]} ev</span>'
+                             f'<span class="note">{events} ev</span>'
                              '</td>')
             else:
-                why = ", ".join(cell["blocked_by"]) or "no speculation"
+                why = ", ".join(cell.get("blocked_by", [])) or "no speculation"
                 cells.append(f'<td><span class="ok">&#10003;</span> '
                              f'<span class="note">{_esc(why)}</span></td>')
         rows.append(f"<tr><td><code>{_esc(cpu)}</code></td>"
@@ -428,7 +456,8 @@ def _section_leakage(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
             f"</tr></thead><tbody>{''.join(rows)}</tbody></table>")
 
 
-def _section_fuzz(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
+def _section_fuzz(telemetry: TelemetrySeries,
+                  runs: Sequence[RunInfo]) -> str:
     """Differential-fuzzing campaigns: corpus size, cells swept, and
     oracle verdict per recorded ``spectresim fuzz`` run."""
     head = '<h2 id="fuzz">Differential fuzzing</h2>'
@@ -436,18 +465,15 @@ def _section_fuzz(store: HistoryStore, runs: Sequence[RunInfo]) -> str:
     if not fuzz_runs:
         return (head + '<p class="note">no fuzz campaigns recorded yet '
                 '&#8212; run <code>spectresim fuzz</code>.</p>')
-    names = ("fuzz.seed", "fuzz.programs", "fuzz.cells", "fuzz.skipped",
-             "fuzz.violations")
-    trend = {name: dict(store.telemetry_trend(name)) for name in names}
 
     def cell(name: str, run_id: int) -> str:
-        value = trend[name].get(run_id)
+        value = telemetry.get(name, {}).get(run_id)
         return "&#8212;" if value is None else f"{int(value):,}"
 
     rows = []
     clean = 0
     for run in fuzz_runs:
-        violations = trend["fuzz.violations"].get(run.id)
+        violations = telemetry.get("fuzz.violations", {}).get(run.id)
         if violations == 0:
             verdict = '<span class="ok">&#10003; clean</span>'
             clean += 1
@@ -564,9 +590,9 @@ def render_report(store: HistoryStore, title: str = "spectresim run history",
     """The full dashboard as one self-contained HTML string."""
     runs = store.runs()
     run_ids = [run.id for run in runs]
-    diffs: List[Tuple[int, int, RunDiff]] = []
-    for id_a, id_b in zip(run_ids, run_ids[1:]):
-        diffs.append((id_a, id_b, store.diff(id_a, id_b)))
+    telemetry, values = _series(runs)
+    diffs = [(a.id, b.id, diff_payloads(a.payload, b.payload))
+             for a, b in zip(runs, runs[1:])]
     latest_diff = diffs[-1][2] if diffs else None
     latest_pair = (diffs[-1][0], diffs[-1][1]) if diffs else (None, None)
     newest = runs[-1].created_at if runs else "no runs recorded"
@@ -574,11 +600,11 @@ def render_report(store: HistoryStore, title: str = "spectresim run history",
         f"<h1>{_esc(title)}</h1>",
         f'<p class="sub">{len(runs)} recorded run(s) &#183; newest: '
         f"{_esc(newest)} &#183; db: <code>{_esc(store.path)}</code></p>",
-        _section_self_perf(store, runs),
-        _section_trends(store, run_ids),
-        _section_mitigations(store, run_ids),
-        _section_leakage(store, runs),
-        _section_fuzz(store, runs),
+        _section_self_perf(telemetry, runs),
+        _section_trends(values, run_ids),
+        _section_mitigations(values, run_ids),
+        _section_leakage(runs),
+        _section_fuzz(telemetry, runs),
         _section_waterfall(latest_diff, latest_pair[0], latest_pair[1]),
         _section_annotations(diffs, runs),
         _section_runs_table(runs),

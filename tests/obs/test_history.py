@@ -1,11 +1,13 @@
-"""Run-history store: schema round-trip, diff blame, HTML determinism."""
+"""Run-history store: exact round trip, diff blame, HTML determinism."""
 
 import os
 import sqlite3
 
 import pytest
 
+from repro.core.executor import default_cache_dir
 from repro.errors import HistoryError
+from repro.obs.baseline import load_bench
 from repro.obs.history import (
     HistoryStore,
     blame_paths,
@@ -17,7 +19,10 @@ from repro.obs.history import (
     render_diff,
 )
 from repro.obs.provenance import build_manifest, code_fingerprint
-from repro.obs.report import render_report
+from repro.obs.report import _series, render_report
+
+BENCH_3 = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks",
+                       "baselines", "BENCH_3.json")
 
 
 def make_payload(bump=0.0, fingerprint=None, command="bench"):
@@ -81,15 +86,23 @@ def store(tmp_path):
 def test_record_and_load_round_trips(store):
     payload = make_payload()
     run_id = store.record_payload(payload, kind="bench")
+    assert store.load_run(run_id) == payload
+    (run,) = store.runs()
+    assert (run.id, run.kind, run.payload) == (run_id, "bench", payload)
+
+
+def test_load_run_returns_the_recorded_bench_payload(store):
+    payload = load_bench(BENCH_3)
+    run_id = store.record_payload(payload, allow_dirty=True)
     loaded = store.load_run(run_id)
-    assert loaded["values"] == payload["values"]
-    assert loaded["ledger"] == payload["ledger"]
-    assert loaded["tolerance"] == payload["tolerance"]
-    assert loaded["provenance"] == payload["provenance"]
-    # telemetry is flattened to dotted numeric series
-    assert loaded["telemetry"]["cells_per_s"] == 3.0
-    assert loaded["telemetry"]["engine.hit_rate"] == 0.9
-    assert loaded["telemetry"]["phases.figure2"] == 1.25
+    assert loaded == load_bench(BENCH_3)
+    # The blocks a per-field layout would flatten or drop are all there.
+    assert loaded["telemetry"]["engine"]["hit_rate"] == pytest.approx(0.859,
+                                                                      abs=1e-3)
+    assert {"state", "summary"} <= set(loaded["leakage"])
+    cells = [cell for row in loaded["leakage"]["matrix"].values()
+             for cell in row.values()]
+    assert len(cells) == 40 and all("speculated" in cell for cell in cells)
 
 
 def test_runs_listing_and_info(store):
@@ -125,12 +138,15 @@ def test_resolve_refs(store):
 
 
 def test_trend_and_value_keys(store):
+    # The dashboard's series: study values per key and dotted telemetry
+    # leaves per name, each oldest run first.
     store.record_payload(make_payload(0.0))
     store.record_payload(make_payload(2.0))
-    trend = store.trend("figure2/broadwell/lebench:total")
-    assert trend == [(1, 20.0, 0.1), (2, 22.0, 0.1)]
-    assert "figure2/cascade_lake/lebench:total" in store.value_keys()
-    assert store.telemetry_trend("cells_per_s") == [(1, 3.0), (2, 5.0)]
+    telemetry, values = _series(store.runs())
+    assert values["figure2/broadwell/lebench:total"] == [(1, 20.0), (2, 22.0)]
+    assert "figure2/cascade_lake/lebench:total" in values
+    assert telemetry["cells_per_s"] == {1: 3.0, 2: 5.0}
+    assert telemetry["engine.block_hits"] == {1: 100.0, 2: 300.0}
 
 
 def test_gc_drops_oldest(store):
@@ -139,34 +155,74 @@ def test_gc_drops_oldest(store):
     removed = store.gc(keep=1)
     assert removed == [1, 2]
     assert [r.id for r in store.runs()] == [3]
-    # no orphaned rows survive in the satellite tables
-    db = sqlite3.connect(store.path)
-    for table in ("cells", "ledger", "telemetry"):
-        owners = {row[0] for row in
-                  db.execute(f"SELECT DISTINCT run_id FROM {table}")}
-        assert owners == {3}
+    assert len(store) == 1
+    assert store.load_run(3)["values"] == make_payload(2.0)["values"]
+    with pytest.raises(HistoryError, match="no run 1"):
+        store.load_run(1)
     with pytest.raises(HistoryError):
         store.gc(-1)
 
 
 def test_schema_version_mismatch_refused(tmp_path):
-    path = str(tmp_path / "old.db")
-    with HistoryStore(path):
-        pass
+    # A runs table in any layout but (id, kind, dirty, payload) is refused
+    # and left as it was.
+    path = str(tmp_path / "other.db")
+    with HistoryStore(path) as store:
+        store.record_payload(make_payload())
     db = sqlite3.connect(path)
-    db.execute("UPDATE meta SET value = '999' WHERE key = 'schema_version'")
+    db.execute("ALTER TABLE runs ADD COLUMN note TEXT")
     db.commit()
     db.close()
-    with pytest.raises(HistoryError, match="schema v999"):
+    with pytest.raises(HistoryError, match="layout this build does not read"):
         HistoryStore(path)
+    db = sqlite3.connect(path)
+    assert db.execute("SELECT COUNT(*) FROM runs").fetchone()[0] == 1
+    db.close()
+
+
+def test_old_layout_store_is_refused_with_one_line(tmp_path):
+    # The older layout split each payload over five tables; its runs
+    # table had no payload column, and no converter is kept.
+    path = str(tmp_path / "old.db")
+    db = sqlite3.connect(path)
+    db.executescript("""
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        INSERT INTO meta VALUES ('schema_version', '2');
+        CREATE TABLE runs (id INTEGER PRIMARY KEY AUTOINCREMENT,
+                           created_at TEXT, command TEXT, kind TEXT,
+                           fingerprint TEXT, dirty INTEGER,
+                           tolerance TEXT, manifest TEXT);
+        INSERT INTO runs (kind, dirty) VALUES ('bench', 1);
+    """)
+    db.close()
+    with pytest.raises(HistoryError) as exc:
+        HistoryStore(path)
+    message = str(exc.value)
+    assert message.startswith(f"history db {path!r} is in a layout")
+    assert "\n" not in message
 
 
 def test_default_history_db_env_override(monkeypatch):
     monkeypatch.setenv("SPECTRESIM_HISTORY_DB", "/tmp/custom.db")
     assert default_history_db() == "/tmp/custom.db"
     monkeypatch.delenv("SPECTRESIM_HISTORY_DB")
-    assert default_history_db() == os.path.join(
-        "benchmarks", "baselines", "history.db")
+    # Outside the source tree: recording never dirties a checkout.
+    assert default_history_db() == os.path.join(default_cache_dir(),
+                                                "history.db")
+
+
+@pytest.mark.parametrize("make", ["directory", "file-as-parent"])
+def test_unopenable_path_is_a_one_line_error(tmp_path, make):
+    if make == "directory":
+        path = str(tmp_path)
+    else:
+        (tmp_path / "plain").write_text("")
+        path = str(tmp_path / "plain" / "h.db")
+    with pytest.raises(HistoryError) as exc:
+        HistoryStore(path)
+    message = str(exc.value)
+    assert message.startswith(f"history db {path!r} is unreadable: ")
+    assert "\n" not in message
 
 
 # --------------------------------------------------------------------------- #
@@ -187,10 +243,15 @@ def test_allow_dirty_records_flagged(store):
     assert not store.run_info(clean).dirty
 
 
+def _diff_runs(store, run_a, run_b):
+    return diff_payloads(store.load_run(store.resolve(run_a)),
+                         store.load_run(store.resolve(run_b)))
+
+
 def test_diff_reports_fingerprint_change(store):
     store.record_payload(make_payload(fingerprint="aaaa"), allow_dirty=True)
     store.record_payload(make_payload())
-    diff = store.diff(1, 2)
+    diff = _diff_runs(store, 1, 2)
     assert diff.fingerprint_changed
     assert "fingerprint changed" in render_diff(diff)
 
@@ -202,7 +263,7 @@ def test_diff_reports_fingerprint_change(store):
 def test_diff_blame_steps_sum_exactly_to_cell_delta(store):
     store.record_payload(make_payload(0.0))
     store.record_payload(make_payload(2.0))
-    diff = store.diff("prev", "latest")
+    diff = _diff_runs(store, "prev", "latest")
     assert diff.cells, "broadwell ledger moved; a cell delta is due"
     for cell in diff.cells:
         assert sum(step for _m, step in cell.steps) == cell.delta
@@ -334,7 +395,7 @@ def test_diff_payloads_uses_old_payloads_tolerance():
 def test_render_diff_lists_every_changed_cell(store):
     store.record_payload(make_payload(0.0))
     store.record_payload(make_payload(2.0))
-    text = render_diff(store.diff(1, 2), "run 1", "run 2")
+    text = render_diff(_diff_runs(store, 1, 2), "run 1", "run 2")
     assert "CELL broadwell" in text
     assert "(exact)" in text
     assert "REGRESSION figure2/broadwell/lebench:pti" in text
@@ -376,7 +437,7 @@ def test_report_renders_empty_db(store):
 
 
 # --------------------------------------------------------------------------- #
-# Leakage surface (schema v2)
+# Leakage surface
 # --------------------------------------------------------------------------- #
 
 def make_leakage_block():
@@ -408,60 +469,26 @@ def test_leakage_round_trips_through_the_store(store):
     payload = make_payload()
     payload["leakage"] = make_leakage_block()
     run_id = store.record_payload(payload)
-    loaded = store.load_run(run_id)
-    surface = loaded["leakage"]
-    assert surface["policy"] == "default"
+    surface = store.load_run(run_id)["leakage"]
+    assert surface == make_leakage_block()
     leak = surface["matrix"]["cascade_lake"]["user->user (syscall)"]
     assert leak["leaked"] and leak["events"] == 6
-    blocked = surface["matrix"]["broadwell"]["user->kernel (syscall)"]
-    assert not blocked["leaked"]
-    assert blocked["blocked_by"] == ["spectre_v2/retpoline"]
 
 
 def test_leakage_absent_payload_omits_block(store):
     run_id = store.record_payload(make_payload())
     assert "leakage" not in store.load_run(run_id)
-    assert store.leakage_matrix(run_id)["matrix"] == {}
-
-
-def test_v1_store_migrates_in_place(tmp_path):
-    path = str(tmp_path / "v1.db")
-    with HistoryStore(path) as store:
-        store.record_payload(make_payload())
-    # Rewind the store to schema v1: no leakage table, old version stamp.
-    db = sqlite3.connect(path)
-    db.execute("DROP TABLE leakage")
-    db.execute("DROP INDEX IF EXISTS leakage_by_cpu")
-    db.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
-    db.commit()
-    db.close()
-    with HistoryStore(path) as store:
-        # Opened, stamped to the current version, table recreated, and
-        # the pre-migration run is intact.
-        assert len(store) == 1
-        assert store.leakage_matrix(1)["matrix"] == {}
-        payload = make_payload()
-        payload["leakage"] = make_leakage_block()
-        run_id = store.record_payload(payload)
-        assert store.leakage_matrix(run_id)["matrix"]
-    db = sqlite3.connect(path)
-    version = db.execute(
-        "SELECT value FROM meta WHERE key = 'schema_version'").fetchone()[0]
-    db.close()
-    assert int(version) == 2
 
 
 def test_gc_drops_leakage_rows(store):
-    for _ in range(3):
-        payload = make_payload()
+    for bump in (0.0, 1.0, 2.0):
+        payload = make_payload(bump)
         payload["leakage"] = make_leakage_block()
         store.record_payload(payload)
     store.gc(1)
-    db = sqlite3.connect(store.path)
-    owners = {row[0] for row in
-              db.execute("SELECT DISTINCT run_id FROM leakage")}
-    db.close()
-    assert owners == {3}
+    assert len(store) == 1
+    (run,) = store.runs()
+    assert run.id == 3 and run.payload["leakage"] == make_leakage_block()
 
 
 def test_report_renders_leakage_panel(store):

@@ -5,7 +5,7 @@ from html.parser import HTMLParser
 
 import pytest
 
-from repro.obs.history import HistoryStore
+from repro.obs.history import HistoryStore, diff_payloads
 from repro.obs.provenance import build_manifest
 from repro.obs.report import render_report, write_report
 
@@ -96,14 +96,14 @@ def test_only_dirty_runs_render_well_formed_and_stable(store):
 
 
 def test_recorded_explain_runs_still_list_and_render(store):
-    # Databases written before the explain command was removed keep their
-    # explain runs: they list, diff and render like any other run.
+    # A run of a kind no command records any more (the removed explain
+    # command's) lists, diffs and renders like any other run.
     payload = _payload()
     payload["telemetry"] = {"timeline": {"events": 114.0, "diverged": 1.0}}
     store.record_payload(payload, kind="explain")
     store.record_payload(_payload(1.0))
     assert [run.kind for run in store.runs()] == ["explain", "bench"]
-    assert store.diff(1, 2).compared == 1
+    assert diff_payloads(store.load_run(1), store.load_run(2)).compared == 1
     html = render_report(store)
     _assert_well_formed(html)
     assert 'id="timeline"' not in html

@@ -401,11 +401,44 @@ def test_history_record_refuses_stale_fingerprint(capsys, tmp_path):
 def test_history_db_flag_overrides_default(capsys, tmp_path):
     bench_path = _bench_to(capsys, tmp_path, "B1.json", extra=("--no-history",))
     alt = str(tmp_path / "alt.db")
-    run_cli(capsys, "history", "--db", alt, "record", bench_path)
+    run_cli(capsys, "--history-db", alt, "history", "record", bench_path)
     assert os.path.exists(alt)
     assert not os.path.exists(os.environ["SPECTRESIM_HISTORY_DB"])
-    out = run_cli(capsys, "history", "--db", alt, "list")
+    out = run_cli(capsys, "--history-db", alt, "history", "list")
     assert "bench" in out
+
+
+def test_history_records_into_the_cache_dir_by_default(capsys, tmp_path,
+                                                       monkeypatch):
+    # With no $SPECTRESIM_HISTORY_DB, a run records next to the cell
+    # cache and writes nothing into the working directory.
+    monkeypatch.delenv("SPECTRESIM_HISTORY_DB")
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "fuzz", "--programs", "1", "--cpus", "zen2",
+            "--out", str(tmp_path / "f"))
+    assert sorted(os.listdir(tmp_path)) == ["f", "spectresim-cache"]
+    assert os.path.exists(os.path.join(os.environ["SPECTRESIM_CACHE_DIR"],
+                                       "history.db"))
+    assert "fuzz" in run_cli(capsys, "history", "list")
+
+
+@pytest.mark.parametrize("argv", [
+    "bench --fast --cpus broadwell --drivers figure5 --no-cache --out {tmp}/B.json",
+    "fuzz --programs 1 --cpus zen2 --out {tmp}/f",
+], ids=["bench", "fuzz"])
+def test_an_unopenable_history_db_warns_and_keeps_the_result(capsys, tmp_path,
+                                                             argv):
+    # A directory is no database: the producing command warns on one
+    # line, prints its result and exits 0.
+    assert main(["--history-db", str(tmp_path),
+                 *argv.format(tmp=tmp_path).split()]) == 0
+    out, err = capsys.readouterr()
+    assert out
+    (warning,) = [line for line in err.splitlines()
+                  if line.startswith("[history]")]
+    assert warning.startswith(f"[history] not recorded: history db "
+                              f"{str(tmp_path)!r} is unreadable: ")
+    assert "Traceback" not in err
 
 
 def test_profile_records_telemetry_run(capsys, tmp_path):
@@ -740,7 +773,7 @@ def test_history_report_into_a_missing_directory_is_a_one_line_error(
         tmp_path):
     out = tmp_path / "no" / "such" / "x.html"
     with pytest.raises(SystemExit) as exc:
-        main(["history", "--db", str(tmp_path / "h.db"), "report",
+        main(["--history-db", str(tmp_path / "h.db"), "history", "report",
               "--out", str(out)])
     assert exc.value.code == f"history: {out}: No such file or directory"
 
@@ -749,10 +782,37 @@ def test_history_list_on_a_corrupt_db_is_a_one_line_error(tmp_path):
     db = tmp_path / "corrupt.db"
     db.write_bytes(b"not an sqlite database\n" * 64)
     with pytest.raises(SystemExit) as exc:
-        main(["history", "--db", str(db), "list"])
+        main(["--history-db", str(db), "history", "list"])
     message = str(exc.value.code)
     assert message.startswith("history: ") and "unreadable" in message
     assert "\n" not in message
+
+
+def test_history_list_on_a_directory_is_a_one_line_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--history-db", str(tmp_path), "history", "list"])
+    assert exc.value.code == (f"history: history db {str(tmp_path)!r} is "
+                              f"unreadable: unable to open database file")
+
+
+@pytest.mark.parametrize("argv", [
+    "history --db h.db list",
+    "summary --fast",
+    "all --fast --cpus zen3",
+], ids=["history-db", "summary-fast", "all-cpus"])
+def test_removed_flags_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    # --history-db is the one history path flag, summary is always fast,
+    # and every file 'all' writes covers the full CPU grid.
+    monkeypatch.chdir(tmp_path)  # a parse that wrongly succeeds writes here
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_summary_parses_as_fast():
+    from repro.cli import build_parser
+    assert build_parser().parse_args(["summary"]).fast is True
 
 
 def test_check_against_a_non_json_baseline_is_a_one_line_error(tmp_path):
