@@ -10,7 +10,7 @@ Reproduce any paper artifact from a shell::
     spectresim parsec
     spectresim bimodal --cpu cascade_lake
     spectresim attacks --cpu broadwell
-    spectresim all --outdir results
+    spectresim all --fast --outdir results      # the committed results/
 
 Observability::
 
@@ -93,10 +93,24 @@ def _cpu_key(text: str) -> str:
     return text
 
 
-def _unreadable(command: str, path: str, exc: Exception) -> SystemExit:
-    """One-line exit for a reproducer that cannot be read or parsed."""
+def _file_error(command: str, path: str, exc: Exception) -> SystemExit:
+    """One-line exit for a file that cannot be read, parsed or written."""
     reason = getattr(exc, "strerror", None) or exc
     return SystemExit(f"{command}: {path}: {reason}")
+
+
+def _write_output(command: str, path: str, text: str) -> None:
+    """Write ``text`` to an output file named on the command line,
+    creating missing parent directories; an ``OSError`` is a one-line
+    ``<command>: <path>: <reason>`` exit."""
+    try:
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise _file_error(command, path, exc)
 
 
 def _settings(args: argparse.Namespace) -> Settings:
@@ -194,24 +208,30 @@ def cmd_table(args: argparse.Namespace) -> str:
     raise SystemExit(f"no table {n} in the paper's evaluation")
 
 
-def cmd_figure(args: argparse.Namespace) -> str:
-    settings = _settings(args)
-    cpus = _selected_cpus(args)
+#: figure number -> (study driver, renderer), for ``figure N`` and ``all``.
+FIGURES = {
+    2: (study.figure2, reporting.render_figure2),
+    3: (study.figure3, reporting.render_figure3),
+    5: (study.figure5, reporting.render_figure5),
+}
+
+
+def _figure_results(number: int, args: argparse.Namespace) -> list:
+    """Run Figure ``number``'s driver with the command's settings, CPUs
+    and executor flags."""
     executor = _study_executor(args)
     try:
-        if args.number == 2:
-            return reporting.render_figure2(
-                study.figure2(cpus, settings, executor=executor))
-        if args.number == 3:
-            return reporting.render_figure3(
-                study.figure3(cpus, settings, executor=executor))
-        if args.number == 5:
-            return reporting.render_figure5(
-                study.figure5(cpus, settings=settings, executor=executor))
+        return FIGURES[number][0](_selected_cpus(args),
+                                  settings=_settings(args),
+                                  executor=executor)
     finally:
-        if executor.stats.total:
-            _report_executor(f"figure{args.number}", executor)
-    raise SystemExit(f"no figure {args.number} to regenerate")
+        _report_executor(f"figure{number}", executor)
+
+
+def cmd_figure(args: argparse.Namespace) -> str:
+    if args.number not in FIGURES:
+        raise SystemExit(f"no figure {args.number} to regenerate")
+    return FIGURES[args.number][1](_figure_results(args.number, args))
 
 
 def cmd_vm(args: argparse.Namespace) -> str:
@@ -360,9 +380,14 @@ def _run_manifest(command: str, settings: Optional[Settings],
     )
 
 
+def _payload_text(payload: Dict) -> str:
+    """A bench payload as ``bench --out`` writes it and ``export`` prints it."""
+    import json
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def cmd_export(args: argparse.Namespace) -> str:
     """Emit one experiment as a bench payload (JSON)."""
-    import json
     from .obs import baseline
     settings = _settings(args)
     cpus = _selected_cpus(args)
@@ -390,13 +415,17 @@ def cmd_export(args: argparse.Namespace) -> str:
     # The CLI manifest adds the per-CPU mitigation config to collect's.
     payload["provenance"] = _run_manifest(command, settings, cpus,
                                           **timing).to_dict()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _payload_text(payload)
+
+
+def _summary_text(figure2_results, figure3_results) -> str:
+    from .core.summary import render_summary, summarize
+    return render_summary(summarize(figure2_results, figure3_results))
 
 
 def cmd_summary(args: argparse.Namespace) -> str:
     """Recompute the paper's section-8 answers from the data."""
-    from .core.summary import render_summary, summarize
-    return render_summary(summarize(_settings(args)))
+    return _summary_text(_figure_results(2, args), _figure_results(3, args))
 
 
 def cmd_profile(args: argparse.Namespace) -> str:
@@ -434,23 +463,23 @@ def cmd_profile(args: argparse.Namespace) -> str:
 
     lines = [rendered.rstrip("\n"), ""]
     if args.trace_out:
-        obs.write_chrome_trace(args.trace_out, tracer, provenance=manifest,
-                               ledger=ledger)
+        _write_output("profile", args.trace_out, obs.to_chrome_trace_json(
+            tracer, manifest, ledger=ledger))
         lines.append(f"trace: wrote {len(tracer.spans)} spans to "
                      f"{args.trace_out}")
     if args.flame_out:
-        obs.write_flamegraph(args.flame_out, tracer)
+        _write_output("profile", args.flame_out,
+                      obs.to_collapsed_stacks(tracer))
         lines.append(f"flame: wrote collapsed stacks to {args.flame_out}")
     if ledger is not None:
         ledger.verify()
-        with open(args.ledger_out, "w") as f:
-            f.write(ledger.report())
+        _write_output("profile", args.ledger_out, ledger.report())
         lines.append(f"ledger: {ledger.total():,} cycles attributed, "
                      f"invariant verified -> {args.ledger_out}")
     if args.metrics_out:
-        with open(args.metrics_out, "w") as f:
-            json.dump({"spans": tracer.self_cycles_by_name(),
-                       "telemetry": telemetry}, f, indent=2, sort_keys=True)
+        _write_output("profile", args.metrics_out, json.dumps(
+            {"spans": tracer.self_cycles_by_name(), "telemetry": telemetry},
+            indent=2, sort_keys=True))
         lines.append(f"metrics: wrote {args.metrics_out}")
 
     # Profile runs carry no study values, but their self-performance
@@ -494,7 +523,7 @@ def cmd_bench(args: argparse.Namespace) -> str:
     except BaselineError as exc:
         raise SystemExit(f"bench: {exc}")
     path = args.out or baseline.next_bench_path(args.dir)
-    baseline.write_bench(payload, path)
+    _write_output("bench", path, _payload_text(payload))
     _history_autorecord(args, payload, kind="bench")
     ledger_total = sum(roll["total"] for roll in payload["ledger"].values())
     return (f"bench: {len(payload['values'])} values, "
@@ -552,7 +581,7 @@ def cmd_history(args: argparse.Namespace) -> str:
             return (f"history: recorded run {run_id} ({args.kind}){flag} "
                     f"-> {path}\n")
         if args.history_command == "list":
-            with hist.HistoryStore(path) as store:
+            with hist.HistoryStore(path, create=False) as store:
                 runs = store.runs()
             if not runs:
                 return f"history: no runs in {path}\n"
@@ -570,7 +599,7 @@ def cmd_history(args: argparse.Namespace) -> str:
             refs = (args.run_a, args.run_b)
             # A file-to-file diff never opens (or creates) the database.
             needs_store = not all(ref.endswith(".json") for ref in refs)
-            with (hist.HistoryStore(path) if needs_store
+            with (hist.HistoryStore(path, create=False) if needs_store
                   else contextlib.nullcontext()) as store:
                 (old, label_a), (new, label_b) = [
                     _diff_side(ref, store) for ref in refs]
@@ -584,18 +613,14 @@ def cmd_history(args: argparse.Namespace) -> str:
                 raise SystemExit(1)
             return rendered
         if args.history_command == "report":
-            with hist.HistoryStore(path) as store:
-                try:
-                    out = histreport.write_report(store, args.out,
-                                                  title=args.title)
-                except OSError as exc:
-                    raise SystemExit(
-                        f"history: {args.out}: {exc.strerror or exc}")
+            with hist.HistoryStore(path, create=False) as store:
+                html = histreport.render_report(store, title=args.title)
                 count = len(store)
-            return f"history: dashboard over {count} run(s) -> {out}\n"
+            _write_output("history", args.out, html)
+            return f"history: dashboard over {count} run(s) -> {args.out}\n"
         if args.history_command == "gc":
             dry_run = getattr(args, "dry_run", False)
-            with hist.HistoryStore(path) as store:
+            with hist.HistoryStore(path, create=False) as store:
                 removed = store.gc(args.keep, dry_run=dry_run)
                 kept = len(store) - (len(removed) if dry_run else 0)
             if dry_run:
@@ -654,8 +679,8 @@ def cmd_leakage(args: argparse.Namespace) -> str:
             tracer.events = [obs.LeakageEvent(**e)
                              for e in report["events"]]
             tracer.merge_state(report["state"])
-            obs.write_chrome_trace(args.trace_out, obs.SpanTracer(),
-                                   leakage=tracer)
+            _write_output("leakage", args.trace_out, obs.to_chrome_trace_json(
+                obs.SpanTracer(), leakage=tracer))
         if args.json:
             return json.dumps(report["events"], indent=2) + "\n"
         lines = [f"Leakage events (policy: {args.policy}, "
@@ -699,7 +724,7 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
         try:
             violations = fuzzmod.replay_reproducer(args.replay)
         except (OSError, ProgramParseError) as exc:
-            raise _unreadable("fuzz", args.replay, exc)
+            raise _file_error("fuzz", args.replay, exc)
         if violations:
             lines = [f"fuzz: replay of {args.replay} still violates:"]
             lines.extend(_fuzz_violation_lines(violations))
@@ -806,56 +831,26 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
 
 
 def cmd_all(args: argparse.Namespace) -> str:
-    """Run every experiment, writing one file per artifact to --outdir."""
+    """Run every experiment, writing one file per artifact to --outdir:
+    each file holds what its own command prints, and each figure runs
+    once (``summary.txt`` is computed from Figures 2 and 3)."""
     os.makedirs(args.outdir, exist_ok=True)
-    settings = _settings(args)
-    cpus = list(all_cpus())
-
-    def run_driver(label, fn, **kwargs):
-        executor = _study_executor(args)
-        results = fn(executor=executor, **kwargs)
-        _report_executor(label, executor)
-        return results
-
     artifacts = {
-        "table1.txt": reporting.render_table1(),
-        "table2.txt": reporting.render_table2(),
-        "table3.txt": reporting.render_table3(
-            [microbench.table3_row(cpu) for cpu in cpus]),
-        "table4.txt": reporting.render_table4(
-            {cpu.key: microbench.table4_value(cpu) for cpu in cpus}),
-        "table5.txt": reporting.render_table5(
-            [microbench.table5_row(cpu) for cpu in cpus]),
-        "table6.txt": reporting.render_table6(
-            {cpu.key: microbench.table6_value(cpu) for cpu in cpus}),
-        "table7.txt": reporting.render_table7(
-            {cpu.key: microbench.table7_value(cpu) for cpu in cpus}),
-        "table8.txt": reporting.render_table8(
-            {cpu.key: microbench.table8_value(cpu) for cpu in cpus}),
-        "table9.txt": reporting.render_speculation_matrix(
-            speculation_matrix(tuple(cpus), ibrs=False), ibrs=False),
-        "table10.txt": reporting.render_speculation_matrix(
-            speculation_matrix(tuple(cpus), ibrs=True), ibrs=True),
-        "figure2.txt": reporting.render_figure2(
-            run_driver("figure2", study.figure2, cpus=cpus,
-                       settings=settings)),
-        "figure3.txt": reporting.render_figure3(
-            run_driver("figure3", study.figure3, cpus=cpus,
-                       settings=settings)),
-        "figure5.txt": reporting.render_figure5(
-            run_driver("figure5", study.figure5, cpus=cpus,
-                       settings=settings)),
-        "vm.txt": cmd_vm(args),
-        "parsec.txt": cmd_parsec(args),
-        "bimodal.txt": reporting.render_entry_distribution(
-            "cascade_lake",
-            microbench.kernel_entry_latencies(get_cpu("cascade_lake"))),
-        "summary.txt": cmd_summary(args),
+        f"table{n}.txt": cmd_table(argparse.Namespace(
+            number=n, iterations=microbench.DEFAULT_ITERATIONS))
+        for n in range(1, 11)
     }
+    figures = {}
+    for number, (_, render) in FIGURES.items():
+        figures[number] = _figure_results(number, args)
+        artifacts[f"figure{number}.txt"] = render(figures[number])
+    artifacts["vm.txt"] = cmd_vm(args)
+    artifacts["parsec.txt"] = cmd_parsec(args)
+    artifacts["bimodal.txt"] = cmd_bimodal(
+        build_parser().parse_args(["bimodal"]))
+    artifacts["summary.txt"] = _summary_text(figures[2], figures[3])
     for name, content in artifacts.items():
-        path = os.path.join(args.outdir, name)
-        with open(path, "w") as f:
-            f.write(content)
+        _write_output("all", os.path.join(args.outdir, name), content)
     return f"wrote {len(artifacts)} artifacts to {args.outdir}\n"
 
 
@@ -1151,7 +1146,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _selected_cpus(args),
             wall_time_s=round(time.perf_counter() - started, 3),
             sim_cycles=tracer.total_cycles())
-        obs.write_chrome_trace(trace_path, tracer, provenance=manifest)
+        _write_output(args.command, trace_path,
+                      obs.to_chrome_trace_json(tracer, manifest))
         output += (f"[trace] {len(tracer.spans)} spans, "
                    f"{100.0 * tracer.coverage():.1f}% cycle coverage -> "
                    f"{trace_path}\n")

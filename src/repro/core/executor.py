@@ -50,7 +50,7 @@ from ..obs.provenance import code_fingerprint
 from .attribution import AttributionResult, Contribution
 from .stats import Measurement, derive_seed
 
-#: Result kinds a driver can produce (see ``study.DRIVER_KINDS``).
+#: Result kinds a driver can produce (see ``study.DRIVERS``).
 ATTRIBUTION = "attribution"
 PAIRED = "paired"
 
@@ -334,15 +334,14 @@ def _worker_run_cell(spec_dict: Dict[str, Any], kinds: Sequence[type],
     blockengine.STATS.reset()  # per-cell delta (workers run many cells)
     replicabatch.STATS.reset()
     spec = CellSpec.from_dict(spec_dict)
-    runner = study.CELL_RUNNERS[spec.driver]
-    kind = study.DRIVER_KINDS[spec.driver]
+    driver = study.DRIVERS[spec.driver]
     observers = [observer_kind() for observer_kind in kinds]
     with obs_observers.use_observers(*observers):
-        result = runner(spec)
+        result = driver.run_cell(spec)
     for observer in observers:
         if isinstance(observer, obs_ledger.CycleLedger):
             observer.verify()  # per-cell invariant, enforced worker-side
-    return {"result": encode_result(kind, result),
+    return {"result": encode_result(driver.kind, result),
             "observers": [observer.state() for observer in observers],
             "engine": blockengine.STATS.as_dict(),
             "replicas": replicabatch.STATS.as_dict()}
@@ -390,8 +389,8 @@ class StudyExecutor:
         results: Dict[int, Any] = {}
         pending: List[Tuple[int, CellSpec]] = []
         for index, spec in enumerate(specs):
-            kind = study.DRIVER_KINDS[spec.driver]
             if cache is not None:
+                kind = study.DRIVERS[spec.driver].kind
                 hit, outcome = cache.lookup(spec, kind)
                 if outcome == ResultCache.HIT:
                     results[index] = hit
@@ -405,11 +404,10 @@ class StudyExecutor:
         meter.update(len(results))  # cache hits count as done
 
         def record_completion(index: int, spec: CellSpec, result: Any) -> None:
-            kind = study.DRIVER_KINDS[spec.driver]
             results[index] = result
             self.stats.executed += 1
             if cache is not None:
-                cache.put(spec, kind, result)
+                cache.put(spec, study.DRIVERS[spec.driver].kind, result)
             meter.update(len(results))
 
         try:
@@ -427,9 +425,8 @@ class StudyExecutor:
     def _run_inline(self, spec: CellSpec) -> Any:
         """The serial path: the cell runs under the caller's tracer."""
         from . import study
-        runner = study.CELL_RUNNERS[spec.driver]
         try:
-            return runner(spec)
+            return study.DRIVERS[spec.driver].run_cell(spec)
         except Exception as exc:
             raise ExecutorError(f"cell {spec.key()} failed: {exc}") from exc
 
@@ -453,7 +450,7 @@ class StudyExecutor:
                     raise ExecutorError(
                         f"cell {spec.key()} failed: {exc}") from exc
                 from . import study
-                kind = study.DRIVER_KINDS[spec.driver]
+                kind = study.DRIVERS[spec.driver].kind
                 for observer, state in zip(observers, payload["observers"]):
                     observer.merge_state(state)
                 if payload.get("engine") is not None:

@@ -1,8 +1,10 @@
 """End-to-end experiment drivers: one function per paper figure/finding.
 
-Each driver enumerates its sweep as independent (cpu, config, workload,
-settings) **cells** — :class:`~repro.core.executor.CellSpec`s — and hands
-them to a :class:`~repro.core.executor.StudyExecutor`, which runs them
+Each driver is one row of :data:`DRIVERS`: its cell runner, its result
+kind and its workloads.  :func:`sweep` enumerates a driver's grid as
+independent (cpu, config, workload, settings) **cells** —
+:class:`~repro.core.executor.CellSpec`s — and hands them to a
+:class:`~repro.core.executor.StudyExecutor`, which runs them
 inline (the serial path), fans them out over a process pool (``jobs>1``)
 or satisfies them from the persistent result cache.  Measurement is
 delegated to the attribution harness (Figures 2 and 3) or direct paired
@@ -19,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..cpu.machine import Machine
 from ..cpu.model import CPUModel, all_cpus, get_cpu
@@ -35,6 +37,7 @@ from ..mitigations.base import (
 from ..mitigations.policy import linux_default
 from ..workloads import lebench, lfs, parsec, vm_lebench
 from .attribution import CYCLES, SCORE, AttributionResult, attribute_overhead
+from .executor import ATTRIBUTION, PAIRED, CellSpec, StudyExecutor
 from .stats import (
     DEFAULT_NOISE_SIGMA,
     Measurement,
@@ -99,11 +102,6 @@ def config_label(config: MitigationConfig) -> str:
     return "+".join(parts) or "all-off"
 
 
-def _executor(executor: Optional["StudyExecutor"]) -> "StudyExecutor":
-    from .executor import StudyExecutor
-    return executor if executor is not None else StudyExecutor()
-
-
 # --------------------------------------------------------------------------- #
 # Figure 2: LEBench overhead, attributed per mitigation
 # --------------------------------------------------------------------------- #
@@ -144,11 +142,7 @@ def figure2(
     executor: Optional["StudyExecutor"] = None,
 ) -> List[AttributionResult]:
     """The paper's Figure 2: per-CPU LEBench overhead attribution."""
-    from .executor import CellSpec
-    settings = settings or Settings()
-    specs = [CellSpec("figure2", cpu.key, "lebench", settings)
-             for cpu in cpus or all_cpus()]
-    return _executor(executor).run(specs)
+    return sweep("figure2", cpus, settings, executor)
 
 
 # --------------------------------------------------------------------------- #
@@ -189,11 +183,7 @@ def figure3(
     executor: Optional["StudyExecutor"] = None,
 ) -> List[AttributionResult]:
     """The paper's Figure 3: Octane 2 slowdown attribution per CPU."""
-    from .executor import CellSpec
-    settings = settings or Settings()
-    specs = [CellSpec("figure3", cpu.key, "octane2", settings)
-             for cpu in cpus or all_cpus()]
-    return _executor(executor).run(specs)
+    return sweep("figure3", cpus, settings, executor)
 
 
 # --------------------------------------------------------------------------- #
@@ -242,39 +232,9 @@ def _paired(cpu: CPUModel, workload: str, base_fn: Callable[[int], float],
                           treated=treat, overhead_percent=pct)
 
 
-def _parsec_workload(name: str) -> parsec.PARSECWorkload:
-    for workload in parsec.SUITE:
-        if workload.name == name:
-            return workload
-    raise ValueError(f"unknown PARSEC workload {name!r}; "
-                     f"known: {[w.name for w in parsec.SUITE]}")
-
-
-def _named_workloads(requested, suite, label: str):
-    """Validate a driver's ``workloads`` argument against the suite.
-
-    The executor addresses cells by workload *name* (names are what
-    hashes, caches, and crosses process boundaries), so ad-hoc workload
-    objects must go through the suite runners directly instead.
-    """
-    if requested is None:
-        return list(suite)
-    by_name = {w.name: w for w in suite}
-    out = []
-    for workload in requested:
-        known = by_name.get(workload.name)
-        if known != workload:
-            raise ValueError(
-                f"{label} workload {workload.name!r} is not the suite "
-                f"definition; custom workloads cannot be cell-addressed — "
-                f"run them via the workload module directly")
-        out.append(known)
-    return out
-
-
 def _figure5_cell(spec) -> PairedOverhead:
     cpu = get_cpu(spec.cpu)
-    workload = _parsec_workload(spec.workload)
+    workload = parsec.get_workload(spec.workload)
     settings = spec.settings
     seed = spec.seed()
     tracer = obs_spans.current_tracer()
@@ -301,18 +261,12 @@ def figure5(
     executor: Optional["StudyExecutor"] = None,
 ) -> List[PairedOverhead]:
     """The paper's Figure 5: SSBD slowdown on the PARSEC trio."""
-    from .executor import CellSpec
-    settings = settings or Settings()
-    selected = _named_workloads(workloads, parsec.SUITE, "PARSEC")
-    specs = [CellSpec("figure5", cpu.key, workload.name, settings)
-             for cpu in cpus or all_cpus()
-             for workload in selected]
-    return _executor(executor).run(specs)
+    return sweep("figure5", cpus, settings, executor, workloads)
 
 
 def _parsec_default_cell(spec) -> PairedOverhead:
     cpu = get_cpu(spec.cpu)
-    workload = _parsec_workload(spec.workload)
+    workload = parsec.get_workload(spec.workload)
     settings = spec.settings
     seed = spec.seed()
     tracer = obs_spans.current_tracer()
@@ -338,13 +292,7 @@ def parsec_default_overheads(
     executor: Optional["StudyExecutor"] = None,
 ) -> List[PairedOverhead]:
     """Section 4.5: default mitigations on compute workloads (~0%)."""
-    from .executor import CellSpec
-    settings = settings or Settings()
-    selected = _named_workloads(workloads, parsec.SUITE, "PARSEC")
-    specs = [CellSpec("parsec_default", cpu.key, workload.name, settings)
-             for cpu in cpus or all_cpus()
-             for workload in selected]
-    return _executor(executor).run(specs)
+    return sweep("parsec_default", cpus, settings, executor, workloads)
 
 
 # --------------------------------------------------------------------------- #
@@ -381,24 +329,12 @@ def vm_lebench_overheads(
     executor: Optional["StudyExecutor"] = None,
 ) -> List[PairedOverhead]:
     """LEBench in a guest: host mitigations on vs off (±3% band)."""
-    from .executor import CellSpec
-    settings = settings or Settings()
-    specs = [CellSpec("vm_lebench", cpu.key, "vm_lebench", settings)
-             for cpu in cpus or all_cpus()]
-    return _executor(executor).run(specs)
-
-
-def _lfs_workload(name: str) -> lfs.LFSWorkload:
-    for workload in lfs.SUITE:
-        if workload.name == name:
-            return workload
-    raise ValueError(f"unknown LFS workload {name!r}; "
-                     f"known: {[w.name for w in lfs.SUITE]}")
+    return sweep("vm_lebench", cpus, settings, executor)
 
 
 def _lfs_cell(spec) -> PairedOverhead:
     cpu = get_cpu(spec.cpu)
-    workload = _lfs_workload(spec.workload)
+    workload = lfs.get_workload(spec.workload)
     settings = spec.settings
     seed = spec.seed()
     iters = max(4, settings.iterations // 3)
@@ -424,35 +360,67 @@ def lfs_overheads(
     executor: Optional["StudyExecutor"] = None,
 ) -> List[PairedOverhead]:
     """LFS smallfile/largefile: host mitigations on vs off (<2% median)."""
-    from .executor import CellSpec
+    return sweep("lfs", cpus, settings, executor, workloads)
+
+
+# --------------------------------------------------------------------------- #
+# The driver table: the one list of study drivers
+# --------------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Driver:
+    """One study driver: how a cell runs, what it returns, what it sweeps.
+
+    ``workloads`` is either the one workload name every cell carries or a
+    suite (a tuple of workload objects) swept one cell per workload.
+    """
+
+    run_cell: Callable[[CellSpec], Any]    # importable for worker processes
+    kind: str                              # executor.ATTRIBUTION or PAIRED
+    workloads: Union[str, Tuple[Any, ...]]
+
+
+#: driver name -> :class:`Driver`; the executor, ``bench`` and the CLI
+#: all read this table.
+DRIVERS = {
+    "figure2": Driver(_figure2_cell, ATTRIBUTION, "lebench"),
+    "figure3": Driver(_figure3_cell, ATTRIBUTION, "octane2"),
+    "figure5": Driver(_figure5_cell, PAIRED, parsec.SUITE),
+    "parsec_default": Driver(_parsec_default_cell, PAIRED, parsec.SUITE),
+    "vm_lebench": Driver(_vm_lebench_cell, PAIRED, "vm_lebench"),
+    "lfs": Driver(_lfs_cell, PAIRED, lfs.SUITE),
+}
+
+
+def sweep(
+    driver: str,
+    cpus: Optional[Sequence[CPUModel]] = None,
+    settings: Optional[Settings] = None,
+    executor: Optional[StudyExecutor] = None,
+    workloads: Optional[Sequence[Any]] = None,
+) -> List[Any]:
+    """Run ``driver`` over ``cpus`` (default: every modelled CPU) and its
+    workloads (default: the whole suite), CPU-major, in cell order."""
+    suite = DRIVERS[driver].workloads
+    if isinstance(suite, str):
+        if workloads is not None:
+            raise ValueError(f"{driver} runs only {suite!r}; it takes no "
+                             f"workloads")
+        names = [suite]
+    else:
+        # Cells are addressed by workload *name* (names are what hashes,
+        # caches and crosses process boundaries), so a workload object
+        # that is not the suite's own definition is refused.
+        names = []
+        for workload in suite if workloads is None else workloads:
+            if workload not in suite:
+                raise ValueError(
+                    f"{driver} workload {workload.name!r} is not the suite "
+                    f"definition; custom workloads cannot be "
+                    f"cell-addressed — run them via the workload module "
+                    f"directly")
+            names.append(workload.name)
     settings = settings or Settings()
-    selected = _named_workloads(workloads, lfs.SUITE, "LFS")
-    specs = [CellSpec("lfs", cpu.key, workload.name, settings)
-             for cpu in cpus or all_cpus()
-             for workload in selected]
-    return _executor(executor).run(specs)
-
-
-# --------------------------------------------------------------------------- #
-# The driver registry the executor dispatches through
-# --------------------------------------------------------------------------- #
-
-#: driver name -> cell runner (must stay importable for worker processes).
-CELL_RUNNERS = {
-    "figure2": _figure2_cell,
-    "figure3": _figure3_cell,
-    "figure5": _figure5_cell,
-    "parsec_default": _parsec_default_cell,
-    "vm_lebench": _vm_lebench_cell,
-    "lfs": _lfs_cell,
-}
-
-#: driver name -> result kind ("attribution" or "paired").
-DRIVER_KINDS = {
-    "figure2": "attribution",
-    "figure3": "attribution",
-    "figure5": "paired",
-    "parsec_default": "paired",
-    "vm_lebench": "paired",
-    "lfs": "paired",
-}
+    specs = [CellSpec(driver, cpu.key, name, settings)
+             for cpu in cpus or all_cpus() for name in names]
+    return (executor or StudyExecutor()).run(specs)

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cpu.model import CPUModel, all_cpus
 from . import microbench
 from .attribution import AttributionResult
-from .study import Settings, figure2, figure3
 
 
 @dataclass
@@ -73,12 +72,14 @@ def _rank_impacts(results: Sequence[AttributionResult],
     return impacts[:top]
 
 
-def question1_attack_impacts(settings: Optional[Settings] = None,
-                             top: int = 4) -> List[AttackImpact]:
-    """Rank mitigations by measured impact, per workload family."""
-    settings = settings or Settings.fast()
-    impacts = _rank_impacts(figure2(settings=settings), "lebench", top)
-    impacts += _rank_impacts(figure3(settings=settings), "octane2", top)
+def question1_attack_impacts(
+        figure2_results: Sequence[AttributionResult],
+        figure3_results: Sequence[AttributionResult],
+        top: int = 4) -> List[AttackImpact]:
+    """Rank mitigations by measured impact, per workload family, from the
+    Figure 2 (LEBench) and Figure 3 (Octane 2) attributions."""
+    impacts = _rank_impacts(figure2_results, "lebench", top)
+    impacts += _rank_impacts(figure3_results, "octane2", top)
     return impacts
 
 
@@ -155,10 +156,12 @@ def question3_outlook(cpus: Optional[Sequence[CPUModel]] = None) -> List[str]:
     return facts
 
 
-def summarize(settings: Optional[Settings] = None) -> StudySummary:
-    """Compute the full section-8 answer set."""
+def summarize(figure2_results: Sequence[AttributionResult],
+              figure3_results: Sequence[AttributionResult]) -> StudySummary:
+    """Compute the full section-8 answer set from the Figure 2/3 results
+    (``study.figure2``/``study.figure3``); runs no study driver."""
     return StudySummary(
-        question1=question1_attack_impacts(settings),
+        question1=question1_attack_impacts(figure2_results, figure3_results),
         question2=question2_primitive_trends(),
         question3=question3_outlook(),
     )

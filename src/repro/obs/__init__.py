@@ -45,8 +45,6 @@ from .export import (
     to_chrome_trace,
     to_chrome_trace_json,
     to_collapsed_stacks,
-    write_chrome_trace,
-    write_flamegraph,
 )
 from .provenance import (
     RunManifest,
@@ -82,6 +80,4 @@ __all__ = [
     "to_chrome_trace_json",
     "to_collapsed_stacks",
     "use_observers",
-    "write_chrome_trace",
-    "write_flamegraph",
 ]

@@ -66,8 +66,8 @@ BENCH_KIND = "spectresim-bench"
 #: families appear in the baseline.
 DEFAULT_BENCH_CPUS: Tuple[str, ...] = ("broadwell", "cascade_lake")
 
-#: Every study driver :func:`collect` dispatches on, and the default
-#: subset snapshotted by ``bench``.
+#: The study drivers ``bench`` accepts (rows of ``study.DRIVERS``), and
+#: the default subset it snapshots.
 BENCH_DRIVERS: Tuple[str, ...] = ("figure2", "figure3", "figure5",
                                   "parsec_default", "vm_lebench")
 DEFAULT_BENCH_DRIVERS: Tuple[str, ...] = ("figure2", "figure3", "figure5")
@@ -217,7 +217,7 @@ def collect(
     performance is tracked longitudinally next to the study values.
     """
     from ..core import study
-    from ..core.executor import RunStats
+    from ..core.executor import ATTRIBUTION, RunStats
     from ..cpu import engine as blockengine
     from ..cpu import replicas as replicabatch
 
@@ -239,24 +239,11 @@ def collect(
     values: Dict[str, Dict[str, float]] = {}
     for driver in driver_names:
         phase_started = time.perf_counter()
-        if driver == "figure2":
-            for result in study.figure2(models, settings, executor=executor):
-                values.update(_attribution_values(driver, result))
-        elif driver == "figure3":
-            for result in study.figure3(models, settings, executor=executor):
-                values.update(_attribution_values(driver, result))
-        elif driver == "figure5":
-            for result in study.figure5(models, settings=settings,
-                                        executor=executor):
-                values.update(_paired_values(driver, result))
-        elif driver == "parsec_default":
-            for result in study.parsec_default_overheads(
-                    models, settings=settings, executor=executor):
-                values.update(_paired_values(driver, result))
-        elif driver == "vm_lebench":
-            for result in study.vm_lebench_overheads(
-                    models, settings=settings, executor=executor):
-                values.update(_paired_values(driver, result))
+        to_values = (_attribution_values
+                     if study.DRIVERS[driver].kind == ATTRIBUTION
+                     else _paired_values)
+        for result in study.sweep(driver, models, settings, executor):
+            values.update(to_values(driver, result))
         phases[driver] = time.perf_counter() - phase_started
         if executor is not None:
             executor_totals.absorb(executor.stats)

@@ -25,9 +25,7 @@ from .spans import Span, SpanTracer
 __all__ = [
     "to_chrome_trace",
     "to_chrome_trace_json",
-    "write_chrome_trace",
     "to_collapsed_stacks",
-    "write_flamegraph",
 ]
 
 #: Synthetic process/thread ids for the single simulated timeline.
@@ -136,15 +134,6 @@ def to_chrome_trace_json(tracer: SpanTracer,
                       indent=indent)
 
 
-def write_chrome_trace(path: str, tracer: SpanTracer,
-                       provenance: Optional[RunManifest] = None,
-                       ledger: Optional[CycleLedger] = None,
-                       leakage: Optional[LeakageTracer] = None) -> None:
-    with open(path, "w") as f:
-        f.write(to_chrome_trace_json(tracer, provenance, ledger=ledger,
-                                     leakage=leakage))
-
-
 def to_collapsed_stacks(tracer: SpanTracer) -> str:
     """Collapsed-stack flamegraph text: ``root;child;leaf self_cycles``.
 
@@ -160,8 +149,3 @@ def to_collapsed_stacks(tracer: SpanTracer) -> str:
         weights[stack] = weights.get(stack, 0) + self_cycles
     lines = [f"{stack} {weight}" for stack, weight in sorted(weights.items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_flamegraph(path: str, tracer: SpanTracer) -> None:
-    with open(path, "w") as f:
-        f.write(to_collapsed_stacks(tracer))

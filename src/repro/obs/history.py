@@ -554,9 +554,15 @@ def _connect(path: str) -> sqlite3.Connection:
 
 
 class HistoryStore:
-    """SQLite-backed, append-only store of run payloads over time."""
+    """SQLite-backed, append-only store of run payloads over time.
 
-    def __init__(self, path: str) -> None:
+    ``create=False`` opens only a store that already exists, so read-only
+    callers never leave an empty database behind a mistyped path.
+    """
+
+    def __init__(self, path: str, create: bool = True) -> None:
+        if not create and not os.path.exists(path):
+            raise HistoryError(f"history db {path!r} does not exist")
         self.path = path
         self._db = _connect(path)
 

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .history import CellDelta, HistoryStore, RunDiff, RunInfo, diff_payloads
 
-__all__ = ["render_report", "write_report"]
+__all__ = ["render_report"]
 
 #: Categorical series slots (light, dark) — fixed assignment order, the
 #: first three validate all-pairs for colorblind safety; more CPUs than
@@ -617,10 +617,3 @@ def render_report(store: HistoryStore, title: str = "spectresim run history",
             + "\n".join(body) +
             "\n</div></body></html>\n")
 
-
-def write_report(store: HistoryStore, path: str,
-                 title: str = "spectresim run history") -> str:
-    text = render_report(store, title=title)
-    with open(path, "w") as f:
-        f.write(text)
-    return path

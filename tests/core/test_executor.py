@@ -6,6 +6,7 @@ cells, and rerunning an interrupted run simulates only the cells it had
 not finished.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -164,24 +165,28 @@ class TestCache:
 # Interrupted runs: the cell cache is the checkpoint
 # --------------------------------------------------------------------------- #
 
-def _failing_runner(real_runner, fail_cpu):
+def _fail_on(monkeypatch, driver, fail_cpu):
+    """Make ``driver``'s cell runner fail on ``fail_cpu``, through the
+    driver table; returns the real table entry."""
+    real = study.DRIVERS[driver]
+
     def runner(spec):
         if spec.cpu == fail_cpu:
             raise RuntimeError(f"injected failure on {fail_cpu}")
-        return real_runner(spec)
-    return runner
+        return real.run_cell(spec)
+    monkeypatch.setitem(study.DRIVERS, driver,
+                        dataclasses.replace(real, run_cell=runner))
+    return real
 
 
 def _interrupt(monkeypatch, cache_dir, cpus, fail_cpu):
     """Run vm_lebench over ``cpus`` until the cell on ``fail_cpu`` fails,
     then restore the real cell runner."""
-    real = study.CELL_RUNNERS["vm_lebench"]
-    monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench",
-                        _failing_runner(real, fail_cpu))
+    real = _fail_on(monkeypatch, "vm_lebench", fail_cpu)
     with pytest.raises(ExecutorError, match=f"vm_lebench/{fail_cpu}"):
         study.vm_lebench_overheads(
             cpus, SETTINGS, executor=StudyExecutor(cache_dir=cache_dir))
-    monkeypatch.setitem(study.CELL_RUNNERS, "vm_lebench", real)
+    monkeypatch.setitem(study.DRIVERS, "vm_lebench", real)
 
 
 class TestResume:
@@ -217,16 +222,12 @@ class TestResume:
 
 class TestFailures:
     def test_inline_failure_names_the_cell(self, monkeypatch):
-        real = study.CELL_RUNNERS["figure2"]
-        monkeypatch.setitem(study.CELL_RUNNERS, "figure2",
-                            _failing_runner(real, "zen2"))
+        _fail_on(monkeypatch, "figure2", "zen2")
         with pytest.raises(ExecutorError, match="figure2/zen2/lebench"):
             study.figure2([get_cpu("zen2")], SETTINGS)
 
     def test_pool_failure_names_the_cell(self, monkeypatch):
-        real = study.CELL_RUNNERS["figure2"]
-        monkeypatch.setitem(study.CELL_RUNNERS, "figure2",
-                            _failing_runner(real, "zen2"))
+        _fail_on(monkeypatch, "figure2", "zen2")
         with pytest.raises(ExecutorError, match="figure2/zen2/lebench"):
             study.figure2([get_cpu("zen2"), get_cpu("zen3")], SETTINGS,
                           executor=StudyExecutor(jobs=2))

@@ -101,3 +101,24 @@ def test_paired_noise_seeds_are_tag_derived(settings):
 
     assert result.baseline == manual(100.0, "base")
     assert result.treated == manual(130.0, "treat")
+
+
+def test_sweep_builds_cpu_major_cells_from_the_driver_table(monkeypatch,
+                                                            settings):
+    import dataclasses
+    from repro.workloads.parsec import SUITE
+    real = study.DRIVERS["figure5"]
+    monkeypatch.setitem(study.DRIVERS, "figure5", dataclasses.replace(
+        real, run_cell=lambda spec: (spec.cpu, spec.workload)))
+    cpus = [get_cpu("zen"), get_cpu("zen3")]
+    assert study.figure5(cpus, settings=settings) == [
+        (cpu.key, workload.name) for cpu in cpus for workload in SUITE]
+    assert study.figure5(cpus, workloads=SUITE[1:2], settings=settings) == [
+        (cpu.key, SUITE[1].name) for cpu in cpus]
+
+
+def test_a_fixed_workload_driver_takes_no_workloads(settings):
+    from repro.workloads.parsec import SWAPTIONS
+    with pytest.raises(ValueError, match="takes no workloads"):
+        study.sweep("figure2", [get_cpu("zen")], settings,
+                    workloads=[SWAPTIONS])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.study import Settings
+from repro.core.study import Settings, figure2, figure3
 from repro.core.summary import (
     question1_attack_impacts,
     question2_primitive_trends,
@@ -13,8 +13,15 @@ from repro.core.summary import (
 
 
 @pytest.fixture(scope="module")
-def summary():
-    return summarize(Settings.fast())
+def figures():
+    """Figures 2 and 3 over every CPU, computed once for the module."""
+    settings = Settings.fast()
+    return figure2(settings=settings), figure3(settings=settings)
+
+
+@pytest.fixture(scope="module")
+def summary(figures):
+    return summarize(*figures)
 
 
 def test_q1_top_lebench_impacts_are_pti_and_mds(summary):
@@ -55,8 +62,8 @@ def test_render_summary_contains_all_sections(summary):
     assert "no longer needed" in out
 
 
-def test_question_functions_standalone():
-    impacts = question1_attack_impacts(Settings.fast(), top=2)
+def test_question_functions_standalone(figures):
+    impacts = question1_attack_impacts(*figures, top=2)
     assert len(impacts) == 4  # 2 per workload family
     trends = question2_primitive_trends(iterations=100)
     assert len(trends) == 5

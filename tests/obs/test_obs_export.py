@@ -8,8 +8,6 @@ from repro.obs.export import (
     to_chrome_trace,
     to_chrome_trace_json,
     to_collapsed_stacks,
-    write_chrome_trace,
-    write_flamegraph,
 )
 from repro.obs.provenance import build_manifest
 from repro.obs.observers import use_observers
@@ -74,14 +72,11 @@ def test_chrome_trace_json_round_trips():
     assert json.loads(text)["traceEvents"]
 
 
-def test_write_chrome_trace_and_flamegraph(tmp_path):
+def test_chrome_trace_and_flamegraph_texts():
+    # The CLI writes these texts verbatim (--trace-out, --flame-out).
     tracer = traced_run()
-    trace_path = tmp_path / "t.json"
-    flame_path = tmp_path / "t.folded"
-    write_chrome_trace(str(trace_path), tracer)
-    write_flamegraph(str(flame_path), tracer)
-    assert json.loads(trace_path.read_text())["traceEvents"]
-    assert "outer;inner 30" in flame_path.read_text()
+    assert json.loads(to_chrome_trace_json(tracer))["traceEvents"]
+    assert "outer;inner 30" in to_collapsed_stacks(tracer)
 
 
 def test_collapsed_stacks_merge_and_weight():

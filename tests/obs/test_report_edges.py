@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs.history import HistoryStore, diff_payloads
 from repro.obs.provenance import build_manifest
-from repro.obs.report import render_report, write_report
+from repro.obs.report import render_report
 
 #: Elements the report legitimately leaves unclosed.
 _VOID = {"br", "hr", "meta", "link", "img", "input", "path", "rect",
@@ -123,10 +123,3 @@ def test_self_perf_panel_shows_replica_tiles(store):
     assert "batch hit rate" in first
     assert "48.5" in first
     assert ">75<" in first  # hit rate 0.75 rendered as a percentage tile
-
-
-def test_write_report_round_trips(tmp_path, store):
-    out = str(tmp_path / "dash.html")
-    path = write_report(store, out)
-    with open(path) as handle:
-        _assert_well_formed(handle.read())

@@ -157,12 +157,45 @@ def test_export_figure5_is_valid_json(capsys, tmp_path):
     assert payload["values"] == json.load(open(bench_path))["values"]
 
 
-def test_all_writes_artifacts(capsys, tmp_path):
-    out = run_cli(capsys, "all", "--fast", "--outdir", str(tmp_path))
+#: Every file 'all --fast' writes, and the command that prints it.
+ALL_ARTIFACTS = {
+    **{f"table{n}.txt": ["table", str(n)] for n in range(1, 11)},
+    **{f"figure{n}.txt": ["figure", str(n), "--fast"] for n in (2, 3, 5)},
+    "vm.txt": ["vm", "--fast"],
+    "parsec.txt": ["parsec", "--fast"],
+    "bimodal.txt": ["bimodal"],
+    "summary.txt": ["summary"],
+}
+
+
+def test_all_writes_artifacts(capsys, tmp_path, monkeypatch):
+    import dataclasses
+    from repro.core import study
+    outdir = tmp_path / "out"
+    out = run_cli(capsys, "all", "--fast", "--outdir", str(outdir))
     assert "wrote" in out
-    assert (tmp_path / "table9.txt").exists()
-    assert (tmp_path / "figure2.txt").exists()
-    assert (tmp_path / "bimodal.txt").exists()
+    assert (outdir / "table9.txt").exists()
+    assert (outdir / "figure2.txt").exists()
+    assert (outdir / "bimodal.txt").exists()
+    # Each file holds what its own command prints.
+    assert sorted(os.listdir(outdir)) == sorted(ALL_ARTIFACTS)
+    for name, argv in ALL_ARTIFACTS.items():
+        assert run_cli(capsys, *argv) == (outdir / name).read_text(), name
+
+    # A warm rerun on the same cell cache runs no cell runner at all:
+    # summary.txt reuses Figures 2 and 3 instead of simulating them again.
+    calls = []
+    for name, driver in list(study.DRIVERS.items()):
+        def counted(spec, run_cell=driver.run_cell):
+            calls.append(spec.key())
+            return run_cell(spec)
+        monkeypatch.setitem(study.DRIVERS, name,
+                            dataclasses.replace(driver, run_cell=counted))
+    warm = tmp_path / "warm"
+    run_cli(capsys, "all", "--fast", "--outdir", str(warm))
+    assert calls == []
+    for name in ALL_ARTIFACTS:
+        assert (warm / name).read_text() == (outdir / name).read_text()
 
 
 def test_summary_command(capsys):
@@ -315,8 +348,7 @@ def test_bench_auto_records_into_history(capsys, tmp_path):
 
 def test_no_history_suppresses_recording(capsys, tmp_path):
     _bench_to(capsys, tmp_path, "B1.json", extra=("--no-history",))
-    out = run_cli(capsys, "history", "list")
-    assert "0 run(s)" in out or "no runs" in out
+    assert not os.path.exists(os.environ["SPECTRESIM_HISTORY_DB"])
 
 
 def test_check_auto_records_even_on_failure(capsys, tmp_path):
@@ -769,13 +801,64 @@ def test_bimodal_on_a_part_without_eibrs_is_a_one_line_error():
     assert exc.value.code == "bimodal: zen has no enhanced IBRS"
 
 
-def test_history_report_into_a_missing_directory_is_a_one_line_error(
-        tmp_path):
+_BASELINE_3 = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                           "baselines", "BENCH_3.json")
+
+
+def test_history_report_into_a_missing_directory_creates_it(capsys,
+                                                            tmp_path):
+    from repro.obs.history import HistoryStore
+    from repro.obs.report import render_report
+    run_cli(capsys, "history", "record", _BASELINE_3, "--allow-dirty")
     out = tmp_path / "no" / "such" / "x.html"
+    assert run_cli(capsys, "history", "report", "--out", str(out)) == (
+        f"history: dashboard over 1 run(s) -> {out}\n")
+    with HistoryStore(os.environ["SPECTRESIM_HISTORY_DB"]) as store:
+        assert out.read_text() == render_report(store)
+
+
+@pytest.mark.parametrize("argv", [
+    "history list",
+    "history diff 1 2",
+    "history diff {baseline} latest",
+    "history report --out {tmp}/dash.html",
+    "history gc --keep 1",
+], ids=["list", "diff", "diff-file-vs-run", "report", "gc"])
+def test_read_only_history_commands_never_create_a_store(tmp_path, argv):
+    db = tmp_path / "missing" / "h.db"
     with pytest.raises(SystemExit) as exc:
-        main(["--history-db", str(tmp_path / "h.db"), "history", "report",
-              "--out", str(out)])
-    assert exc.value.code == f"history: {out}: No such file or directory"
+        main(["--history-db", str(db),
+              *argv.format(tmp=tmp_path, baseline=_BASELINE_3).split()])
+    assert exc.value.code == f"history: history db {str(db)!r} does not exist"
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+#: Every output-file flag, on a cheap command; {path} is the file.
+OUTPUT_FLAGS = {
+    "trace": "--trace {path} cpus",
+    "profile-trace-out": "profile table 3 --iterations 20 --trace-out {path}",
+    "flame-out": "profile table 3 --iterations 20 --flame-out {path}",
+    "metrics-out": "profile table 3 --iterations 20 --metrics-out {path}",
+    "ledger-out": "profile table 3 --iterations 20 --ledger-out {path}",
+    "leakage-trace-out": "leakage events --cpus zen --trace-out {path}",
+    "history-report-out": "history report --out {path}",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_FLAGS.values()),
+                         ids=list(OUTPUT_FLAGS))
+def test_output_file_flags_share_one_writer(capsys, tmp_path, argv):
+    run_cli(capsys, "history", "record", _BASELINE_3, "--allow-dirty")
+    # A missing parent directory is created.
+    path = tmp_path / "no" / "such" / "out.txt"
+    run_cli(capsys, *argv.format(path=path).split())
+    assert path.read_text()
+    # A directory given as the file is one line and exit 1, no traceback.
+    args = argv.format(path=tmp_path).split()
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    command = args[2] if args[0] == "--trace" else args[0]
+    assert exc.value.code == f"{command}: {tmp_path}: Is a directory"
 
 
 def test_history_list_on_a_corrupt_db_is_a_one_line_error(tmp_path):
