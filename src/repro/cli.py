@@ -47,6 +47,7 @@ directory; ``--history-db PATH`` picks another store and
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
@@ -99,14 +100,27 @@ def _file_error(command: str, path: str, exc: Exception) -> SystemExit:
     return SystemExit(f"{command}: {path}: {reason}")
 
 
-def _write_output(command: str, path: str, text: str) -> None:
-    """Write ``text`` to an output file named on the command line,
-    creating missing parent directories; an ``OSError`` is a one-line
-    ``<command>: <path>: <reason>`` exit."""
+def _check_output(command: str, path: str) -> None:
+    """Ready an output file named on the command line, before the run
+    that fills it: create missing parent directories, and exit with one
+    ``<command>: <path>: <reason>`` line if ``path`` is a directory or
+    lies under a file."""
     try:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _file_error(command, path, exc)
+
+
+def _write_output(command: str, path: str, text: str) -> None:
+    """Write ``text`` to an output file named on the command line
+    (checked as :func:`_check_output` does); an ``OSError`` is a
+    one-line exit."""
+    _check_output(command, path)
+    try:
         with open(path, "w") as f:
             f.write(text)
     except OSError as exc:
@@ -431,6 +445,10 @@ def cmd_summary(args: argparse.Namespace) -> str:
 def cmd_profile(args: argparse.Namespace) -> str:
     """Run one artifact under the span tracer; write trace/flame files."""
     import json
+    for path in (args.trace_out, args.flame_out, args.ledger_out,
+                 args.metrics_out):
+        if path:
+            _check_output("profile", path)
     settings = _settings(args)
     cpus = _selected_cpus(args)
     tracer = obs.SpanTracer()
@@ -511,6 +529,8 @@ def cmd_profile(args: argparse.Namespace) -> str:
 def cmd_bench(args: argparse.Namespace) -> str:
     """Snapshot the pinned study grid into a versioned BENCH_<n>.json."""
     from .obs import baseline
+    path = args.out or baseline.next_bench_path(args.dir)
+    _check_output("bench", path)
     executor = _study_executor(args)
     settings = _settings(args)
     cpus = args.cpus or list(baseline.DEFAULT_BENCH_CPUS)
@@ -522,7 +542,6 @@ def cmd_bench(args: argparse.Namespace) -> str:
                                                    executor))
     except BaselineError as exc:
         raise SystemExit(f"bench: {exc}")
-    path = args.out or baseline.next_bench_path(args.dir)
     _write_output("bench", path, _payload_text(payload))
     _history_autorecord(args, payload, kind="bench")
     ledger_total = sum(roll["total"] for roll in payload["ledger"].values())
@@ -613,6 +632,7 @@ def cmd_history(args: argparse.Namespace) -> str:
                 raise SystemExit(1)
             return rendered
         if args.history_command == "report":
+            _check_output("history", args.out)
             with hist.HistoryStore(path, create=False) as store:
                 html = histreport.render_report(store, title=args.title)
                 count = len(store)
@@ -641,6 +661,8 @@ def cmd_leakage(args: argparse.Namespace) -> str:
     cpus = _selected_cpus(args)
     # The matrix shows no events, so it collects none.
     events = args.leakage_command == "events"
+    if events and args.trace_out:
+        _check_output("leakage", args.trace_out)
     report = leakage_report(tuple(cpus), policy=args.policy,
                             trials=args.trials,
                             max_events=args.max_events if events else 0)
@@ -950,6 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summary",
                        help="recompute the paper's section-8 answers")
     p.set_defaults(fast=True)
+    _add_executor_flags(p)
 
     p = sub.add_parser(
         "profile",
@@ -1136,6 +1159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--trace does not apply to profile; "
                      "use profile --trace-out PATH")
     if trace_path:
+        _check_output(args.command, trace_path)
         tracer = obs.SpanTracer()
         started = time.perf_counter()
         with obs.use_observers(tracer):

@@ -236,9 +236,16 @@ class Machine:
 
         The one dispatch loop: each instruction executes, its cycles
         advance the TSC (filed under the instruction's ledger tag when a
-        ledger is attached) and ``inst_retired.any`` counts it, in that
-        order, so a fault mid-stream leaves the TSC and the retired count
-        where the last completed instruction left them.
+        ledger is attached) and ``inst_retired.any`` counts it, so a fault
+        mid-stream leaves the TSC and the retired count where the last
+        completed instruction left them.
+
+        Handlers never read the TSC or the counters, so a run adds its
+        cycles and retired count once, when it ends or faults; it adds
+        them per instruction under a ledger, a leakage tracer or an
+        enabled span tracer (their charges, events and instants read the
+        TSC), and on a counter file without ``inst_retired.any`` yet (to
+        keep the key order per-instruction counting gives).
 
         Loads and stores execute here.  The first one after any other op
         binds the TLB, cache, store-buffer and MDS state they use, with
@@ -247,7 +254,10 @@ class Machine:
         the SSBD bit.  Only other ops change that state, so every other
         op drops the binding.  Within a run, a repeat of the last page
         or L1 line is a hit with no lookup: it is already the most
-        recent entry.
+        recent entry.  Only other ops and observers read the MDS
+        residue, so a memory run leaves its latest load's and store's
+        when it ends (before the next other op, or at the run's end or
+        fault), and per op while the buffers have an observer.
 
         With ``--engine=block`` (and no leakage tracer attached),
         concrete multi-instruction sequences route through the
@@ -262,125 +272,150 @@ class Machine:
         counters = self.counters
         events = counters.events
         ledger = self.ledger
-        total = 0
+        per_instruction = (ledger is not None or self.hooks is not None
+                           or self.obs.enabled or _RETIRED not in events)
+        total = retired = 0
         bound = False
-        for instr in instructions:
-            handler = instr.handler
-            if handler is None:
-                handler = _DISPATCH.get(instr.op)
-                if handler is None:  # pragma: no cover - exhaustive over Op
-                    raise UnsupportedFeatureError(f"unhandled op {instr.op}")
-                instr.handler = handler
-            if handler is not _MEMORY:
-                bound = False
-                cycles = handler(self, instr)
-            else:
-                if not bound:
-                    bound = True
-                    last_page = last_line = ssbd = None
-                    mode, costs = self.mode, self.costs
-                    tlb, caches, sb = self.tlb, self.caches, self.store_buffer
-                    tlb_entries, global_pages = tlb._entries, tlb._global_pages
-                    pcid = tlb.current_pcid if tlb.supports_pcid else 0
-                    l1 = caches.l1
-                    l1_sets, num_sets, ways = l1._sets, l1.num_sets, l1.ways
-                    line_bytes = l1.line_bytes
-                    pending, depth = sb._pending, sb.depth
-                    residue = self.mds_buffers._residue
-                    tlb_observer, cache_observer = tlb.observer, caches.observer
-                    sb_observer = sb.observer
-                    buffers_observer = self.mds_buffers.observer
-                address = instr.address
-                is_load = instr.op is _LOAD
-                if is_load and instr.kernel_address and not mode.is_kernel:
-                    # Architectural access to kernel memory from user mode
-                    # faults (transient ones go through _transient_load).
-                    raise SegmentationFault(address, str(mode))
-                cycles = 0
-                page = address >> 12
-                if page != last_page and page not in global_pages:
-                    key = (pcid, page)
-                    if key in tlb_entries:
-                        tlb_entries.move_to_end(key)
-                    else:
-                        tlb_entries[key] = True
-                        if len(tlb_entries) > tlb.capacity:
-                            tlb_entries.popitem(last=False)
-                        if tlb_observer is not None:
-                            tlb_observer.tlb_fill(page)
-                        events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
-                        cycles = costs.tlb_miss
-                last_page = page
-                if is_load:
-                    forwarded = (address >> 6) in pending
-                    if forwarded:
-                        if ssbd is None:
-                            ssbd = self.msr.ssbd_enabled
-                        if ssbd:
-                            # SSBD: the load must wait for older store
-                            # addresses.
-                            events[_STLF_BLOCKED] = events.get(_STLF_BLOCKED, 0) + 1
-                            if self.hooks is not None:
-                                self.hooks.on_stlf_blocked(address)
-                        else:
-                            events[_STLF_HITS] = events.get(_STLF_HITS, 0) + 1
-                # L1, then L2 on a miss; stores write-allocate, and a
-                # forwarded load's line still warms.
-                line = address // line_bytes
-                level = 1
-                if line != last_line:
-                    lines = l1_sets[line % num_sets]
-                    if line in lines:
-                        lines.move_to_end(line)
-                    else:
-                        lines[line] = True
-                        if len(lines) > ways:
-                            lines.popitem(last=False)
-                        level = 2 if caches.l2.access(address) else 0
-                last_line = line
-                if cache_observer is not None:
-                    cache_observer.cache_fill(address, level)
-                if is_load:
-                    if forwarded and not ssbd:
-                        cycles += costs.store_forward
-                    else:
-                        if level != 1:
-                            events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
-                        cycles += self._load_cycles[level]
-                        if forwarded:
-                            penalty = self.cpu.ssbd_load_penalty
-                            cycles += penalty
-                            if ledger is not None:
-                                ledger.add_split(penalty, "ssbd", "stlf_block")
-                    value = instr.value or address
-                    residue[FILL_BUFFER] = residue[LOAD_PORT] = (value, mode)
-                    if buffers_observer is not None:
-                        buffers_observer.residue_load(value, mode)
+        try:
+            for instr in instructions:
+                handler = instr.handler
+                if handler is None:
+                    handler = _DISPATCH.get(instr.op)
+                    if handler is None:  # pragma: no cover - exhaustive over Op
+                        raise UnsupportedFeatureError(f"unhandled op {instr.op}")
+                    instr.handler = handler
+                if handler is not _MEMORY:
+                    if bound:
+                        bound = False
+                        if load_value is not None:
+                            residue[FILL_BUFFER] = residue[LOAD_PORT] = (load_value, mode)
+                        if store_value is not None:
+                            residue[STORE_BUFFER] = (store_value, mode)
+                    cycles = handler(self, instr)
                 else:
-                    cycles += costs.store
-                    value = instr.value
-                    sb_line = address >> 6
-                    if sb_line in pending:
-                        pending.move_to_end(sb_line)
-                    pending[sb_line] = value
-                    if len(pending) > depth:
-                        pending.popitem(last=False)
-                    if sb_observer is not None:
-                        sb_observer.sb_push(address, value)
-                    value = value or address
-                    residue[STORE_BUFFER] = (value, mode)
-                    if buffers_observer is not None:
-                        buffers_observer.residue_store(value, mode)
-            if ledger is None:
-                # add_cycles() without an attached ledger is exactly this.
-                counters.tsc += cycles
-            else:
-                mitigation, primitive = instr.attr_tag
-                ledger.set_tag(mitigation, primitive)
-                counters.add_cycles(cycles)
-                ledger.clear_tag()
-            events[_RETIRED] = events.get(_RETIRED, 0) + 1
-            total += cycles
+                    if not bound:
+                        bound = True
+                        # The memory run's latest load and store values
+                        # are its MDS residue, left when the run ends.
+                        last_page = last_line = ssbd = load_value = store_value = None
+                        mode, costs = self.mode, self.costs
+                        tlb, caches, sb = self.tlb, self.caches, self.store_buffer
+                        tlb_entries, global_pages = tlb._entries, tlb._global_pages
+                        pcid = tlb.current_pcid if tlb.supports_pcid else 0
+                        l1 = caches.l1
+                        l1_sets, num_sets, ways = l1._sets, l1.num_sets, l1.ways
+                        line_bytes = l1.line_bytes
+                        pending, depth = sb._pending, sb.depth
+                        residue = self.mds_buffers._residue
+                        tlb_observer, cache_observer = tlb.observer, caches.observer
+                        sb_observer = sb.observer
+                        buffers_observer = self.mds_buffers.observer
+                    address = instr.address
+                    is_load = instr.op is _LOAD
+                    if is_load and instr.kernel_address and not mode.is_kernel:
+                        # Architectural access to kernel memory from user mode
+                        # faults (transient ones go through _transient_load).
+                        raise SegmentationFault(address, str(mode))
+                    cycles = 0
+                    page = address >> 12
+                    if page != last_page and page not in global_pages:
+                        key = (pcid, page)
+                        if key in tlb_entries:
+                            tlb_entries.move_to_end(key)
+                        else:
+                            tlb_entries[key] = True
+                            if len(tlb_entries) > tlb.capacity:
+                                tlb_entries.popitem(last=False)
+                            if tlb_observer is not None:
+                                tlb_observer.tlb_fill(page)
+                            events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
+                            cycles = costs.tlb_miss
+                    last_page = page
+                    if is_load:
+                        forwarded = (address >> 6) in pending
+                        if forwarded:
+                            if ssbd is None:
+                                ssbd = self.msr.ssbd_enabled
+                            if ssbd:
+                                # SSBD: the load must wait for older store
+                                # addresses.
+                                events[_STLF_BLOCKED] = events.get(_STLF_BLOCKED, 0) + 1
+                                if self.hooks is not None:
+                                    self.hooks.on_stlf_blocked(address)
+                            else:
+                                events[_STLF_HITS] = events.get(_STLF_HITS, 0) + 1
+                    # L1, then L2 on a miss; stores write-allocate, and a
+                    # forwarded load's line still warms.
+                    line = address // line_bytes
+                    level = 1
+                    if line != last_line:
+                        lines = l1_sets[line % num_sets]
+                        if line in lines:
+                            lines.move_to_end(line)
+                        else:
+                            lines[line] = True
+                            if len(lines) > ways:
+                                lines.popitem(last=False)
+                            level = 2 if caches.l2.access(address) else 0
+                    last_line = line
+                    if cache_observer is not None:
+                        cache_observer.cache_fill(address, level)
+                    if is_load:
+                        if forwarded and not ssbd:
+                            cycles += costs.store_forward
+                        else:
+                            if level != 1:
+                                events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
+                            cycles += self._load_cycles[level]
+                            if forwarded:
+                                penalty = self.cpu.ssbd_load_penalty
+                                cycles += penalty
+                                if ledger is not None:
+                                    ledger.add_split(penalty, "ssbd", "stlf_block")
+                        value = instr.value or address
+                        if buffers_observer is None:
+                            load_value = value
+                        else:
+                            residue[FILL_BUFFER] = residue[LOAD_PORT] = (value, mode)
+                            buffers_observer.residue_load(value, mode)
+                    else:
+                        cycles += costs.store
+                        value = instr.value
+                        sb_line = address >> 6
+                        if sb_line in pending:
+                            pending.move_to_end(sb_line)
+                        pending[sb_line] = value
+                        if len(pending) > depth:
+                            pending.popitem(last=False)
+                        if sb_observer is not None:
+                            sb_observer.sb_push(address, value)
+                        value = value or address
+                        if buffers_observer is None:
+                            store_value = value
+                        else:
+                            residue[STORE_BUFFER] = (value, mode)
+                            buffers_observer.residue_store(value, mode)
+                total += cycles
+                retired += 1
+                if per_instruction:
+                    if ledger is None:
+                        # add_cycles() without an attached ledger is exactly this.
+                        counters.tsc += cycles
+                    else:
+                        mitigation, primitive = instr.attr_tag
+                        ledger.set_tag(mitigation, primitive)
+                        counters.add_cycles(cycles)
+                        ledger.clear_tag()
+                    events[_RETIRED] = events.get(_RETIRED, 0) + 1
+        finally:
+            if bound:
+                if load_value is not None:
+                    residue[FILL_BUFFER] = residue[LOAD_PORT] = (load_value, mode)
+                if store_value is not None:
+                    residue[STORE_BUFFER] = (store_value, mode)
+            if not per_instruction:
+                counters.tsc += total
+                events[_RETIRED] += retired
         return total
 
     def prime_block(self, instructions: Sequence[Instruction]) -> None:

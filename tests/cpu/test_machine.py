@@ -9,8 +9,10 @@ from repro.cpu import counters as ctr
 from repro.cpu import isa
 from repro.cpu import machine as machine_mod
 from repro.cpu import msr as msrdef
+from repro.cpu.buffers import STORE_BUFFER
 from repro.cpu.machine import AMD_RETPOLINE, GENERIC_RETPOLINE
 from repro.cpu.smt import SMTCore
+from repro.core.probe import _VICTIM_BRACKET, VICTIM_TARGET, Scenario, SpeculationProbe
 from repro.errors import SegmentationFault, UnsupportedFeatureError
 from repro.jsengine import octane
 from repro.jsengine.jit import JITCompiler
@@ -18,6 +20,7 @@ from repro.kernel import GETPID, Kernel
 from repro.mitigations import linux_default
 from repro.obs.leakage import LeakageTracer
 from repro.obs.ledger import CycleLedger
+from repro.obs.spans import SpanTracer
 from repro.workloads import parsec
 from repro.workloads.lfs import READ_PROFILE
 
@@ -461,8 +464,8 @@ def test_run_loop_matches_reference(cpu, ledger):
 
 
 def test_fault_mid_block_leaves_tsc_and_retired_count_as_reference():
-    block = [isa.work(40), isa.load(0x7000_0000),
-             isa.load(0xFFFF_8880_0000_0000, kernel=True), isa.work(10)]
+    fault = isa.load(0xFFFF_8880_0000_0000, kernel=True)
+    block = [isa.work(40), isa.load(0x7000_0000), fault, isa.work(10)]
     fast = Machine(get_cpu("broadwell"), seed=0)
     ref = Machine(get_cpu("broadwell"), seed=0)
     with pytest.raises(SegmentationFault):
@@ -473,6 +476,49 @@ def test_fault_mid_block_leaves_tsc_and_retired_count_as_reference():
     retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
     assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 2
     assert _machine_state(fast) == _machine_state(ref)
+    # Both machines have run, so the fast one adds the run's cycles,
+    # retired count and residue once; a fault must still leave them.
+    block = [isa.work(30), isa.load(0x7100_0000), isa.store(0x7200_0000, value=5),
+             fault, isa.work(10)]
+    tsc = fast.read_tsc()
+    with pytest.raises(SegmentationFault):
+        fast.run(block)
+    with pytest.raises(SegmentationFault):
+        _reference_run(ref, block)
+    assert fast.read_tsc() == ref.read_tsc() > tsc
+    retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
+    assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 5
+    assert fast.mds_buffers._residue[STORE_BUFFER] == (5, Mode.USER)
+    assert _machine_state(fast) == _machine_state(ref)
+
+
+@pytest.mark.parametrize("observer", ["leakage", "spans"])
+def test_mid_run_observers_read_the_tsc_of_a_per_instruction_twin(observer):
+    # The probe's victim bracket files its leakage event (and the span
+    # tracer its transient-window instant) after the first rdpmc of the
+    # run, so the event carries a TSC that run has already advanced.
+    machines = []
+    for _ in range(2):
+        machine = Machine(get_cpu("broadwell"), seed=0)
+        tracer = LeakageTracer() if observer == "leakage" else SpanTracer()
+        machine.attach(tracer)
+        probe = SpeculationProbe(machine)
+        if observer == "leakage":
+            tracer.taint_code(VICTIM_TARGET)
+        probe._prepare_round(Scenario(Mode.USER, Mode.USER, False))
+        machines.append((machine, tracer))
+    (fast, fast_tracer), (ref, ref_tracer) = machines
+    bracket = _VICTIM_BRACKET[False]
+    tsc = fast.read_tsc()
+    assert fast.run(bracket) == _reference_run(ref, bracket)
+    assert _machine_state(fast) == _machine_state(ref)
+    if observer == "leakage":
+        stamps = [event.tsc for event in fast_tracer.events]
+        assert stamps == [event.tsc for event in ref_tracer.events]
+    else:
+        stamps = [instant[0] for instant in fast_tracer.instants]
+        assert stamps == [instant[0] for instant in ref_tracer.instants]
+    assert stamps[-1] == tsc + fast.costs.rdpmc
 
 
 # -- memory runs: the binding and the most-recent shortcut ------------------ #
@@ -492,6 +538,8 @@ def _invalidation_points(address, pcid, ssbd):
         [isa.store(address), isa.wrmsr(msrdef.IA32_SPEC_CTRL, flip),
          isa.load(address), isa.wrmsr(msrdef.IA32_SPEC_CTRL, restore),
          isa.load(address)],
+        # The store's residue must reach the buffers before verw clears them.
+        [isa.store(address), isa.verw(), isa.load(address)],
     ]
 
 

@@ -168,9 +168,22 @@ ALL_ARTIFACTS = {
 }
 
 
-def test_all_writes_artifacts(capsys, tmp_path, monkeypatch):
+def _count_cell_runs(monkeypatch):
+    """Route every study driver's cell runner through a counter, via the
+    driver table; returns the list of keys of the cells that ran here."""
     import dataclasses
     from repro.core import study
+    calls = []
+    for name, driver in list(study.DRIVERS.items()):
+        def counted(spec, run_cell=driver.run_cell):
+            calls.append(spec.key())
+            return run_cell(spec)
+        monkeypatch.setitem(study.DRIVERS, name,
+                            dataclasses.replace(driver, run_cell=counted))
+    return calls
+
+
+def test_all_writes_artifacts(capsys, tmp_path, monkeypatch):
     outdir = tmp_path / "out"
     out = run_cli(capsys, "all", "--fast", "--outdir", str(outdir))
     assert "wrote" in out
@@ -184,13 +197,7 @@ def test_all_writes_artifacts(capsys, tmp_path, monkeypatch):
 
     # A warm rerun on the same cell cache runs no cell runner at all:
     # summary.txt reuses Figures 2 and 3 instead of simulating them again.
-    calls = []
-    for name, driver in list(study.DRIVERS.items()):
-        def counted(spec, run_cell=driver.run_cell):
-            calls.append(spec.key())
-            return run_cell(spec)
-        monkeypatch.setitem(study.DRIVERS, name,
-                            dataclasses.replace(driver, run_cell=counted))
+    calls = _count_cell_runs(monkeypatch)
     warm = tmp_path / "warm"
     run_cli(capsys, "all", "--fast", "--outdir", str(warm))
     assert calls == []
@@ -198,10 +205,19 @@ def test_all_writes_artifacts(capsys, tmp_path, monkeypatch):
         assert (warm / name).read_text() == (outdir / name).read_text()
 
 
-def test_summary_command(capsys):
-    out = run_cli(capsys, "summary")
-    assert "Q1:" in out and "Q2:" in out and "Q3:" in out
-    assert "IBPB" in out
+def test_summary_command(capsys, tmp_path, monkeypatch):
+    cold = run_cli(capsys, "summary")
+    assert "Q1:" in cold and "Q2:" in cold and "Q3:" in cold
+    assert "IBPB" in cold
+    # A warm rerun on the same cell cache runs no cell runner at all.
+    calls = _count_cell_runs(monkeypatch)
+    assert run_cli(capsys, "summary") == cold
+    assert calls == []
+    # Two workers filling a fresh cache print the same answers.
+    assert main(["summary", "--jobs", "2",
+                 "--cache-dir", str(tmp_path / "fresh")]) == 0
+    parallel = capsys.readouterr()
+    assert parallel.out == cold and "jobs=2" in parallel.err
 
 
 def test_profile_figure_writes_trace_artifacts(capsys, tmp_path):
@@ -842,23 +858,44 @@ OUTPUT_FLAGS = {
     "ledger-out": "profile table 3 --iterations 20 --ledger-out {path}",
     "leakage-trace-out": "leakage events --cpus zen --trace-out {path}",
     "history-report-out": "history report --out {path}",
+    # Three that run study cells.
+    "trace-figure": "--trace {path} figure 5 --fast --cpus zen3 --no-cache",
+    "profile-figure-trace-out": "profile figure 5 --fast --cpus zen3 --trace-out {path}",
+    "bench-out": "bench --fast --cpus zen3 --drivers figure5 --no-cache --out {path}",
 }
 
 
 @pytest.mark.parametrize("argv", list(OUTPUT_FLAGS.values()),
                          ids=list(OUTPUT_FLAGS))
-def test_output_file_flags_share_one_writer(capsys, tmp_path, argv):
+def test_output_file_flags_share_one_writer(capsys, tmp_path, monkeypatch, argv):
     run_cli(capsys, "history", "record", _BASELINE_3, "--allow-dirty")
     # A missing parent directory is created.
     path = tmp_path / "no" / "such" / "out.txt"
     run_cli(capsys, *argv.format(path=path).split())
     assert path.read_text()
-    # A directory given as the file is one line and exit 1, no traceback.
+    # A directory given as the file is one line and exit 1, no traceback,
+    # before any cell runs; no machine is built either (profile table and
+    # leakage events simulate outside the study drivers).
+    from repro.cpu import Machine
+    calls = _count_cell_runs(monkeypatch)
+    init = Machine.__init__
+
+    def counted_init(machine, *args, **kwargs):
+        calls.append("machine")
+        init(machine, *args, **kwargs)
+    monkeypatch.setattr(Machine, "__init__", counted_init)
     args = argv.format(path=tmp_path).split()
     with pytest.raises(SystemExit) as exc:
         main(args)
     command = args[2] if args[0] == "--trace" else args[0]
     assert exc.value.code == f"{command}: {tmp_path}: Is a directory"
+    # So is a path under a file.
+    path = tmp_path / "a-file" / "out.txt"
+    path.parent.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(path=path).split())
+    assert exc.value.code == f"{command}: {path}: File exists"
+    assert calls == []
 
 
 def test_history_list_on_a_corrupt_db_is_a_one_line_error(tmp_path):
