@@ -50,8 +50,8 @@ def test_detached_machine_has_no_subscriber_and_interprets():
     assert machine.hooks is None and machine.ledger is None
     assert machine.counters.ledger is None
     assert machine.obs is NULL_TRACER
-    for structure in (machine.store_buffer, machine.caches, machine.tlb,
-                      machine.btb, machine.rsb, machine.mds_buffers):
+    for structure in (machine.store_buffer, machine.btb, machine.rsb,
+                      machine.mds_buffers):
         assert structure.observer is None, structure
     assert machine.engine is None
 

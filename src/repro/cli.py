@@ -59,9 +59,10 @@ from .cpu import engine as blockengine
 from .cpu import replicas as replicabatch
 from .core import microbench, reporting, study
 from .core.probe import DEFAULT_TRIALS, POLICIES, POLICY_DEFAULT, speculation_matrix
+from .core.executor import default_cache_dir
 from .core.study import Settings
-from .errors import (BaselineError, ProgramParseError, UnknownCPUError,
-                     UnsupportedFeatureError)
+from .errors import (BaselineError, HistoryError, ProgramParseError,
+                     UnknownCPUError, UnsupportedFeatureError)
 from .mitigations import linux_default
 from .mitigations.meltdown import attempt_meltdown
 from .mitigations.mds import attempt_mds_sample, kernel_touched_secret
@@ -100,6 +101,14 @@ def _file_error(command: str, path: str, exc: Exception) -> SystemExit:
     return SystemExit(f"{command}: {path}: {reason}")
 
 
+class _OutputFile(str):
+    """argparse ``type`` of a file the command writes."""
+
+
+class _OutputDir(str):
+    """argparse ``type`` of a directory the command writes into."""
+
+
 def _check_output(command: str, path: str) -> None:
     """Ready an output file named on the command line, before the run
     that fills it: create missing parent directories, and exit with one
@@ -113,6 +122,22 @@ def _check_output(command: str, path: str) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
         raise _file_error(command, path, exc)
+
+
+def _check_output_dir(command: str, path: str) -> None:
+    """Exit with one ``<command>: <path>: Not a directory`` line if
+    ``path``, or the nearest of its parents that exists, is not a
+    directory.  Nothing is created: the command makes it when it writes."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise SystemExit(f"{command}: {path}: {os.strerror(errno.ENOTDIR)}")
+
+
+#: Path option type -> the check :func:`main` runs on it before the
+#: command runs.
+_PATH_CHECKS = {_OutputFile: _check_output, _OutputDir: _check_output_dir}
 
 
 def _write_output(command: str, path: str, text: str) -> None:
@@ -139,14 +164,9 @@ def _settings(args: argparse.Namespace) -> Settings:
 def _study_executor(args: argparse.Namespace) -> "StudyExecutor":
     """Build the execution engine from the command's ``--jobs``/cache
     flags; commands without those flags get the inline serial default."""
-    from .core.executor import StudyExecutor, default_cache_dir
-    if getattr(args, "no_cache", False):
-        cache_dir = None
-    else:
-        cache_dir = getattr(args, "cache_dir", None)
-        if cache_dir is None and hasattr(args, "jobs"):
-            cache_dir = default_cache_dir()
-    return StudyExecutor(jobs=getattr(args, "jobs", 1), cache_dir=cache_dir)
+    from .core.executor import StudyExecutor
+    return StudyExecutor(jobs=getattr(args, "jobs", 1),
+                         cache_dir=getattr(args, "cache_dir", None))
 
 
 def _report_executor(label: str, executor: "StudyExecutor") -> None:
@@ -167,7 +187,6 @@ def _history_autorecord(args: argparse.Namespace, payload: Dict,
     record warns on stderr, never fails the producing command)."""
     if getattr(args, "no_history", False):
         return
-    from .errors import HistoryError
     from .obs.history import HistoryStore
     path = _history_path(args)
     try:
@@ -277,11 +296,7 @@ def cmd_parsec(args: argparse.Namespace) -> str:
 
 def cmd_bimodal(args: argparse.Namespace) -> str:
     cpu = get_cpu(args.cpu)
-    try:
-        latencies = microbench.kernel_entry_latencies(cpu,
-                                                      entries=args.entries)
-    except UnsupportedFeatureError as exc:
-        raise SystemExit(f"bimodal: {exc}")
+    latencies = microbench.kernel_entry_latencies(cpu, entries=args.entries)
     return reporting.render_entry_distribution(cpu.key, latencies)
 
 
@@ -445,10 +460,6 @@ def cmd_summary(args: argparse.Namespace) -> str:
 def cmd_profile(args: argparse.Namespace) -> str:
     """Run one artifact under the span tracer; write trace/flame files."""
     import json
-    for path in (args.trace_out, args.flame_out, args.ledger_out,
-                 args.metrics_out):
-        if path:
-            _check_output("profile", path)
     settings = _settings(args)
     cpus = _selected_cpus(args)
     tracer = obs.SpanTracer()
@@ -534,14 +545,10 @@ def cmd_bench(args: argparse.Namespace) -> str:
     executor = _study_executor(args)
     settings = _settings(args)
     cpus = args.cpus or list(baseline.DEFAULT_BENCH_CPUS)
-    try:
-        payload = baseline.collect(
-            cpus=cpus, settings=settings,
-            drivers=args.drivers or None, executor=executor, command="bench",
-            report=lambda driver: _report_executor(f"bench {driver}",
-                                                   executor))
-    except BaselineError as exc:
-        raise SystemExit(f"bench: {exc}")
+    payload = baseline.collect(
+        cpus=cpus, settings=settings,
+        drivers=args.drivers or None, executor=executor, command="bench",
+        report=lambda driver: _report_executor(f"bench {driver}", executor))
     _write_output("bench", path, _payload_text(payload))
     _history_autorecord(args, payload, kind="bench")
     ledger_total = sum(roll["total"] for roll in payload["ledger"].values())
@@ -554,15 +561,11 @@ def cmd_check(args: argparse.Namespace) -> str:
     """Re-run a baseline's grid and gate on noise-aware regressions."""
     from .obs import baseline
     executor = _study_executor(args)
-    try:
-        diff, report = baseline.check_against(
-            args.against, executor=executor,
-            report=lambda driver: _report_executor(f"check {driver}",
-                                                   executor),
-            on_payload=lambda payload: _history_autorecord(args, payload,
-                                                           kind="check"))
-    except BaselineError as exc:
-        raise SystemExit(f"check: {exc}")
+    diff, report = baseline.check_against(
+        args.against, executor=executor,
+        report=lambda driver: _report_executor(f"check {driver}", executor),
+        on_payload=lambda payload: _history_autorecord(args, payload,
+                                                       kind="check"))
     if diff.failed:
         # Print before exiting nonzero: main() only writes the returned
         # string on the success path.
@@ -584,73 +587,67 @@ def _diff_side(ref: str, store) -> Tuple[Dict, str]:
 def cmd_history(args: argparse.Namespace) -> str:
     """Run-history store: record, list, diff, report, gc."""
     import contextlib
-    from .errors import HistoryError
     from .obs import history as hist
     from .obs import report as histreport
     path = _history_path(args)
-    try:
-        if args.history_command == "record":
-            from .obs import baseline
-            payload = baseline.load_bench(args.payload)
-            with hist.HistoryStore(path) as store:
-                run_id = store.record_payload(
-                    payload, kind=args.kind, allow_dirty=args.allow_dirty)
-                dirty = store.run_info(run_id).dirty
-            flag = " (flagged dirty)" if dirty else ""
-            return (f"history: recorded run {run_id} ({args.kind}){flag} "
-                    f"-> {path}\n")
-        if args.history_command == "list":
-            with hist.HistoryStore(path, create=False) as store:
-                runs = store.runs()
-            if not runs:
-                return f"history: no runs in {path}\n"
-            lines = [f"{'id':>4}  {'kind':<8} {'recorded':<26} "
-                     f"{'fingerprint':<17} {'dirty':<6} {'values':>6} "
-                     f"{'ledger cycles':>14}  command"]
-            for run in runs:
-                lines.append(
-                    f"{run.id:>4}  {run.kind:<8} {run.created_at:<26} "
-                    f"{run.fingerprint or '-':<17} "
-                    f"{'yes' if run.dirty else 'no':<6} {run.values:>6} "
-                    f"{run.ledger_cycles:>14,}  {run.command}")
-            return "\n".join(lines) + "\n"
-        if args.history_command == "diff":
-            refs = (args.run_a, args.run_b)
-            # A file-to-file diff never opens (or creates) the database.
-            needs_store = not all(ref.endswith(".json") for ref in refs)
-            with (hist.HistoryStore(path, create=False) if needs_store
-                  else contextlib.nullcontext()) as store:
-                (old, label_a), (new, label_b) = [
-                    _diff_side(ref, store) for ref in refs]
-            diff = hist.diff_payloads(old, new)
-            rendered = hist.render_diff(diff, label_a=label_a,
-                                        label_b=label_b)
-            if diff.failed:
-                # Same contract as 'spectresim check': print the report,
-                # then exit nonzero so CI gates on it.
-                sys.stdout.write(rendered)
-                raise SystemExit(1)
-            return rendered
-        if args.history_command == "report":
-            _check_output("history", args.out)
-            with hist.HistoryStore(path, create=False) as store:
-                html = histreport.render_report(store, title=args.title)
-                count = len(store)
-            _write_output("history", args.out, html)
-            return f"history: dashboard over {count} run(s) -> {args.out}\n"
-        if args.history_command == "gc":
-            dry_run = getattr(args, "dry_run", False)
-            with hist.HistoryStore(path, create=False) as store:
-                removed = store.gc(args.keep, dry_run=dry_run)
-                kept = len(store) - (len(removed) if dry_run else 0)
-            if dry_run:
-                doomed = ", ".join(str(i) for i in removed) or "none"
-                return (f"history: would remove {len(removed)} run(s) "
-                        f"[{doomed}], keeping {kept} -> {path}\n")
-            return (f"history: removed {len(removed)} run(s), kept {kept} "
-                    f"-> {path}\n")
-    except (BaselineError, HistoryError) as exc:
-        raise SystemExit(f"history: {exc}")
+    if args.history_command == "record":
+        from .obs import baseline
+        payload = baseline.load_bench(args.payload)
+        with hist.HistoryStore(path) as store:
+            run_id = store.record_payload(
+                payload, kind=args.kind, allow_dirty=args.allow_dirty)
+            dirty = store.run_info(run_id).dirty
+        flag = " (flagged dirty)" if dirty else ""
+        return (f"history: recorded run {run_id} ({args.kind}){flag} "
+                f"-> {path}\n")
+    if args.history_command == "list":
+        with hist.HistoryStore(path, create=False) as store:
+            runs = store.runs()
+        if not runs:
+            return f"history: no runs in {path}\n"
+        lines = [f"{'id':>4}  {'kind':<8} {'recorded':<26} "
+                 f"{'fingerprint':<17} {'dirty':<6} {'values':>6} "
+                 f"{'ledger cycles':>14}  command"]
+        for run in runs:
+            lines.append(
+                f"{run.id:>4}  {run.kind:<8} {run.created_at:<26} "
+                f"{run.fingerprint or '-':<17} "
+                f"{'yes' if run.dirty else 'no':<6} {run.values:>6} "
+                f"{run.ledger_cycles:>14,}  {run.command}")
+        return "\n".join(lines) + "\n"
+    if args.history_command == "diff":
+        refs = (args.run_a, args.run_b)
+        # A file-to-file diff never opens (or creates) the database.
+        needs_store = not all(ref.endswith(".json") for ref in refs)
+        with (hist.HistoryStore(path, create=False) if needs_store
+              else contextlib.nullcontext()) as store:
+            (old, label_a), (new, label_b) = [
+                _diff_side(ref, store) for ref in refs]
+        diff = hist.diff_payloads(old, new)
+        rendered = hist.render_diff(diff, label_a=label_a, label_b=label_b)
+        if diff.failed:
+            # Same contract as 'spectresim check': print the report, then
+            # exit nonzero so CI gates on it.
+            sys.stdout.write(rendered)
+            raise SystemExit(1)
+        return rendered
+    if args.history_command == "report":
+        with hist.HistoryStore(path, create=False) as store:
+            html = histreport.render_report(store, title=args.title)
+            count = len(store)
+        _write_output("history", args.out, html)
+        return f"history: dashboard over {count} run(s) -> {args.out}\n"
+    if args.history_command == "gc":
+        dry_run = getattr(args, "dry_run", False)
+        with hist.HistoryStore(path, create=False) as store:
+            removed = store.gc(args.keep, dry_run=dry_run)
+            kept = len(store) - (len(removed) if dry_run else 0)
+        if dry_run:
+            doomed = ", ".join(str(i) for i in removed) or "none"
+            return (f"history: would remove {len(removed)} run(s) "
+                    f"[{doomed}], keeping {kept} -> {path}\n")
+        return (f"history: removed {len(removed)} run(s), kept {kept} "
+                f"-> {path}\n")
     raise SystemExit(f"unknown history action {args.history_command!r}")
 
 
@@ -661,8 +658,6 @@ def cmd_leakage(args: argparse.Namespace) -> str:
     cpus = _selected_cpus(args)
     # The matrix shows no events, so it collects none.
     events = args.leakage_command == "events"
-    if events and args.trace_out:
-        _check_output("leakage", args.trace_out)
     report = leakage_report(tuple(cpus), policy=args.policy,
                             trials=args.trials,
                             max_events=args.max_events if events else 0)
@@ -827,9 +822,7 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
     if args.out:
         # CI uploads --out as an artifact; always leave the summary
         # there so the directory exists even on a clean campaign.
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "summary.txt"), "w") as handle:
-            handle.write(report)
+        _write_output("fuzz", os.path.join(args.out, "summary.txt"), report)
         # Machine-readable twin: full violation records (problems dicts
         # and first-divergence data) plus the campaign shape.
         machine_summary = {
@@ -843,9 +836,9 @@ def cmd_fuzz(args: argparse.Namespace) -> str:
             "violations": [v.to_dict() for v in result.violations],
             "reproducers": reproducers,
         }
-        with open(os.path.join(args.out, "summary.json"), "w") as handle:
-            json.dump(machine_summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_output("fuzz", os.path.join(args.out, "summary.json"),
+                      json.dumps(machine_summary, indent=2, sort_keys=True)
+                      + "\n")
     if result.violations:
         sys.stdout.write(report)
         raise SystemExit(1)
@@ -856,7 +849,6 @@ def cmd_all(args: argparse.Namespace) -> str:
     """Run every experiment, writing one file per artifact to --outdir:
     each file holds what its own command prints, and each figure runs
     once (``summary.txt`` is computed from Figures 2 and 3)."""
-    os.makedirs(args.outdir, exist_ok=True)
     artifacts = {
         f"table{n}.txt": cmd_table(argparse.Namespace(
             number=n, iterations=microbench.DEFAULT_ITERATIONS))
@@ -881,7 +873,8 @@ def _add_executor_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="fan sweep cells out over N worker processes "
                         "(results are bit-identical to --jobs 1)")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
+    p.add_argument("--cache-dir", type=_OutputDir, metavar="DIR",
+                   default=default_cache_dir(),
                    help="persistent result cache location (default: "
                         "$SPECTRESIM_CACHE_DIR or ~/.cache/spectresim)")
     p.add_argument("--no-cache", action="store_true",
@@ -895,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the EuroSys '22 transient-execution "
                     "mitigation study on simulated CPUs.")
     parser.add_argument(
-        "--trace", metavar="PATH", default=None,
+        "--trace", type=_OutputFile, metavar="PATH", default=None,
         help="run the command under the span tracer and write a Chrome "
              "trace-event JSON (load in Perfetto) to PATH")
     parser.add_argument(
@@ -984,14 +977,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpus", nargs="*", type=_cpu_key)
     p.add_argument("--iterations", type=_positive_int, default=1000,
                    help="iterations for table microbenchmarks")
-    p.add_argument("--trace-out", metavar="PATH", default=None,
+    p.add_argument("--trace-out", type=_OutputFile, metavar="PATH",
+                   default=None,
                    help="write Chrome trace-event JSON here")
-    p.add_argument("--flame-out", metavar="PATH", default=None,
+    p.add_argument("--flame-out", type=_OutputFile, metavar="PATH",
+                   default=None,
                    help="write collapsed-stack flamegraph format here")
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
+    p.add_argument("--metrics-out", type=_OutputFile, metavar="PATH",
+                   default=None,
                    help="write self-cycles per span name and the run's "
                         "engine/replica telemetry as JSON here")
-    p.add_argument("--ledger-out", metavar="PATH", default=None,
+    p.add_argument("--ledger-out", type=_OutputFile, metavar="PATH",
+                   default=None,
                    help="attribute every cycle with the ledger and write "
                         "the (layer, mitigation, primitive) report here")
     _add_replicas_flag(p)
@@ -1006,9 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drivers", nargs="*",
                    help="study drivers to snapshot (default: figure2 "
                         "figure3 figure5)")
-    p.add_argument("--dir", default=os.path.join("benchmarks", "baselines"),
+    p.add_argument("--dir", type=_OutputDir,
+                   default=os.path.join("benchmarks", "baselines"),
                    help="directory whose next free BENCH_<n>.json is used")
-    p.add_argument("--out", metavar="PATH", default=None,
+    p.add_argument("--out", type=_OutputFile, metavar="PATH", default=None,
                    help="explicit output path (overrides --dir numbering)")
     _add_replicas_flag(p)
     _add_executor_flags(p)
@@ -1051,7 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default), or 'prev'")
     hp = hsub.add_parser(
         "report", help="render the self-contained HTML dashboard")
-    hp.add_argument("--out", metavar="PATH", default="history.html")
+    hp.add_argument("--out", type=_OutputFile, metavar="PATH",
+                    default="history.html")
     hp.add_argument("--title", default="spectresim run history")
     hp = hsub.add_parser("gc", help="drop the oldest runs beyond --keep")
     hp.add_argument("--keep", type=int, required=True, metavar="N",
@@ -1086,7 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_leakage_flags(lp)
     lp.add_argument("--max-events", type=_positive_int, default=200,
                     help="cap on raw events carried in the report")
-    lp.add_argument("--trace-out", metavar="PATH", default=None,
+    lp.add_argument("--trace-out", type=_OutputFile, metavar="PATH",
+                    default=None,
                     help="also write the events as Perfetto instant "
                          "events (Chrome trace-event JSON) here")
 
@@ -1112,7 +1112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="fan cells out over N worker processes "
                         "(verdicts are bit-identical to --jobs 1)")
-    p.add_argument("--out", metavar="DIR", default="fuzz-out",
+    p.add_argument("--out", type=_OutputDir, metavar="DIR",
+                   default="fuzz-out",
                    help="directory for minimized reproducers and the "
                         "campaign summary")
     p.add_argument("--replay", metavar="FILE", default=None,
@@ -1122,7 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="run everything over every modelled "
                                    "CPU, write artifacts")
-    p.add_argument("--outdir", default="results")
+    p.add_argument("--outdir", type=_OutputDir, default="results")
     p.add_argument("--fast", action="store_true")
     _add_executor_flags(p)
 
@@ -1154,29 +1155,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     blockengine.set_default_engine(args.engine)
-    trace_path = args.trace
-    if trace_path and args.command == "profile":
+    if args.trace and args.command == "profile":
         parser.error("--trace does not apply to profile; "
                      "use profile --trace-out PATH")
-    if trace_path:
-        _check_output(args.command, trace_path)
-        tracer = obs.SpanTracer()
-        started = time.perf_counter()
+    if getattr(args, "no_cache", False):
+        args.cache_dir = None  # no cache directory to check or use
+    # Bad input is one ``<command>: ...`` line and exit 1: output paths
+    # before the command runs, payloads and stores when it reads them.
+    for value in vars(args).values():
+        check = _PATH_CHECKS.get(type(value))
+        if check is not None:
+            check(args.command, value)
+    tracer = obs.SpanTracer() if args.trace else None
+    started = time.perf_counter()
+    try:
         with obs.use_observers(tracer):
             output = _COMMANDS[args.command](args)
+    except (BaselineError, HistoryError, UnsupportedFeatureError) as exc:
+        raise SystemExit(f"{args.command}: {exc}")
+    if tracer is not None:
         manifest = _run_manifest(
             args.command,
             _settings(args) if hasattr(args, "fast") else None,
             _selected_cpus(args),
             wall_time_s=round(time.perf_counter() - started, 3),
             sim_cycles=tracer.total_cycles())
-        _write_output(args.command, trace_path,
+        _write_output(args.command, args.trace,
                       obs.to_chrome_trace_json(tracer, manifest))
         output += (f"[trace] {len(tracer.spans)} spans, "
                    f"{100.0 * tracer.coverage():.1f}% cycle coverage -> "
-                   f"{trace_path}\n")
-    else:
-        output = _COMMANDS[args.command](args)
+                   f"{args.trace}\n")
     sys.stdout.write(output)
     return 0
 

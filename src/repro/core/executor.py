@@ -243,19 +243,18 @@ class ResultCache:
     def lookup(self, spec: CellSpec, kind: str) -> Tuple[Optional[Any], str]:
         """(result, outcome): outcome distinguishes a plain miss (no entry
         on disk) from a *stale* entry — a blob that exists at the cell's
-        address but fails key/kind verification (hash collision, result
-        kind change, or a hand-edited file)."""
-        path = self._path(spec.digest())
+        address but fails key/kind verification or does not decode (hash
+        collision, result kind change, or a hand-edited file)."""
         try:
-            with open(path) as f:
+            with open(self._path(spec.digest())) as f:
                 record = json.load(f)
+            if record["key"] == spec.key() and record["kind"] == kind:
+                return decode_result(kind, record["result"]), self.HIT
         except OSError:
             return None, self.MISS
-        except ValueError:
-            return None, self.STALE
-        if record.get("key") != spec.key() or record.get("kind") != kind:
-            return None, self.STALE
-        return decode_result(kind, record["result"]), self.HIT
+        except (LookupError, TypeError, ValueError):
+            pass
+        return None, self.STALE
 
     def put(self, spec: CellSpec, kind: str, result: Any) -> None:
         _atomic_write_json(self._path(spec.digest()), {

@@ -104,9 +104,6 @@ class CacheHierarchy:
     def __init__(self, l1: Cache, l2: Cache) -> None:
         self.l1 = l1
         self.l2 = l2
-        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
-        #: ``Machine.attach``; None when detached.
-        self.observer = None
 
     def access(self, address: int) -> int:
         # Cache.access on L1, inline: most loads and stores hit L1, and
@@ -116,15 +113,11 @@ class CacheHierarchy:
         current = l1._sets[line % l1.num_sets]
         if line in current:
             current.move_to_end(line)
-            level = 1
-        else:
-            current[line] = True
-            if len(current) > l1.ways:
-                current.popitem(last=False)
-            level = 2 if self.l2.access(address) else 0
-        if self.observer is not None:
-            self.observer.cache_fill(address, level)
-        return level
+            return 1
+        current[line] = True
+        if len(current) > l1.ways:
+            current.popitem(last=False)
+        return 2 if self.l2.access(address) else 0
 
     def probe_l1(self, address: int) -> bool:
         return self.l1.probe(address)
@@ -132,8 +125,6 @@ class CacheHierarchy:
     def flush_line(self, address: int) -> None:
         self.l1.flush_line(address)
         self.l2.flush_line(address)
-        if self.observer is not None:
-            self.observer.cache_flush(address)
 
     def flush_l1(self) -> int:
         return self.l1.flush_all()

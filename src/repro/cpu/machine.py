@@ -173,19 +173,20 @@ class Machine:
         A :class:`~repro.obs.ledger.CycleLedger` files every TSC advance
         through the counter file; a :class:`~repro.obs.spans.SpanTracer`
         follows this machine's TSC as its trace clock.  A
-        :class:`~repro.obs.leakage.LeakageTracer` goes into every
-        structure's ``observer`` slot, receives the machine's speculation
-        hooks and makes ``run()`` interpret; a machine takes one tracer,
-        so attaching a second raises ``ValueError``.  Every observer then
-        adopts the machine through ``bind_machine``; a ledger accounts
-        from the attach onward.
+        :class:`~repro.obs.leakage.LeakageTracer` goes into the
+        ``observer`` slot of the store buffer, BTB, RSB and MDS buffers,
+        receives the machine's speculation hooks and makes ``run()``
+        interpret; a machine takes one tracer, so attaching a second
+        raises ``ValueError``.  Every observer then adopts the machine
+        through ``bind_machine``; a ledger accounts from the attach
+        onward.
         """
         if isinstance(observer, obs_leakage.LeakageTracer):
             if self.hooks is not None:
                 raise ValueError("machine already has a leakage tracer")
             self.hooks = observer
-            for structure in (self.store_buffer, self.caches, self.tlb,
-                              self.btb, self.rsb, self.mds_buffers):
+            for structure in (self.store_buffer, self.btb, self.rsb,
+                              self.mds_buffers):
                 structure.observer = observer
         elif isinstance(observer, CycleLedger):
             self.ledger = self.counters.ledger = observer
@@ -249,12 +250,12 @@ class Machine:
 
         Loads and stores execute here.  The first one after any other op
         binds the TLB, cache, store-buffer and MDS state they use, with
-        the mode and each structure's ``observer`` slot (SMT siblings
-        share caches and MDS buffers); the first forwarded load reads
-        the SSBD bit.  Only other ops change that state, so every other
-        op drops the binding.  Within a run, a repeat of the last page
-        or L1 line is a hit with no lookup: it is already the most
-        recent entry.  Only other ops and observers read the MDS
+        the mode and the store buffer's and MDS buffers' ``observer``
+        slots (SMT siblings share the MDS buffers); the first forwarded
+        load reads the SSBD bit.  Only other ops change that state, so
+        every other op drops the binding.  Within a run, a repeat of the
+        last page or L1 line is a hit with no lookup: it is already the
+        most recent entry.  Only other ops and observers read the MDS
         residue, so a memory run leaves its latest load's and store's
         when it ends (before the next other op, or at the run's end or
         fault), and per op while the buffers have an observer.
@@ -307,7 +308,6 @@ class Machine:
                         line_bytes = l1.line_bytes
                         pending, depth = sb._pending, sb.depth
                         residue = self.mds_buffers._residue
-                        tlb_observer, cache_observer = tlb.observer, caches.observer
                         sb_observer = sb.observer
                         buffers_observer = self.mds_buffers.observer
                     address = instr.address
@@ -326,8 +326,6 @@ class Machine:
                             tlb_entries[key] = True
                             if len(tlb_entries) > tlb.capacity:
                                 tlb_entries.popitem(last=False)
-                            if tlb_observer is not None:
-                                tlb_observer.tlb_fill(page)
                             events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
                             cycles = costs.tlb_miss
                     last_page = page
@@ -358,8 +356,6 @@ class Machine:
                                 lines.popitem(last=False)
                             level = 2 if caches.l2.access(address) else 0
                     last_line = line
-                    if cache_observer is not None:
-                        cache_observer.cache_fill(address, level)
                     if is_load:
                         if forwarded and not ssbd:
                             cycles += costs.store_forward

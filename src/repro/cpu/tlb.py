@@ -30,9 +30,6 @@ class TLB:
         self._entries: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
         self._global_pages: Set[int] = set()
         self.current_pcid = 0
-        #: The leakage tracer (``repro.obs.leakage``) receiving hooks, set by
-        #: ``Machine.attach``; None when detached.
-        self.observer = None
 
     # -- lookups -------------------------------------------------------------
 
@@ -49,8 +46,6 @@ class TLB:
         entries[key] = True
         if len(entries) > self.capacity:
             entries.popitem(last=False)
-        if self.observer is not None:
-            self.observer.tlb_fill(page)
         return False
 
     def insert_global(self, address: int) -> None:

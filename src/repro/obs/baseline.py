@@ -40,9 +40,9 @@ import math
 import os
 import re
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..errors import BaselineError, LedgerInvariantError, UnknownCPUError
+from ..errors import BaselineError, UnknownCPUError
 from .history import (
     DEFAULT_LEDGER_REL_TOL,
     DEFAULT_MIN_PERCENT_POINTS,
@@ -51,7 +51,7 @@ from .history import (
     diff_payloads,
     render_diff,
 )
-from .ledger import CycleLedger, split_path
+from .ledger import PATH_SEP, CycleLedger
 from .observers import use_observers
 from .provenance import build_manifest
 
@@ -351,7 +351,125 @@ def write_bench(payload: Dict[str, Any], path: str) -> str:
     return path
 
 
-def load_bench(path: str) -> Dict[str, Any]:
+# --------------------------------------------------------------------------- #
+# The payload shape: declared once, walked wherever a payload is read back
+# --------------------------------------------------------------------------- #
+
+@dataclasses.dataclass(frozen=True)
+class Shape:
+    """What one payload value must be: ``want``, checked by ``test``; an
+    object's ``fields`` by name (the ``required`` ones must be present),
+    and a map's ``keys`` and ``each`` value or a list's items by shape."""
+
+    want: str
+    test: Callable[[Any], bool]
+    fields: Mapping[str, "Shape"] = dataclasses.field(default_factory=dict)
+    required: Tuple[str, ...] = ()
+    keys: Optional["Shape"] = None
+    each: Optional["Shape"] = None
+
+
+def _object(fields: Optional[Mapping[str, Shape]] = None, **kwargs: Any) -> Shape:
+    return Shape("an object", lambda value: isinstance(value, dict),
+                 fields=fields or {}, **kwargs)
+
+
+def _list(each: Shape, want: str) -> Shape:
+    return Shape(want, lambda value: isinstance(value, list), each=each)
+
+
+def _null(shape: Shape) -> Shape:
+    return dataclasses.replace(
+        shape, want=f"null or {shape.want}",
+        test=lambda value: value is None or shape.test(value))
+
+
+TEXT = Shape("a string", lambda value: isinstance(value, str))
+FLAG = Shape("a boolean", lambda value: isinstance(value, bool))
+# JSON numbers load as exactly int or float; a boolean is neither.
+INTEGER = Shape("an integer", lambda value: type(value) is int)
+REAL = Shape("a finite number",
+             lambda value: type(value) in (int, float) and math.isfinite(value))
+#: An unknown key raises ``UnknownCPUError``, whose text the error keeps.
+CPU_KEY = Shape("a CPU key",
+                lambda key: isinstance(key, str) and bool(get_cpu(key)))
+
+#: Every payload read back: ``bench``/``export`` files, and recorded runs
+#: (whose ``profile`` and ``fuzz`` rows carry no grid).  These are the
+#: fields that :func:`~repro.obs.history.diff_payloads`, ``check`` and
+#: the history dashboard read; other fields pass unread.
+PAYLOAD = _object({
+    "cpus": _list(TEXT, "a list of CPU keys"),
+    "drivers": _null(_list(TEXT, "a list of driver names")),
+    "settings": _object(each=REAL),
+    "tolerance": _object({"sigma_multiplier": REAL,
+                          "min_percent_points": REAL,
+                          "ledger_rel_tol": REAL}),
+    "values": _object(each=_object({"value": REAL, "uncertainty": REAL},
+                                   required=("value",))),
+    "ledger": _object(each=_object({
+        "entries": _object(each=INTEGER, keys=Shape(
+            "layer/mitigation/primitive",
+            lambda key: key.count(PATH_SEP) == 2)),
+        "total": INTEGER})),
+    "leakage": _null(_object({
+        "policy": _null(TEXT),
+        "matrix": _object(each=_null(_object(each=_object({
+            "leaked": FLAG, "speculated": FLAG, "mispredicted": FLAG,
+            "events": INTEGER, "primitive": TEXT,
+            "blocked_by": _list(TEXT, "a list of strings")})))),
+    }, required=("matrix",))),
+    "telemetry": _null(_object()),
+    "provenance": _null(_object({
+        "code_fingerprint": _null(TEXT), "created_at": _null(TEXT),
+        "command": _null(TEXT), "version": _null(TEXT),
+        "wall_time_s": _null(REAL), "sim_cycles": _null(REAL),
+        "seed": _null(INTEGER)})),
+})
+
+
+class _Mismatch(Exception):
+    """``(field, want)``: the first value that does not fit its shape."""
+
+
+def _walk(value: Any, shape: Shape, where: str) -> None:
+    if not shape.test(value):
+        raise _Mismatch(where, shape.want)
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _walk(item, shape.each, f"{where}[{index}]")
+    elif isinstance(value, dict):
+        dotted = f"{where}." if where else ""
+        for name in shape.required:
+            if name not in value:
+                raise _Mismatch(dotted + name,
+                                f"present ({shape.fields[name].want})")
+        for name, item in value.items():
+            if shape.keys is not None and not shape.keys.test(name):
+                raise _Mismatch(f"{where} key {name!r}", shape.keys.want)
+            if name in shape.fields:
+                _walk(item, shape.fields[name], dotted + name)
+            elif shape.each is not None:
+                _walk(item, shape.each, f"{where}[{name!r}]")
+
+
+def check_shape(value: Any, shape: Shape, label: str,
+                error: type = BaselineError) -> Any:
+    """Return ``value`` if it fits ``shape``; otherwise raise ``error``
+    with one ``<label>: <field> must be <want>`` line."""
+    try:
+        _walk(value, shape, "")
+    except _Mismatch as exc:
+        where, want = exc.args
+        raise error(f"{label}: {where or 'the payload'} "
+                    f"must be {want}") from None
+    except UnknownCPUError as exc:
+        raise error(f"{label}: {exc.args[0]}") from None
+    return value
+
+
+def load_bench(path: str, shape: Shape = PAYLOAD) -> Dict[str, Any]:
+    """Read a bench payload file and check it against ``shape``."""
     try:
         with open(path) as f:
             payload = json.load(f)
@@ -365,103 +483,7 @@ def load_bench(path: str) -> Dict[str, Any]:
         raise BaselineError(
             f"baseline {path!r} has schema v{payload.get('schema')}, "
             f"this build reads v{SCHEMA_VERSION}")
-    _check_shape(payload, path)
-    return payload
-
-
-def _malformed(path: str, field: str, want: str) -> BaselineError:
-    return BaselineError(f"baseline {path!r}: {field} must be {want}")
-
-
-def _number(value: Any, integer: bool = False) -> bool:
-    """Whether ``value`` is a finite JSON number (an integer if asked)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) if integer else math.isfinite(value)
-
-
-_TEXT = (lambda value: value is None or isinstance(value, str),
-         "null or a string")
-_REAL = (lambda value: value is None or _number(value),
-         "null or a finite number")
-_FLAG = (lambda value: isinstance(value, bool), "a boolean")
-
-#: Field -> (check, what it must be), for the provenance fields and the
-#: leakage cell fields that the diff and the history dashboard read.
-_PROVENANCE_FIELDS = {
-    "code_fingerprint": _TEXT, "created_at": _TEXT, "command": _TEXT,
-    "version": _TEXT, "wall_time_s": _REAL, "sim_cycles": _REAL,
-    "seed": (lambda value: value is None or _number(value, integer=True),
-             "null or an integer"),
-}
-_CELL_FIELDS = {
-    "leaked": _FLAG, "speculated": _FLAG, "mispredicted": _FLAG,
-    "events": (lambda value: _number(value, integer=True), "an integer"),
-    "blocked_by": (lambda value: isinstance(value, list) and all(
-        isinstance(item, str) for item in value), "a list of strings"),
-    "primitive": (lambda value: isinstance(value, str), "a string"),
-}
-
-
-def _check_fields(path: str, where: str, record: Dict[str, Any],
-                  fields: Dict[str, Tuple[Any, str]]) -> None:
-    for field, (check, want) in fields.items():
-        if field in record and not check(record[field]):
-            raise _malformed(path, f"{where}.{field}", want)
-
-
-def _check_shape(payload: Dict[str, Any], path: str) -> None:
-    """Reject the payload unless its provenance, values, ledger and
-    leakage blocks have the shape that
-    :func:`~repro.obs.history.diff_payloads` and the history dashboard
-    read."""
-    provenance = payload.get("provenance")
-    if provenance is not None and not isinstance(provenance, dict):
-        raise _malformed(path, "provenance", "null or an object")
-    _check_fields(path, "provenance", provenance or {}, _PROVENANCE_FIELDS)
-    values = payload.get("values", {})
-    if not isinstance(values, dict):
-        raise _malformed(path, "values", "an object")
-    for key, record in values.items():
-        if not (isinstance(record, dict) and _number(record.get("value"))
-                and _number(record.get("uncertainty", 0.0))):
-            raise _malformed(path, f"values[{key!r}]",
-                             "an object with a finite numeric value "
-                             "and uncertainty")
-    ledger = payload.get("ledger", {})
-    if not isinstance(ledger, dict):
-        raise _malformed(path, "ledger", "an object")
-    for cpu, roll in ledger.items():
-        entries = roll.get("entries", {}) if isinstance(roll, dict) else None
-        if not isinstance(entries, dict):
-            raise _malformed(path, f"ledger[{cpu!r}]",
-                             "an object with an entries object")
-        for entry, cycles in entries.items():
-            try:
-                split_path(entry)
-            except LedgerInvariantError:
-                raise _malformed(path, f"ledger[{cpu!r}] path {entry!r}",
-                                 "layer/mitigation/primitive") from None
-            if not _number(cycles, integer=True):
-                raise _malformed(path, f"ledger[{cpu!r}][{entry!r}]",
-                                 "an integer")
-    leakage = payload.get("leakage")
-    if leakage is None:
-        return
-    matrix = leakage.get("matrix") if isinstance(leakage, dict) else None
-    if not isinstance(matrix, dict):
-        raise _malformed(path, "leakage", "null or an object with a matrix")
-    policy = leakage.get("policy")
-    if policy is not None and not isinstance(policy, str):
-        raise _malformed(path, "leakage.policy", "null or a string")
-    for cpu, row in matrix.items():
-        if row is not None and not (isinstance(row, dict) and all(
-                isinstance(cell, dict) for cell in row.values())):
-            raise _malformed(path, f"leakage.matrix[{cpu!r}]",
-                             "null or an object of boundary objects")
-        for boundary, cell in (row or {}).items():
-            _check_fields(path, f"leakage.matrix[{cpu!r}][{boundary!r}]",
-                          cell, _CELL_FIELDS)
+    return check_shape(payload, shape, f"baseline {path!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -483,38 +505,18 @@ def check_against(baseline_path: str,
     """
     from ..core import study
 
-    payload = load_bench(baseline_path)
-    for key in ("cpus", "settings"):
-        if key not in payload:
-            raise BaselineError(
-                f"baseline {baseline_path!r} has no {key!r} key to re-run")
-    # Missing fields keep their defaults: BENCH_1/2 predate ``replicas``.
-    defaults = {field.name: field.default
+    # The grid to re-run: catalog CPUs, and study.Settings fields (a
+    # missing one keeps its default: BENCH_1/2 predate ``replicas``).
+    settings = {field.name: INTEGER if isinstance(field.default, int) else REAL
                 for field in dataclasses.fields(study.Settings)}
-    if not isinstance(payload["settings"], dict):
-        raise _malformed(baseline_path, "settings", "an object")
-    for name, value in payload["settings"].items():
-        if name not in defaults:
-            raise _malformed(baseline_path, f"settings key {name!r}",
-                             f"one of {', '.join(defaults)}")
-        integer = isinstance(defaults[name], int)
-        if not _number(value, integer):
-            raise _malformed(baseline_path, f"settings[{name!r}]",
-                             "an integer" if integer else "a finite number")
-    cpus = payload["cpus"]
-    if not (isinstance(cpus, list)
-            and all(isinstance(key, str) for key in cpus)):
-        raise _malformed(baseline_path, "cpus", "a list of CPU keys")
-    for key in cpus:
-        try:
-            get_cpu(key)
-        except UnknownCPUError as exc:
-            raise BaselineError(
-                f"baseline {baseline_path!r}: {exc.args[0]}") from None
-    settings = study.Settings(**payload["settings"])
+    payload = load_bench(baseline_path, dataclasses.replace(
+        PAYLOAD, required=("cpus", "settings"), fields={
+            **PAYLOAD.fields, "cpus": _list(CPU_KEY, "a list of CPU keys"),
+            "settings": _object(settings, keys=Shape(
+                f"one of {', '.join(settings)}", settings.__contains__))}))
     current = collect(
         cpus=payload["cpus"],
-        settings=settings,
+        settings=study.Settings(**payload["settings"]),
         drivers=payload.get("drivers"),
         executor=executor,
         command=command,

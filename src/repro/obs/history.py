@@ -524,12 +524,6 @@ class RunInfo:
                    for cycles in roll.get("entries", {}).values())
 
 
-def _run_info(row: Tuple[int, str, int, str]) -> RunInfo:
-    run_id, kind, dirty, payload = row
-    return RunInfo(id=run_id, kind=kind, dirty=bool(dirty),
-                   payload=json.loads(payload))
-
-
 def _connect(path: str) -> sqlite3.Connection:
     """Open (creating if need be) the store at ``path``; any failure is a
     one-line :class:`~repro.errors.HistoryError` naming the path."""
@@ -618,9 +612,23 @@ class HistoryStore:
 
     # -- queries ----------------------------------------------------------- #
 
+    def _run_info(self, row: Tuple[int, str, int, str]) -> RunInfo:
+        """One row; a payload that is not JSON or not in the bench payload
+        shape (:data:`repro.obs.baseline.PAYLOAD`) is a one-line
+        :class:`~repro.errors.HistoryError` naming the run."""
+        from .baseline import PAYLOAD, check_shape
+        run_id, kind, dirty, text = row
+        label = f"history db {self.path!r} run {run_id}"
+        try:
+            payload = json.loads(text)
+        except (TypeError, ValueError) as exc:
+            raise HistoryError(f"{label}: payload is not JSON: {exc}") from None
+        return RunInfo(run_id, kind, bool(dirty),
+                       check_shape(payload, PAYLOAD, label, HistoryError))
+
     def runs(self) -> List[RunInfo]:
         """Every recorded run, oldest first."""
-        return [_run_info(row)
+        return [self._run_info(row)
                 for row in self._db.execute(f"{_SELECT} ORDER BY id")]
 
     def run_info(self, run_id: int) -> RunInfo:
@@ -628,7 +636,7 @@ class HistoryStore:
                                (run_id,)).fetchone()
         if row is None:
             raise HistoryError(f"no run {run_id} in {self.path!r}")
-        return _run_info(row)
+        return self._run_info(row)
 
     def load_run(self, run_id: int) -> Dict[str, Any]:
         """One run's payload, exactly as recorded."""

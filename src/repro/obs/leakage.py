@@ -8,11 +8,15 @@ lines (:meth:`~LeakageTracer.taint_address`) and on attacker-controlled
 landing pads (:meth:`~LeakageTracer.taint_code`), set by workloads and
 the speculation probe — and propagates the taint *mechanistically*
 through the microarchitectural structures that already exist: store
-buffer forwarding, L1/L2 fills, TLB walks, BTB/RSB-influenced fetch
-redirects, and the MDS fill/store/load-port buffers.  The machine puts
-the tracer into each structure's ``observer`` slot (``None`` by default,
-so untraced runs pay one ``is None`` test per hook site, exactly like
-the ledger's counter-file hook), and calls its speculation-path hooks.
+buffer forwarding, BTB/RSB-influenced fetch redirects, and the MDS
+fill/store/load-port buffers.  The machine puts the tracer into the
+``observer`` slot of the store buffer, BTB, RSB and MDS buffers
+(``None`` by default, so untraced runs pay one ``is None`` test per hook
+site, exactly like the ledger's counter-file hook), and calls its
+speculation-path hooks.  Cache fills and flushes, TLB walks, committed
+store forwarding and the conditional predictor are taint-neutral, so no
+hook reports them; the leakage-matrix tests pin the verdicts that rely
+on it.
 
 Whenever tainted data influences an architecturally observable channel
 during a transient window, the tracer files a :class:`LeakageEvent`:
@@ -51,7 +55,7 @@ engine's own differential contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 __all__ = [
     "CACHE_SET",
@@ -113,9 +117,6 @@ class LeakageEvent:
     sink: str
     tsc: int
     mode: str
-
-    def key(self) -> Tuple[str, str, str, str]:
-        return (self.primitive, self.boundary, self.policy, self.cpu)
 
     def path(self) -> str:
         return join_key(self.primitive, self.channel, self.boundary,
@@ -188,14 +189,11 @@ class LeakageTracer:
 
         # Taint state ----------------------------------------------------
         self._lines: Set[int] = set()          # tainted memory lines
-        self._pages: Set[int] = set()          # same, page granular (TLB)
         self._code: Set[int] = set()           # taint-labelled landing pads
         self._sb_lines: Set[int] = set()       # tainted store-buffer lines
         self._residue: Dict[str, str] = {}     # MDS buffer -> deposit mode
         self._btb: Dict[int, str] = {}         # branch pc -> training mode
         self._rsb_stack: List[bool] = []       # mirrors the RSB, taint bits
-        self._resident: Set[int] = set()       # tainted lines warmed in cache
-        self._tlb_resident: Set[int] = set()   # tainted pages with TLB entries
         self._last_rsb_pop = False
         self._window: Optional[_Window] = None
         self._machine: Any = None
@@ -219,11 +217,6 @@ class LeakageTracer:
     def taint_address(self, address: int) -> None:
         """Label the memory line holding ``address`` as secret."""
         self._lines.add(address // LINE)
-        self._pages.add(address // 4096)
-
-    def taint_region(self, start: int, length: int) -> None:
-        for address in range(start, start + max(length, 1), LINE):
-            self.taint_address(address)
 
     def taint_code(self, address: int) -> None:
         """Label a code address as an attacker-controlled landing pad:
@@ -232,19 +225,6 @@ class LeakageTracer:
 
     def is_tainted(self, address: int) -> bool:
         return address // LINE in self._lines
-
-    def clear_taints(self) -> None:
-        """Drop all taint state (events and attributions are kept)."""
-        self._lines.clear()
-        self._pages.clear()
-        self._code.clear()
-        self._sb_lines.clear()
-        self._residue.clear()
-        self._btb.clear()
-        self._rsb_stack = [False] * len(self._rsb_stack)
-        self._resident.clear()
-        self._tlb_resident.clear()
-        self._last_rsb_pop = False
 
     # -- internals ---------------------------------------------------------- #
 
@@ -283,7 +263,6 @@ class LeakageTracer:
             # Storing secret data taints the line it lands on.
             self._sb_lines.add(line)
             self._lines.add(line)
-            self._pages.add(address // 4096)
         else:
             # Clean data overwrites the youngest pending store.
             self._sb_lines.discard(line)
@@ -297,26 +276,6 @@ class LeakageTracer:
             mode = self._mode()
             self._file(SPECTRE_STL, CACHE_SET, "{0}->{0}".format(mode),
                        "line={0:#x}".format(address // LINE))
-
-    # -- cache / TLB observers ----------------------------------------------- #
-
-    def cache_fill(self, address: int, level: int) -> None:
-        line = address // LINE
-        if line in self._lines:
-            self._resident.add(line)
-
-    def cache_flush(self, address: int) -> None:
-        self._resident.discard(address // LINE)
-
-    # An L1 flush keeps the resident set: L2 stays warm in the model's
-    # inclusive hierarchy (coarse but safe-side).  Full TLB shootdowns,
-    # committed store forwarding and the conditional predictor are
-    # taint-neutral, so no hook reports them; the leakage-matrix tests
-    # pin the verdicts that rely on it.
-
-    def tlb_fill(self, page: int) -> None:
-        if page in self._pages:
-            self._tlb_resident.add(page)
 
     # -- BTB / RSB observers -------------------------------------------------- #
 
@@ -422,7 +381,6 @@ class LeakageTracer:
                           mode: Any) -> None:
         line = address // LINE
         if line in self._lines:
-            self._resident.add(line)
             window = self._window
             if window is not None and window.suppressed:
                 return

@@ -11,7 +11,8 @@ executor worker ran it, ships its results home through ``state()`` /
 each of them to :meth:`~repro.cpu.machine.Machine.attach`, the single
 attach path.  The machine owns the wiring: it keeps the ledger and the
 span tracer as direct references for its hot path, and puts its one
-leakage tracer into every structure's ``observer`` slot.
+leakage tracer into the ``observer`` slot of each structure that
+reports to it (store buffer, BTB, RSB and MDS buffers).
 
 Scopes nest: an inner scope adds its observers to the outer ones, and an
 inner observer replaces an outer observer of the same type until the

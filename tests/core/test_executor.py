@@ -297,12 +297,22 @@ class TestCacheOutcomes:
                                    executor=StudyExecutor(cache_dir=cache_dir))
         spec = CellSpec("vm_lebench", "zen", "vm_lebench", SETTINGS)
         cache = ResultCache(cache_dir)
-        with open(cache._path(spec.digest()), "w") as f:
-            f.write("{ not json")
-        again = StudyExecutor(cache_dir=cache_dir)
-        study.vm_lebench_overheads([get_cpu("zen")], SETTINGS, executor=again)
-        assert again.stats.cache_stale == 1
-        assert again.stats.cache_misses == 0
+        path = cache._path(spec.digest())
+        with open(path) as f:
+            record = json.load(f)
+        # Not JSON; not an object; the cell's own key and kind with a
+        # result that does not decode.
+        for blob in ("{ not json", "[]", json.dumps(dict(record, result={}))):
+            with open(path, "w") as f:
+                f.write(blob)
+            again = StudyExecutor(cache_dir=cache_dir)
+            study.vm_lebench_overheads([get_cpu("zen")], SETTINGS,
+                                       executor=again)
+            assert again.stats.cache_stale == 1, blob
+            assert again.stats.cache_misses == 0
+            # The cell ran again and its blob was overwritten.
+            assert again.stats.executed == 1
+            assert cache.lookup(spec, "paired")[1] == ResultCache.HIT
 
     def test_lookup_classifies_hit_miss_stale(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

@@ -116,7 +116,8 @@ def test_lebench_bit_identical_with_leakage_tracing(key):
             tracer = obs_leakage.LeakageTracer()
             with use_observers(tracer):
                 machine = Machine(cpu, seed=7)
-                tracer.taint_region(0x1000, 256)
+                for address in range(0x1000, 0x1100, 64):
+                    tracer.taint_address(address)
                 results = run_suite(machine, config, iterations=3, warmup=1,
                                     cases=GRID_CASES)
         return results, machine, tracer

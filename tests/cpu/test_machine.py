@@ -253,10 +253,7 @@ def test_run_sums_costs(m):
 # Machine.execute does.
 
 def _reference_level(caches, address):
-    level = 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
-    if caches.observer is not None:
-        caches.observer.cache_fill(address, level)
-    return level
+    return 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
 
 
 def _reference_latency(m, level):
@@ -575,8 +572,7 @@ def _tainted_tracer(machine):
 
 
 def _tracer_state(tracer):
-    return (tracer.state(), tracer._lines, tracer._pages, tracer._sb_lines,
-            tracer._residue, tracer._resident, tracer._tlb_resident)
+    return (tracer.state(), tracer._lines, tracer._sb_lines, tracer._residue)
 
 
 @pytest.mark.parametrize("observer", ["bare", "ledger", "tracer"])
@@ -604,7 +600,7 @@ def test_memory_runs_match_reference(cpu, ssbd, observer):
         assert fast.ledger.paths() == ref.ledger.paths()
         fast.ledger.verify()
     if observer == "tracer":
-        assert fast.hooks._resident and residue_seen
+        assert residue_seen
     # The SSBD flips give both store-to-load outcomes on either setting.
     for name in (ctr.STLF_BLOCKED, ctr.STLF_HITS, ctr.L1_MISSES,
                  ctr.TLB_MISSES):
@@ -613,9 +609,9 @@ def test_memory_runs_match_reference(cpu, ssbd, observer):
 
 @pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus() if cpu.smt])
 def test_sibling_memory_runs_reach_the_tracer_on_thread0(cpu):
-    # SMT siblings share the caches and MDS buffers, so thread 1's fills
-    # and residue reach a tracer attached to thread 0 through the
-    # structures' observer slots; thread 1 itself has no hooks.
+    # SMT siblings share the MDS buffers, so thread 1's residue reaches a
+    # tracer attached to thread 0 through the buffers' observer slot;
+    # thread 1 itself has no hooks.
     tracers = []
     threads = []
     for _ in range(2):
@@ -632,7 +628,7 @@ def test_sibling_memory_runs_reach_the_tracer_on_thread0(cpu):
         assert _machine_state(fast) == _machine_state(ref)
         assert _tracer_state(tracers[0]) == _tracer_state(tracers[1])
         residue_seen = residue_seen or bool(tracers[0]._residue)
-    assert tracers[0]._resident and residue_seen
+    assert residue_seen
 
 
 def test_interpreter_is_the_default_engine():

@@ -75,8 +75,6 @@ def test_untraced_machine_has_no_observers():
     assert machine.store_buffer.observer is None
     assert machine.btb.observer is None
     assert machine.rsb.observer is None
-    assert machine.caches.observer is None
-    assert machine.tlb.observer is None
     assert machine.mds_buffers.observer is None
 
 
@@ -85,7 +83,7 @@ def test_ambient_tracer_adopted_at_construction():
     with use_observers(tracer):
         machine = Machine(get_cpu("zen3"), seed=0)
         assert machine.hooks is tracer
-        assert machine.caches.observer is tracer
+        assert machine.btb.observer is tracer
         assert tracer.cpu_model == "zen3"
     assert current_observers() == ()
     assert Machine(get_cpu("zen3"), seed=0).hooks is None

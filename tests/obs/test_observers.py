@@ -57,8 +57,8 @@ def _run(cell, observers):
 
 
 def _hook_slots(machine):
-    return (machine.store_buffer, machine.caches, machine.tlb, machine.btb,
-            machine.rsb, machine.mds_buffers)
+    return (machine.store_buffer, machine.btb, machine.rsb,
+            machine.mds_buffers)
 
 
 def _reports(observers):

@@ -1000,6 +1000,10 @@ def _bench_text(**fields):
      _bench_text(leakage={"matrix": {"zen": {"b": {"blocked_by": [1]}}}})),
     ("history record {}",
      _bench_text(leakage={"matrix": {"zen": {"b": {"primitive": 5}}}})),
+    ("history diff {} {}", _bench_text(tolerance=[1, 2])),
+    ("history diff {} {}", _bench_text(tolerance={"sigma_multiplier": "x"})),
+    ("check --against {}",
+     _bench_text(cpus=["broadwell"], settings={}, drivers=5)),
 ], ids=["record-missing", "record-not-json", "record-list", "diff-list",
         "check-list", "check-no-grid", "diff-no-value", "record-no-value",
         "diff-values-list", "record-values-list", "record-ledger-path",
@@ -1014,7 +1018,8 @@ def _bench_text(**fields):
         "diff-policy-number", "record-events-string", "diff-events-string",
         "diff-leaked-string", "diff-speculated-number",
         "diff-mispredicted-null", "record-blocked-by-string",
-        "record-blocked-by-numbers", "record-primitive-number"])
+        "record-blocked-by-numbers", "record-primitive-number",
+        "diff-tolerance-list", "diff-tolerance-string", "check-drivers-number"])
 def test_bad_payload_file_is_a_one_line_error(tmp_path, argv, content):
     path = tmp_path / "payload.json"
     if content is not None:
@@ -1025,3 +1030,137 @@ def test_bad_payload_file_is_a_one_line_error(tmp_path, argv, content):
     message = str(exc.value.code)
     assert message.startswith(f"{args[0]}: ") and "\n" not in message
     assert str(path) in message
+
+
+def _declared_path_options():
+    """``"<subcommands> <option>" -> type`` for every option that
+    build_parser() declares with a path type (a file or a directory the
+    command writes)."""
+    import argparse
+    from repro.cli import _PATH_CHECKS, build_parser
+    found = {}
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, prefix + [name])
+            elif action.type in _PATH_CHECKS:
+                key = " ".join(prefix + [action.option_strings[0]])
+                found[key] = action.type
+    walk(build_parser(), [])
+    return found
+
+
+#: A cheap base command line for every declared path option; {path} is
+#: the option's value.  A new path option fails
+#: test_every_path_option_has_a_base_command_line until it has a row.
+PATH_OPTIONS = {
+    "--trace": "--trace {path} cpus",
+    "profile --trace-out": "profile table 3 --iterations 20 --trace-out {path}",
+    "profile --flame-out": "profile table 3 --iterations 20 --flame-out {path}",
+    "profile --metrics-out": "profile table 3 --iterations 20 --metrics-out {path}",
+    "profile --ledger-out": "profile table 3 --iterations 20 --ledger-out {path}",
+    "leakage events --trace-out": "leakage events --cpus zen --trace-out {path}",
+    "history report --out": "history report --out {path}",
+    "bench --out": "bench --fast --cpus zen3 --drivers figure5 --out {path}",
+    "bench --dir": "bench --fast --cpus zen3 --drivers figure5 --dir {path}",
+    "bench --cache-dir": "bench --fast --cpus zen3 --drivers figure5 --cache-dir {path}",
+    "figure --cache-dir": "figure 5 --fast --cpus zen --cache-dir {path}",
+    "vm --cache-dir": "vm --fast --cpus zen --cache-dir {path}",
+    "parsec --cache-dir": "parsec --fast --cpus zen --cache-dir {path}",
+    "export --cache-dir": "export figure5 --fast --cpus zen --cache-dir {path}",
+    "summary --cache-dir": "summary --cache-dir {path}",
+    "check --cache-dir": "check --against {baseline} --cache-dir {path}",
+    "fuzz --out": "fuzz --programs 1 --cpus zen --out {path}",
+    "all --outdir": "all --fast --outdir {path}",
+    "all --cache-dir": "all --fast --cache-dir {path}",
+}
+
+
+def test_every_path_option_has_a_base_command_line():
+    assert sorted(_declared_path_options()) == sorted(PATH_OPTIONS)
+
+
+def _count_simulation(monkeypatch):
+    """Count every study cell and every Machine built from here on."""
+    from repro.cpu import Machine
+    calls = _count_cell_runs(monkeypatch)
+    init = Machine.__init__
+
+    def counted_init(machine, *args, **kwargs):
+        calls.append("machine")
+        init(machine, *args, **kwargs)
+    monkeypatch.setattr(Machine, "__init__", counted_init)
+    return calls
+
+
+@pytest.mark.parametrize("option", sorted(PATH_OPTIONS), ids=lambda option:
+                         "-".join(option.replace("--", "").split()))
+def test_a_bad_output_path_fails_before_the_run(tmp_path, monkeypatch,
+                                                option):
+    # A file option given a directory or a path under a file, and a
+    # directory option given a file or a path under one: one line, exit
+    # 1, before any cell runs or any machine is built.
+    from repro import cli
+    is_file = _declared_path_options()[option] is cli._OutputFile
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    if is_file:
+        cases = {tmp_path: "Is a directory", a_file / "out": "File exists"}
+    else:
+        cases = {a_file: "Not a directory", a_file / "sub": "Not a directory"}
+
+    def argv(path):
+        return ["--no-history"] + PATH_OPTIONS[option].format(
+            path=path, baseline=_BASELINE_3).split()
+    command = cli.build_parser().parse_args(argv(tmp_path)).command
+    calls = _count_simulation(monkeypatch)
+    for path, reason in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            main(argv(path))
+        assert exc.value.code == f"{command}: {path}: {reason}"
+    assert calls == []
+    assert a_file.read_text() == ""
+    # A path that does not exist yet passes: a file's missing parent is
+    # created, and a directory is left for the command to make.
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: "")
+    assert main(argv(tmp_path / "new" / "out")) == 0
+    assert (tmp_path / "new").is_dir() == is_file
+
+
+def test_a_cache_dir_variable_naming_a_file_fails_before_the_run(
+        tmp_path, monkeypatch):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    monkeypatch.setenv("SPECTRESIM_CACHE_DIR", str(a_file))
+    calls = _count_simulation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "5", "--fast", "--cpus", "zen"])
+    assert exc.value.code == f"figure: {a_file}: Not a directory"
+    assert calls == []
+    # --no-cache uses no cache directory, so none is checked.
+    assert main(["figure", "5", "--fast", "--cpus", "zen", "--no-cache"]) == 0
+    assert calls
+
+
+@pytest.mark.parametrize("row", ["not json", "[1]"], ids=["not-json", "list"])
+@pytest.mark.parametrize("argv", [
+    "history list", "history report --out {tmp}/r.html",
+    "history diff 1 latest",
+], ids=["list", "report", "diff"])
+def test_a_corrupt_history_row_is_a_one_line_error(capsys, tmp_path, row,
+                                                   argv):
+    import sqlite3
+    db = tmp_path / "h.db"
+    run_cli(capsys, "--history-db", str(db), "history", "record",
+            _BASELINE_3, "--allow-dirty")
+    conn = sqlite3.connect(str(db))
+    conn.execute("UPDATE runs SET payload = ?", (row,))
+    conn.commit()
+    conn.close()
+    with pytest.raises(SystemExit) as exc:
+        main(["--history-db", str(db), *argv.format(tmp=tmp_path).split()])
+    message = str(exc.value.code)
+    assert message.startswith(f"history: history db {str(db)!r} run 1: ")
+    assert "\n" not in message
