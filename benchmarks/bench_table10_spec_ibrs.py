@@ -1,6 +1,6 @@
 """Table 10: speculation matrix with IBRS enabled."""
 
-from repro.core.probe import SCENARIOS, speculation_matrix, speculation_row
+from repro.core.probe import POLICY_IBRS, SCENARIOS, leakage_report
 from repro.core.reporting import render_speculation_matrix
 from repro.cpu import all_cpus, get_cpu
 
@@ -17,27 +17,28 @@ PAPER = {  # None = the paper's N/A row (no IBRS support)
 
 
 def test_table10_reproduces_paper(save_artifact):
-    matrix = speculation_matrix(all_cpus(), ibrs=True)
+    matrix = leakage_report(all_cpus(), POLICY_IBRS)["matrix"]
     for key, expected in PAPER.items():
         row = matrix[key]
         if expected is None:
             assert row is None, key
         else:
-            assert tuple(row[s] for s in SCENARIOS) == expected, key
+            assert tuple(row[s.label]["speculated"]
+                         for s in SCENARIOS) == expected, key
     save_artifact("table10.txt",
                   render_speculation_matrix(matrix, ibrs=True))
 
 
 def test_ibrs_blocks_user_to_kernel_everywhere_it_exists():
     """The security claim IBRS makes, verified on every supporting part."""
-    for cpu in all_cpus():
-        row = speculation_row(cpu, ibrs=True, trials=3)
+    matrix = leakage_report(all_cpus(), POLICY_IBRS, trials=3)["matrix"]
+    for key, row in matrix.items():
         if row is not None:
-            verdict = row[SCENARIOS[0]]
-            assert verdict.speculated is False, cpu.key
-            assert verdict.leaked is False, cpu.key
+            verdict = row[SCENARIOS[0].label]
+            assert verdict["speculated"] is False, key
+            assert verdict["leaked"] is False, key
 
 
 def bench_probe_with_ibrs(benchmark):
-    benchmark(lambda: speculation_row(get_cpu("cascade_lake"), ibrs=True,
-                                      trials=3))
+    benchmark(lambda: leakage_report((get_cpu("cascade_lake"),), POLICY_IBRS,
+                                     trials=3))

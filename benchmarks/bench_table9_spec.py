@@ -1,8 +1,8 @@
 """Table 9: speculation matrix with IBRS disabled (the section 6 probe)."""
 
-from repro.core.probe import SCENARIOS, speculation_matrix
+from repro.core.probe import POLICY_OFF, SCENARIOS, leakage_report
 from repro.core.reporting import render_speculation_matrix
-from repro.cpu import Machine, all_cpus, get_cpu
+from repro.cpu import all_cpus, get_cpu
 
 PAPER = {  # column order: u->k(sc), u->u(sc), k->k(sc), u->u, k->k
     "broadwell":       (True, True, True, True, True),
@@ -17,15 +17,15 @@ PAPER = {  # column order: u->k(sc), u->u(sc), k->k(sc), u->u, k->k
 
 
 def test_table9_reproduces_paper(save_artifact):
-    matrix = speculation_matrix(all_cpus(), ibrs=False)
+    matrix = leakage_report(all_cpus(), POLICY_OFF)["matrix"]
     for key, expected in PAPER.items():
-        assert tuple(matrix[key][s] for s in SCENARIOS) == expected, key
+        assert tuple(matrix[key][s.label]["speculated"]
+                     for s in SCENARIOS) == expected, key
     save_artifact("table9.txt",
                   render_speculation_matrix(matrix, ibrs=False))
 
 
 def bench_probe_full_row(benchmark):
     """Time running all five probe scenarios on one CPU."""
-    from repro.core.probe import speculation_row
-    benchmark(lambda: speculation_row(get_cpu("broadwell"), ibrs=False,
-                                      trials=3))
+    benchmark(lambda: leakage_report((get_cpu("broadwell"),), POLICY_OFF,
+                                     trials=3))

@@ -19,7 +19,7 @@ import dataclasses
 
 from repro import Machine, get_cpu
 from repro.core.microbench import kernel_entry_latencies, table5_row
-from repro.core.probe import SCENARIOS, speculation_row
+from repro.core.probe import POLICY_OFF, SCENARIOS, leakage_report
 from repro.cpu.model import CostTable, PredictorBehavior, VulnerabilityFlags
 from repro.jsengine.jit import JITCompiler, OpMix
 from repro.mitigations import MitigationConfig
@@ -56,11 +56,13 @@ def main() -> None:
           f"({NEXTGEN.model}, {NEXTGEN.year})\n")
 
     print("Speculation probe (IBRS off):")
-    row = speculation_row(NEXTGEN, ibrs=False)
+    row = leakage_report((NEXTGEN,), POLICY_OFF)["matrix"][NEXTGEN.key]
     for scenario in SCENARIOS:
-        verdict = "SPECULATES" if row[scenario] else "safe"
-        print(f"  {scenario.label:28s} {verdict}")
-    assert not any(row.values()), "opaque indexing should defeat the probe"
+        speculated = row[scenario.label]["speculated"]
+        print(f"  {scenario.label:28s} "
+              f"{'SPECULATES' if speculated else 'safe'}")
+    assert not any(cell["speculated"] for cell in row.values()), \
+        "opaque indexing should defeat the probe"
 
     print("\nIndirect branch costs (Table 5 methodology):")
     t5 = table5_row(NEXTGEN, iterations=300)

@@ -18,9 +18,11 @@ from repro.core.microbench import kernel_entry_latencies
 from repro.core.probe import (
     BRANCH_PC,
     NOP_TARGET,
+    POLICY_OFF,
     SCENARIOS,
     SpeculationProbe,
     VICTIM_TARGET,
+    probe_cell,
 )
 
 
@@ -58,10 +60,9 @@ def tour(cpu_key: str) -> None:
 
     print("\n  full matrix for this part (IBRS off):")
     for scenario in SCENARIOS:
-        fresh = Machine(cpu)
-        result = SpeculationProbe(fresh).probe(scenario, trials=3)
+        verdict, _ = probe_cell(cpu, POLICY_OFF, scenario, trials=3)
         print(f"    {scenario.label:28s} "
-              f"{'SPECULATES' if result else 'safe'}")
+              f"{'SPECULATES' if verdict.speculated else 'safe'}")
 
 
 def counter_disagreement() -> None:

@@ -58,7 +58,8 @@ from .cpu import Machine, Mode, all_cpus, get_cpu
 from .cpu import engine as blockengine
 from .cpu import replicas as replicabatch
 from .core import microbench, reporting, study
-from .core.probe import DEFAULT_TRIALS, POLICIES, POLICY_DEFAULT, speculation_matrix
+from .core.probe import (DEFAULT_TRIALS, POLICIES, POLICY_DEFAULT, POLICY_IBRS,
+                         POLICY_OFF, leakage_report)
 from .core.executor import default_cache_dir
 from .core.study import Settings
 from .errors import (BaselineError, HistoryError, ProgramParseError,
@@ -236,8 +237,11 @@ def cmd_table(args: argparse.Namespace) -> str:
         return reporting.render_table8(
             {cpu.key: microbench.table8_value(cpu, iters) for cpu in all_cpus()})
     if n in (9, 10):
-        matrix = speculation_matrix(tuple(all_cpus()), ibrs=(n == 10))
-        return reporting.render_speculation_matrix(matrix, ibrs=(n == 10))
+        # Tables 9/10 are the probe grid under the off/ibrs policy.
+        report = leakage_report(all_cpus(), POLICY_IBRS if n == 10
+                                else POLICY_OFF, max_events=0)
+        return reporting.render_speculation_matrix(report["matrix"],
+                                                   ibrs=(n == 10))
     raise SystemExit(f"no table {n} in the paper's evaluation")
 
 
@@ -425,10 +429,8 @@ def cmd_export(args: argparse.Namespace) -> str:
     if args.experiment in ("table9", "table10"):
         # Tables 9/10 are the probe grid under the off/ibrs policy: the
         # cells' ``speculated`` bits are the tables' entries.
-        from .core.probe import POLICY_IBRS, POLICY_OFF, leakage_report
         policy = POLICY_IBRS if args.experiment == "table10" else POLICY_OFF
-        leakage = leakage_report(tuple(cpus), policy=policy)
-        leakage.pop("events")
+        leakage = baseline.leakage_snapshot(policy, cpus=cpus)
         payload = {"schema": baseline.SCHEMA_VERSION,
                    "kind": baseline.BENCH_KIND,
                    "cpus": [cpu.key for cpu in cpus],
@@ -457,13 +459,24 @@ def cmd_summary(args: argparse.Namespace) -> str:
     return _summary_text(_figure_results(2, args), _figure_results(3, args))
 
 
+def _stats_summary(stats, counts: Dict) -> str:
+    """The summary line of ``stats``' type over ``counts`` (a
+    ``baseline.counters_since`` delta)."""
+    moved = type(stats)()
+    moved.merge(counts)
+    return moved.summary()
+
+
 def cmd_profile(args: argparse.Namespace) -> str:
     """Run one artifact under the span tracer; write trace/flame files."""
     import json
+    from .obs import baseline
     settings = _settings(args)
     cpus = _selected_cpus(args)
     tracer = obs.SpanTracer()
     ledger = obs.CycleLedger() if args.ledger_out else None
+    engine_before = blockengine.STATS.as_dict()
+    replicas_before = replicabatch.STATS.as_dict()
     started = time.perf_counter()
     with obs.use_observers(tracer, ledger):
         if args.kind == "figure":
@@ -477,10 +490,10 @@ def cmd_profile(args: argparse.Namespace) -> str:
     manifest = _run_manifest(
         f"profile {args.kind} {args.number}", settings, cpus,
         wall_time_s=round(wall, 3), sim_cycles=tracer.total_cycles())
-    engine_stats = blockengine.STATS.as_dict()
-    engine_stats["hit_rate"] = blockengine.STATS.hit_rate()
-    replica_stats = replicabatch.STATS.as_dict()
-    replica_stats["hit_rate"] = replicabatch.STATS.hit_rate()
+    # This run's counts, not the process-wide totals.
+    engine_stats = baseline.counters_since(blockengine.STATS, engine_before)
+    replica_stats = baseline.counters_since(replicabatch.STATS,
+                                            replicas_before)
     telemetry = {
         "wall_s": wall,
         "engine": engine_stats,
@@ -530,8 +543,9 @@ def cmd_profile(args: argparse.Namespace) -> str:
                  f"{tracer.total_cycles()} simulated cycles attributed "
                  f"to named spans")
     lines.append(f"engine: {blockengine.default_engine()} — "
-                 f"{blockengine.STATS.summary()}")
-    lines.append(f"replicas: {replicabatch.STATS.summary()}")
+                 f"{_stats_summary(blockengine.STATS, engine_stats)}")
+    lines.append(f"replicas: "
+                 f"{_stats_summary(replicabatch.STATS, replica_stats)}")
     lines.append("")
     lines.append(tracer.report().rstrip("\n"))
     return "\n".join(lines) + "\n"
@@ -654,18 +668,16 @@ def cmd_history(args: argparse.Namespace) -> str:
 def cmd_leakage(args: argparse.Namespace) -> str:
     """Taint-oracle leakage surface: per-CPU matrix or raw event log."""
     import json
-    from .core.probe import leakage_report
     cpus = _selected_cpus(args)
     # The matrix shows no events, so it collects none.
     events = args.leakage_command == "events"
-    report = leakage_report(tuple(cpus), policy=args.policy,
+    report = leakage_report(cpus, policy=args.policy,
                             trials=args.trials,
                             max_events=args.max_events if events else 0)
     if args.leakage_command == "matrix":
         if args.json:
-            slim = dict(report)
-            slim.pop("events", None)
-            return json.dumps(slim, indent=2, sort_keys=True) + "\n"
+            del report["events"]
+            return json.dumps(report, indent=2, sort_keys=True) + "\n"
         lines = [f"Speculative-leakage matrix (taint oracle, policy: "
                  f"{args.policy})", ""]
         leaks = total = 0

@@ -27,8 +27,8 @@ from .probe import (
     SCENARIOS,
     Scenario,
     SpeculationProbe,
-    speculation_matrix,
-    speculation_row,
+    leakage_report,
+    probe_cell,
 )
 from .stats import (
     Measurement,
@@ -96,14 +96,14 @@ __all__ = [
     "figure3",
     "figure5",
     "geometric_mean",
+    "leakage_report",
     "lebench_geomean",
     "lfs_overheads",
     "octane_suite_score",
     "overhead_percent",
     "parsec_default_overheads",
+    "probe_cell",
     "score_slowdown_percent",
-    "speculation_matrix",
-    "speculation_row",
     "suite_geometric_mean",
     "vm_lebench_overheads",
 ]

@@ -23,19 +23,23 @@ Protocol, mirroring Figure 6:
 Tables 9 and 10 are this probe swept over five (attacker, victim,
 intervening-syscall) scenarios with IBRS off and on respectively.
 
-The probe is rebased on the taint-tracking leakage tracer
-(:mod:`repro.obs.leakage`) as its oracle: every probed cell returns a
-structured :class:`ProbeVerdict` carrying both the legacy counter signal
-(``speculated``) and the tracer's view (``leaked``, plus *blocked-by*
-attribution naming the mitigation that cleared the taint).  The two
-signals derive from the same mechanistic window, so they agree by
-construction — the oracle-agreement tests pin that invariant.
+One function builds and runs a probe cell, :func:`probe_cell`: a
+machine configured for a mitigation policy, the taint-tracking leakage
+tracer (:mod:`repro.obs.leakage`) attached as the oracle, an optional
+prelude, then the rounds.  Its :class:`ProbeVerdict` carries both the
+divider-counter signal (``speculated``) and the tracer's view
+(``leaked``, plus *blocked-by* attribution naming the mitigation that
+cleared the taint).  The two signals derive from the same mechanistic
+window, so they agree by construction — the oracle-agreement tests pin
+that invariant.  :func:`leakage_report` sweeps the cell over CPUs and
+scenarios; Tables 9/10, ``spectresim leakage``, the bench payload's
+leakage block and the fuzzer's leakage contract all read those two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cpu import counters as ctr
 from ..cpu import isa
@@ -61,14 +65,10 @@ DEFAULT_TRIALS = 6
 # round is one ``Machine.run`` over an interned tuple.  The training
 # branch stays plain (attackers do not compile their own code with
 # retpolines); the victim branch is indexed by the probe's ``retpoline``.
-_TRAINING_BRANCH = isa.branch_indirect(VICTIM_TARGET, pc=BRANCH_PC)
-_TRAINING = (_TRAINING_BRANCH,) * TRAIN_ROUNDS
+_TRAINING = (isa.branch_indirect(VICTIM_TARGET, pc=BRANCH_PC),) * TRAIN_ROUNDS
 _VICTIM_BRANCH = tuple(
     isa.branch_indirect(NOP_TARGET, pc=BRANCH_PC, retpoline=retpoline)
     for retpoline in (False, True))
-#: The victim branch bracketed by counter reads (``probe_once``).
-_VICTIM_BRACKET = tuple((isa.rdpmc(), victim, isa.rdpmc())
-                        for victim in _VICTIM_BRANCH)
 #: divide_happened() from Figure 6: fill the branch history with 16
 #: conditional branches, then flush the target variable from cache.
 _HISTORY_FILL = tuple(isa.branch_cond(pc=0x7000 + 4 * i)
@@ -113,67 +113,26 @@ POLICY_DEFAULT = "default"  # the Linux default V2 strategy per CPU
 POLICIES: Tuple[str, ...] = (POLICY_DEFAULT, POLICY_OFF, POLICY_IBRS)
 
 
+@dataclass(frozen=True)
 class ProbeVerdict:
     """Structured outcome of probing one (CPU, scenario) cell.
 
-    ``speculated`` is the legacy divider-counter signal (the bare boolean
-    the probe used to return); ``leaked`` is the taint oracle's verdict
-    (a ``port_timing`` leakage event fired); ``blocked_by`` names the
-    mitigation/primitive pairs that cleared or bypassed the tainted
-    predictor state during the probe.  Verdicts compare equal to plain
-    booleans on the ``speculated`` bit, so Table 9/10 expectations keep
-    reading naturally.
+    ``speculated`` is the divider-counter signal (a Table 9/10 check
+    mark); ``leaked`` is the taint oracle's verdict (a ``port_timing``
+    leakage event fired); ``blocked_by`` names the mitigation/primitive
+    pairs that cleared or bypassed the tainted predictor state during the
+    probe.
     """
 
-    __slots__ = ("speculated", "mispredicted", "leaked", "blocked_by",
-                 "events", "label")
-
-    def __init__(self, speculated: bool, mispredicted: bool = False,
-                 leaked: bool = False,
-                 blocked_by: Tuple[str, ...] = (),
-                 events: int = 0, label: str = "") -> None:
-        self.speculated = speculated
-        self.mispredicted = mispredicted
-        self.leaked = leaked
-        self.blocked_by = tuple(blocked_by)
-        self.events = events
-        self.label = label
-
-    def __bool__(self) -> bool:
-        return self.speculated
-
-    def __eq__(self, other: Any) -> Any:
-        if isinstance(other, ProbeVerdict):
-            return (self.speculated == other.speculated
-                    and self.mispredicted == other.mispredicted
-                    and self.leaked == other.leaked
-                    and self.blocked_by == other.blocked_by
-                    and self.events == other.events)
-        if isinstance(other, bool):
-            return self.speculated is other
-        return NotImplemented
-
-    def __ne__(self, other: Any) -> Any:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self) -> int:
-        return hash(self.speculated)
-
-    def __repr__(self) -> str:
-        return ("ProbeVerdict(speculated={0}, leaked={1}, blocked_by={2})"
-                .format(self.speculated, self.leaked, self.blocked_by))
+    speculated: bool
+    mispredicted: bool = False
+    leaked: bool = False
+    blocked_by: Tuple[str, ...] = ()
+    events: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "speculated": self.speculated,
-            "mispredicted": self.mispredicted,
-            "leaked": self.leaked,
-            "blocked_by": list(self.blocked_by),
-            "events": self.events,
-        }
+        """The payload form: ``blocked_by`` as a list, as JSON holds it."""
+        return dict(vars(self), blocked_by=list(self.blocked_by))
 
 
 class SpeculationProbe:
@@ -185,21 +144,18 @@ class SpeculationProbe:
     built with ``CONFIG_RETPOLINE``.
     """
 
-    def __init__(self, machine: Machine, retpoline: bool = False,
-                 policy: str = "custom") -> None:
+    def __init__(self, machine: Machine, retpoline: bool = False) -> None:
         self.machine = machine
         self.retpoline = retpoline
-        self.policy = policy
         machine.register_code(VICTIM_TARGET, [isa.div()])
         machine.register_code(NOP_TARGET, [isa.nop()])
 
     # -- protocol steps ---------------------------------------------------- #
 
-    def train(self, mode: Mode, rounds: int = TRAIN_ROUNDS) -> None:
-        machine = self.machine
-        machine.mode = mode
-        machine.run(_TRAINING if rounds == TRAIN_ROUNDS
-                    else (_TRAINING_BRANCH,) * rounds)
+    def train(self, mode: Mode) -> None:
+        """Poison the branch site toward the divide pad, in ``mode``."""
+        self.machine.mode = mode
+        self.machine.run(_TRAINING)
 
     def _intervening_transition(self, scenario: Scenario) -> None:
         """Cross modes with real syscall/sysret instructions."""
@@ -223,20 +179,9 @@ class SpeculationProbe:
         machine.mode = scenario.victim_mode
         machine.run(_HISTORY_FILL)
 
-    def probe_once(self, scenario: Scenario) -> bool:
-        """One full train->probe round; True if the pad ran transiently."""
-        counters = self.machine.counters
-        self._prepare_round(scenario)
-        before = counters.read(ctr.DIVIDER_ACTIVE)
-        self.machine.run(_VICTIM_BRACKET[self.retpoline])
-        return counters.read(ctr.DIVIDER_ACTIVE) > before
-
-    def probe(self, scenario: Scenario, trials: int = DEFAULT_TRIALS) -> bool:
-        """True if any trial steers transient execution to the pad."""
-        return any(self.probe_once(scenario) for _ in range(trials))
-
     def probe_both_counters(self, scenario: Scenario) -> Tuple[bool, bool]:
-        """One round, reading *both* counters the paper discusses.
+        """One train->probe round, reading *both* counters the paper
+        discusses.
 
         Returns ``(mispredicted, divider_active)``.  The two can disagree:
         "we sometimes observed mispredicted indirect branches without any
@@ -255,21 +200,17 @@ class SpeculationProbe:
         divider = counters.read(ctr.DIVIDER_ACTIVE) > div_before
         return mispredicted, divider
 
-    def probe_verdict(self, scenario: Scenario,
-                      trials: int = DEFAULT_TRIALS) -> ProbeVerdict:
+    def probe(self, scenario: Scenario,
+              trials: int = DEFAULT_TRIALS) -> ProbeVerdict:
         """Probe one scenario with the taint oracle engaged.
 
-        Attaches a :class:`repro.obs.leakage.LeakageTracer` to the machine
-        (if none is attached yet), labels the victim landing pad as
-        attacker-controlled code, runs ``trials`` rounds, and folds both
-        the legacy counter signal and the tracer's leakage/blocked-by
-        deltas into a :class:`ProbeVerdict`.
+        Needs the leakage tracer attached to the machine (``machine.hooks``;
+        :func:`probe_cell` attaches one).  Labels the victim landing pad as
+        attacker-controlled code, runs ``trials`` rounds (any success
+        counts), and folds both counter signals and the tracer's
+        leakage/blocked-by deltas into a :class:`ProbeVerdict`.
         """
-        machine = self.machine
-        tracer = _leakage_tracer(machine)
-        if tracer is None:
-            tracer = obs_leakage.LeakageTracer(policy=self.policy)
-            machine.attach(tracer)
+        tracer = self.machine.hooks
         tracer.taint_code(VICTIM_TARGET)
         port_before = tracer.count(obs_leakage.PORT_TIMING)
         events_before = tracer.total_events()
@@ -280,57 +221,20 @@ class SpeculationProbe:
             misp, divider = self.probe_both_counters(scenario)
             mispredicted = mispredicted or misp
             speculated = speculated or divider
-        leaked = tracer.count(obs_leakage.PORT_TIMING) > port_before
-        blocked_by = tuple(sorted(
-            key for key, count in tracer.blocked.items()
-            if count > blocked_before.get(key, 0)))
         return ProbeVerdict(
             speculated=speculated,
             mispredicted=mispredicted,
-            leaked=leaked,
-            blocked_by=blocked_by,
+            leaked=tracer.count(obs_leakage.PORT_TIMING) > port_before,
+            blocked_by=tuple(sorted(
+                key for key, count in tracer.blocked.items()
+                if count > blocked_before.get(key, 0))),
             events=tracer.total_events() - events_before,
-            label=scenario.label,
         )
 
 
-def speculation_row(
-    cpu: CPUModel,
-    ibrs: bool,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> Optional[Dict[Scenario, ProbeVerdict]]:
-    """One CPU's Table 9 (``ibrs=False``) or Table 10 (``ibrs=True``) row.
-
-    The leakage grid's row under the ``off`` or ``ibrs`` policy (see
-    :func:`leakage_row`).  Returns None when the configuration is
-    impossible — Zen has no IBRS support, which the paper's Table 10
-    marks N/A.  Cells are :class:`ProbeVerdict` objects; they compare
-    equal to the bare booleans the row used to carry.
-    """
-    return leakage_row(cpu, POLICY_IBRS if ibrs else POLICY_OFF, trials, seed)
-
-
-def speculation_matrix(
-    cpus: Tuple[CPUModel, ...],
-    ibrs: bool,
-    trials: int = DEFAULT_TRIALS,
-) -> Dict[str, Optional[Dict[Scenario, ProbeVerdict]]]:
-    """The full Table 9/10 matrix over ``cpus``."""
-    return {cpu.key: speculation_row(cpu, ibrs, trials) for cpu in cpus}
-
-
 # --------------------------------------------------------------------------- #
-# Leakage grid: the probe swept under mitigation policies, tracer attached
+# Probe cells and the leakage grid: the probe under mitigation policies
 # --------------------------------------------------------------------------- #
-
-def _leakage_tracer(machine: Machine) -> Optional[obs_leakage.LeakageTracer]:
-    """The leakage tracer attached to ``machine``, if any."""
-    for observer in machine.observers:
-        if isinstance(observer, obs_leakage.LeakageTracer):
-            return observer
-    return None
-
 
 def _policy_machine(cpu: CPUModel, policy: str, seed: int) -> Tuple[Machine, bool]:
     """A machine configured for ``policy``; returns (machine, retpoline)."""
@@ -353,59 +257,69 @@ def _policy_machine(cpu: CPUModel, policy: str, seed: int) -> Tuple[Machine, boo
     raise ValueError(f"unknown leakage policy {policy!r}")
 
 
-def leakage_row(
+def cell_supported(cpu: CPUModel, policy: str) -> bool:
+    """False for the Table 10 N/A row (IBRS on a part without it)."""
+    return (policy != POLICY_IBRS or cpu.predictor.supports_ibrs
+            or cpu.predictor.supports_eibrs)
+
+
+def probe_cell(
     cpu: CPUModel,
-    policy: str = POLICY_DEFAULT,
+    policy: str,
+    scenario: Scenario,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-) -> Optional[Dict[Scenario, ProbeVerdict]]:
-    """One CPU's probe row under a mitigation ``policy``, taint oracle on.
+    prelude: Optional[Callable[[Machine, bool], None]] = None,
+) -> Tuple[ProbeVerdict, obs_leakage.LeakageTracer]:
+    """Probe one (CPU, policy, scenario) cell on a fresh machine.
 
-    Returns None for impossible configurations (``ibrs`` on a part with
-    no IBRS support, mirroring Table 10's N/A row).
+    The machine is configured for ``policy`` and keeps the leakage tracer
+    in scope (see :func:`repro.obs.use_observers`), else gets a fresh
+    one.  ``prelude(machine, retpoline)``, when given, runs before the
+    probe, with the tracer attached; ``retpoline`` says whether the
+    policy compiles the victim branch as a retpoline.  Returns the
+    verdict and the tracer.
     """
-    if policy == POLICY_IBRS and not (cpu.predictor.supports_ibrs
-                                      or cpu.predictor.supports_eibrs):
-        return None
-    row: Dict[Scenario, ProbeVerdict] = {}
-    for scenario in SCENARIOS:
-        machine, retpoline = _policy_machine(cpu, policy, seed)
-        probe = SpeculationProbe(machine, retpoline=retpoline, policy=policy)
-        row[scenario] = probe.probe_verdict(scenario, trials)
-    return row
+    machine, retpoline = _policy_machine(cpu, policy, seed)
+    if machine.hooks is None:
+        machine.attach(obs_leakage.LeakageTracer(policy=policy))
+    if prelude is not None:
+        prelude(machine, retpoline)
+    probe = SpeculationProbe(machine, retpoline=retpoline)
+    return probe.probe(scenario, trials), machine.hooks
 
 
 def leakage_report(
-    cpus: Tuple[CPUModel, ...],
+    cpus: Sequence[CPUModel],
     policy: str = POLICY_DEFAULT,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     max_events: int = 200,
 ) -> Dict[str, Any]:
-    """Serializable leakage surface: matrix cells, sample events, and the
-    merged tracer state (the shape shipped in bench payloads, stored in
-    the history DB and rendered by the dashboard panel)."""
+    """The probe grid: every :data:`SCENARIOS` cell of each CPU under
+    ``policy``, taint oracle on.
+
+    Returns the serializable leakage surface: ``matrix`` (CPU key ->
+    scenario label -> verdict dict, or None for a CPU that does not
+    support the policy), the first ``max_events`` raw events, and the
+    merged tracer ``state`` and ``summary`` (the shape shipped in bench
+    payloads, stored in the history DB and rendered by the dashboard
+    panel).  Tables 9 and 10 are its ``off`` and ``ibrs`` grids.
+    """
     aggregate = obs_leakage.LeakageTracer(policy=policy)
     matrix: Dict[str, Any] = {}
     events: List[Dict[str, Any]] = []
     for cpu in cpus:
-        if policy == POLICY_IBRS and not (cpu.predictor.supports_ibrs
-                                          or cpu.predictor.supports_eibrs):
+        if not cell_supported(cpu, policy):
             matrix[cpu.key] = None
             continue
         cells: Dict[str, Any] = {}
         for scenario in SCENARIOS:
-            machine, retpoline = _policy_machine(cpu, policy, seed)
-            probe = SpeculationProbe(machine, retpoline=retpoline,
-                                     policy=policy)
-            verdict = probe.probe_verdict(scenario, trials)
+            verdict, tracer = probe_cell(cpu, policy, scenario, trials, seed)
             cells[scenario.label] = verdict.to_dict()
-            tracer = _leakage_tracer(machine)
-            if tracer is not None:
-                aggregate.merge_state(tracer.state())
-                for event in tracer.events:
-                    if len(events) < max_events:
-                        events.append(event.to_dict())
+            aggregate.merge_state(tracer.state())
+            events.extend(event.to_dict() for event
+                          in tracer.events[:max_events - len(events)])
         matrix[cpu.key] = cells
     return {
         "policy": policy,

@@ -7,12 +7,12 @@ print paper-shaped output and EXPERIMENTS.md can diff paper-vs-measured.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cpu.model import CPUModel, all_cpus
 from ..mitigations.policy import DEFAULT_KERNEL, TABLE1_ROWS, table1_matrix
 from .attribution import AttributionResult
-from .probe import SCENARIOS, Scenario
+from .probe import SCENARIOS
 from .study import PairedOverhead
 
 CHECK = "x"      # the paper's check mark (kept ASCII for plain terminals)
@@ -149,9 +149,11 @@ _SCENARIO_HEADERS = [
 
 
 def render_speculation_matrix(
-    matrix: Dict[str, Optional[Dict[Scenario, bool]]],
+    matrix: Dict[str, Optional[Dict[str, Dict[str, Any]]]],
     ibrs: bool,
 ) -> str:
+    """Table 9 or 10 from a :func:`~repro.core.probe.leakage_report`
+    ``matrix``: a check mark per cell whose ``speculated`` bit is set."""
     title = ("Table 10: speculation matrix with IBRS enabled" if ibrs
              else "Table 9: speculation matrix with IBRS disabled")
     rows = []
@@ -159,7 +161,8 @@ def render_speculation_matrix(
         if row is None:
             rows.append([cpu] + [NA] * len(SCENARIOS))
         else:
-            rows.append([cpu] + [CHECK if row[s] else BLANK for s in SCENARIOS])
+            rows.append([cpu] + [CHECK if row[s.label]["speculated"]
+                                 else BLANK for s in SCENARIOS])
     return render_table(title, ["CPU"] + _SCENARIO_HEADERS, rows)
 
 

@@ -22,7 +22,7 @@ interval uses any) flows from the seed passed at construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -895,6 +895,19 @@ class Machine:
     def read_tsc(self) -> int:
         """Current value of the simulated timestamp counter."""
         return self.counters.tsc
+
+
+def steady_state(step: Callable[[], int], iterations: int,
+                 warmup: int) -> float:
+    """Average cycles of ``step()`` in the steady state: ``warmup``
+    untimed calls, then the mean over ``iterations`` timed ones (the
+    workload runners' loop; :meth:`Machine.measure` times a body)."""
+    for _ in range(warmup):
+        step()
+    total = 0
+    for _ in range(iterations):
+        total += step()
+    return total / iterations
 
 
 #: Op-indexed dispatch table for the committed path: one dict lookup per

@@ -40,17 +40,17 @@ from ..core.probe import (
     POLICIES,
     POLICY_DEFAULT,
     POLICY_IBRS,
-    POLICY_OFF,
     SCENARIOS,
     Scenario,
-    SpeculationProbe,
     _policy_machine,
+    cell_supported,
+    probe_cell,
 )
 from ..core.stats import derive_seed
 from ..cpu import all_cpus, engine, get_cpu
 from ..cpu.counters import ALL_COUNTERS
+from ..cpu.machine import Machine
 from ..cpu.model import CPUModel
-from ..obs import leakage as obs_leakage
 from ..obs import ledger as obs_ledger
 from ..obs.observers import use_observers
 from .generator import Program, generate_program, parse_program
@@ -237,60 +237,52 @@ def blocked_promise(cpu: CPUModel, policy: str, scenario: Scenario,
 def check_leakage_contract(program: Program, cpu: CPUModel, policy: str,
                            seed: int,
                            trials: int = FUZZ_TRIALS) -> List[Violation]:
-    """Run the program, then the section 6 probe, per scenario."""
-    violations: List[Violation] = []
-    for scenario in SCENARIOS:
-        machine, retpoline = _policy_machine(cpu, policy, seed)
-        tracer = obs_leakage.LeakageTracer(policy=policy)
-        machine.attach(tracer)
+    """The section 6 probe cell per scenario, the program as its prelude."""
+    # The cell tells its prelude whether the policy compiles branches as
+    # retpolines: the program installs that way, and the promise needs it.
+    retpoline = False
+
+    def run_program(machine: Machine, victim_retpoline: bool) -> None:
+        nonlocal retpoline
+        retpoline = victim_retpoline
         program.install(machine, retpoline=retpoline)
         data = program.data_addresses()
         if data:
             # Exercise the data-taint propagation paths (store-buffer,
             # caches, TLB, MDS residue) while the program runs.
-            tracer.taint_address(data[0])
+            machine.hooks.taint_address(data[0])
         machine.run(program.instructions(retpoline=retpoline))
-        probe = SpeculationProbe(machine, retpoline=retpoline,
-                                 policy=policy)
-        verdict = probe.probe_verdict(scenario, trials)
+
+    violations: List[Violation] = []
+    for scenario in SCENARIOS:
+        verdict, _ = probe_cell(cpu, policy, scenario, trials, seed,
+                                prelude=run_program)
+        problems = []
         if verdict.leaked != verdict.speculated:
-            problem = _problem(
+            problems.append(_problem(
                 "oracle_disagreement",
                 (f"oracle disagreement: leaked={verdict.leaked} "
                  f"speculated={verdict.speculated}"),
-                leaked=bool(verdict.leaked),
-                speculated=bool(verdict.speculated))
-            violations.append(Violation(
-                oracle=ORACLE_LEAKAGE, program=program.name,
-                seed=program.seed, cpu=cpu.key, policy=policy,
-                scenario=scenario.label, detail=problem["detail"],
-                problems=(problem,)))
+                leaked=verdict.leaked, speculated=verdict.speculated))
         promises = blocked_promise(cpu, policy, scenario, retpoline)
         if promises and verdict.leaked:
-            problem = _problem(
+            problems.append(_problem(
                 "promise_broken",
                 (f"leak on a promised-blocked cell: "
                  f"{', '.join(promises)} promised, but "
                  f"{verdict.events} leakage event(s) fired"),
-                promises=list(promises), events=verdict.events)
-            violations.append(Violation(
-                oracle=ORACLE_LEAKAGE, program=program.name,
-                seed=program.seed, cpu=cpu.key, policy=policy,
-                scenario=scenario.label, detail=problem["detail"],
-                problems=(problem,)))
+                promises=list(promises), events=verdict.events))
+        violations.extend(Violation(
+            oracle=ORACLE_LEAKAGE, program=program.name, seed=program.seed,
+            cpu=cpu.key, policy=policy, scenario=scenario.label,
+            detail=problem["detail"], problems=(problem,))
+            for problem in problems)
     return violations
 
 
 # --------------------------------------------------------------------------- #
 # Cells and campaigns
 # --------------------------------------------------------------------------- #
-
-def cell_supported(cpu: CPUModel, policy: str) -> bool:
-    """False for the Table 10 N/A row (IBRS on a part without it)."""
-    if policy != POLICY_IBRS:
-        return True
-    return cpu.predictor.supports_ibrs or cpu.predictor.supports_eibrs
-
 
 def check_cell(program: Program, cpu: CPUModel, policy: str,
                base_seed: int, repeats: int = PARITY_REPEATS,

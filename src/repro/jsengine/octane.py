@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..cpu import isa
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..kernel import HandlerProfile, Kernel, Process
 from ..mitigations.base import MitigationConfig
 from ..obs.ledger import ledger_scope
@@ -123,12 +123,8 @@ class OctaneRunner:
         """Average cycles per iteration, steady state."""
         with self.machine.obs.span(f"js.octane.{workload.name}",
                                    iterations=iterations, warmup=warmup):
-            for _ in range(warmup):
-                self.run_iteration(workload)
-            total = 0
-            for _ in range(iterations):
-                total += self.run_iteration(workload)
-        return total / iterations
+            return steady_state(lambda: self.run_iteration(workload),
+                                iterations, warmup)
 
     def score(self, workload: OctaneWorkload, iterations: int = 24,
               warmup: int = 6) -> float:

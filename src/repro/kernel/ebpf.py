@@ -31,9 +31,10 @@ from typing import List, Optional, Tuple
 
 from ..cpu import isa
 from ..cpu.isa import Instruction
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..errors import ConfigurationError
-from ..mitigations.base import MitigationConfig
+from ..mitigations.base import (PROBE_STRIDE, MitigationConfig, flush_probe,
+                                reload_probe)
 
 #: Linux's verifier complexity budget (we model the instruction cap).
 MAX_PROGRAM_INSNS = 4096
@@ -41,7 +42,6 @@ MAX_PROGRAM_INSNS = 4096
 #: Demonstration layout.
 MAP_BASE = 0xFFFF_8881_0000_0000
 PROBE_BASE = 0x7600_0000_0000
-PROBE_STRIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,9 @@ class BPFJit:
         block = self.compile(program)
         saved = self.machine.mode
         self.machine.mode = Mode.KERNEL
-        for _ in range(warmup):
-            self.machine.run(block)
-        total = sum(self.machine.run(block) for _ in range(runs))
+        cost = steady_state(lambda: self.machine.run(block), runs, warmup)
         self.machine.mode = saved
-        return total / runs
+        return cost
 
 
 def attempt_bpf_v1(machine: Machine, verifier: Verifier,
@@ -160,8 +158,7 @@ def attempt_bpf_v1(machine: Machine, verifier: Verifier,
     map_ = map_ or BPFMap("victim", entries=16)
     oob_index = map_.entries + 512  # reaches past the map into the kernel
 
-    for candidate in range(256):
-        machine.caches.flush_line(PROBE_BASE + candidate * PROBE_STRIDE)
+    flush_probe(machine, PROBE_BASE)
 
     gadget: List[Instruction] = []
     effective = oob_index
@@ -180,9 +177,4 @@ def attempt_bpf_v1(machine: Machine, verifier: Verifier,
     machine.mode = Mode.KERNEL
     machine.speculate(gadget)
     machine.mode = saved
-
-    warm = [candidate for candidate in range(1, 256)
-            if machine.caches.probe_l1(PROBE_BASE + candidate * PROBE_STRIDE)]
-    if len(warm) == 1:
-        return warm[0]
-    return None
+    return reload_probe(machine, PROBE_BASE, first=1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..cpu.model import CPUModel
 from ..errors import ConfigurationError
@@ -207,3 +207,27 @@ JS_KNOBS: Tuple[Knob, ...] = (
 ALL_KNOBS: Tuple[Knob, ...] = KERNEL_KNOBS + JS_KNOBS
 
 KNOBS_BY_NAME: Dict[str, Knob] = {k.name: k for k in ALL_KNOBS}
+
+
+# --------------------------------------------------------------------------- #
+# Flush+reload: the cache side channel the attack demonstrations read
+# --------------------------------------------------------------------------- #
+
+#: Probe-array stride: one page per byte value, like published PoCs
+#: (defeats the prefetcher).
+PROBE_STRIDE = 4096
+
+
+def flush_probe(machine: Any, base: int) -> None:
+    """Flush half: evict the 256 probe lines of the array at ``base``."""
+    for candidate in range(256):
+        machine.caches.flush_line(base + candidate * PROBE_STRIDE)
+
+
+def reload_probe(machine: Any, base: int, first: int = 0) -> Optional[int]:
+    """Reload half: the byte whose probe line is the one warm line from
+    candidate ``first`` on, else None.  ``first=1`` leaves out candidate
+    0, where a masked gadget's in-bounds decoy lands."""
+    warm = [candidate for candidate in range(first, 256)
+            if machine.caches.probe_l1(base + candidate * PROBE_STRIDE)]
+    return warm[0] if len(warm) == 1 else None

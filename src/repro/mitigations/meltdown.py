@@ -20,11 +20,11 @@ from typing import List, Optional, Tuple
 from ..cpu import isa
 from ..cpu.isa import Instruction
 from ..cpu.machine import Machine
+from .base import PROBE_STRIDE, flush_probe, reload_probe
 
 #: Virtual address layout constants for the demonstration.
 KERNEL_SECRET_ADDRESS = 0xFFFF_8880_0000_1000
 PROBE_ARRAY_BASE = 0x7F00_0000_0000
-PROBE_STRIDE = 4096  # page stride, like published PoCs (defeats prefetch)
 
 #: PCID values Linux reserves for the two KPTI page table halves.
 KERNEL_PCID = 0
@@ -62,8 +62,7 @@ def attempt_meltdown(machine: Machine, secret_byte: int) -> Optional[int]:
         raise ValueError("secret_byte must be one byte")
 
     # 1. Flush the probe array (flush half of flush+reload).
-    for candidate in range(256):
-        machine.caches.flush_line(PROBE_ARRAY_BASE + candidate * PROBE_STRIDE)
+    flush_probe(machine, PROBE_ARRAY_BASE)
 
     # 2. Transiently read the kernel byte.  The machine only lets this
     #    through when the part is Meltdown-vulnerable AND the kernel is
@@ -78,11 +77,4 @@ def attempt_meltdown(machine: Machine, secret_byte: int) -> Optional[int]:
         )
 
     # 4. Reload: time each probe line; the warm one names the secret.
-    recovered = [
-        candidate
-        for candidate in range(256)
-        if machine.caches.probe_l1(PROBE_ARRAY_BASE + candidate * PROBE_STRIDE)
-    ]
-    if len(recovered) == 1:
-        return recovered[0]
-    return None
+    return reload_probe(machine, PROBE_ARRAY_BASE)

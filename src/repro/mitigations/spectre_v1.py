@@ -25,13 +25,13 @@ from typing import List, Optional, Tuple
 from ..cpu import isa
 from ..cpu.isa import Instruction
 from ..cpu.machine import Machine
+from .base import PROBE_STRIDE, flush_probe, reload_probe
 
 #: Demonstration address layout.
 ARRAY_BASE = 0x1000_0000
 ARRAY_LENGTH = 16          # in-bounds indices are 0..15
 SECRET_OFFSET = 0x4242     # the out-of-bounds index the attacker wants
 PROBE_BASE = 0x7E00_0000_0000
-PROBE_STRIDE = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,8 +95,7 @@ def attempt_bounds_bypass_trained(
     """
     if not machine.cpu.vulns.spectre_v1:
         return None
-    for candidate in range(256):
-        machine.caches.flush_line(PROBE_BASE + candidate * PROBE_STRIDE)
+    flush_probe(machine, PROBE_BASE)
 
     # Register the gadget body as the branch's taken path.
     machine.register_code(GADGET_BODY, build_gadget(
@@ -113,15 +112,7 @@ def attempt_bounds_bypass_trained(
     # but the saturated predictor says taken, so the body runs wrong-path.
     machine.execute(isa.branch_cond(target=GADGET_BODY,
                                     pc=BOUNDS_CHECK_PC, taken=False))
-
-    warm = [
-        candidate
-        for candidate in range(1, 256)
-        if machine.caches.probe_l1(PROBE_BASE + candidate * PROBE_STRIDE)
-    ]
-    if len(warm) == 1:
-        return warm[0]
-    return None
+    return reload_probe(machine, PROBE_BASE, first=1)
 
 
 def attempt_bounds_bypass(
@@ -139,18 +130,9 @@ def attempt_bounds_bypass(
     """
     if not machine.cpu.vulns.spectre_v1:
         return None
-    for candidate in range(256):
-        machine.caches.flush_line(PROBE_BASE + candidate * PROBE_STRIDE)
-    # Also flush the index-0 line so a masked gadget is distinguishable.
+    flush_probe(machine, PROBE_BASE)
     gadget = build_gadget(
         SECRET_OFFSET, secret_byte, lfence_hardened=lfence_hardened, masked=masked
     )
     machine.speculate(gadget)
-    warm = [
-        candidate
-        for candidate in range(1, 256)  # candidate 0 == the masked decoy
-        if machine.caches.probe_l1(PROBE_BASE + candidate * PROBE_STRIDE)
-    ]
-    if len(warm) == 1:
-        return warm[0]
-    return None
+    return reload_probe(machine, PROBE_BASE, first=1)

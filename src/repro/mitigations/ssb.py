@@ -22,12 +22,11 @@ from ..cpu import isa
 from ..cpu.isa import Instruction
 from ..cpu.machine import Machine
 from ..cpu.msr import IA32_SPEC_CTRL, SPEC_CTRL_SSBD
-from .base import MitigationConfig, SSBDMode
+from .base import PROBE_STRIDE, SSBDMode, flush_probe, reload_probe
 
 #: Demonstration addresses.
 STALE_ADDRESS = 0x5000_0000
 PROBE_BASE = 0x7C00_0000_0000
-PROBE_STRIDE = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,19 +71,11 @@ def attempt_store_bypass(machine: Machine, stale_secret: int) -> Optional[int]:
         return None
     # The victim's store is pending.
     machine.execute(isa.store(STALE_ADDRESS, value=0xAA))
-    for candidate in range(256):
-        machine.caches.flush_line(PROBE_BASE + candidate * PROBE_STRIDE)
+    flush_probe(machine, PROBE_BASE)
     bypassed = machine.store_buffer.speculative_bypass_possible(
         STALE_ADDRESS, ssbd=machine.msr.ssbd_enabled
     )
     if bypassed:
         # The transient load saw the stale value; encode it in the cache.
         machine.speculate([isa.load(PROBE_BASE + stale_secret * PROBE_STRIDE)])
-    warm = [
-        candidate
-        for candidate in range(256)
-        if machine.caches.probe_l1(PROBE_BASE + candidate * PROBE_STRIDE)
-    ]
-    if len(warm) == 1:
-        return warm[0]
-    return None
+    return reload_probe(machine, PROBE_BASE)

@@ -177,23 +177,37 @@ def ledger_snapshot(cpu_key: str) -> CycleLedger:
     return ledger
 
 
-def leakage_snapshot(policy: str = "default", seed: int = 0) -> Dict[str, Any]:
+def leakage_snapshot(policy: str = "default", seed: int = 0,
+                     cpus: Optional[Sequence[Any]] = None) -> Dict[str, Any]:
     """The taint-oracle leakage surface for the bench payload.
 
-    Runs the :mod:`repro.core.probe` grid with the leakage tracer as the
-    oracle over every CPU model under ``policy`` (default: each part's
+    Runs the :mod:`repro.core.probe` grid over ``cpus`` (CPU models;
+    default: every model) under ``policy`` (default: each part's
     Linux-default Spectre-v2 strategy).  Deterministic -- the probe is a
     fixed instruction sequence, no noise sampling -- so the resulting
-    blocked/leaked matrix is exact and diffable across runs.  Raw events
-    are dropped from the payload (``leakage events`` and its Perfetto
-    export carry those); the matrix, merged state, and summary stay.
+    blocked/leaked matrix is exact and diffable across runs.  It carries
+    no raw events (``leakage events`` and its Perfetto export do); the
+    matrix, merged state, and summary stay.
     """
     from ..core.probe import leakage_report
     from ..cpu.model import all_cpus
 
-    report = leakage_report(all_cpus(), policy=policy, seed=seed)
-    report.pop("events", None)
+    report = leakage_report(cpus or all_cpus(), policy=policy, seed=seed,
+                            max_events=0)
+    del report["events"]
     return report
+
+
+def counters_since(stats: Any, before: Mapping[str, int]) -> Dict[str, float]:
+    """What a process-wide counter set (``engine.STATS``,
+    ``replicas.STATS``) counted since ``before``, its earlier
+    ``as_dict()``: the moved counts plus their ``hit_rate``."""
+    moved = type(stats)()
+    moved.merge({name: count - before.get(name, 0)
+                 for name, count in stats.as_dict().items()})
+    delta: Dict[str, float] = dict(moved.as_dict())
+    delta["hit_rate"] = moved.hit_rate()
+    return delta
 
 
 def collect(
@@ -267,23 +281,8 @@ def collect(
     phases["leakage"] = time.perf_counter() - leakage_started
 
     wall = time.perf_counter() - started
-    engine_after = blockengine.STATS.as_dict()
-    engine_delta: Dict[str, float] = {
-        name: engine_after[name] - engine_before.get(name, 0)
-        for name in engine_after
-    }
-    eligible = engine_delta["block_hits"] + engine_delta["interp_fallbacks"]
-    engine_delta["hit_rate"] = (engine_delta["block_hits"] / eligible
-                                if eligible else 0.0)
-    replicas_after = replicabatch.STATS.as_dict()
-    replicas_delta: Dict[str, float] = {
-        name: replicas_after[name] - replicas_before.get(name, 0)
-        for name in replicas_after
-    }
-    batch_eligible = (replicas_delta["batched"]
-                      + replicas_delta["scalar_fallbacks"])
-    replicas_delta["hit_rate"] = (replicas_delta["batched"] / batch_eligible
-                                  if batch_eligible else 1.0)
+    engine_delta = counters_since(blockengine.STATS, engine_before)
+    replicas_delta = counters_since(replicabatch.STATS, replicas_before)
     telemetry: Dict[str, Any] = {
         "phases": phases,
         "engine": engine_delta,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..cpu import isa
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..cpu.model import CPUModel
 from ..errors import WorkloadError
 from ..kernel import HandlerProfile, Kernel, Process
@@ -161,9 +161,4 @@ class CustomRunner:
         return cycles
 
     def measure(self, iterations: int = 20, warmup: int = 5) -> float:
-        for _ in range(warmup):
-            self.run_iteration()
-        total = 0
-        for _ in range(iterations):
-            total += self.run_iteration()
-        return total / iterations
+        return steady_state(self.run_iteration, iterations, warmup)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cpu import isa
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..kernel import HandlerProfile, Kernel, Process
 from ..mitigations.base import MitigationConfig
 
@@ -141,12 +141,8 @@ class LEBenchRunner:
         with self.machine.obs.span(f"lebench.case.{case.name}",
                                    kind=case.kind, iterations=iterations,
                                    warmup=warmup):
-            for _ in range(warmup):
-                self.run_op(case)
-            total = 0
-            for _ in range(iterations):
-                total += self.run_op(case)
-        return total / iterations
+            return steady_state(lambda: self.run_op(case), iterations,
+                                warmup)
 
 
 def run_suite(

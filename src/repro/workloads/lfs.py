@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..hypervisor import EmulatedDisk, GuestContext, Hypervisor
 from ..kernel import HandlerProfile
 from ..mitigations.base import MitigationConfig
@@ -95,12 +95,8 @@ class LFSRunner:
 
     def measure(self, workload: LFSWorkload, iterations: int = 12,
                 warmup: int = 3) -> float:
-        for _ in range(warmup):
-            self.run_iteration(workload)
-        total = 0
-        for _ in range(iterations):
-            total += self.run_iteration(workload)
-        return total / iterations
+        return steady_state(lambda: self.run_iteration(workload),
+                            iterations, warmup)
 
 
 def run_workload(

@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 from ..cpu import isa
 from ..cpu.isa import Instruction
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..kernel import HandlerProfile, Kernel, Process
 from ..mitigations.base import MitigationConfig
 
@@ -126,12 +126,7 @@ class PARSECRunner:
 
     def measure(self, iterations: int = 40, warmup: int = 8) -> float:
         """Average cycles per iteration, steady state."""
-        for _ in range(warmup):
-            self.run_iteration()
-        total = 0
-        for _ in range(iterations):
-            total += self.run_iteration()
-        return total / iterations
+        return steady_state(self.run_iteration, iterations, warmup)
 
 
 def run_workload(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, steady_state
 from ..cpu.modes import Mode
 from ..hypervisor import GuestContext, Hypervisor
 from ..mitigations.base import MitigationConfig
@@ -59,12 +59,7 @@ class GuestLEBenchRunner:
 
     def measure_case(self, case: LEBenchCase, iterations: int = 24,
                      warmup: int = 6) -> float:
-        for _ in range(warmup):
-            self.run_op(case)
-        total = 0
-        for _ in range(iterations):
-            total += self.run_op(case)
-        return total / iterations
+        return steady_state(lambda: self.run_op(case), iterations, warmup)
 
 
 def run_suite(

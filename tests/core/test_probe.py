@@ -14,12 +14,13 @@ from repro.core.probe import (
     SCENARIOS,
     TRAIN_ROUNDS,
     VICTIM_TARGET,
-    Scenario,
     SpeculationProbe,
     _policy_machine,
-    speculation_matrix,
-    speculation_row,
+    cell_supported,
+    leakage_report,
+    probe_cell,
 )
+from repro.obs import use_observers
 from repro.obs.leakage import LeakageTracer
 
 #: Paper Table 9 (IBRS disabled): True = check mark.  Column order follows
@@ -49,17 +50,18 @@ PAPER_TABLE10 = {
 
 
 def row_tuple(row):
-    return None if row is None else tuple(row[s] for s in SCENARIOS)
+    return None if row is None else tuple(row[s.label]["speculated"]
+                                          for s in SCENARIOS)
 
 
 def test_table9_matches_paper_exactly():
-    matrix = speculation_matrix(all_cpus(), ibrs=False)
+    matrix = leakage_report(all_cpus(), POLICY_OFF)["matrix"]
     for key in CPU_ORDER:
         assert row_tuple(matrix[key]) == PAPER_TABLE9[key], key
 
 
 def test_table10_matches_paper_exactly():
-    matrix = speculation_matrix(all_cpus(), ibrs=True)
+    matrix = leakage_report(all_cpus(), POLICY_IBRS)["matrix"]
     for key in CPU_ORDER:
         assert row_tuple(matrix[key]) == PAPER_TABLE10[key], key
 
@@ -68,10 +70,9 @@ def test_kernel_to_user_mirrors_user_to_kernel():
     """The paper's prose finding: parts vulnerable user->kernel are also
     vulnerable kernel->user (not a realistic attack, but symmetric)."""
     for key in ("broadwell", "zen2"):
-        row = speculation_row(get_cpu(key), ibrs=False)
-        machine = Machine(get_cpu(key))
-        probe = SpeculationProbe(machine)
-        assert probe.probe(KERNEL_TO_USER) == row[SCENARIOS[0]]
+        mirrored, _ = probe_cell(get_cpu(key), POLICY_OFF, KERNEL_TO_USER)
+        direct, _ = probe_cell(get_cpu(key), POLICY_OFF, SCENARIOS[0])
+        assert mirrored.speculated == direct.speculated
 
 
 def test_scenario_labels_are_descriptive():
@@ -80,24 +81,39 @@ def test_scenario_labels_are_descriptive():
 
 
 def test_probe_is_deterministic_given_seed():
-    a = speculation_row(get_cpu("cascade_lake"), ibrs=True, seed=5)
-    b = speculation_row(get_cpu("cascade_lake"), ibrs=True, seed=5)
+    cpus = (get_cpu("cascade_lake"),)
+    a = leakage_report(cpus, POLICY_IBRS, seed=5)
+    b = leakage_report(cpus, POLICY_IBRS, seed=5)
     assert a == b
 
 
-def test_single_trial_probe_once_detects_on_broadwell():
-    machine = Machine(get_cpu("broadwell"))
-    probe = SpeculationProbe(machine)
-    assert probe.probe_once(SCENARIOS[0]) is True
+def test_single_trial_detects_on_broadwell():
+    verdict, _ = probe_cell(get_cpu("broadwell"), POLICY_OFF, SCENARIOS[0],
+                            trials=1)
+    assert verdict.speculated is True
+
+
+def test_probe_cell_runs_its_prelude_under_the_tracer_in_scope():
+    """The cell keeps the tracer in scope and hands the prelude the
+    machine with that tracer attached, plus the policy's retpoline bit."""
+    tracer = LeakageTracer(policy=POLICY_DEFAULT)
+    seen = []
+    with use_observers(tracer):
+        verdict, used = probe_cell(
+            get_cpu("broadwell"), POLICY_DEFAULT, SCENARIOS[0],
+            prelude=lambda machine, retpoline: seen.append(
+                (machine.hooks, retpoline)))
+    assert used is tracer and seen == [(tracer, True)]
+    assert not verdict.leaked
+    assert verdict.blocked_by == ("spectre_v2/retpoline",)
 
 
 def test_divider_counter_is_the_signal():
     """The probe sees the divide's counter delta, not timing."""
-    from repro.cpu import counters as ctr
     machine = Machine(get_cpu("broadwell"))
     probe = SpeculationProbe(machine)
     before = machine.counters.read(ctr.DIVIDER_ACTIVE)
-    probe.probe_once(SCENARIOS[0])
+    probe.probe_both_counters(SCENARIOS[0])
     assert machine.counters.read(ctr.DIVIDER_ACTIVE) > before
 
 
@@ -169,15 +185,6 @@ def _ref_victim(retpoline):
                        retpoline=retpoline)
 
 
-def _ref_probe_once(machine, scenario, retpoline):
-    _ref_prepare(machine, scenario)
-    before = machine.counters.read(ctr.DIVIDER_ACTIVE)
-    machine.execute(Instruction(Op.RDPMC))
-    machine.execute(_ref_victim(retpoline))
-    machine.execute(Instruction(Op.RDPMC))
-    return machine.counters.read(ctr.DIVIDER_ACTIVE) > before
-
-
 def _ref_probe_both_counters(machine, scenario, retpoline):
     _ref_prepare(machine, scenario)
     div_before = machine.counters.read(ctr.DIVIDER_ACTIVE)
@@ -198,15 +205,10 @@ def _probe_state(machine, tracer):
                     list(tracer.blocked.items()), tracer.total_events())
 
 
-def _has_ibrs(key):
-    predictor = get_cpu(key).predictor
-    return predictor.supports_ibrs or predictor.supports_eibrs
-
-
 #: Every (cpu, policy) cell but Table 10's N/A row (IBRS on Zen).
 PROBE_CELLS = [(key, policy) for key in CPU_ORDER
                for policy in (POLICY_OFF, POLICY_IBRS, POLICY_DEFAULT)
-               if policy != POLICY_IBRS or _has_ibrs(key)]
+               if cell_supported(get_cpu(key), policy)]
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
@@ -217,8 +219,7 @@ def test_probe_blocks_match_the_step_by_step_protocol(key, policy, traced):
         twins = []
         for _ in range(2):
             machine, retpoline = _policy_machine(cpu, policy, seed=11)
-            probe = SpeculationProbe(machine, retpoline=retpoline,
-                                     policy=policy)
+            probe = SpeculationProbe(machine, retpoline=retpoline)
             tracer = None
             if traced:
                 tracer = LeakageTracer(policy=policy)
@@ -226,15 +227,10 @@ def test_probe_blocks_match_the_step_by_step_protocol(key, policy, traced):
                 tracer.taint_code(VICTIM_TARGET)
             twins.append((probe, tracer))
         (probe, tracer), (ref, ref_tracer) = twins
-        for step in ("both", "once", "both", "once"):
-            if step == "once":
-                got = probe.probe_once(scenario)
-                want = _ref_probe_once(ref.machine, scenario, retpoline)
-            else:
-                got = probe.probe_both_counters(scenario)
-                want = _ref_probe_both_counters(ref.machine, scenario,
-                                                retpoline)
-            assert got == want, (scenario.label, step)
+        for round_ in range(2):
+            got = probe.probe_both_counters(scenario)
+            want = _ref_probe_both_counters(ref.machine, scenario, retpoline)
+            assert got == want, (scenario.label, round_)
             assert (_probe_state(probe.machine, tracer)
                     == _probe_state(ref.machine, ref_tracer)), \
-                (scenario.label, step)
+                (scenario.label, round_)

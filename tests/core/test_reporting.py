@@ -5,7 +5,7 @@ import pytest
 from repro.core import microbench as mb
 from repro.core import reporting as rep
 from repro.core.attribution import AttributionResult
-from repro.core.probe import SCENARIOS, speculation_matrix
+from repro.core.probe import POLICY_IBRS, POLICY_OFF, SCENARIOS, leakage_report
 from repro.core.stats import Measurement
 from repro.core.study import PairedOverhead
 from repro.cpu import all_cpus, get_cpu
@@ -54,14 +54,14 @@ def test_render_table5_signs_deltas():
 
 
 def test_render_speculation_matrix_marks_na_for_zen_with_ibrs():
-    matrix = speculation_matrix((get_cpu("zen"),), ibrs=True)
+    matrix = leakage_report((get_cpu("zen"),), POLICY_IBRS)["matrix"]
     out = rep.render_speculation_matrix(matrix, ibrs=True)
     assert "N/A" in out
     assert "Table 10" in out
 
 
 def test_render_speculation_matrix_checks():
-    matrix = speculation_matrix((get_cpu("broadwell"),), ibrs=False)
+    matrix = leakage_report((get_cpu("broadwell"),), POLICY_OFF)["matrix"]
     out = rep.render_speculation_matrix(matrix, ibrs=False)
     assert rep.CHECK in out
     assert "Table 9" in out

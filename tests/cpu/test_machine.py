@@ -12,7 +12,8 @@ from repro.cpu import msr as msrdef
 from repro.cpu.buffers import STORE_BUFFER
 from repro.cpu.machine import AMD_RETPOLINE, GENERIC_RETPOLINE
 from repro.cpu.smt import SMTCore
-from repro.core.probe import _VICTIM_BRACKET, VICTIM_TARGET, Scenario, SpeculationProbe
+from repro.core.probe import (BRANCH_PC, NOP_TARGET, VICTIM_TARGET, Scenario,
+                              SpeculationProbe)
 from repro.errors import SegmentationFault, UnsupportedFeatureError
 from repro.jsengine import octane
 from repro.jsengine.jit import JITCompiler
@@ -491,9 +492,10 @@ def test_fault_mid_block_leaves_tsc_and_retired_count_as_reference():
 
 @pytest.mark.parametrize("observer", ["leakage", "spans"])
 def test_mid_run_observers_read_the_tsc_of_a_per_instruction_twin(observer):
-    # The probe's victim bracket files its leakage event (and the span
-    # tracer its transient-window instant) after the first rdpmc of the
-    # run, so the event carries a TSC that run has already advanced.
+    # The victim branch bracketed by counter reads files its leakage event
+    # (and the span tracer its transient-window instant) after the first
+    # rdpmc of the run, so the event carries a TSC that run has already
+    # advanced.
     machines = []
     for _ in range(2):
         machine = Machine(get_cpu("broadwell"), seed=0)
@@ -505,7 +507,8 @@ def test_mid_run_observers_read_the_tsc_of_a_per_instruction_twin(observer):
         probe._prepare_round(Scenario(Mode.USER, Mode.USER, False))
         machines.append((machine, tracer))
     (fast, fast_tracer), (ref, ref_tracer) = machines
-    bracket = _VICTIM_BRACKET[False]
+    bracket = (isa.rdpmc(), isa.branch_indirect(NOP_TARGET, pc=BRANCH_PC),
+               isa.rdpmc())
     tsc = fast.read_tsc()
     assert fast.run(bracket) == _reference_run(ref, bracket)
     assert _machine_state(fast) == _machine_state(ref)

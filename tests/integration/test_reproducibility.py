@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import study
 from repro.core.executor import ATTRIBUTION, PAIRED, encode_result
-from repro.core.probe import speculation_matrix
+from repro.core.probe import POLICY_IBRS, leakage_report
 from repro.core.study import Settings
 from repro.cpu import Machine, get_cpu
 from repro.mitigations import MitigationConfig, linux_default
@@ -58,8 +58,8 @@ def test_figure5_export_is_stable_across_runs():
 
 def test_speculation_matrices_are_stable():
     cpus = (get_cpu("cascade_lake"), get_cpu("zen3"))
-    assert speculation_matrix(cpus, ibrs=True) == \
-        speculation_matrix(cpus, ibrs=True)
+    assert leakage_report(cpus, POLICY_IBRS) == \
+        leakage_report(cpus, POLICY_IBRS)
 
 
 def test_different_seeds_differ_only_in_noise():

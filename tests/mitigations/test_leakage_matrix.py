@@ -22,8 +22,7 @@ from repro.core.probe import (
     POLICY_IBRS,
     POLICY_OFF,
     SCENARIOS,
-    leakage_row,
-    speculation_row,
+    leakage_report,
 )
 from repro.cpu import all_cpus, get_cpu
 from repro.mitigations.base import V2Strategy
@@ -43,6 +42,13 @@ def _victim_is_kernel(scenario):
     return scenario.victim_mode.is_kernel
 
 
+def _row(cpu, policy):
+    """One CPU's probe-grid verdicts by scenario, or None for Table 10's
+    N/A row."""
+    row = leakage_report((cpu,), policy)["matrix"][cpu.key]
+    return None if row is None else {s: row[s.label] for s in SCENARIOS}
+
+
 # --------------------------------------------------------------------------- #
 # Oracle agreement on the paper's own grids
 # --------------------------------------------------------------------------- #
@@ -51,14 +57,14 @@ def _victim_is_kernel(scenario):
 @pytest.mark.parametrize("key", CPU_KEYS)
 def test_oracle_agrees_with_divider_signal(key, ibrs):
     cpu = get_cpu(key)
-    row = speculation_row(cpu, ibrs=ibrs)
+    row = _row(cpu, POLICY_IBRS if ibrs else POLICY_OFF)
     if row is None:
         assert ibrs and not (cpu.predictor.supports_ibrs
                              or cpu.predictor.supports_eibrs)
         return
     for scenario in SCENARIOS:
         verdict = row[scenario]
-        assert verdict.leaked == verdict.speculated, scenario.label
+        assert verdict["leaked"] == verdict["speculated"], scenario.label
 
 
 # --------------------------------------------------------------------------- #
@@ -68,49 +74,49 @@ def test_oracle_agrees_with_divider_signal(key, ibrs):
 @pytest.mark.parametrize("key", CPU_KEYS)
 def test_default_policy_matrix_shape(key):
     cpu = get_cpu(key)
-    row = leakage_row(cpu, policy=POLICY_DEFAULT)
+    row = _row(cpu, POLICY_DEFAULT)
     assert row is not None
     for scenario in SCENARIOS:
         verdict = row[scenario]
         if key in RETPOLINE_PARTS:
-            assert not verdict.leaked, scenario.label
-            assert "spectre_v2/retpoline" in verdict.blocked_by
+            assert not verdict["leaked"], scenario.label
+            assert "spectre_v2/retpoline" in verdict["blocked_by"]
         elif key in MODE_TAG_PARTS:
             # Mode tags only filter user-trained -> kernel-victim cells;
             # same-mode training rides straight through eIBRS.
             crosses = scenario.train_mode is not scenario.victim_mode
             if crosses:
-                assert not verdict.leaked, scenario.label
-                assert "hardware/btb_isolation" in verdict.blocked_by
+                assert not verdict["leaked"], scenario.label
+                assert "hardware/btb_isolation" in verdict["blocked_by"]
             else:
-                assert verdict.leaked, scenario.label
-                assert verdict.events > 0
+                assert verdict["leaked"], scenario.label
+                assert verdict["events"] > 0
         elif key in NO_PREDICT_PARTS:
             if _victim_is_kernel(scenario):
-                assert not verdict.leaked, scenario.label
-                assert "spectre_v2/ibrs_no_predict" in verdict.blocked_by
+                assert not verdict["leaked"], scenario.label
+                assert "spectre_v2/ibrs_no_predict" in verdict["blocked_by"]
             else:
-                assert verdict.leaked, scenario.label
+                assert verdict["leaked"], scenario.label
         else:  # pragma: no cover - a new CPU model needs a matrix entry
             pytest.fail(f"no expected matrix row for {key}")
 
 
 def test_policy_off_leaks_everywhere_vulnerable():
     cpu = get_cpu("broadwell")
-    row = leakage_row(cpu, policy=POLICY_OFF)
+    row = _row(cpu, POLICY_OFF)
     for scenario in SCENARIOS:
-        assert row[scenario].leaked, scenario.label
+        assert row[scenario]["leaked"], scenario.label
 
 
 def test_ibrs_policy_matches_table10_semantics():
-    row = leakage_row(get_cpu("zen"), policy=POLICY_IBRS)
+    row = _row(get_cpu("zen"), POLICY_IBRS)
     assert row is None  # no IBRS on Zen 1 - Table 10's N/A row
     # Legacy IBRS on Skylake closes every cell (Table 10 row: all blank).
-    row = leakage_row(get_cpu("skylake_client"), policy=POLICY_IBRS)
-    assert not any(row[s].leaked for s in SCENARIOS)
+    row = _row(get_cpu("skylake_client"), POLICY_IBRS)
+    assert not any(row[s]["leaked"] for s in SCENARIOS)
     # eIBRS on Cascade Lake only filters cross-mode training (Table 10).
-    row = leakage_row(get_cpu("cascade_lake"), policy=POLICY_IBRS)
-    leaked = tuple(row[s].leaked for s in SCENARIOS)
+    row = _row(get_cpu("cascade_lake"), POLICY_IBRS)
+    leaked = tuple(row[s]["leaked"] for s in SCENARIOS)
     assert leaked == (False, True, True, True, True)
 
 
@@ -120,13 +126,13 @@ def test_ibrs_policy_matches_table10_semantics():
 
 def _derived_v2_mitigation(cpu):
     """Which V2 mechanism the verdicts say defended this part."""
-    row = leakage_row(cpu, policy=POLICY_DEFAULT)
+    row = _row(cpu, POLICY_DEFAULT)
     blocked = set()
     for verdict in row.values():
-        blocked.update(verdict.blocked_by)
+        blocked.update(verdict["blocked_by"])
     if "spectre_v2/retpoline" in blocked:
         return "retpoline"
-    if blocked or any(not v.leaked for v in row.values()):
+    if blocked or any(not v["leaked"] for v in row.values()):
         return "eibrs"
     return "none"
 

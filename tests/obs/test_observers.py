@@ -9,7 +9,7 @@ alone or shared the machine with the others.
 
 import pytest
 
-from repro.core.probe import POLICY_OFF, SCENARIOS, SpeculationProbe
+from repro.core.probe import POLICY_OFF, SCENARIOS, probe_cell
 from repro.cpu import Machine, get_cpu
 from repro.kernel import GETPID, Kernel
 from repro.mitigations import linux_default
@@ -33,11 +33,10 @@ def _fresh():
 
 def _table9_cell():
     """One Table 9 probe cell: user->user across a syscall, IBRS off."""
-    machine = Machine(get_cpu(CPU), seed=0)
-    machine.msr.set_ibrs(False)
-    probe = SpeculationProbe(machine, policy=POLICY_OFF)
-    verdict = probe.probe_verdict(SCENARIOS[1])
-    return machine, (verdict.speculated, verdict.leaked)
+    machines = []
+    verdict, _ = probe_cell(get_cpu(CPU), POLICY_OFF, SCENARIOS[1],
+                            prelude=lambda machine, _: machines.append(machine))
+    return machines[0], (verdict.speculated, verdict.leaked)
 
 
 def _lebench_cell():

@@ -136,6 +136,38 @@ def test_export_table10_has_a_null_zen_row(capsys):
     assert payload["leakage"]["matrix"] == {"zen": None}  # no IBRS on Zen
 
 
+def _table_cells(text):
+    """CPU key -> the stripped cells of a rendered table's data rows."""
+    lines = text.splitlines()
+    spans, start = [], 0
+    for dashes in lines[2].split("  "):
+        spans.append((start, start + len(dashes)))
+        start += len(dashes) + 2
+    return {line[:spans[0][1]].strip(): [line[a:b].strip()
+                                         for a, b in spans[1:]]
+            for line in lines[3:]}
+
+
+@pytest.mark.parametrize("table,policy", [("9", "off"), ("10", "ibrs")])
+def test_tables_export_and_leakage_matrix_read_one_grid(capsys, table,
+                                                        policy):
+    """Tables 9/10, ``export table9|table10`` and ``leakage matrix`` show
+    one probe grid: the export's leakage block is the matrix's JSON, and
+    each table mark is its cell's ``speculated`` bit."""
+    import json
+    from repro.core.probe import SCENARIOS
+    cpus = ("--cpus", "zen3", "cascade_lake")
+    exported = json.loads(run_cli(capsys, "export", f"table{table}", *cpus))
+    matrix = json.loads(run_cli(capsys, "leakage", "matrix", "--json",
+                                "--policy", policy, *cpus))
+    assert exported["leakage"] == matrix
+    rows = _table_cells(run_cli(capsys, "table", table))
+    for cpu, cells in matrix["matrix"].items():
+        assert rows[cpu] == ["x" if cells[s.label]["speculated"] else ""
+                             for s in SCENARIOS], cpu
+    assert any(any(row) for row in rows.values())
+
+
 def test_export_figure5_is_valid_json(capsys, tmp_path):
     import json
     out = run_cli(capsys, "export", "figure5", "--fast", "--cpus", "zen",
@@ -249,6 +281,23 @@ def test_profile_figure_writes_trace_artifacts(capsys, tmp_path):
     assert "kernel.syscall" in spans and spans["kernel.entry"] > 0
     assert sum(spans.values()) == trace["otherData"]["attributed_cycles"]
     assert {"engine", "replicas"} <= set(metrics["telemetry"])
+
+
+def test_profile_telemetry_counts_only_its_own_run(capsys, tmp_path):
+    """Two profiles in one process report the same engine and replica
+    counts: each counts its own run, not the process-wide totals."""
+    import json
+    runs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        out = run_cli(capsys, "profile", "figure", "5", "--fast",
+                      "--cpus", "zen", "--metrics-out", str(path))
+        telemetry = json.loads(path.read_text())["telemetry"]
+        lines = [line for line in out.splitlines()
+                 if line.startswith(("engine:", "replicas:"))]
+        runs.append((telemetry["engine"], telemetry["replicas"], lines))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["batches"] > 0 and len(runs[0][2]) == 2
 
 
 def test_profile_table(capsys, tmp_path):
