@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..mitigations.base import Knob, MitigationConfig
@@ -87,31 +88,30 @@ class AttributionResult:
         return out
 
 
-def _measure_config(
-    run_fn: RunFn,
-    config: MitigationConfig,
+def measure_arm(
+    run_fn: Callable[[int], float],
+    machine_seed: int,
+    noise_seed: int,
     sigma: float,
-    seed: int,
     rel_tol: float,
     max_samples: int,
-    machine_seed: int,
     replicas: int,
 ) -> Measurement:
     """Measure one configuration with the section-4.1 methodology.
 
-    The simulator is deterministic per machine seed, so each replica's
-    value is computed once (:mod:`repro.cpu.replicas` runs one
+    ``run_fn(machine_seed)`` runs the configuration's simulation.  The
+    simulator is deterministic per machine seed, so each of ``replicas``
+    seeded replicas is computed once (:mod:`repro.cpu.replicas` runs one
     simulation per distinct scrub schedule).  The run-to-run variability
-    of real hardware is layered on by a seeded :class:`NoisySampler`
-    cycling over those values, and :func:`adaptive_measure` converges
-    the mean back out of the noise.
+    of real hardware is layered on by a :class:`NoisySampler` seeded with
+    ``noise_seed`` cycling over those values, and :func:`adaptive_measure`
+    converges the mean back out of the noise.  Every configuration a
+    study measures goes through here: each step of the knob chain below
+    and both arms of a paired study cell.
     """
     from ..cpu import replicas as replicabatch
-    values = replicabatch.run_replicas(
-        lambda machine_seed: run_fn(config, machine_seed),
-        seed=machine_seed, n=replicas)
-    sampler = NoisySampler(itertools.cycle(values).__next__, sigma=sigma,
-                           seed=seed)
+    values = replicabatch.run_replicas(run_fn, seed=machine_seed, n=replicas)
+    sampler = NoisySampler(itertools.cycle(values).__next__, sigma, noise_seed)
     return adaptive_measure(sampler, rel_tol=rel_tol, max_samples=max_samples)
 
 
@@ -148,13 +148,13 @@ def attribute_overhead(
     # real machines don't share their jitter (see stats.derive_seed).
     machine_seed = seed
     seed = derive_seed(seed, cpu, workload)
+    effort = (sigma, rel_tol, max_samples, replicas)
 
-    baseline = _measure_config(run_fn, MitigationConfig.all_off(), sigma,
-                               seed ^ 0x5A5A, rel_tol, max_samples,
-                               machine_seed, replicas)
+    baseline = measure_arm(partial(run_fn, MitigationConfig.all_off()),
+                           machine_seed, seed ^ 0x5A5A, *effort)
     current_config = default_config
-    current = _measure_config(run_fn, current_config, sigma, seed, rel_tol,
-                              max_samples, machine_seed, replicas)
+    current = measure_arm(partial(run_fn, current_config), machine_seed, seed,
+                          *effort)
     result = AttributionResult(
         cpu=cpu, workload=workload, metric=metric,
         baseline=baseline, default=current,
@@ -164,8 +164,8 @@ def attribute_overhead(
         next_config = knob.disable(current_config)
         if next_config == current_config:
             continue  # mitigation not in use on this part
-        nxt = _measure_config(run_fn, next_config, sigma, seed + index,
-                              rel_tol, max_samples, machine_seed, replicas)
+        nxt = measure_arm(partial(run_fn, next_config), machine_seed,
+                          seed + index, *effort)
         if metric == SCORE:
             percent = 100.0 * (nxt.mean - current.mean) / baseline.mean
         else:

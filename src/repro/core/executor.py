@@ -31,11 +31,13 @@ determinism guarantees.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -47,8 +49,8 @@ from ..obs.progress import ProgressLine
 from ..obs import ledger as obs_ledger
 from ..obs import observers as obs_observers
 from ..obs.provenance import code_fingerprint
-from .attribution import AttributionResult, Contribution
-from .stats import Measurement, derive_seed
+from .attribution import AttributionResult
+from .stats import derive_seed
 
 #: Result kinds a driver can produce (see ``study.DRIVERS``).
 ATTRIBUTION = "attribution"
@@ -103,102 +105,56 @@ class CellSpec:
                            self.workload)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "driver": self.driver,
-            "cpu": self.cpu,
-            "workload": self.workload,
-            "settings": dataclasses.asdict(self.settings),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CellSpec":
         from .study import Settings
-        return cls(
-            driver=data["driver"],
-            cpu=data["cpu"],
-            workload=data["workload"],
-            settings=Settings(**data["settings"]),
-        )
+        return cls(**dict(data, settings=Settings(**data["settings"])))
 
 
 # --------------------------------------------------------------------------- #
 # Result codecs (JSON round-trips are bit-exact for floats)
 # --------------------------------------------------------------------------- #
 
-def _measurement_to_dict(m: Measurement) -> Dict[str, Any]:
-    return {"mean": m.mean, "ci_half_width": m.ci_half_width,
-            "samples": m.samples}
-
-
-def _measurement_from_dict(data: Dict[str, Any]) -> Measurement:
-    return Measurement(mean=data["mean"],
-                       ci_half_width=data["ci_half_width"],
-                       samples=data["samples"])
+def _result_type(kind: str) -> type:
+    """The result dataclass a driver of ``kind`` returns."""
+    if kind == ATTRIBUTION:
+        return AttributionResult
+    if kind == PAIRED:
+        from .study import PairedOverhead
+        return PairedOverhead
+    raise ValueError(f"unknown result kind {kind!r}")
 
 
 def encode_result(kind: str, result: Any) -> Dict[str, Any]:
     """A driver result as plain JSON types, losslessly."""
-    if kind == ATTRIBUTION:
-        return {
-            "cpu": result.cpu,
-            "workload": result.workload,
-            "metric": result.metric,
-            "baseline": _measurement_to_dict(result.baseline),
-            "default": _measurement_to_dict(result.default),
-            "other_percent": result.other_percent,
-            "contributions": [
-                {
-                    "knob": c.knob,
-                    "boot_param": c.boot_param,
-                    "percent": c.percent,
-                    "with_knob": _measurement_to_dict(c.with_knob),
-                    "without_knob": _measurement_to_dict(c.without_knob),
-                }
-                for c in result.contributions
-            ],
-        }
-    if kind == PAIRED:
-        return {
-            "cpu": result.cpu,
-            "workload": result.workload,
-            "baseline": _measurement_to_dict(result.baseline),
-            "treated": _measurement_to_dict(result.treated),
-            "overhead_percent": result.overhead_percent,
-        }
-    raise ValueError(f"unknown result kind {kind!r}")
+    _result_type(kind)  # an unknown kind raises
+    return dataclasses.asdict(result)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """(name, resolved annotation) of each field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _rebuild(hint: Any, value: Any) -> Any:
+    """Rebuild a value of type ``hint`` from its :func:`dataclasses.asdict`
+    form, nested dataclasses and lists of them included."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return [_rebuild(item, entry) for entry in value]
+    if not dataclasses.is_dataclass(hint):
+        return value
+    return hint(**{name: _rebuild(field_type, value[name])
+                   for name, field_type in _field_types(hint)})
 
 
 def decode_result(kind: str, data: Dict[str, Any]) -> Any:
     """Inverse of :func:`encode_result`."""
-    if kind == ATTRIBUTION:
-        return AttributionResult(
-            cpu=data["cpu"],
-            workload=data["workload"],
-            metric=data["metric"],
-            baseline=_measurement_from_dict(data["baseline"]),
-            default=_measurement_from_dict(data["default"]),
-            other_percent=data["other_percent"],
-            contributions=[
-                Contribution(
-                    knob=c["knob"],
-                    boot_param=c["boot_param"],
-                    percent=c["percent"],
-                    with_knob=_measurement_from_dict(c["with_knob"]),
-                    without_knob=_measurement_from_dict(c["without_knob"]),
-                )
-                for c in data["contributions"]
-            ],
-        )
-    if kind == PAIRED:
-        from .study import PairedOverhead
-        return PairedOverhead(
-            cpu=data["cpu"],
-            workload=data["workload"],
-            baseline=_measurement_from_dict(data["baseline"]),
-            treated=_measurement_from_dict(data["treated"]),
-            overhead_percent=data["overhead_percent"],
-        )
-    raise ValueError(f"unknown result kind {kind!r}")
+    return _rebuild(_result_type(kind), data)
 
 
 # --------------------------------------------------------------------------- #

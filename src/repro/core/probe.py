@@ -46,7 +46,10 @@ from ..cpu import isa
 from ..cpu.machine import AMD_RETPOLINE, Machine
 from ..cpu.model import CPUModel
 from ..cpu.modes import Mode
+from ..mitigations.base import MitigationConfig, V2Strategy
+from ..mitigations.policy import default_v2_strategy
 from ..obs import leakage as obs_leakage
+from ..obs.observers import current_observers, use_observers
 
 #: Probe code layout: the shared branch site and the two landing pads.
 BRANCH_PC = 0x60_0000
@@ -236,25 +239,33 @@ class SpeculationProbe:
 # Probe cells and the leakage grid: the probe under mitigation policies
 # --------------------------------------------------------------------------- #
 
+#: The Spectre V2 strategies that set SPEC_CTRL.IBRS.
+IBRS_STRATEGIES = (V2Strategy.IBRS, V2Strategy.EIBRS)
+
+
+def policy_v2_strategy(cpu: CPUModel, policy: str) -> V2Strategy:
+    """The Spectre V2 strategy ``policy`` puts in force on ``cpu``: under
+    ``default`` the stock kernel's, ``NONE`` (no retpoline, no IBRS) on a
+    part Linux leaves unmitigated.  The probe machine and the fuzzer's
+    leakage promise both read it."""
+    if policy == POLICY_OFF:
+        return V2Strategy.NONE
+    if policy == POLICY_IBRS:
+        return V2Strategy.IBRS
+    if policy == POLICY_DEFAULT:
+        return default_v2_strategy(cpu)
+    raise ValueError(f"unknown leakage policy {policy!r}")
+
+
 def _policy_machine(cpu: CPUModel, policy: str, seed: int) -> Tuple[Machine, bool]:
     """A machine configured for ``policy``; returns (machine, retpoline)."""
+    strategy = policy_v2_strategy(cpu, policy)
     machine = Machine(cpu, seed=seed)
-    if policy == POLICY_OFF:
-        return machine, False
-    if policy == POLICY_IBRS:
+    if strategy in IBRS_STRATEGIES:
         machine.msr.set_ibrs(True)
-        return machine, False
-    if policy == POLICY_DEFAULT:
-        from ..mitigations.base import V2Strategy
-        from ..mitigations.policy import default_v2_strategy
-        strategy = default_v2_strategy(cpu)
-        if strategy is V2Strategy.EIBRS:
-            machine.msr.set_ibrs(True)
-            return machine, False
-        if strategy is V2Strategy.RETPOLINE_AMD:
-            machine.retpoline_variant = AMD_RETPOLINE
-        return machine, True
-    raise ValueError(f"unknown leakage policy {policy!r}")
+    if strategy is V2Strategy.RETPOLINE_AMD:
+        machine.retpoline_variant = AMD_RETPOLINE
+    return machine, MitigationConfig(v2_strategy=strategy).uses_retpolines
 
 
 def cell_supported(cpu: CPUModel, policy: str) -> bool:
@@ -304,7 +315,9 @@ def leakage_report(
     support the policy), the first ``max_events`` raw events, and the
     merged tracer ``state`` and ``summary`` (the shape shipped in bench
     payloads, stored in the history DB and rendered by the dashboard
-    panel).  Tables 9 and 10 are its ``off`` and ``ibrs`` grids.
+    panel).  Tables 9 and 10 are its ``off`` and ``ibrs`` grids.  Each
+    cell runs under its own tracer; a leakage tracer in the caller's
+    scope receives the grid's aggregate ``state`` once, at the end.
     """
     aggregate = obs_leakage.LeakageTracer(policy=policy)
     matrix: Dict[str, Any] = {}
@@ -315,12 +328,17 @@ def leakage_report(
             continue
         cells: Dict[str, Any] = {}
         for scenario in SCENARIOS:
-            verdict, tracer = probe_cell(cpu, policy, scenario, trials, seed)
+            with use_observers(obs_leakage.LeakageTracer(policy=policy)):
+                verdict, tracer = probe_cell(cpu, policy, scenario, trials,
+                                             seed)
             cells[scenario.label] = verdict.to_dict()
             aggregate.merge_state(tracer.state())
             events.extend(event.to_dict() for event
                           in tracer.events[:max_events - len(events)])
         matrix[cpu.key] = cells
+    for observer in current_observers():
+        if isinstance(observer, obs_leakage.LeakageTracer):
+            observer.merge_state(aggregate.state())
     return {
         "policy": policy,
         "matrix": matrix,

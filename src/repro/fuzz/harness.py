@@ -37,13 +37,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.probe import (
+    IBRS_STRATEGIES,
     POLICIES,
-    POLICY_DEFAULT,
-    POLICY_IBRS,
     SCENARIOS,
     Scenario,
     _policy_machine,
     cell_supported,
+    policy_v2_strategy,
     probe_cell,
 )
 from ..core.stats import derive_seed
@@ -219,9 +219,7 @@ def blocked_promise(cpu: CPUModel, policy: str, scenario: Scenario,
     promises: List[str] = []
     if retpoline:
         promises.append("spectre_v2/retpoline")
-    ibrs_on = policy == POLICY_IBRS or (policy == POLICY_DEFAULT
-                                        and not retpoline)
-    if ibrs_on:
+    if policy_v2_strategy(cpu, policy) in IBRS_STRATEGIES:
         if pred.ibrs_blocks_all_prediction and not pred.supports_eibrs:
             promises.append("spectre_v2/ibrs_no_predict")
         if (pred.supports_eibrs and pred.eibrs_blocks_kernel_prediction

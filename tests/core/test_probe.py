@@ -108,6 +108,19 @@ def test_probe_cell_runs_its_prelude_under_the_tracer_in_scope():
     assert verdict.blocked_by == ("spectre_v2/retpoline",)
 
 
+def test_leakage_report_runs_each_cell_under_its_own_tracer():
+    """A leakage tracer in the caller's scope gets the grid's aggregate
+    once; the report equals an unscoped one (no cell merges another's
+    running totals)."""
+    broadwell = get_cpu("broadwell")
+    plain = leakage_report([broadwell], POLICY_OFF)
+    tracer = LeakageTracer(policy=POLICY_OFF)
+    with use_observers(tracer):
+        scoped = leakage_report([broadwell], POLICY_OFF)
+    assert scoped == plain
+    assert tracer.state() == scoped["state"]
+
+
 def test_divider_counter_is_the_signal():
     """The probe sees the divide's counter delta, not timing."""
     machine = Machine(get_cpu("broadwell"))

@@ -122,3 +122,55 @@ def test_a_fixed_workload_driver_takes_no_workloads(settings):
     with pytest.raises(ValueError, match="takes no workloads"):
         study.sweep("figure2", [get_cpu("zen")], settings,
                     workloads=[SWAPTIONS])
+
+
+def test_a_what_if_cpu_model_is_refused_before_any_cell_runs(settings):
+    """Cells address a CPU by key and resolve it again, so a modified
+    model would silently be measured as the catalog part."""
+    import dataclasses
+    from repro.core.executor import StudyExecutor
+    from repro.errors import UnknownCPUError
+    from repro.workloads.parsec import SWAPTIONS
+    what_if = dataclasses.replace(get_cpu("zen3"), ssbd_load_penalty=18)
+    executor = StudyExecutor()
+    with pytest.raises(ValueError, match="'zen3' is not the catalog"):
+        study.figure5([what_if], workloads=[SWAPTIONS], settings=settings,
+                      executor=executor)
+    with pytest.raises(ValueError, match="'zen3' is not the catalog"):
+        study.vm_lebench_overheads([get_cpu("zen"), what_if], settings,
+                                   executor=executor)
+    assert executor.stats.total == 0
+    with pytest.raises(UnknownCPUError):
+        study.vm_lebench_overheads(
+            [dataclasses.replace(what_if, key="zen9")], settings)
+    (result,) = study.figure5([get_cpu("zen3")], workloads=[SWAPTIONS],
+                              settings=settings)
+    assert result.cpu == "zen3" and result.overhead_percent > 25
+    (result,) = study.vm_lebench_overheads([get_cpu("zen3")], settings)
+    assert result.cpu == "zen3"
+
+
+#: Each driver's cell span: its name prefix and ``workload`` attribute.
+CELL_SPANS = {
+    "figure2": ("study.figure2", "lebench"),
+    "figure3": ("study.figure3", "octane2"),
+    "figure5": ("study.figure5", "parsec"),
+    "parsec_default": ("study.parsec", "parsec"),
+    "vm_lebench": ("study.vm_lebench", "vm_lebench"),
+    "lfs": ("study.lfs", "lfs"),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(study.DRIVERS))
+def test_each_driver_cell_opens_its_span(driver, settings):
+    from repro import obs
+    prefix, workload = CELL_SPANS[driver]
+    suite = study.DRIVERS[driver].workloads
+    tracer = obs.SpanTracer()
+    with obs.use_observers(tracer):
+        study.sweep(driver, [get_cpu("zen2")], settings,
+                    workloads=None if isinstance(suite, str) else suite[:1])
+    cells = [(span.name, span.attrs) for span in tracer.spans
+             if span.name.startswith("study.")]
+    assert cells == [(f"{prefix}.zen2",
+                      {"cpu": "zen2", "workload": workload})]

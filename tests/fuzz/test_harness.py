@@ -1,5 +1,7 @@
 """Differential harness: oracles, promises, campaign determinism."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.probe import (
@@ -7,6 +9,8 @@ from repro.core.probe import (
     POLICY_IBRS,
     POLICY_OFF,
     SCENARIOS,
+    _policy_machine,
+    leakage_report,
 )
 from repro.cpu import get_cpu
 from repro.fuzz import (
@@ -146,6 +150,24 @@ class TestBlockedPromise:
                 promises = blocked_promise(get_cpu("zen3"), policy,
                                            scenario, retpoline=False)
                 assert "hardware/btb_isolation" in promises
+
+    def test_default_on_a_v2_unmitigated_part_reads_as_off(self):
+        """Linux leaves such a part without retpolines or IBRS, so the
+        probe grid and the promise under ``default`` equal ``off``'s."""
+        stock = get_cpu("skylake_client")
+        part = dataclasses.replace(
+            stock, key="skylake_no_v2",
+            vulns=dataclasses.replace(stock.vulns, spectre_v2=False))
+        default, off = (leakage_report([part], policy)["matrix"][part.key]
+                        for policy in (POLICY_DEFAULT, POLICY_OFF))
+        assert default == off
+        assert all(cell["speculated"] for cell in default.values())
+        for scenario in SCENARIOS:
+            default, off = (
+                blocked_promise(part, policy, scenario,
+                                _policy_machine(part, policy, 0)[1])
+                for policy in (POLICY_DEFAULT, POLICY_OFF))
+            assert default == off
 
     def test_eibrs_mode_tags_block_cross_mode_only(self):
         cpu = get_cpu("cascade_lake")
