@@ -86,6 +86,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_number(text: str) -> float:
+    """argparse type for ``sweep --threshold``: finite and positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _cpu_key(text: str) -> str:
     """argparse type shared by every ``--cpus`` and ``--cpu`` option: an
     unknown key is a usage error naming it and the known CPUs."""
@@ -378,14 +390,14 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     cpu = get_cpu(args.cpu)
     if args.kind == "opsize":
         result = sweeps.overhead_vs_operation_size(cpu, linux_default(cpu))
-        threshold = args.threshold
+        threshold = 5.0 if args.threshold is None else args.threshold
         crossing = result.first_below(threshold)
         lines = [f"Mitigation overhead vs kernel-work size on {cpu.key}:"]
         for x, y in zip(result.xs, result.ys):
             lines.append(f"  {int(x):>8d} cycles/op -> {y:7.1f}% overhead")
-        if crossing is not None:
-            lines.append(f"  overhead drops below {threshold:.0f}% at "
-                         f"~{crossing:.0f}-cycle operations")
+        lines.append(f"  overhead never drops below {threshold:g}% over the swept sizes"
+                     if crossing is None else
+                     f"  overhead drops below {threshold:g}% at ~{crossing:.0f}-cycle operations")
         return "\n".join(lines) + "\n"
     if args.kind == "ssbd":
         result = sweeps.ssbd_overhead_vs_forwarding_density(cpu)
@@ -962,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="overhead curves and crossovers")
     p.add_argument("kind", choices=["opsize", "ssbd"])
     p.add_argument("--cpu", type=_cpu_key, default="broadwell")
-    p.add_argument("--threshold", type=float, default=5.0)
+    p.add_argument("--threshold", type=_positive_number)  # opsize; default 5
 
     p = sub.add_parser("export",
                        help="emit one experiment as a bench payload (JSON)")
@@ -1170,6 +1182,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace and args.command == "profile":
         parser.error("--trace does not apply to profile; "
                      "use profile --trace-out PATH")
+    if args.command == "sweep" and args.kind == "ssbd" and args.threshold is not None:
+        parser.error("--threshold applies to sweep opsize only")
     if getattr(args, "no_cache", False):
         args.cache_dir = None  # no cache directory to check or use
     # Bad input is one ``<command>: ...`` line and exit 1: output paths

@@ -79,9 +79,9 @@ class Machine:
                  engine: Optional[str] = None) -> None:
         self.cpu = cpu
         self.costs = costs = cpu.costs
-        # Load latency indexed by the level CacheHierarchy.access returns
-        # (0 = memory, 1 = L1, 2 = L2); cost tables are frozen.
-        self._load_cycles = (costs.load_mem, costs.load_l1, costs.load_l2)
+        # run()'s load/store costs; load latency by level (0 mem, 1 L1, 2 L2).
+        self._memory_costs = (costs.store, costs.store_forward, costs.tlb_miss,
+                              (costs.load_mem, costs.load_l1, costs.load_l2))
         self.mode = Mode.USER
         self.microcode_patched = microcode_patched
 
@@ -238,27 +238,29 @@ class Machine:
         The one dispatch loop: each instruction executes, its cycles
         advance the TSC (filed under the instruction's ledger tag when a
         ledger is attached) and ``inst_retired.any`` counts it, so a fault
-        mid-stream leaves the TSC and the retired count where the last
-        completed instruction left them.
+        mid-stream leaves the TSC, the retired count and the ledger where
+        the last completed instruction left them.
 
-        Handlers never read the TSC or the counters, so a run adds its
-        cycles and retired count once, when it ends or faults; it adds
-        them per instruction under a ledger, a leakage tracer or an
-        enabled span tracer (their charges, events and instants read the
-        TSC), and on a counter file without ``inst_retired.any`` yet (to
-        keep the key order per-instruction counting gives).
+        Handlers never read the TSC, the counters or the ledger, so a run
+        adds its cycles and retired count, and files a ledger's tally
+        (split and tagged per instruction), once, when it ends or faults.
+        It adds them per instruction under a leakage tracer or an enabled
+        span tracer (their events and instants read the TSC), and on a
+        counter file without ``inst_retired.any`` yet (to keep the key
+        order per-instruction counting gives).
 
         Loads and stores execute here.  The first one after any other op
         binds the TLB, cache, store-buffer and MDS state they use, with
-        the mode and the store buffer's and MDS buffers' ``observer``
-        slots (SMT siblings share the MDS buffers); the first forwarded
-        load reads the SSBD bit.  Only other ops change that state, so
-        every other op drops the binding.  Within a run, a repeat of the
-        last page or L1 line is a hit with no lookup: it is already the
-        most recent entry.  Only other ops and observers read the MDS
-        residue, so a memory run leaves its latest load's and store's
-        when it ends (before the next other op, or at the run's end or
-        fault), and per op while the buffers have an observer.
+        the mode, the memory costs and the store buffer's and MDS buffers'
+        ``observer`` slots (SMT siblings share the MDS buffers); the first
+        forwarded load reads the SSBD bit.  Only other ops change that
+        state, so every other op drops the binding.  Within a run, a
+        repeat of the last L1 line (so of its page) skips both lookups,
+        and a load of the latest store's line forwards with no store-buffer
+        lookup: each is already the most recent entry.  The MDS residue is
+        read only by other ops and observers, so a memory run leaves its
+        latest load's and store's when it ends, and per op while the
+        buffers have an observer.
 
         With ``--engine=block`` (and no leakage tracer attached),
         concrete multi-instruction sequences route through the
@@ -273,8 +275,12 @@ class Machine:
         counters = self.counters
         events = counters.events
         ledger = self.ledger
-        per_instruction = (ledger is not None or self.hooks is not None
-                           or self.obs.enabled or _RETIRED not in events)
+        if ledger is not None:
+            splits = ledger._splits
+            tags: dict = {}
+        per_instruction = (self.hooks is not None or self.obs.enabled
+                           or _RETIRED not in events)
+        filing = per_instruction or ledger is not None
         total = retired = 0
         bound = False
         try:
@@ -288,49 +294,59 @@ class Machine:
                 if handler is not _MEMORY:
                     if bound:
                         bound = False
-                        if load_value is not None:
-                            residue[FILL_BUFFER] = residue[LOAD_PORT] = (load_value, mode)
-                        if store_value is not None:
-                            residue[STORE_BUFFER] = (store_value, mode)
+                        if last_load is not None:
+                            residue[FILL_BUFFER] = residue[LOAD_PORT] = (
+                                last_load.value or last_load.address, mode)
+                        if last_store is not None:
+                            residue[STORE_BUFFER] = (
+                                last_store.value or last_store.address, mode)
                     cycles = handler(self, instr)
                 else:
                     if not bound:
                         bound = True
-                        # The memory run's latest load and store values
-                        # are its MDS residue, left when the run ends.
-                        last_page = last_line = ssbd = load_value = store_value = None
-                        mode, costs = self.mode, self.costs
-                        tlb, caches, sb = self.tlb, self.caches, self.store_buffer
+                        # The memory run's latest load and store are its
+                        # MDS residue, left when the run ends.  -1 is no
+                        # page or line (addresses are non-negative).
+                        last_page = last_line = store_line = -1
+                        ssbd = last_load = last_store = None
+                        full = False
+                        mode = self.mode
+                        store_cost, forward_cost, tlb_miss, load_cycles = self._memory_costs
+                        tlb = self.tlb
                         tlb_entries, global_pages = tlb._entries, tlb._global_pages
+                        tlb_capacity = tlb.capacity
                         pcid = tlb.current_pcid if tlb.supports_pcid else 0
-                        l1 = caches.l1
+                        l1 = self.caches.l1
                         l1_sets, num_sets, ways = l1._sets, l1.num_sets, l1.ways
                         line_bytes = l1.line_bytes
-                        pending, depth = sb._pending, sb.depth
+                        sb = self.store_buffer
+                        pending, depth, sb_observer = sb._pending, sb.depth, sb.observer
                         residue = self.mds_buffers._residue
-                        sb_observer = sb.observer
                         buffers_observer = self.mds_buffers.observer
+                    # A user-mode load of kernel memory faults before any
+                    # state changes (transient ones go through _transient_load).
                     address = instr.address
-                    is_load = instr.op is _LOAD
-                    if is_load and instr.kernel_address and not mode.is_kernel:
-                        # Architectural access to kernel memory from user mode
-                        # faults (transient ones go through _transient_load).
+                    if instr.kernel_address and instr.op is _LOAD and not mode.is_kernel:
                         raise SegmentationFault(address, str(mode))
+                    line = address // line_bytes
                     cycles = 0
-                    page = address >> 12
-                    if page != last_page and page not in global_pages:
-                        key = (pcid, page)
-                        if key in tlb_entries:
-                            tlb_entries.move_to_end(key)
-                        else:
-                            tlb_entries[key] = True
-                            if len(tlb_entries) > tlb.capacity:
-                                tlb_entries.popitem(last=False)
-                            events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
-                            cycles = costs.tlb_miss
-                    last_page = page
-                    if is_load:
-                        forwarded = (address >> 6) in pending
+                    if line != last_line:
+                        page = address >> 12
+                        if page != last_page:
+                            last_page = page
+                            if page not in global_pages:
+                                key = (pcid, page)
+                                if key in tlb_entries:
+                                    tlb_entries.move_to_end(key)
+                                else:
+                                    tlb_entries[key] = True
+                                    if len(tlb_entries) > tlb_capacity:
+                                        tlb_entries.popitem(False)
+                                    events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
+                                    cycles = tlb_miss
+                    if instr.op is _LOAD:
+                        sb_line = address >> 6
+                        forwarded = sb_line == store_line or sb_line in pending
                         if forwarded:
                             if ssbd is None:
                                 ssbd = self.msr.ssbd_enabled
@@ -342,73 +358,91 @@ class Machine:
                                     self.hooks.on_stlf_blocked(address)
                             else:
                                 events[_STLF_HITS] = events.get(_STLF_HITS, 0) + 1
-                    # L1, then L2 on a miss; stores write-allocate, and a
-                    # forwarded load's line still warms.
-                    line = address // line_bytes
-                    level = 1
-                    if line != last_line:
-                        lines = l1_sets[line % num_sets]
-                        if line in lines:
-                            lines.move_to_end(line)
-                        else:
-                            lines[line] = True
-                            if len(lines) > ways:
-                                lines.popitem(last=False)
-                            level = 2 if caches.l2.access(address) else 0
-                    last_line = line
-                    if is_load:
+                        # L1, then L2 on a miss; a forwarded load's line
+                        # still warms.
+                        level = 1
+                        if line != last_line:
+                            lines = l1_sets[line % num_sets]
+                            if line in lines:
+                                lines.move_to_end(line)
+                            else:
+                                lines[line] = True
+                                if len(lines) > ways:
+                                    lines.popitem(False)
+                                level = 2 if self.caches.l2.access(address) else 0
+                            last_line = line
                         if forwarded and not ssbd:
-                            cycles += costs.store_forward
+                            cycles += forward_cost
                         else:
                             if level != 1:
                                 events[_L1_MISSES] = events.get(_L1_MISSES, 0) + 1
-                            cycles += self._load_cycles[level]
+                            cycles += load_cycles[level]
                             if forwarded:
                                 penalty = self.cpu.ssbd_load_penalty
                                 cycles += penalty
                                 if ledger is not None:
                                     ledger.add_split(penalty, "ssbd", "stlf_block")
-                        value = instr.value or address
                         if buffers_observer is None:
-                            load_value = value
+                            last_load = instr
                         else:
+                            value = instr.value or address
                             residue[FILL_BUFFER] = residue[LOAD_PORT] = (value, mode)
                             buffers_observer.residue_load(value, mode)
                     else:
-                        cycles += costs.store
+                        cycles += store_cost
+                        if line != last_line:  # stores write-allocate
+                            lines = l1_sets[line % num_sets]
+                            if line in lines:
+                                lines.move_to_end(line)
+                            else:
+                                lines[line] = True
+                                if len(lines) > ways:
+                                    lines.popitem(False)
+                                self.caches.l2.access(address)
+                            last_line = line
                         value = instr.value
                         sb_line = address >> 6
+                        store_line = sb_line
                         if sb_line in pending:
                             pending.move_to_end(sb_line)
-                        pending[sb_line] = value
-                        if len(pending) > depth:
-                            pending.popitem(last=False)
+                            pending[sb_line] = value
+                        else:  # a full buffer stays full: each new line evicts
+                            pending[sb_line] = value
+                            if full or len(pending) > depth:
+                                full = True
+                                pending.popitem(False)
+                                if not depth:  # the push evicted its own line
+                                    store_line = -1
                         if sb_observer is not None:
                             sb_observer.sb_push(address, value)
-                        value = value or address
                         if buffers_observer is None:
-                            store_value = value
+                            last_store = instr
                         else:
+                            value = value or address
                             residue[STORE_BUFFER] = (value, mode)
                             buffers_observer.residue_store(value, mode)
                 total += cycles
                 retired += 1
-                if per_instruction:
-                    if ledger is None:
-                        # add_cycles() without an attached ledger is exactly this.
+                if filing:
+                    if ledger is not None:
+                        if splits:
+                            ledger.tally(tags, cycles, instr.attr_tag)
+                        elif cycles > 0:
+                            tag = instr.attr_tag
+                            tags[tag] = tags.get(tag, 0) + cycles
+                    if per_instruction:
                         counters.tsc += cycles
-                    else:
-                        mitigation, primitive = instr.attr_tag
-                        ledger.set_tag(mitigation, primitive)
-                        counters.add_cycles(cycles)
-                        ledger.clear_tag()
-                    events[_RETIRED] = events.get(_RETIRED, 0) + 1
+                        events[_RETIRED] = events.get(_RETIRED, 0) + 1
         finally:
             if bound:
-                if load_value is not None:
-                    residue[FILL_BUFFER] = residue[LOAD_PORT] = (load_value, mode)
-                if store_value is not None:
-                    residue[STORE_BUFFER] = (store_value, mode)
+                if last_load is not None:
+                    residue[FILL_BUFFER] = residue[LOAD_PORT] = (
+                        last_load.value or last_load.address, mode)
+                if last_store is not None:
+                    residue[STORE_BUFFER] = (
+                        last_store.value or last_store.address, mode)
+            if ledger is not None:
+                ledger.file(tags)
             if not per_instruction:
                 counters.tsc += total
                 events[_RETIRED] += retired
@@ -455,10 +489,9 @@ class Machine:
         self.caches.flush_line(instr.address)
         return self.costs.clflush
 
-    def _op_indirect(self, instr: Instruction) -> int:
+    def _op_indirect(self, instr: Instruction) -> int:  # CALL_INDIRECT
         cycles = self._execute_indirect(instr)
-        if instr.op is Op.CALL_INDIRECT:
-            self.rsb.push(instr.pc)
+        self.rsb.push(instr.pc)
         return cycles
 
     def _op_call(self, instr: Instruction) -> int:
@@ -595,7 +628,8 @@ class Machine:
 
     def _execute_indirect(self, instr: Instruction) -> int:
         costs = self.costs
-        self.bhb.push(instr.pc)
+        pc = instr.pc
+        self.bhb.push(pc)
 
         if instr.retpoline:
             # Retpolines never consult or train the BTB; they simply cost
@@ -604,27 +638,26 @@ class Machine:
             if self.ledger is not None:
                 self.ledger.add_split(extra, "spectre_v2", "retpoline")
             if self.hooks is not None:
-                self.hooks.on_predictor_bypass(instr.pc, "retpoline")
+                self.hooks.on_predictor_bypass(pc, "retpoline")
             return costs.indirect_base + extra
 
         # IBRS, STIBP and eIBRS all derive from IA32_SPEC_CTRL, and
-        # nothing on this path writes it: read it once.
+        # nothing on this path writes it or the mode: read them once.
         spec_ctrl = self.msr.read(IA32_SPEC_CTRL)
         ibrs = spec_ctrl & SPEC_CTRL_IBRS
+        btb, mode, thread = self.btb, self.mode, self.thread_id
         if ibrs and not self._indirect_prediction_allowed(ibrs):
             # IBRS is suppressing prediction: pay the Table 5 IBRS delta.
             extra = costs.ibrs_extra if costs.ibrs_extra is not None else 0
             if self.ledger is not None:
                 self.ledger.add_split(extra, "spectre_v2", "ibrs_no_predict")
             if self.hooks is not None:
-                self.hooks.on_predictor_bypass(instr.pc, "ibrs_no_predict")
-            self.btb.train(instr.pc, instr.target, self.mode,
-                           thread=self.thread_id)
+                self.hooks.on_predictor_bypass(pc, "ibrs_no_predict")
+            btb.train(pc, instr.target, mode, thread)
             return costs.indirect_base + extra
 
         stibp = spec_ctrl & SPEC_CTRL_STIBP
-        predicted = self.btb.lookup(instr.pc, self.mode,
-                                    thread=self.thread_id, stibp=stibp)
+        predicted = btb.lookup(pc, mode, thread, stibp)
         cycles = costs.indirect_base
         if ibrs and self.msr.supports_eibrs and costs.ibrs_extra:
             cycles += costs.ibrs_extra
@@ -638,7 +671,7 @@ class Machine:
             if hooks is not None:
                 # A tainted entry may exist but be invisible here (mode
                 # tagging, STIBP): hardware isolation blocked the redirect.
-                hooks.on_redirect_suppressed(instr.pc)
+                hooks.on_redirect_suppressed(pc)
         elif predicted == instr.target:
             events[_BTB_HITS] = events.get(_BTB_HITS, 0) + 1
         else:
@@ -646,19 +679,17 @@ class Machine:
             # (None on Zen 3, where the probe could never land).
             events[_MISPREDICTED_INDIRECT] = events.get(_MISPREDICTED_INDIRECT, 0) + 1
             cycles += costs.mispredict_penalty
-            redirect = self.btb.redirect_target(
-                instr.pc, self.mode, thread=self.thread_id, stibp=stibp)
+            redirect = btb.redirect_target(pc, mode, thread, stibp)
             if redirect is not None:
                 if hooks is not None:
-                    hooks.window_begin(obs_leakage.SPECTRE_BTB, self.mode,
-                                       pc=instr.pc, target=redirect)
+                    hooks.window_begin(obs_leakage.SPECTRE_BTB, mode,
+                                       pc=pc, target=redirect)
                 self._transient_window(redirect)
                 if hooks is not None:
                     hooks.window_end()
             elif hooks is not None:
-                hooks.on_redirect_suppressed(instr.pc)
-        self.btb.train(instr.pc, instr.target, self.mode,
-                       thread=self.thread_id)
+                hooks.on_redirect_suppressed(pc)
+        btb.train(pc, instr.target, mode, thread)
         return cycles
 
     def _retpoline_extra(self) -> int:
@@ -925,7 +956,7 @@ _DISPATCH = {
     Op.STORE: _MEMORY,
     Op.CLFLUSH: Machine._op_clflush,
     Op.BRANCH_COND: Machine._execute_cond_branch,
-    Op.BRANCH_INDIRECT: Machine._op_indirect,
+    Op.BRANCH_INDIRECT: Machine._execute_indirect,
     Op.CALL_INDIRECT: Machine._op_indirect,
     Op.CALL: Machine._op_call,
     Op.RET: Machine._execute_ret,

@@ -14,8 +14,9 @@ conditional-mask stall Chrome's array loads pay.
 
 Invariant
 ---------
-The ledger hooks :meth:`PerfCounters.add_cycles` — the *only* place the
-simulated TSC advances — so by construction
+The ledger hooks :meth:`PerfCounters.add_cycles`, and ``Machine.run``
+files each run's cycles (a :meth:`CycleLedger.tally`) as it adds them to
+the TSC, so by construction
 
     sum(ledger entries) == sum of TSC deltas of every attached machine
 
@@ -84,20 +85,33 @@ class CycleLedger:
 
     def charge(self, cycles: int) -> None:
         """File *cycles* under the current layer/tag, honouring splits."""
-        layer = self._layers[-1]
-        entries = self._entries
-        if self._splits:
-            for amount, mitigation, primitive in self._splits:
+        tags: Dict[tuple, int] = {}
+        self.tally(tags, cycles, (self._tag_mitigation, self._tag_primitive))
+        self.file(tags)
+
+    def tally(self, tags: Dict[tuple, int], cycles: int, tag: tuple) -> None:
+        """Add one charge to *tags*, a ``(mitigation, primitive) -> cycles``
+        tally: each pending split takes its amount, capped at what is left,
+        then *tag* the rest (a zero adds no key)."""
+        splits = self._splits
+        if splits:
+            for amount, mitigation, primitive in splits:
                 amount = min(amount, cycles)
                 if amount > 0:
-                    key = (layer, mitigation, primitive)
-                    entries[key] = entries.get(key, 0) + amount
+                    key = (mitigation, primitive)
+                    tags[key] = tags.get(key, 0) + amount
                     cycles -= amount
-            del self._splits[:]
+            del splits[:]
         if cycles > 0:
-            key = (layer,
-                   self._tag_mitigation or BASE,
-                   self._tag_primitive or OTHER)
+            tags[tag] = tags.get(tag, 0) + cycles
+
+    def file(self, tags: Dict[tuple, int]) -> None:
+        """File a :meth:`tally` under the current layer, in key order
+        (None is ``base``/``other``)."""
+        layer = self._layers[-1]
+        entries = self._entries
+        for (mitigation, primitive), cycles in tags.items():
+            key = (layer, mitigation or BASE, primitive or OTHER)
             entries[key] = entries.get(key, 0) + cycles
 
     def set_tag(self, mitigation: Optional[str],

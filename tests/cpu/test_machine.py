@@ -319,13 +319,15 @@ def _reference_execute(m, instr):
 def _memory_stream(rng, l1_stride):
     """Loads and stores over lines that collide in one L1 set (L2 hits),
     flushed lines (memory), fresh pages and cr3 switches (TLB misses),
-    kernel-mode kernel loads, verw and L1D flushes."""
+    kernel-mode kernel loads, verw and L1D flushes; store/load pairs on
+    one line (the JIT's and PARSEC's), one with a store to another line
+    between them, and one in kernel mode."""
     addresses = [0x5000_0000 + k * l1_stride for k in range(12)]
     addresses += [0x5100_0000 + 64 * k for k in range(6)]
     stream = []
     for _ in range(400):
         address = rng.choice(addresses)
-        roll = rng.randrange(20)
+        roll = rng.randrange(24)
         if roll < 8:
             stream.append(isa.Instruction(isa.Op.LOAD, address=address,
                                           value=rng.choice((0, 7))))
@@ -342,8 +344,19 @@ def _memory_stream(rng, l1_stride):
                            isa.sysret_instr()])
         elif roll == 18:
             stream.append(isa.verw())
-        else:
+        elif roll == 19:
             stream.append(isa.l1d_flush())
+        elif roll < 22:
+            stream.extend([isa.store(address, value=rng.randrange(3)),
+                           isa.Instruction(isa.Op.LOAD, address=address + 8,
+                                           value=rng.choice((0, 7)))])
+        elif roll == 22:
+            stream.extend([isa.store(address), isa.store(rng.choice(addresses)),
+                           isa.load(address)])
+        else:
+            kernel = 0xFFFF_8000_0000_0000 + 64 * rng.randrange(4)
+            stream.extend([isa.syscall_instr(), isa.store(kernel, value=5),
+                           isa.load(kernel, kernel=True), isa.sysret_instr()])
     return stream
 
 
@@ -365,6 +378,7 @@ def test_load_store_path_matches_reference(cpu, ssbd):
     assert fast.read_tsc() == ref.read_tsc()
     assert list(fast.counters.events.items()) == list(ref.counters.events.items())
     assert fast.ledger.paths() == ref.ledger.paths()
+    assert list(fast.ledger._entries.items()) == list(ref.ledger._entries.items())
     for mode in Mode:
         assert fast.mds_buffers.sample(mode) == ref.mds_buffers.sample(mode)
     assert list(fast.tlb._entries.items()) == list(ref.tlb._entries.items())
@@ -458,36 +472,56 @@ def test_run_loop_matches_reference(cpu, ledger):
             assert _machine_state(fast) == _machine_state(ref)
     if ledger:
         assert fast.ledger.paths() == ref.ledger.paths()
+        assert list(fast.ledger._entries.items()) == list(ref.ledger._entries.items())
         fast.ledger.verify()
 
 
 def test_fault_mid_block_leaves_tsc_and_retired_count_as_reference():
+    # Bare, and with a ledger on both machines: a fault files exactly the
+    # completed instructions, splits included, in the twin's order.
     fault = isa.load(0xFFFF_8880_0000_0000, kernel=True)
-    block = [isa.work(40), isa.load(0x7000_0000), fault, isa.work(10)]
-    fast = Machine(get_cpu("broadwell"), seed=0)
-    ref = Machine(get_cpu("broadwell"), seed=0)
-    with pytest.raises(SegmentationFault):
-        fast.run(block)
-    with pytest.raises(SegmentationFault):
-        _reference_run(ref, block)
-    assert fast.read_tsc() == ref.read_tsc() > 0
-    retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
-    assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 2
-    assert _machine_state(fast) == _machine_state(ref)
-    # Both machines have run, so the fast one adds the run's cycles,
-    # retired count and residue once; a fault must still leave them.
-    block = [isa.work(30), isa.load(0x7100_0000), isa.store(0x7200_0000, value=5),
-             fault, isa.work(10)]
-    tsc = fast.read_tsc()
-    with pytest.raises(SegmentationFault):
-        fast.run(block)
-    with pytest.raises(SegmentationFault):
-        _reference_run(ref, block)
-    assert fast.read_tsc() == ref.read_tsc() > tsc
-    retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
-    assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 5
-    assert fast.mds_buffers._residue[STORE_BUFFER] == (5, Mode.USER)
-    assert _machine_state(fast) == _machine_state(ref)
+    for ledger in (False, True):
+        block = [isa.work(40), isa.load(0x7000_0000), fault, isa.work(10)]
+        fast = Machine(get_cpu("broadwell"), seed=0)
+        ref = Machine(get_cpu("broadwell"), seed=0)
+        if ledger:
+            fast.attach(CycleLedger())
+            ref.attach(CycleLedger())
+        with pytest.raises(SegmentationFault):
+            fast.run(block)
+        with pytest.raises(SegmentationFault):
+            _reference_run(ref, block)
+        assert fast.read_tsc() == ref.read_tsc() > 0
+        retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
+        assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 2
+        assert _machine_state(fast) == _machine_state(ref)
+        # Both machines have run, so the fast one adds the run's cycles,
+        # retired count and residue once; a fault must still leave them.
+        block = [isa.work(30), isa.load(0x7100_0000), isa.store(0x7200_0000, value=5),
+                 fault, isa.work(10)]
+        tsc = fast.read_tsc()
+        with pytest.raises(SegmentationFault):
+            fast.run(block)
+        with pytest.raises(SegmentationFault):
+            _reference_run(ref, block)
+        assert fast.read_tsc() == ref.read_tsc() > tsc
+        retired = fast.counters.read(ctr.INSTRUCTIONS_RETIRED)
+        assert retired == ref.counters.read(ctr.INSTRUCTIONS_RETIRED) == 5
+        assert fast.mds_buffers._residue[STORE_BUFFER] == (5, Mode.USER)
+        assert _machine_state(fast) == _machine_state(ref)
+        # A retpoline's split is filed by the run that faults after it.
+        block = [isa.work(7, mitigation="pti", primitive="mov_cr3"),
+                 isa.branch_indirect(0x2000, pc=0x100, retpoline=True), fault]
+        with pytest.raises(SegmentationFault):
+            fast.run(block)
+        with pytest.raises(SegmentationFault):
+            _reference_run(ref, block)
+        assert _machine_state(fast) == _machine_state(ref)
+        if ledger:
+            assert (list(fast.ledger._entries.items())
+                    == list(ref.ledger._entries.items()))
+            assert fast.ledger.rollup("primitive")["retpoline"] > 0
+            assert fast.ledger.verify() == ref.ledger.verify() == fast.read_tsc()
 
 
 @pytest.mark.parametrize("observer", ["leakage", "spans"])
@@ -578,14 +612,24 @@ def _tracer_state(tracer):
     return (tracer.state(), tracer._lines, tracer._sb_lines, tracer._residue)
 
 
-@pytest.mark.parametrize("observer", ["bare", "ledger", "tracer"])
+# The store-buffer depth: the CPU's own (None), 1 and 0, set on both
+# twins; at depth 0 a store evicts its own line, so nothing forwards.
+_OBSERVER_DEPTHS = [(observer, depth) for depth in (None, 1, 0)
+                    for observer in ("bare", "ledger", "tracer")]
+
+
+@pytest.mark.parametrize("observer, depth", _OBSERVER_DEPTHS,
+                         ids=[observer if depth is None else f"{observer}-depth{depth}"
+                              for observer, depth in _OBSERVER_DEPTHS])
 @pytest.mark.parametrize("ssbd", [False, True], ids=["ssbd_off", "ssbd_on"])
 @pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus()])
-def test_memory_runs_match_reference(cpu, ssbd, observer):
+def test_memory_runs_match_reference(cpu, ssbd, observer, depth):
     machines = []
     for _ in range(2):
         machine = Machine(get_cpu(cpu), seed=3)
         machine.msr.set_ssbd(ssbd)
+        if depth is not None:
+            machine.store_buffer.depth = depth
         if observer == "ledger":
             machine.attach(CycleLedger())
         elif observer == "tracer":
@@ -601,13 +645,16 @@ def test_memory_runs_match_reference(cpu, ssbd, observer):
             residue_seen = residue_seen or bool(fast.hooks._residue)
     if observer == "ledger":
         assert fast.ledger.paths() == ref.ledger.paths()
+        assert list(fast.ledger._entries.items()) == list(ref.ledger._entries.items())
         fast.ledger.verify()
     if observer == "tracer":
         assert residue_seen
-    # The SSBD flips give both store-to-load outcomes on either setting.
-    for name in (ctr.STLF_BLOCKED, ctr.STLF_HITS, ctr.L1_MISSES,
-                 ctr.TLB_MISSES):
+    for name in (ctr.L1_MISSES, ctr.TLB_MISSES):
         assert fast.counters.read(name) > 0
+    # The SSBD flips give both store-to-load outcomes on either setting,
+    # except at depth 0, where no load may forward (nor be blocked).
+    for name in (ctr.STLF_BLOCKED, ctr.STLF_HITS):
+        assert (fast.counters.read(name) > 0) is (depth != 0)
 
 
 @pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus() if cpu.smt])

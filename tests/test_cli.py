@@ -105,9 +105,20 @@ def test_attacks_skips_smt_section_on_zen(capsys):
     assert "SMT V2" not in out  # Ryzen 3 1200 has no hyperthreads
 
 
-def test_sweep_opsize(capsys):
-    out = run_cli(capsys, "sweep", "opsize", "--cpu", "broadwell")
-    assert "overhead drops below" in out
+@pytest.mark.parametrize("threshold, line", [
+    (None, "overhead drops below 5% at ~26308-cycle operations"),
+    # The label is the threshold as given, not rounded to a whole percent.
+    ("2.5", "overhead drops below 2.5% at ~61879-cycle operations"),
+    ("3.4", "overhead drops below 3.4% at ~37299-cycle operations"),
+    # Broadwell's curve ends at 1.1%: no swept size crosses 0.5%.
+    ("0.5", "overhead never drops below 0.5% over the swept sizes"),
+], ids=["default", "2.5", "3.4", "0.5"])
+def test_sweep_opsize(capsys, threshold, line):
+    argv = ["sweep", "opsize", "--cpu", "broadwell"]
+    if threshold is not None:
+        argv += ["--threshold", threshold]
+    out = run_cli(capsys, *argv)
+    assert out.splitlines()[-1] == "  " + line
 
 
 def test_sweep_ssbd(capsys):
@@ -572,6 +583,18 @@ def test_jobs_rejected_at_parse_time(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "expected a positive integer" in err
+    # sweep --threshold is a finite positive percent, and only opsize has one.
+    for argv, message in (
+            (["sweep", "opsize", "--threshold", "0"], "finite positive number"),
+            (["sweep", "opsize", "--threshold", "-1"], "finite positive number"),
+            (["sweep", "opsize", "--threshold", "nan"], "finite positive number"),
+            (["sweep", "opsize", "--threshold", "inf"], "finite positive number"),
+            (["sweep", "ssbd", "--cpu", "zen3", "--threshold", "1e9"],
+             "--threshold applies to sweep opsize only")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_leakage_matrix_has_no_max_events_flag(capsys):
