@@ -1,37 +1,12 @@
-"""Section 6.2.2: the bimodal eIBRS kernel-entry latency distribution."""
+"""Section 6.2.2: the bimodal eIBRS kernel-entry latency; times the
+entry latency collection.
 
-from collections import Counter
+The section's claims are the ``s6.2.2/...`` rows of
+``tests/paper/claims.py``, checked in tier-1.
+"""
 
 from repro.core import microbench as mb
-from repro.core.reporting import render_entry_distribution
 from repro.cpu import get_cpu
-
-EIBRS_PARTS = ("cascade_lake", "ice_lake_client", "ice_lake_server")
-
-
-def test_bimodal_distribution_reproduces_paper(save_artifact):
-    artifacts = []
-    for key in EIBRS_PARTS:
-        cpu = get_cpu(key)
-        latencies = mb.kernel_entry_latencies(cpu, entries=2000, eibrs=True)
-        counts = Counter(latencies)
-        values = sorted(counts)
-        # Exactly two modes, separated by ~210 cycles.
-        assert len(values) == 2, key
-        assert values[1] - values[0] == \
-            cpu.predictor.eibrs_scrub_extra_cycles
-        # Slow entries land 'one in every 8 to 20 or so'.
-        rate = len(latencies) / counts[values[1]]
-        assert 8 <= rate <= 20, key
-        artifacts.append(render_entry_distribution(key, latencies[:400]))
-    save_artifact("eibrs_bimodal.txt", "\n".join(artifacts))
-
-
-def test_unimodal_without_eibrs(save_artifact):
-    for key in EIBRS_PARTS:
-        latencies = mb.kernel_entry_latencies(get_cpu(key), entries=500,
-                                              eibrs=False)
-        assert len(set(latencies)) == 1, key
 
 
 def bench_entry_latency_collection(benchmark):

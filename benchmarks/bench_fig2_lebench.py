@@ -1,35 +1,12 @@
-"""Figure 2: LEBench mitigation overhead per CPU, attributed per knob."""
+"""Figure 2: LEBench mitigation overhead; times one LEBench suite pass.
 
-from repro.core import study
-from repro.core.reporting import render_figure2
-from repro.cpu import Machine, all_cpus, get_cpu
+The figure's claims are the ``fig2/...`` rows of
+``tests/paper/claims.py``, checked in tier-1.
+"""
+
+from repro.cpu import Machine, get_cpu
 from repro.mitigations import MitigationConfig
 from repro.workloads import lebench
-
-
-def test_figure2_reproduces_paper_shape(save_artifact, fast_settings):
-    results = study.figure2(all_cpus(), fast_settings)
-    by_cpu = {r.cpu: r for r in results}
-
-    # The decline headline: >30% old Intel -> <5% new Intel; AMD low.
-    assert by_cpu["broadwell"].total_overhead_percent > 30
-    assert by_cpu["skylake_client"].total_overhead_percent > 25
-    assert by_cpu["ice_lake_client"].total_overhead_percent < 5
-    assert by_cpu["ice_lake_server"].total_overhead_percent < 5
-    for key in ("zen", "zen2", "zen3"):
-        assert by_cpu[key].total_overhead_percent < 10, key
-
-    # Attribution: PTI and MDS dominate the vulnerable parts.
-    for key in ("broadwell", "skylake_client"):
-        result = by_cpu[key]
-        assert result.contribution_for("pti").percent > 8
-        assert result.contribution_for("mds").percent > 8
-
-    # Immune parts never even measure those knobs.
-    assert by_cpu["zen3"].contribution_for("pti") is None
-    assert by_cpu["ice_lake_server"].contribution_for("mds") is None
-
-    save_artifact("figure2.txt", render_figure2(results))
 
 
 def bench_lebench_suite_one_config(benchmark):

@@ -1,32 +1,12 @@
-"""Figure 3: Octane 2 slowdown from JS and OS mitigations, per CPU."""
+"""Figure 3: Octane 2 slowdown; times one Octane suite pass.
 
-from repro.core import study
-from repro.core.reporting import render_figure3
-from repro.cpu import Machine, all_cpus, get_cpu
+The figure's claims are the ``fig3/...`` rows of
+``tests/paper/claims.py``, checked in tier-1.
+"""
+
+from repro.cpu import Machine, get_cpu
 from repro.jsengine import octane
 from repro.mitigations import MitigationConfig
-
-
-def test_figure3_reproduces_paper_shape(save_artifact, fast_settings):
-    results = study.figure3(all_cpus(), fast_settings)
-
-    for result in results:
-        # 'Overhead on Octane 2 has remained in the range of 15% to 25%.'
-        assert 13 < result.total_overhead_percent < 27, result.cpu
-        masking = result.contribution_for("js_index_masking").percent
-        guards = result.contribution_for("js_object_guards").percent
-        # '~4% index masking, ~6% object mitigations' with room for noise.
-        assert 1.5 < masking < 6.5, result.cpu
-        assert 3.5 < guards < 9.5, result.cpu
-        # SSBD (via seccomp) is a real, positive component everywhere.
-        assert result.contribution_for("ssbd").percent > 1.5, result.cpu
-
-    # Unlike the OS boundary, no hardware generation fixed this: the
-    # newest parts pay about as much as the oldest.
-    by_cpu = {r.cpu: r.total_overhead_percent for r in results}
-    assert by_cpu["ice_lake_server"] > 0.6 * by_cpu["broadwell"]
-
-    save_artifact("figure3.txt", render_figure3(results))
 
 
 def bench_octane_suite_one_config(benchmark):

@@ -1,37 +1,12 @@
-"""Figure 5: SSBD slowdown on the PARSEC trio across all CPUs."""
+"""Figure 5: SSBD slowdown on PARSEC; times one swaptions pair.
 
-from repro.core import study
-from repro.core.reporting import render_figure5
-from repro.cpu import Machine, all_cpus, get_cpu
+The figure's claims are the ``fig5/...`` rows of
+``tests/paper/claims.py``, checked in tier-1.
+"""
+
+from repro.cpu import Machine, get_cpu
 from repro.mitigations import linux_default
 from repro.workloads import parsec
-
-
-def test_figure5_reproduces_paper_shape(save_artifact, fast_settings):
-    results = study.figure5(all_cpus(), settings=fast_settings)
-    table = {(r.cpu, r.workload): r.overhead_percent for r in results}
-
-    # Peak: 'as much as 34%' — Zen 3 swaptions.
-    peak_cpu, peak_wl = max(table, key=table.get)
-    assert (peak_cpu, peak_wl) == ("zen3", "swaptions")
-    assert 28 < table[("zen3", "swaptions")] < 40
-
-    # Per-workload ordering on every CPU: swaptions > bodytrack > facesim.
-    for cpu in all_cpus():
-        s = table[(cpu.key, "swaptions")]
-        b = table[(cpu.key, "bodytrack")]
-        f = table[(cpu.key, "facesim")]
-        assert s > b > f > 0, cpu.key
-
-    # 'Trending worse over time' within each vendor.
-    intel = [table[(k, "swaptions")] for k in
-             ("broadwell", "skylake_client", "cascade_lake",
-              "ice_lake_client", "ice_lake_server")]
-    assert intel == sorted(intel)
-    amd = [table[(k, "swaptions")] for k in ("zen", "zen2", "zen3")]
-    assert amd == sorted(amd)
-
-    save_artifact("figure5.txt", render_figure5(results))
 
 
 def bench_parsec_ssbd_pair(benchmark):

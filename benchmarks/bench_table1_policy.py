@@ -1,40 +1,11 @@
-"""Table 1: default mitigations per CPU.
+"""Table 1: default mitigations per CPU; times the policy engine.
 
-Regenerates the policy matrix and checks it cell-for-cell against the
-paper; benchmarks the policy engine itself.
+The table's cells are the ``table1/...`` claims in
+``tests/paper/claims.py``, checked in tier-1.
 """
 
-from repro.core.reporting import render_table1
 from repro.cpu import all_cpus
-from repro.mitigations import linux_default, table1_matrix
-
-#: The paper's Table 1, in catalog column order ("x"=check, "!"=not default).
-PAPER = {
-    ("Meltdown", "Page Table Isolation"):  ["x", "x", "", "", "", "", "", ""],
-    ("L1TF", "PTE Inversion"):             ["x", "x", "", "", "", "", "", ""],
-    ("L1TF", "Flush L1 Cache"):            ["x", "x", "", "", "", "", "", ""],
-    ("LazyFP", "Always save FPU"):         ["x"] * 8,
-    ("Spectre V1", "Index Masking"):       ["x"] * 8,
-    ("Spectre V1", "lfence after swapgs"): ["x"] * 8,
-    ("Spectre V2", "Generic Retpoline"):   ["x", "x", "", "", "", "", "", ""],
-    ("Spectre V2", "AMD Retpoline"):       ["", "", "", "", "", "x", "x", "x"],
-    ("Spectre V2", "IBRS"):                [""] * 8,
-    ("Spectre V2", "Enhanced IBRS"):       ["", "", "x", "x", "x", "", "", ""],
-    ("Spectre V2", "RSB Stuffing"):        ["x"] * 8,
-    ("Spectre V2", "IBPB"):                ["x"] * 8,
-    ("Spec. Store Bypass", "SSBD"):        ["!"] * 8,
-    ("MDS", "Flush CPU Buffers"):          ["x", "x", "x", "", "", "", "", ""],
-    ("MDS", "Disable SMT"):                ["!", "!", "!", "", "", "", "", ""],
-}
-
-_NORM = {"yes": "x", "": "", "!": "!"}
-
-
-def test_table1_reproduces_paper(save_artifact):
-    matrix = table1_matrix()
-    for row, cells in matrix.items():
-        assert [_NORM[c] for c in cells] == PAPER[row], row
-    save_artifact("table1.txt", render_table1())
+from repro.mitigations import linux_default
 
 
 def bench_policy_engine(benchmark):

@@ -1,16 +1,10 @@
-"""Table 2: the CPU catalog identity data."""
+"""Table 2: the CPU catalog; times machine construction.
 
-from repro.core.reporting import render_table2
-from repro.cpu import Machine, all_cpus, get_cpu
+The table's cells are the ``table2/...`` claims in
+``tests/paper/claims.py``, checked in tier-1.
+"""
 
-
-def test_table2_reproduces_paper(save_artifact):
-    out = render_table2()
-    for needle in ("E5-2640v4", "i7-6600U", "Xeon Silver 4210R",
-                   "i5-10351G1", "Xeon Gold 6354", "Ryzen 3 1200",
-                   "EPYC 7452", "Ryzen 5 5600X"):
-        assert needle in out
-    save_artifact("table2.txt", out)
+from repro.cpu import Machine, all_cpus
 
 
 def bench_machine_construction(benchmark):

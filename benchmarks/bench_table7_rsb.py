@@ -1,38 +1,11 @@
-"""Table 7: RSB stuffing cycles."""
+"""Table 7: RSB stuffing cycles; times the RSB fill loop.
 
-import pytest
+The table's cells, and stuffing's share of a context switch, are the
+``table7/...`` claims in ``tests/paper/claims.py``, checked in tier-1.
+"""
 
 from repro.core import microbench as mb
-from repro.core.reporting import render_table7
-from repro.cpu import Machine, all_cpus, get_cpu
-
-PAPER = {
-    "broadwell": 130, "skylake_client": 130, "cascade_lake": 120,
-    "ice_lake_client": 40, "ice_lake_server": 69,
-    "zen": 114, "zen2": 68, "zen3": 94,
-}
-
-
-def test_table7_reproduces_paper(save_artifact):
-    values = {cpu.key: mb.table7_value(cpu, iterations=500)
-              for cpu in all_cpus()}
-    for key, expected in PAPER.items():
-        assert values[key] == pytest.approx(expected, abs=1), key
-    save_artifact("table7.txt", render_table7(values))
-
-
-def test_rsb_cost_is_minor_next_to_a_context_switch():
-    """Paper 5.3: stuffing is 'relatively minor compared to the total
-    overhead of doing a context switch (at least several thousand
-    cycles)'."""
-    from repro.kernel import Kernel, Process
-    from repro.mitigations import MitigationConfig
-    for cpu in all_cpus():
-        kernel = Kernel(Machine(cpu), MitigationConfig.all_off())
-        a, b = Process("a"), Process("b")
-        kernel.context_switch(a)
-        switch_cost = kernel.context_switch(b)
-        assert mb.table7_value(cpu, iterations=50) < switch_cost / 10
+from repro.cpu import Machine, get_cpu
 
 
 def bench_rsb_fill(benchmark):

@@ -1,9 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every bench module regenerates one paper artifact (table or figure),
-asserts its reproduction criteria, saves the rendered text under
-``benchmarks/results/``, and times a representative slice of the
-underlying simulation with pytest-benchmark.
+Every bench module times a representative slice of the simulation with
+pytest-benchmark (its ``bench_*`` functions).  The paper's claims are not
+asserted here: they are the rows of ``tests/paper/claims.py``, checked in
+tier-1 against what ``spectresim all --fast`` computes, whose artifacts
+are the committed ``results/``.  The ablation, extension and self-speed
+benches also assert their own findings (``test_*``) and save what they
+render under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -222,6 +222,10 @@ def cmd_cpus(args: argparse.Namespace) -> str:
     return reporting.render_table2()
 
 
+#: The paper's table numbers, for ``table N``, ``profile table N`` and ``all``.
+TABLES = tuple(range(1, 11))
+
+
 def cmd_table(args: argparse.Namespace) -> str:
     n = args.number
     iters = args.iterations
@@ -248,13 +252,11 @@ def cmd_table(args: argparse.Namespace) -> str:
     if n == 8:
         return reporting.render_table8(
             {cpu.key: microbench.table8_value(cpu, iters) for cpu in all_cpus()})
-    if n in (9, 10):
-        # Tables 9/10 are the probe grid under the off/ibrs policy.
-        report = leakage_report(all_cpus(), POLICY_IBRS if n == 10
-                                else POLICY_OFF, max_events=0)
-        return reporting.render_speculation_matrix(report["matrix"],
-                                                   ibrs=(n == 10))
-    raise SystemExit(f"no table {n} in the paper's evaluation")
+    # Tables 9/10 are the probe grid under the off/ibrs policy.
+    report = leakage_report(all_cpus(), POLICY_IBRS if n == 10
+                            else POLICY_OFF, max_events=0)
+    return reporting.render_speculation_matrix(report["matrix"],
+                                               ibrs=(n == 10))
 
 
 #: figure number -> (study driver, renderer), for ``figure N`` and ``all``.
@@ -278,8 +280,6 @@ def _figure_results(number: int, args: argparse.Namespace) -> list:
 
 
 def cmd_figure(args: argparse.Namespace) -> str:
-    if args.number not in FIGURES:
-        raise SystemExit(f"no figure {args.number} to regenerate")
     return FIGURES[args.number][1](_figure_results(args.number, args))
 
 
@@ -876,7 +876,7 @@ def cmd_all(args: argparse.Namespace) -> str:
     artifacts = {
         f"table{n}.txt": cmd_table(argparse.Namespace(
             number=n, iterations=microbench.DEFAULT_ITERATIONS))
-        for n in range(1, 11)
+        for n in TABLES
     }
     figures = {}
     for number, (_, render) in FIGURES.items():
@@ -942,11 +942,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("cpus", help="list the modelled CPUs (Table 2)")
 
     p = sub.add_parser("table", help="render a paper table (1-10)")
-    p.add_argument("number", type=int)
+    p.add_argument("number", type=int, choices=TABLES)
     p.add_argument("--iterations", type=_positive_int, default=1000)
 
     p = sub.add_parser("figure", help="regenerate a paper figure (2, 3, 5)")
-    p.add_argument("number", type=int)
+    p.add_argument("number", type=int, choices=sorted(FIGURES))
     p.add_argument("--fast", action="store_true")
     p.add_argument("--cpus", nargs="*", type=_cpu_key)
     _add_replicas_flag(p)
@@ -1182,6 +1182,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace and args.command == "profile":
         parser.error("--trace does not apply to profile; "
                      "use profile --trace-out PATH")
+    if args.command == "profile":
+        numbers = TABLES if args.kind == "table" else sorted(FIGURES)
+        if args.number not in numbers:
+            parser.error(f"argument number: invalid choice: {args.number} "
+                         f"for profile {args.kind} "
+                         f"(choose from {', '.join(map(str, numbers))})")
     if args.command == "sweep" and args.kind == "ssbd" and args.threshold is not None:
         parser.error("--threshold applies to sweep opsize only")
     if getattr(args, "no_cache", False):

@@ -28,6 +28,7 @@ from ..cpu import isa
 from ..cpu.machine import Machine, steady_state
 from ..cpu.model import CPUModel
 from ..errors import WorkloadError
+from ..jsengine.jit import store_load_pairs
 from ..kernel import HandlerProfile, Kernel, Process
 from ..mitigations.base import MitigationConfig
 
@@ -142,10 +143,8 @@ class CustomRunner:
             elif step.kind == "fault":
                 cycles += self.kernel.page_fault(step.profile)
             elif step.kind == "stl":
-                for i in range(step.amount):
-                    addr = CUSTOM_HEAP + 64 * ((self._cursor + i) % 512)
-                    cycles += machine.execute(isa.store(addr))
-                    cycles += machine.execute(isa.load(addr))
+                cycles += machine.run(store_load_pairs(
+                    CUSTOM_HEAP, self._cursor, step.amount))
                 self._cursor += step.amount
             elif step.kind == "loads":
                 for i in range(step.amount):

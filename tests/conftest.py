@@ -26,6 +26,14 @@ def _hermetic_history_db(tmp_path, monkeypatch):
                        str(tmp_path / "history.db"))
 
 
+@pytest.fixture(scope="session")
+def fast_run(tmp_path_factory):
+    """What ``spectresim all --fast`` computes, built once per session
+    (:func:`tests.paper.fast_run.build`)."""
+    from .paper.fast_run import build
+    return build(tmp_path_factory.mktemp("all-fast"))
+
+
 @pytest.fixture
 def broadwell():
     return get_cpu("broadwell")

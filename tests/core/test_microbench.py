@@ -7,14 +7,14 @@ from repro.cpu import Machine, all_cpus, get_cpu
 from repro.core import microbench as mb
 from repro.errors import UnsupportedFeatureError
 
+from ..paper.claims import (CLAIMS, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7,
+                            TABLE8, paper)
+
 ITER = 300
 
 
 @pytest.mark.parametrize("key,syscall,sysret,cr3", [
-    ("broadwell", 49, 40, 206),
-    ("skylake_client", 42, 42, 191),
-    ("zen3", 83, 55, None),
-])
+    (key, *TABLE3[key]) for key in ("broadwell", "skylake_client", "zen3")])
 def test_table3_measurements(key, syscall, sysret, cr3):
     row = mb.table3_row(get_cpu(key), iterations=ITER)
     assert row.syscall == pytest.approx(syscall, abs=1)
@@ -27,16 +27,12 @@ def test_table3_measurements(key, syscall, sysret, cr3):
 
 def test_table4_measurements():
     assert mb.table4_value(get_cpu("cascade_lake"), ITER) == \
-        pytest.approx(458, abs=1)
+        pytest.approx(TABLE4["cascade_lake"], abs=1)
     assert mb.table4_value(get_cpu("zen2"), ITER) is None
 
 
 @pytest.mark.parametrize("key,base,ibrs,generic,amd", [
-    ("broadwell", 16, 32, 28, None),
-    ("cascade_lake", 3, 0, 49, None),
-    ("zen", 30, None, 25, 28),
-    ("zen2", 3, 13, 14, 0),
-])
+    (key, *TABLE5[key]) for key in ("broadwell", "cascade_lake", "zen", "zen2")])
 def test_table5_measurements(key, base, ibrs, generic, amd):
     row = mb.table5_row(get_cpu(key), iterations=ITER)
     assert row.baseline == pytest.approx(base, abs=1)
@@ -52,19 +48,20 @@ def test_table5_measurements(key, base, ibrs, generic, amd):
 
 
 def test_table6_measurements():
-    assert mb.table6_value(get_cpu("zen"), 50) == pytest.approx(7400, abs=5)
-    assert mb.table6_value(get_cpu("cascade_lake"), 50) == \
-        pytest.approx(340, abs=5)
+    for key in ("zen", "cascade_lake"):
+        assert mb.table6_value(get_cpu(key), 50) == \
+            pytest.approx(TABLE6[key], abs=5)
 
 
 def test_table7_measurements():
     assert mb.table7_value(get_cpu("ice_lake_client"), ITER) == \
-        pytest.approx(40, abs=1)
+        pytest.approx(TABLE7["ice_lake_client"], abs=1)
 
 
 def test_table8_measurements():
-    assert mb.table8_value(get_cpu("zen2"), ITER) == pytest.approx(4, abs=1)
-    assert mb.table8_value(get_cpu("zen"), ITER) == pytest.approx(48, abs=1)
+    for key in ("zen2", "zen"):
+        assert mb.table8_value(get_cpu(key), ITER) == \
+            pytest.approx(TABLE8[key], abs=1)
 
 
 def test_indirect_branch_rejects_bogus_variant():
@@ -91,20 +88,21 @@ class TestBimodalEntries:
         lat = mb.kernel_entry_latencies(get_cpu("cascade_lake"),
                                         entries=300, eibrs=True)
         values = sorted(set(lat))
-        assert len(values) == 2
-        assert values[1] - values[0] == 210  # the extra scrub cost
+        assert len(values) == paper("s6.2.2/cascade_lake/modes")
+        # the extra scrub cost
+        assert values[1] - values[0] == paper("s6.2.2/cascade_lake/scrub_extra")
 
     def test_slow_entry_rate_is_one_in_eight_to_twenty(self):
         lat = mb.kernel_entry_latencies(get_cpu("cascade_lake"),
                                         entries=2000, eibrs=True)
         slow = sum(1 for v in lat if v > min(lat))
         rate = len(lat) / slow
-        assert 8 <= rate <= 20
+        assert CLAIMS["s6.2.2/cascade_lake/entries_per_slow"].holds(rate)
 
     def test_unimodal_without_eibrs(self):
         lat = mb.kernel_entry_latencies(get_cpu("cascade_lake"),
                                         entries=300, eibrs=False)
-        assert len(set(lat)) == 1
+        assert len(set(lat)) == paper("s6.2.2/cascade_lake/modes_eibrs_off")
 
     def test_rejected_on_non_eibrs_part(self):
         with pytest.raises(UnsupportedFeatureError):

@@ -23,30 +23,7 @@ from repro.core.probe import (
 from repro.obs import use_observers
 from repro.obs.leakage import LeakageTracer
 
-#: Paper Table 9 (IBRS disabled): True = check mark.  Column order follows
-#: SCENARIOS: u->k(sc), u->u(sc), k->k(sc), u->u, k->k.
-PAPER_TABLE9 = {
-    "broadwell":       (True, True, True, True, True),
-    "skylake_client":  (True, True, True, True, True),
-    "cascade_lake":    (False, True, True, True, True),
-    "ice_lake_client": (False, True, True, True, True),
-    "ice_lake_server": (False, True, True, True, True),
-    "zen":             (True, True, True, True, True),
-    "zen2":            (True, True, True, True, True),
-    "zen3":            (False, False, False, False, False),
-}
-
-#: Paper Table 10 (IBRS enabled); None = the paper's N/A row (Zen).
-PAPER_TABLE10 = {
-    "broadwell":       (False, False, False, False, False),
-    "skylake_client":  (False, False, False, False, False),
-    "cascade_lake":    (False, True, True, True, True),
-    "ice_lake_client": (False, True, False, True, False),
-    "ice_lake_server": (False, True, True, True, True),
-    "zen":             None,
-    "zen2":            (False, False, False, False, False),
-    "zen3":            (False, False, False, False, False),
-}
+from ..paper.claims import TABLE9, TABLE10
 
 
 def row_tuple(row):
@@ -57,13 +34,13 @@ def row_tuple(row):
 def test_table9_matches_paper_exactly():
     matrix = leakage_report(all_cpus(), POLICY_OFF)["matrix"]
     for key in CPU_ORDER:
-        assert row_tuple(matrix[key]) == PAPER_TABLE9[key], key
+        assert row_tuple(matrix[key]) == TABLE9[key], key
 
 
 def test_table10_matches_paper_exactly():
     matrix = leakage_report(all_cpus(), POLICY_IBRS)["matrix"]
     for key in CPU_ORDER:
-        assert row_tuple(matrix[key]) == PAPER_TABLE10[key], key
+        assert row_tuple(matrix[key]) == TABLE10[key], key
 
 
 def test_kernel_to_user_mirrors_user_to_kernel():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.study import Settings, figure2, figure3
 from repro.core.summary import (
     question1_attack_impacts,
     question2_primitive_trends,
@@ -13,10 +12,9 @@ from repro.core.summary import (
 
 
 @pytest.fixture(scope="module")
-def figures():
-    """Figures 2 and 3 over every CPU, computed once for the module."""
-    settings = Settings.fast()
-    return figure2(settings=settings), figure3(settings=settings)
+def figures(fast_run):
+    """Figures 2 and 3 over every CPU, at ``all --fast``'s settings."""
+    return fast_run.studies["figure2"], fast_run.studies["figure3"]
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,9 @@ from repro.cpu import CATALOG, CPU_ORDER, all_cpus, get_cpu
 from repro.cpu import msr as msrdef
 from repro.errors import UnknownCPUError
 
+from ..paper.claims import (TABLE2, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7,
+                            TABLE8)
+
 
 def test_catalog_has_eight_cpus():
     assert len(CATALOG) == 8
@@ -28,15 +31,8 @@ def test_get_cpu_unknown_raises():
 
 
 @pytest.mark.parametrize("key,model,power,clock,cores", [
-    ("broadwell", "E5-2640v4", 90, 2.4, 10),
-    ("skylake_client", "i7-6600U", 15, 2.6, 2),
-    ("cascade_lake", "Xeon Silver 4210R", 100, 2.4, 10),
-    ("ice_lake_client", "i5-10351G1", 15, 1.0, 4),
-    ("ice_lake_server", "Xeon Gold 6354", 205, 3.0, 18),
-    ("zen", "Ryzen 3 1200", 65, 3.1, 4),
-    ("zen2", "EPYC 7452", 155, 2.35, 32),
-    ("zen3", "Ryzen 5 5600X", 65, 3.7, 6),
-])
+    (key, model, power, clock, cores)
+    for key, (_, model, _, _, power, clock, cores) in TABLE2.items()])
 def test_table2_identity(key, model, power, clock, cores):
     cpu = get_cpu(key)
     assert cpu.model == model
@@ -102,10 +98,7 @@ def test_zen3_btb_is_opaque_only_there():
 
 
 @pytest.mark.parametrize("key,syscall,sysret", [
-    ("broadwell", 49, 40), ("skylake_client", 42, 42), ("cascade_lake", 70, 43),
-    ("ice_lake_client", 21, 29), ("ice_lake_server", 45, 32),
-    ("zen", 63, 53), ("zen2", 53, 46), ("zen3", 83, 55),
-])
+    (key, *row[:2]) for key, row in TABLE3.items()])
 def test_table3_calibration(key, syscall, sysret):
     costs = get_cpu(key).costs
     assert costs.syscall == syscall
@@ -113,27 +106,19 @@ def test_table3_calibration(key, syscall, sysret):
 
 
 @pytest.mark.parametrize("key,verw", [
-    ("broadwell", 610), ("skylake_client", 518), ("cascade_lake", 458),
-])
+    (key, verw) for key, verw in TABLE4.items() if verw is not None])
 def test_table4_calibration(key, verw):
     assert get_cpu(key).costs.verw_clear == verw
 
 
 def test_table4_na_on_immune_parts():
-    for key in ("ice_lake_client", "ice_lake_server", "zen", "zen2", "zen3"):
-        assert get_cpu(key).costs.verw_clear is None
+    for key, verw in TABLE4.items():
+        if verw is None:
+            assert get_cpu(key).costs.verw_clear is None
 
 
 @pytest.mark.parametrize("key,base,ibrs,generic,amd", [
-    ("broadwell", 16, 32, 28, None),
-    ("skylake_client", 11, 15, 19, None),
-    ("cascade_lake", 3, 0, 49, None),
-    ("ice_lake_client", 5, 0, 21, None),
-    ("ice_lake_server", 1, 1, 50, None),
-    ("zen", 30, None, 25, 28),
-    ("zen2", 3, 13, 14, 0),
-    ("zen3", 23, 19, 13, 18),
-])
+    (key, *row) for key, row in TABLE5.items()])
 def test_table5_calibration(key, base, ibrs, generic, amd):
     costs = get_cpu(key).costs
     assert costs.indirect_base == base
@@ -142,29 +127,17 @@ def test_table5_calibration(key, base, ibrs, generic, amd):
     assert costs.amd_retpoline_extra == amd
 
 
-@pytest.mark.parametrize("key,ibpb", [
-    ("broadwell", 5600), ("skylake_client", 4500), ("cascade_lake", 340),
-    ("ice_lake_client", 2500), ("ice_lake_server", 840),
-    ("zen", 7400), ("zen2", 1100), ("zen3", 800),
-])
+@pytest.mark.parametrize("key,ibpb", TABLE6.items())
 def test_table6_calibration(key, ibpb):
     assert get_cpu(key).costs.ibpb == ibpb
 
 
-@pytest.mark.parametrize("key,rsb", [
-    ("broadwell", 130), ("skylake_client", 130), ("cascade_lake", 120),
-    ("ice_lake_client", 40), ("ice_lake_server", 69),
-    ("zen", 114), ("zen2", 68), ("zen3", 94),
-])
+@pytest.mark.parametrize("key,rsb", TABLE7.items())
 def test_table7_calibration(key, rsb):
     assert get_cpu(key).costs.rsb_fill == rsb
 
 
-@pytest.mark.parametrize("key,lfence", [
-    ("broadwell", 28), ("skylake_client", 20), ("cascade_lake", 15),
-    ("ice_lake_client", 8), ("ice_lake_server", 13),
-    ("zen", 48), ("zen2", 4), ("zen3", 30),
-])
+@pytest.mark.parametrize("key,lfence", TABLE8.items())
 def test_table8_calibration(key, lfence):
     assert get_cpu(key).costs.lfence == lfence
 
@@ -183,7 +156,7 @@ def test_ssbd_penalty_trends_worse_on_newer_parts():
 
 def test_effective_verw_selects_clear_or_legacy():
     broadwell = get_cpu("broadwell").costs
-    assert broadwell.effective_verw(True) == 610
+    assert broadwell.effective_verw(True) == TABLE4["broadwell"]
     assert broadwell.effective_verw(True, microcode_patched=False) == \
         broadwell.verw_legacy
     zen3 = get_cpu("zen3").costs

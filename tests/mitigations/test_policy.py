@@ -12,25 +12,7 @@ from repro.mitigations.policy import (
     table1_matrix,
 )
 
-#: The paper's Table 1, transcribed.  Columns follow CPU_ORDER; "x" is the
-#: check mark, "" is blank, "!" is needed-but-not-default.
-PAPER_TABLE1 = {
-    ("Meltdown", "Page Table Isolation"):  ["x", "x", "", "", "", "", "", ""],
-    ("L1TF", "PTE Inversion"):             ["x", "x", "", "", "", "", "", ""],
-    ("L1TF", "Flush L1 Cache"):            ["x", "x", "", "", "", "", "", ""],
-    ("LazyFP", "Always save FPU"):         ["x"] * 8,
-    ("Spectre V1", "Index Masking"):       ["x"] * 8,
-    ("Spectre V1", "lfence after swapgs"): ["x"] * 8,
-    ("Spectre V2", "Generic Retpoline"):   ["x", "x", "", "", "", "", "", ""],
-    ("Spectre V2", "AMD Retpoline"):       ["", "", "", "", "", "x", "x", "x"],
-    ("Spectre V2", "IBRS"):                [""] * 8,
-    ("Spectre V2", "Enhanced IBRS"):       ["", "", "x", "x", "x", "", "", ""],
-    ("Spectre V2", "RSB Stuffing"):        ["x"] * 8,
-    ("Spectre V2", "IBPB"):                ["x"] * 8,
-    ("Spec. Store Bypass", "SSBD"):        ["!"] * 8,
-    ("MDS", "Flush CPU Buffers"):          ["x", "x", "x", "", "", "", "", ""],
-    ("MDS", "Disable SMT"):                ["!", "!", "!", "", "", "", "", ""],
-}
+from ..paper.claims import TABLE1
 
 
 def _normalize(cell):
@@ -39,13 +21,13 @@ def _normalize(cell):
 
 def test_table1_matches_paper_exactly():
     matrix = table1_matrix()
-    assert set(matrix) == set(PAPER_TABLE1)
+    assert set(matrix) == set(TABLE1)
     for row, cells in matrix.items():
-        assert [_normalize(c) for c in cells] == PAPER_TABLE1[row], row
+        assert [_normalize(c) for c in cells] == TABLE1[row], row
 
 
 def test_table1_rows_in_paper_order():
-    assert TABLE1_ROWS == tuple(PAPER_TABLE1)
+    assert TABLE1_ROWS == tuple(TABLE1)
 
 
 def test_v2_strategy_eibrs_when_available():

@@ -590,7 +590,13 @@ def test_jobs_rejected_at_parse_time(capsys):
             (["sweep", "opsize", "--threshold", "nan"], "finite positive number"),
             (["sweep", "opsize", "--threshold", "inf"], "finite positive number"),
             (["sweep", "ssbd", "--cpu", "zen3", "--threshold", "1e9"],
-             "--threshold applies to sweep opsize only")):
+             "--threshold applies to sweep opsize only"),
+            # The paper has Tables 1-10 and Figures 2, 3 and 5.
+            (["table", "11"], "invalid choice: 11"),
+            (["figure", "4"], "invalid choice: 4"),
+            (["profile", "table", "0"], "invalid choice: 0 for profile table"),
+            (["profile", "figure", "4"],
+             "invalid choice: 4 for profile figure")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
