@@ -169,16 +169,12 @@ def ssbd_overhead_vs_forwarding_density(
         def cost(ssbd: bool) -> float:
             machine = Machine(cpu, seed=1)
             machine.msr.set_ssbd(ssbd)
-            def iteration() -> int:
-                cycles = machine.execute(isa.work(10_000))
-                for i in range(int(density)):
-                    addr = 0x9000_0000 + 64 * (i % 64)
-                    cycles += machine.execute(isa.store(addr))
-                    cycles += machine.execute(isa.load(addr))
-                return cycles
+            # An iteration is one run: the work, then pairs over 64 lines.
+            block = (isa.work(10_000),) + isa.store_load_window(
+                0x9000_0000, 64, 0, int(density))
             for _ in range(4):
-                iteration()
-            return sum(iteration() for _ in range(iterations)) / iterations
+                machine.run(block)
+            return sum(machine.run(block) for _ in range(iterations)) / iterations
         return 100.0 * (cost(True) / cost(False) - 1.0)
 
     return sweep("store->load pairs per iteration", densities, one)

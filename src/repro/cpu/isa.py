@@ -10,6 +10,8 @@ measurements depend on:
   execution through the ``ARITH.DIVIDER_ACTIVE`` performance counter;
 * memory operations (``LOAD``, ``STORE``, ``CLFLUSH``) that interact with
   the cache, TLB, store buffer and the MDS-leakable fill buffers;
+* two compressed forms: ``WORK`` (straight-line compute of a known cost)
+  and ``STORE_LOAD`` (a run of store→load pairs on consecutive lines);
 * control flow (``BRANCH_COND``, ``BRANCH_INDIRECT``, ``CALL``,
   ``CALL_INDIRECT``, ``RET``) that interacts with the BTB and RSB and can
   trigger transient execution windows;
@@ -58,6 +60,8 @@ class Op(enum.Enum):
     # Memory
     LOAD = "load"
     STORE = "store"
+    # Trace compression: store(a), load(a) on ``value`` lines from ``address``.
+    STORE_LOAD = "store_load"
     CLFLUSH = "clflush"
 
     # Control flow
@@ -291,6 +295,29 @@ def store(address: int, size: int = 8, kernel: bool = False,
           value: int = 0) -> Instruction:
     return Instruction(Op.STORE, address=address, size=size,
                        kernel_address=kernel, value=value)
+
+
+@functools.lru_cache(maxsize=4096)
+def store_load(address: int, count: int) -> Instruction:
+    """``count`` pairs ``store(a), load(a)``, ``a`` on consecutive 64-byte
+    lines from ``address`` (value 0, user addresses)."""
+    if count < 1:
+        raise ValueError("a store->load run needs at least one pair")
+    return Instruction(Op.STORE_LOAD, address=address, value=count)
+
+
+def store_load_window(base: int, lines: int, cursor: int,
+                      count: int) -> Tuple[Instruction, ...]:
+    """``count`` pairs, pair ``i`` on line ``(cursor + i) % lines`` of the
+    ring of ``lines`` lines at ``base``: one pair run up to each wrap."""
+    runs = []
+    line = cursor % lines
+    while count > 0:
+        run = min(count, lines - line)
+        runs.append(store_load(base + 64 * line, run))
+        count -= run
+        line = 0
+    return tuple(runs)
 
 
 def clflush(address: int) -> Instruction:

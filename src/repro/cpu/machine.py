@@ -39,6 +39,7 @@ from .buffers import FILL_BUFFER, LOAD_PORT, STORE_BUFFER, MicroarchBuffers
 from .condbp import ConditionalPredictor
 from .cache import Cache, CacheHierarchy
 from .counters import PerfCounters
+from . import isa
 from .isa import Instruction, Op, SERIALIZING_OPS
 from .model import CPUModel
 from .modes import Mode
@@ -62,9 +63,11 @@ _KERNEL_ENTRIES = ctr.KERNEL_ENTRIES
 _BTB_FLUSH_ON_ENTRY = ctr.BTB_FLUSH_ON_ENTRY
 
 _LOAD = Op.LOAD
+_STORE_LOAD = Op.STORE_LOAD
+_STORE_TAG, _LOAD_TAG = isa.store(0).attr_tag, isa.load(0).attr_tag
 
-#: The ``_DISPATCH`` entry of LOAD and STORE: ``Machine.run`` executes
-#: both inline, so every other op pays one identity test against it.
+#: The ``_DISPATCH`` entry of LOAD, STORE and STORE_LOAD: ``Machine.run``
+#: executes them inline, so every other op pays one identity test.
 _MEMORY = object()
 
 #: Retpoline flavors (paper Figure 4).
@@ -249,18 +252,21 @@ class Machine:
         counter file without ``inst_retired.any`` yet (to keep the key
         order per-instruction counting gives).
 
-        Loads and stores execute here.  The first one after any other op
-        binds the TLB, cache, store-buffer and MDS state they use, with
-        the mode, the memory costs and the store buffer's and MDS buffers'
-        ``observer`` slots (SMT siblings share the MDS buffers); the first
-        forwarded load reads the SSBD bit.  Only other ops change that
-        state, so every other op drops the binding.  Within a run, a
-        repeat of the last L1 line (so of its page) skips both lookups,
-        and a load of the latest store's line forwards with no store-buffer
-        lookup: each is already the most recent entry.  The MDS residue is
-        read only by other ops and observers, so a memory run leaves its
-        latest load's and store's when it ends, and per op while the
-        buffers have an observer.
+        Loads, stores and store->load pair runs execute here.  The first
+        one after any other op binds the TLB, cache, store-buffer and MDS
+        state they use, with the mode, the memory costs and the store
+        buffer's and MDS buffers' ``observer`` slots (SMT siblings share
+        the MDS buffers); the first forwarded load or pair run reads the
+        SSBD bit.  Only other ops change that state, so every other op
+        drops the binding.  Within a run, a repeat of the last L1 line (so
+        of its page) skips both lookups: both are already the most recent
+        entry.  The MDS residue is read only by other ops and observers, so
+        a memory run leaves its latest load's and store's when it ends,
+        and per op while the buffers have an observer.  A pair run does its
+        stores, then counts its loads in bulk (each forwards from its own
+        store; at depth 0 it hits L1).  It steps through its pairs instead
+        where a per-instruction case above, an observer or a pending split
+        reads mid-run state, and at a first forward (for the key order).
 
         With ``--engine=block`` (and no leakage tracer attached),
         concrete multi-instruction sequences route through the
@@ -275,13 +281,11 @@ class Machine:
         counters = self.counters
         events = counters.events
         ledger = self.ledger
-        if ledger is not None:
-            splits = ledger._splits
-            tags: dict = {}
+        splits, tags = (ledger._splits, {}) if ledger is not None else ((), None)
         per_instruction = (self.hooks is not None or self.obs.enabled
                            or _RETIRED not in events)
         filing = per_instruction or ledger is not None
-        total = retired = 0
+        total = retired = stepped = 0
         bound = False
         try:
             for instr in instructions:
@@ -307,7 +311,7 @@ class Machine:
                         # The memory run's latest load and store are its
                         # MDS residue, left when the run ends.  -1 is no
                         # page or line (addresses are non-negative).
-                        last_page = last_line = store_line = -1
+                        last_page = last_line = -1
                         ssbd = last_load = last_store = None
                         full = False
                         mode = self.mode
@@ -323,10 +327,68 @@ class Machine:
                         pending, depth, sb_observer = sb._pending, sb.depth, sb.observer
                         residue = self.mds_buffers._residue
                         buffers_observer = self.mds_buffers.observer
+                    address = instr.address
+                    op = instr.op
+                    if op is _STORE_LOAD:
+                        count = instr.value
+                        ssbd = self.msr.ssbd_enabled
+                        stlf = _STLF_BLOCKED if ssbd else _STLF_HITS
+                        if (per_instruction or sb_observer is not None
+                                or buffers_observer is not None or splits
+                                or (depth and stlf not in events)):
+                            # Its pairs as a run of their own, after this run's tally.
+                            bound = False
+                            if ledger is not None:
+                                ledger.file(tags)
+                                tags.clear()
+                            stepped += self.run(half for a in range(
+                                address, address + 64 * count, 64)
+                                for half in (isa.store(a), isa.load(a)))
+                            continue
+                        # The stores as below (a TLB step per page), then the loads.
+                        stop = address + 64 * count
+                        cycles = store_cost * count
+                        for page in range(address >> 12, ((stop - 64) >> 12) + 1):
+                            if page != last_page and not tlb.access(page << 12):
+                                events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
+                                cycles += tlb_miss
+                            last_page = page
+                        if count >= depth:
+                            pending.clear()
+                        for sb_line in range(address >> 6, stop >> 6)[-depth:]:
+                            if sb_line in pending:
+                                pending.move_to_end(sb_line)
+                            pending[sb_line] = 0
+                        while len(pending) > depth:
+                            pending.popitem(False)
+                        for address in range(address, stop, 64):
+                            line = address // line_bytes
+                            lines = l1_sets[line % num_sets]
+                            if line in lines:
+                                lines.move_to_end(line)
+                            else:
+                                lines[line] = True
+                                if len(lines) > ways:
+                                    lines.popitem(False)
+                                self.caches.l2.access(address)
+                        last_line = line
+                        residue[FILL_BUFFER] = residue[LOAD_PORT] = \
+                            residue[STORE_BUFFER] = (address, mode)
+                        last_load = last_store = None
+                        penalty = self.cpu.ssbd_load_penalty if ssbd and depth else 0
+                        load = forward_cost if depth and not ssbd else load_cycles[1] + penalty
+                        if depth:
+                            events[stlf] += count
+                        if ledger is not None:
+                            ledger.tally(tags, cycles, _STORE_TAG)
+                            ledger.add_split(penalty * count, "ssbd", "stlf_block")
+                            ledger.tally(tags, load * count, _LOAD_TAG)
+                        total += cycles + load * count
+                        retired += 2 * count
+                        continue
                     # A user-mode load of kernel memory faults before any
                     # state changes (transient ones go through _transient_load).
-                    address = instr.address
-                    if instr.kernel_address and instr.op is _LOAD and not mode.is_kernel:
+                    if instr.kernel_address and op is _LOAD and not mode.is_kernel:
                         raise SegmentationFault(address, str(mode))
                     line = address // line_bytes
                     cycles = 0
@@ -344,9 +406,9 @@ class Machine:
                                         tlb_entries.popitem(False)
                                     events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
                                     cycles = tlb_miss
-                    if instr.op is _LOAD:
+                    if op is _LOAD:
                         sb_line = address >> 6
-                        forwarded = sb_line == store_line or sb_line in pending
+                        forwarded = sb_line in pending
                         if forwarded:
                             if ssbd is None:
                                 ssbd = self.msr.ssbd_enabled
@@ -402,7 +464,6 @@ class Machine:
                             last_line = line
                         value = instr.value
                         sb_line = address >> 6
-                        store_line = sb_line
                         if sb_line in pending:
                             pending.move_to_end(sb_line)
                             pending[sb_line] = value
@@ -411,8 +472,6 @@ class Machine:
                             if full or len(pending) > depth:
                                 full = True
                                 pending.popitem(False)
-                                if not depth:  # the push evicted its own line
-                                    store_line = -1
                         if sb_observer is not None:
                             sb_observer.sb_push(address, value)
                         if buffers_observer is None:
@@ -446,7 +505,7 @@ class Machine:
             if not per_instruction:
                 counters.tsc += total
                 events[_RETIRED] += retired
-        return total
+        return total + stepped
 
     def prime_block(self, instructions: Sequence[Instruction]) -> None:
         """Pre-compile a known-hot sequence (kernel entry/exit, handler
@@ -954,6 +1013,7 @@ _DISPATCH = {
     Op.PAUSE: Machine._op_pause,
     Op.LOAD: _MEMORY,
     Op.STORE: _MEMORY,
+    Op.STORE_LOAD: _MEMORY,
     Op.CLFLUSH: Machine._op_clflush,
     Op.BRANCH_COND: Machine._execute_cond_branch,
     Op.BRANCH_INDIRECT: Machine._execute_indirect,

@@ -16,15 +16,14 @@ stream."  We reproduce that structure:
 
 Bulk arithmetic is carried as compressed WORK instructions; the
 store-to-load forwarding traffic (what SSBD penalizes — Firefox paid it
-through the seccomp policy, Figure 3) is emitted as real store/load pairs
-against the machine's store buffer.
+through the seccomp policy, Figure 3) is emitted as store->load pair runs
+(``isa.store_load``), which execute against the machine's store buffer.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..cpu import isa
 from ..cpu.isa import Instruction
@@ -61,28 +60,6 @@ CALL_CYCLES = 6
 PAIR_LINES = 512
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_ring(heap_base: int) -> Tuple[Instruction, ...]:
-    """A store and a load of each of the heap's lines, twice over, so
-    any rotation of up to :data:`PAIR_LINES` pairs is one slice."""
-    pairs: List[Instruction] = []
-    for line in range(PAIR_LINES):
-        address = heap_base + 64 * line
-        pairs += (isa.store(address), isa.load(address))
-    return tuple(pairs) * 2
-
-
-def store_load_pairs(heap_base: int, cursor: int,
-                     count: int) -> Tuple[Instruction, ...]:
-    """``count`` store/load pairs, pair ``i`` on heap line
-    ``(cursor + i) % PAIR_LINES``, as slices of one interned ring."""
-    ring = _pair_ring(heap_base)
-    start = 2 * (cursor % PAIR_LINES)
-    laps, rest = divmod(count, PAIR_LINES)
-    return (ring[start:start + 2 * PAIR_LINES] * laps
-            + ring[start:start + 2 * rest])
-
-
 class JITCompiler:
     """Compiles an :class:`OpMix` under a mitigation config for a machine."""
 
@@ -109,7 +86,7 @@ class JITCompiler:
 
         The bulk op population is carried as WORK (sum of per-access
         costs), with hardening priced per access from this machine's cost
-        table; the forwarding-sensitive traffic is real store/load pairs.
+        table; the forwarding-sensitive traffic is store->load pair runs.
         """
         config = self.config
         cycles = mix.arith_cycles
@@ -136,5 +113,6 @@ class JITCompiler:
             if extra:
                 block.append(isa.work(extra, mitigation="spectre_v1",
                                       primitive="pointer_poison"))
-        block += store_load_pairs(heap_base, cursor, mix.store_load_pairs)
+        block += isa.store_load_window(heap_base, PAIR_LINES, cursor,
+                                       mix.store_load_pairs)
         return block

@@ -29,8 +29,8 @@ from .jit import (
     MASK_STALL_CYCLES,
     OBJECT_ACCESS_CYCLES,
     OpMix,
+    PAIR_LINES,
     POINTER_DEREF_CYCLES,
-    store_load_pairs,
 )
 
 #: Conditional branches per iteration whose predicate SLH must maintain,
@@ -67,7 +67,8 @@ class SLHCompiler:
         cycles += predicate_branches * self.machine.costs.alu
 
         block: List[Instruction] = [isa.work(cycles)]
-        block += store_load_pairs(heap_base, cursor, mix.store_load_pairs)
+        block += isa.store_load_window(heap_base, PAIR_LINES, cursor,
+                                       mix.store_load_pairs)
         return block
 
 

@@ -28,7 +28,7 @@ from ..cpu import isa
 from ..cpu.machine import Machine, steady_state
 from ..cpu.model import CPUModel
 from ..errors import WorkloadError
-from ..jsengine.jit import store_load_pairs
+from ..jsengine.jit import PAIR_LINES
 from ..kernel import HandlerProfile, Kernel, Process
 from ..mitigations.base import MitigationConfig
 
@@ -143,8 +143,8 @@ class CustomRunner:
             elif step.kind == "fault":
                 cycles += self.kernel.page_fault(step.profile)
             elif step.kind == "stl":
-                cycles += machine.run(store_load_pairs(
-                    CUSTOM_HEAP, self._cursor, step.amount))
+                cycles += machine.run(isa.store_load_window(
+                    CUSTOM_HEAP, PAIR_LINES, self._cursor, step.amount))
                 self._cursor += step.amount
             elif step.kind == "loads":
                 for i in range(step.amount):

@@ -98,17 +98,15 @@ class PARSECRunner:
 
     def iteration_block(self) -> List[Instruction]:
         """The next outer-loop iteration's instructions, in order: the
-        work, the store/load pairs, then the streaming loads."""
+        work, the store->load pairs, then the streaming loads."""
         w = self.workload
         strides = w.stride_count()
         base = HEAP_BASE
         block = [isa.work(w.work_cycles)]
         # Store-to-load forwarding traffic: write a slot, read it right
         # back (accumulator/array-update patterns).
-        for i in range(w.store_load_pairs):
-            addr = base + 64 * ((self._cursor + i) % strides)
-            block.append(isa.store(addr))
-            block.append(isa.load(addr))
+        block += isa.store_load_window(base, strides, self._cursor,
+                                       w.store_load_pairs)
         # Streaming loads over the working set (misses when it exceeds L2).
         for i in range(w.plain_loads):
             addr = base + (1 << 24) + 64 * ((self._cursor * w.plain_loads + i) % strides)

@@ -25,6 +25,8 @@ from repro.obs.spans import SpanTracer
 from repro.workloads import parsec
 from repro.workloads.lfs import READ_PROFILE
 
+from ..pairs import spelled_out
+
 
 @pytest.fixture
 def m():
@@ -247,11 +249,12 @@ def test_run_sums_costs(m):
 
 # -- the committed load/store path against a reference --------------------- #
 #
-# Machine.run executes loads and stores inline, against structure state
-# bound once per run of memory ops.  The reference below spells the same
-# semantics as separate public structure calls, with the two cache levels
-# as plain Cache.access calls, and files its cycles the way
-# Machine.execute does.
+# Machine.run executes loads, stores and store->load pair runs inline,
+# against structure state bound once per run of memory ops.  The reference
+# below spells the same semantics as separate public structure calls, with
+# the two cache levels as plain Cache.access calls, a pair run as its
+# store(a), load(a) pairs, and files its cycles the way Machine.execute
+# does.
 
 def _reference_level(caches, address):
     return 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
@@ -303,6 +306,8 @@ def _reference_store(m, instr):
 
 
 def _reference_execute(m, instr):
+    if instr.op is isa.Op.STORE_LOAD:
+        return sum(_reference_execute(m, half) for half in spelled_out([instr]))
     if instr.op is isa.Op.LOAD:
         cycles = _reference_load(m, instr)
     elif instr.op is isa.Op.STORE:
@@ -320,8 +325,10 @@ def _memory_stream(rng, l1_stride):
     """Loads and stores over lines that collide in one L1 set (L2 hits),
     flushed lines (memory), fresh pages and cr3 switches (TLB misses),
     kernel-mode kernel loads, verw and L1D flushes; store/load pairs on
-    one line (the JIT's and PARSEC's), one with a store to another line
-    between them, and one in kernel mode."""
+    one line, one with a store to another line between them, and one in
+    kernel mode; and pair runs (the JIT's, PARSEC's and the custom
+    workload's) of 1 to 600 pairs from lines the stream touches, which
+    cross pages and go round the L1 sets."""
     addresses = [0x5000_0000 + k * l1_stride for k in range(12)]
     addresses += [0x5100_0000 + 64 * k for k in range(6)]
     stream = []
@@ -357,6 +364,19 @@ def _memory_stream(rng, l1_stride):
             kernel = 0xFFFF_8000_0000_0000 + 64 * rng.randrange(4)
             stream.extend([isa.syscall_instr(), isa.store(kernel, value=5),
                            isa.load(kernel, kernel=True), isa.sysret_instr()])
+    # One pair on a line _tainted_tracer taints, 63 ending on the last
+    # line of a page, 64 and 65 crossing into the next (the 65 ending on
+    # a tainted line), 600 going round the L1 sets nine times, and more
+    # from seeded lines.
+    runs = [(1, addresses[0]), (63, addresses[13]), (64, addresses[13]),
+            (65, addresses[2]), (600, addresses[5]), (1, addresses[3])]
+    runs += [(count, rng.choice(addresses)) for count in (1, 64, 65, 65)]
+    for count, address in runs:
+        stream.insert(rng.randrange(len(stream)), isa.store_load(address, count))
+    # A load, then a run that crosses into the load's page from the page
+    # before it: the run's second page still takes its TLB step.
+    at = rng.randrange(len(stream))
+    stream[at:at] = [isa.load(0x5201_0000), isa.store_load(0x5201_0000 - 128, 4)]
     return stream
 
 
@@ -372,7 +392,12 @@ def test_load_store_path_matches_reference(cpu, ssbd):
     fast, ref = machines
     l1 = fast.caches.l1
     stream = _memory_stream(random.Random(7), l1.num_sets * l1.line_bytes)
+    split = True
     for instr in stream:
+        if split and instr.op is isa.Op.STORE_LOAD:
+            split = False  # the first store takes a pending split
+            for machine in machines:
+                machine.ledger.add_split(2, "spectre_v2", "retpoline")
         assert fast.execute(instr) == _reference_execute(ref, instr)
 
     assert fast.read_tsc() == ref.read_tsc()
@@ -404,7 +429,7 @@ def test_load_store_path_matches_reference(cpu, ssbd):
 
 def _reference_run(m, block):
     total = 0
-    for instr in block:
+    for instr in spelled_out(block):
         if instr.op is isa.Op.LOAD:
             cycles = _reference_load(m, instr)
         elif instr.op is isa.Op.STORE:
@@ -638,6 +663,9 @@ def test_memory_runs_match_reference(cpu, ssbd, observer, depth):
     fast, ref = machines
     residue_seen = False
     for chunk in _memory_chunks(fast, ssbd):
+        if observer == "ledger" and chunk[0].op is isa.Op.STORE_LOAD:
+            for machine in machines:  # the run's first store takes it
+                machine.ledger.add_split(2, "spectre_v2", "retpoline")
         assert fast.run(chunk) == _reference_run(ref, chunk)
         assert _machine_state(fast) == _machine_state(ref)
         if observer == "tracer":
@@ -655,6 +683,49 @@ def test_memory_runs_match_reference(cpu, ssbd, observer, depth):
     # except at depth 0, where no load may forward (nor be blocked).
     for name in (ctr.STLF_BLOCKED, ctr.STLF_HITS):
         assert (fast.counters.read(name) > 0) is (depth != 0)
+
+
+@pytest.mark.parametrize("ssbd", [False, True], ids=["ssbd_off", "ssbd_on"])
+def test_stepped_pair_run_keeps_the_ledger_order_of_its_run(ssbd):
+    # Under an enabled span tracer a pair run steps through its halves in a
+    # run of their own; what its enclosing run tallied before it is filed
+    # first, so the ledger entries keep the per-instruction order.
+    machines = []
+    for _ in range(2):
+        machine = Machine(get_cpu("zen3"), seed=0)
+        machine.attach(CycleLedger())
+        machine.attach(SpanTracer())
+        machine.msr.set_ssbd(ssbd)
+        machines.append(machine)
+    fast, ref = machines
+    block = [isa.work(9, mitigation="pti", primitive="mov_cr3"),
+             isa.store_load(0x6000_0000, 70), isa.load(0x6000_0040),
+             isa.work(4, mitigation="mds", primitive="verw")]
+    for _ in range(2):
+        assert fast.run(block) == _reference_run(ref, block)
+        assert _machine_state(fast) == _machine_state(ref)
+    assert list(fast.ledger._entries.items()) == list(ref.ledger._entries.items())
+    assert fast.counters.read(ctr.STLF_BLOCKED if ssbd else ctr.STLF_HITS) == 140
+
+
+@pytest.mark.parametrize("ssbd", [False, True], ids=["ssbd_off", "ssbd_on"])
+def test_first_forwarding_pair_run_keeps_the_counter_key_order(ssbd):
+    # The run's first line is on a page the TLB holds with no miss counted,
+    # the rest on a new page: written out, the first load's forward is
+    # counted before that page's TLB miss, and the counters keep that order.
+    machines = []
+    for _ in range(2):
+        machine = Machine(get_cpu("zen3"), seed=0)
+        machine.msr.set_ssbd(ssbd)
+        machine.execute(isa.work(5))
+        machine.tlb.access(0x6000_0000)
+        machines.append(machine)
+    fast, ref = machines
+    block = [isa.store_load(0x6000_0000 + 4096 - 128, 4)]
+    assert fast.run(block) == _reference_run(ref, block)
+    assert _machine_state(fast) == _machine_state(ref)
+    assert list(fast.counters.events)[1:] == [
+        ctr.STLF_BLOCKED if ssbd else ctr.STLF_HITS, ctr.TLB_MISSES]
 
 
 @pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus() if cpu.smt])

@@ -6,9 +6,11 @@ import pytest
 
 from repro.cpu import Machine, get_cpu, isa
 from repro.cpu.isa import Op
-from repro.jsengine.jit import JITCompiler, OpMix, _pair_ring
+from repro.jsengine.jit import PAIR_LINES, JITCompiler, OpMix
 from repro.jsengine.slh import SLHCompiler
 from repro.mitigations import MitigationConfig
+
+from ..pairs import spelled_out
 
 
 MIX = OpMix(arith_cycles=1000, array_accesses=100, object_accesses=50,
@@ -29,10 +31,14 @@ def compiled_cycles(machine, config, mix=MIX):
 
 
 def test_store_load_pairs_are_real_instructions(machine):
-    jit = JITCompiler(machine, MitigationConfig.all_off())
-    block = jit.compile_iteration(MIX, heap_base=0x4000_0000)
-    assert sum(1 for i in block if i.op is Op.STORE) == 8
-    assert sum(1 for i in block if i.op is Op.LOAD) == 8
+    # Written out, each compiler's pair runs are MIX's 8 store/load pairs.
+    for compiler in (JITCompiler(machine, MitigationConfig.all_off()),
+                     SLHCompiler(machine)):
+        block = spelled_out(compiler.compile_iteration(MIX, heap_base=0x4000_0000))
+        assert [i for i in block if i.op is not Op.WORK] == \
+            _spelled_out_pairs(0x4000_0000, 0, 8)
+        assert sum(1 for i in block if i.op is Op.STORE) == 8
+        assert sum(1 for i in block if i.op is Op.LOAD) == 8
 
 
 def test_index_masking_adds_per_array_access_cost(machine):
@@ -81,8 +87,8 @@ def test_cursor_rotates_pair_addresses(machine):
     jit = JITCompiler(machine, MitigationConfig.all_off())
     block_a = jit.compile_iteration(MIX, heap_base=0x4000_0000, cursor=0)
     block_b = jit.compile_iteration(MIX, heap_base=0x4000_0000, cursor=3)
-    addrs_a = [i.address for i in block_a if i.op is Op.STORE]
-    addrs_b = [i.address for i in block_b if i.op is Op.STORE]
+    addrs_a = [i.address for i in spelled_out(block_a) if i.op is Op.STORE]
+    addrs_b = [i.address for i in spelled_out(block_b) if i.op is Op.STORE]
     assert addrs_a != addrs_b
 
 
@@ -98,15 +104,18 @@ def _spelled_out_pairs(heap_base, cursor, count):
 @pytest.mark.parametrize("count", [0, 1, 55, 512, 513, 1100])
 @pytest.mark.parametrize("cursor", [0, 1, 511, 512, 1023, 4099])
 def test_pairs_are_the_interned_per_pair_instructions(machine, cursor, count):
-    # isa.store and isa.load intern a bounded number of operand sets, and
-    # an earlier test may have evicted the ring's: rebuild it first.
-    _pair_ring.cache_clear()
+    # The pairs are interned runs, one up to each wrap of the ring; written
+    # out, they are the interned per-pair store and load instructions.
     mix = dataclasses.replace(MIX, store_load_pairs=count)
     for compiler in (JITCompiler(machine, MitigationConfig.all_off()),
                      SLHCompiler(machine)):
         block = compiler.compile_iteration(mix, heap_base=0x4000_0000,
                                            cursor=cursor)
-        pairs = [i for i in block if i.op is not Op.WORK]
+        runs = [i for i in block if i.op is not Op.WORK]
+        assert all(run is isa.store_load(run.address, run.value) for run in runs)
+        wraps = (cursor % PAIR_LINES + count - 1) // PAIR_LINES
+        assert len(runs) == (wraps + 1 if count else 0)
+        pairs = spelled_out(runs)
         expected = _spelled_out_pairs(0x4000_0000, cursor, count)
         assert len(pairs) == len(expected) == 2 * count
         assert all(got is want for got, want in zip(pairs, expected))

@@ -8,6 +8,8 @@ from repro.jsengine.jit import JITCompiler, OpMix
 from repro.jsengine.slh import SLHCompiler, slh_blocks_all_v1_variants
 from repro.mitigations import MitigationConfig
 
+from ..pairs import spelled_out
+
 
 MIX = OpMix(arith_cycles=10000, array_accesses=200, object_accesses=150,
             pointer_derefs=500, store_load_pairs=40, calls=100)
@@ -48,7 +50,8 @@ def test_slh_blocks_the_v1_gadget(every_cpu):
 
 def test_slh_emits_the_same_memory_traffic(machine):
     """SLH changes cycle counts, not the workload's memory behaviour."""
-    block = SLHCompiler(machine).compile_iteration(MIX, heap_base=0x4000_0000)
+    block = spelled_out(SLHCompiler(machine).compile_iteration(
+        MIX, heap_base=0x4000_0000))
     assert sum(1 for i in block if i.op is Op.STORE) == MIX.store_load_pairs
     assert sum(1 for i in block if i.op is Op.LOAD) == MIX.store_load_pairs
 

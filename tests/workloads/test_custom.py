@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.cpu import get_cpu
+from repro.cpu import get_cpu, isa
 from repro.cpu import Machine
 from repro.errors import WorkloadError
 from repro.kernel import HandlerProfile
 from repro.mitigations import MitigationConfig, SSBDMode, linux_default
-from repro.workloads.custom import WorkloadBuilder
+from repro.workloads.custom import CUSTOM_HEAP, WorkloadBuilder
+
+from ..pairs import spelled_out
 
 RECV = HandlerProfile("custom_recv", work_cycles=2000, loads=10, stores=4,
                       indirect_branches=6, copy_bytes=256)
@@ -106,3 +108,34 @@ def test_page_fault_step_uses_the_exception_path():
                               iterations=10, warmup=3)
     assert fault_cost - sys_cost == pytest.approx(EXCEPTION_EXTRA_CYCLES,
                                                   abs=2)
+
+
+@pytest.mark.parametrize("seccomp", [False, True], ids=["ssbd_off", "ssbd_on"])
+def test_store_load_step_runs_the_spelled_out_pairs(seccomp, monkeypatch):
+    # The stl step's runs, written out, are its pairs on the custom heap's
+    # 512-line ring (cursors 0, 300, 600 and 900 wrap it), and they cost
+    # what the spelled-out pairs cost on a twin machine.
+    builder = (WorkloadBuilder("stl").store_load_pairs(300)
+               .process(uses_seccomp=seccomp))
+    config = MitigationConfig(ssbd_mode=SSBDMode.SECCOMP)
+    fast, ref = (builder.build_runner(Machine(get_cpu("zen3")), config)
+                 for _ in range(2))
+    blocks = []
+    run = ref.machine.run
+
+    def run_spelled_out(block):
+        blocks.append(spelled_out(block))
+        return run(blocks[-1])
+
+    monkeypatch.setattr(ref.machine, "run", run_spelled_out)
+    for cursor in (0, 300, 600, 900):
+        assert fast.run_iteration() == ref.run_iteration()
+        expected = []
+        for i in range(300):
+            address = CUSTOM_HEAP + 64 * ((cursor + i) % 512)
+            expected += (isa.store(address), isa.load(address))
+        assert blocks[-1] == expected
+    for machine in (fast.machine, ref.machine):
+        assert machine.msr.ssbd_enabled is seccomp
+    assert fast.machine.counters.tsc == ref.machine.counters.tsc
+    assert fast.machine.counters.events == ref.machine.counters.events

@@ -2,16 +2,21 @@
 
 import pytest
 
-from repro.cpu import Machine, get_cpu
+from repro.cpu import Machine, get_cpu, isa
+from repro.kernel import Kernel
 from repro.mitigations import MitigationConfig, SSBDMode, linux_default
 from repro.workloads.parsec import (
     BODYTRACK,
     FACESIM,
+    HEAP_BASE,
     SUITE,
     SWAPTIONS,
+    PARSECRunner,
     get_workload,
     run_workload,
 )
+
+from ..pairs import spelled_out
 
 
 def test_suite_is_the_paper_trio():
@@ -97,3 +102,23 @@ def test_timer_tick_fires():
     for _ in range(TIMER_PERIOD):
         runner.run_iteration()
     assert kernel.machine.counters.read(ctr.KERNEL_ENTRIES) >= 1
+
+
+@pytest.mark.parametrize("workload", SUITE, ids=[w.name for w in SUITE])
+def test_iteration_block_is_the_spelled_out_iteration(workload):
+    # Written out, an iteration's pair runs are its store/load pairs, one
+    # per line of the working set's ring, at cursors whose pairs wrap it.
+    cpu = get_cpu("zen3")
+    runner = PARSECRunner(Kernel(Machine(cpu, seed=1), linux_default(cpu)), workload)
+    strides = workload.stride_count()
+    for cursor in (0, strides - workload.store_load_pairs // 2, strides - 1,
+                   3 * strides + 5):
+        expected = [isa.work(workload.work_cycles)]
+        for i in range(workload.store_load_pairs):
+            address = HEAP_BASE + 64 * ((cursor + i) % strides)
+            expected += (isa.store(address), isa.load(address))
+        for i in range(workload.plain_loads):
+            expected.append(isa.load(HEAP_BASE + (1 << 24) + 64 * (
+                (cursor * workload.plain_loads + i) % strides)))
+        runner._cursor = cursor
+        assert spelled_out(runner.iteration_block()) == expected
