@@ -170,8 +170,8 @@ def ssbd_overhead_vs_forwarding_density(
             machine = Machine(cpu, seed=1)
             machine.msr.set_ssbd(ssbd)
             # An iteration is one run: the work, then pairs over 64 lines.
-            block = (isa.work(10_000),) + isa.store_load_window(
-                0x9000_0000, 64, 0, int(density))
+            block = (isa.work(10_000),) + isa.run_window(
+                isa.store_load, 0x9000_0000, 64, 0, int(density))
             for _ in range(4):
                 machine.run(block)
             return sum(machine.run(block) for _ in range(iterations)) / iterations

@@ -10,8 +10,8 @@ measurements depend on:
   execution through the ``ARITH.DIVIDER_ACTIVE`` performance counter;
 * memory operations (``LOAD``, ``STORE``, ``CLFLUSH``) that interact with
   the cache, TLB, store buffer and the MDS-leakable fill buffers;
-* two compressed forms: ``WORK`` (straight-line compute of a known cost)
-  and ``STORE_LOAD`` (a run of store→load pairs on consecutive lines);
+* compressed forms: ``WORK`` (straight-line compute of a known cost) and
+  runs on consecutive lines (``LOAD_RUN``, ``STORE_RUN``, ``STORE_LOAD``);
 * control flow (``BRANCH_COND``, ``BRANCH_INDIRECT``, ``CALL``,
   ``CALL_INDIRECT``, ``RET``) that interacts with the BTB and RSB and can
   trigger transient execution windows;
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .msr import (
     IA32_FLUSH_CMD,
@@ -60,7 +60,9 @@ class Op(enum.Enum):
     # Memory
     LOAD = "load"
     STORE = "store"
-    # Trace compression: store(a), load(a) on ``value`` lines from ``address``.
+    # Trace compression: load(a), store(a) or both on ``value`` lines (expand()).
+    LOAD_RUN = "load_run"
+    STORE_RUN = "store_run"
     STORE_LOAD = "store_load"
     CLFLUSH = "clflush"
 
@@ -105,6 +107,9 @@ PREDICTED_BRANCH_OPS = frozenset({Op.BRANCH_INDIRECT, Op.CALL_INDIRECT, Op.RET})
 
 #: Ops that serialize the pipeline (no transient window may cross them).
 SERIALIZING_OPS = frozenset({Op.LFENCE, Op.WRMSR, Op.MOV_CR3, Op.VERW})
+
+# Plain globals for expand(): each ``Op.X`` access is a Python-level descriptor call.
+_LOAD_RUN, _STORE_RUN, _STORE_LOAD = Op.LOAD_RUN, Op.STORE_RUN, Op.STORE_LOAD
 
 
 class Instruction:
@@ -298,26 +303,58 @@ def store(address: int, size: int = 8, kernel: bool = False,
 
 
 @functools.lru_cache(maxsize=4096)
+def load_run(address: int, count: int, kernel: bool = False) -> Instruction:
+    """``load(a)`` on ``count`` consecutive 64-byte lines from ``address``."""
+    return _run(Op.LOAD_RUN, address, count, kernel)
+
+
+@functools.lru_cache(maxsize=4096)
+def store_run(address: int, count: int, kernel: bool = False) -> Instruction:
+    """``store(a)`` on ``count`` consecutive 64-byte lines from ``address``."""
+    return _run(Op.STORE_RUN, address, count, kernel)
+
+
+@functools.lru_cache(maxsize=4096)
 def store_load(address: int, count: int) -> Instruction:
-    """``count`` pairs ``store(a), load(a)``, ``a`` on consecutive 64-byte
-    lines from ``address`` (value 0, user addresses)."""
+    """``store(a), load(a)`` (user addresses) on ``count`` consecutive
+    64-byte lines from ``address``."""
+    return _run(Op.STORE_LOAD, address, count, False)
+
+
+def _run(op: Op, address: int, count: int, kernel: bool) -> Instruction:
     if count < 1:
-        raise ValueError("a store->load run needs at least one pair")
-    return Instruction(Op.STORE_LOAD, address=address, value=count)
+        raise ValueError(f"a {op.value} needs at least one line")
+    return Instruction(op, address=address, value=count, kernel_address=kernel)
 
 
-def store_load_window(base: int, lines: int, cursor: int,
-                      count: int) -> Tuple[Instruction, ...]:
-    """``count`` pairs, pair ``i`` on line ``(cursor + i) % lines`` of the
-    ring of ``lines`` lines at ``base``: one pair run up to each wrap."""
+def run_window(run, base: int, lines: int, cursor: int,
+               count: int) -> Tuple[Instruction, ...]:
+    """``count`` lines of the ring of ``lines`` lines at ``base``, line
+    ``i`` at ``(cursor + i) % lines``: one ``run(address, n)`` (a run
+    constructor above) up to each wrap."""
     runs = []
     line = cursor % lines
     while count > 0:
-        run = min(count, lines - line)
-        runs.append(store_load(base + 64 * line, run))
-        count -= run
+        n = min(count, lines - line)
+        runs.append(run(base + 64 * line, n))
+        count -= n
         line = 0
     return tuple(runs)
+
+
+def expand(block: Iterable[Instruction]) -> Iterator[Instruction]:
+    """``block`` with each run written out as its plain loads and stores:
+    the interned instructions :func:`load` and :func:`store` return."""
+    for instr in block:
+        op = instr.op
+        if op is not _LOAD_RUN and op is not _STORE_RUN and op is not _STORE_LOAD:
+            yield instr
+            continue
+        emit = store if op is _STORE_RUN else load
+        for a in range(instr.address, instr.address + 64 * instr.value, 64):
+            if op is _STORE_LOAD:
+                yield store(a)
+            yield emit(a, kernel=True) if instr.kernel_address else emit(a)
 
 
 def clflush(address: int) -> Instruction:

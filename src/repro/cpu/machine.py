@@ -62,11 +62,11 @@ _VERW_CLEARS = ctr.VERW_CLEARS
 _KERNEL_ENTRIES = ctr.KERNEL_ENTRIES
 _BTB_FLUSH_ON_ENTRY = ctr.BTB_FLUSH_ON_ENTRY
 
-_LOAD = Op.LOAD
+_LOAD, _STORE, _LOAD_RUN, _STORE_RUN = Op.LOAD, Op.STORE, Op.LOAD_RUN, Op.STORE_RUN
 _STORE_LOAD = Op.STORE_LOAD
 _STORE_TAG, _LOAD_TAG = isa.store(0).attr_tag, isa.load(0).attr_tag
 
-#: The ``_DISPATCH`` entry of LOAD, STORE and STORE_LOAD: ``Machine.run``
+#: The ``_DISPATCH`` entry of loads, stores and runs: ``Machine.run``
 #: executes them inline, so every other op pays one identity test.
 _MEMORY = object()
 
@@ -225,11 +225,12 @@ class Machine:
         """Place an instruction block at a code address.
 
         Transient execution steered to ``address`` (by a poisoned BTB entry
-        or an RSB underflow fallback) will execute this block wrong-path.
+        or an RSB underflow fallback) will execute this block wrong-path,
+        its runs written out as their loads and stores.
         """
         if address == 0:
             raise ValueError("address 0 is reserved as the harmless target")
-        self.program[address] = list(block)
+        self.program[address] = list(isa.expand(block))
 
     # ------------------------------------------------------------------ #
     # Committed execution
@@ -252,21 +253,24 @@ class Machine:
         counter file without ``inst_retired.any`` yet (to keep the key
         order per-instruction counting gives).
 
-        Loads, stores and store->load pair runs execute here.  The first
-        one after any other op binds the TLB, cache, store-buffer and MDS
-        state they use, with the mode, the memory costs and the store
-        buffer's and MDS buffers' ``observer`` slots (SMT siblings share
-        the MDS buffers); the first forwarded load or pair run reads the
-        SSBD bit.  Only other ops change that state, so every other op
-        drops the binding.  Within a run, a repeat of the last L1 line (so
-        of its page) skips both lookups: both are already the most recent
-        entry.  The MDS residue is read only by other ops and observers, so
-        a memory run leaves its latest load's and store's when it ends,
-        and per op while the buffers have an observer.  A pair run does its
-        stores, then counts its loads in bulk (each forwards from its own
-        store; at depth 0 it hits L1).  It steps through its pairs instead
-        where a per-instruction case above, an observer or a pending split
-        reads mid-run state, and at a first forward (for the key order).
+        Loads, stores and runs on consecutive lines (``LOAD_RUN``,
+        ``STORE_RUN``, ``STORE_LOAD``) execute here.  The first one after
+        any other op binds the TLB, cache, store-buffer and MDS state they
+        use, with the mode, the memory costs and the store buffer's and MDS
+        buffers' ``observer`` slots (SMT siblings share the MDS buffers);
+        the first forwarded load or pair run reads the SSBD bit.  Only
+        other ops change that state, so every other op drops the binding.
+        Within a run, a repeat of the last L1 line (so of its page) skips
+        both lookups: both are already the most recent entry.  The MDS
+        residue is read only by other ops and observers, so a memory run
+        leaves its latest load's and store's when it ends, and per op while
+        the buffers have an observer.  A run takes a TLB step per page, then
+        that page's L1 touches, pushes its stores as one store-buffer batch
+        and charges its loads by level (a pair run's forward; at depth 0
+        they hit L1).  It steps through its halves instead, after writing
+        back the deferred residue, where a per-instruction case above, an
+        observer, a pending split, a pair run's first forward (for the key
+        order) or a load run's fault or forward would show.
 
         With ``--engine=block`` (and no leakage tracer attached),
         concrete multi-instruction sequences route through the
@@ -322,75 +326,113 @@ class Machine:
                         pcid = tlb.current_pcid if tlb.supports_pcid else 0
                         l1 = self.caches.l1
                         l1_sets, num_sets, ways = l1._sets, l1.num_sets, l1.ways
-                        line_bytes = l1.line_bytes
                         sb = self.store_buffer
                         pending, depth, sb_observer = sb._pending, sb.depth, sb.observer
                         residue = self.mds_buffers._residue
                         buffers_observer = self.mds_buffers.observer
                     address = instr.address
                     op = instr.op
-                    if op is _STORE_LOAD:
+                    if op is not _LOAD and op is not _STORE:
+                        # A run: its halves on ``count`` consecutive lines.
                         count = instr.value
-                        ssbd = self.msr.ssbd_enabled
-                        stlf = _STLF_BLOCKED if ssbd else _STLF_HITS
-                        if (per_instruction or sb_observer is not None
-                                or buffers_observer is not None or splits
-                                or (depth and stlf not in events)):
-                            # Its pairs as a run of their own, after this run's tally.
+                        line = address >> 6
+                        end = line + count
+                        sb_lines = range(line, end)
+                        if op is _STORE_LOAD:
+                            ssbd = self.msr.ssbd_enabled
+                            stlf = _STLF_BLOCKED if ssbd else _STLF_HITS
+                            step = depth and stlf not in events
+                        else:  # a load's fault, forward and SSBD stay per load
+                            step = op is _LOAD_RUN and (
+                                (instr.kernel_address and not mode.is_kernel)
+                                or not pending.keys().isdisjoint(sb_lines))
+                        if (step or per_instruction or sb_observer is not None
+                                or buffers_observer is not None or splits):
+                            # Its halves as their own run, after this run's residue and tally.
                             bound = False
+                            if last_load is not None:
+                                residue[FILL_BUFFER] = residue[LOAD_PORT] = (
+                                    last_load.value or last_load.address, mode)
+                            if last_store is not None:
+                                residue[STORE_BUFFER] = (
+                                    last_store.value or last_store.address, mode)
                             if ledger is not None:
                                 ledger.file(tags)
                                 tags.clear()
-                            stepped += self.run(half for a in range(
-                                address, address + 64 * count, 64)
-                                for half in (isa.store(a), isa.load(a)))
+                            stepped += self.run(isa.expand((instr,)))
                             continue
-                        # The stores as below (a TLB step per page), then the loads.
-                        stop = address + 64 * count
-                        cycles = store_cost * count
-                        for page in range(address >> 12, ((stop - 64) >> 12) + 1):
-                            if page != last_page and not tlb.access(page << 12):
-                                events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
-                                cycles += tlb_miss
-                            last_page = page
-                        if count >= depth:
-                            pending.clear()
-                        for sb_line in range(address >> 6, stop >> 6)[-depth:]:
-                            if sb_line in pending:
-                                pending.move_to_end(sb_line)
-                            pending[sb_line] = 0
-                        while len(pending) > depth:
-                            pending.popitem(False)
-                        for address in range(address, stop, 64):
-                            line = address // line_bytes
-                            lines = l1_sets[line % num_sets]
-                            if line in lines:
-                                lines.move_to_end(line)
-                            else:
-                                lines[line] = True
-                                if len(lines) > ways:
-                                    lines.popitem(False)
-                                self.caches.l2.access(address)
-                        last_line = line
-                        residue[FILL_BUFFER] = residue[LOAD_PORT] = \
+                        # Per page a TLB step, then its (64-byte) lines' L1 touches.
+                        cycles = 0 if op is _LOAD_RUN else store_cost * count
+                        misses = slow = 0
+                        while line < end:
+                            page = line >> 6
+                            if page != last_page:
+                                last_page = page
+                                if page not in global_pages:
+                                    key = (pcid, page)
+                                    if key in tlb_entries:
+                                        tlb_entries.move_to_end(key)
+                                    else:
+                                        tlb_entries[key] = True
+                                        if len(tlb_entries) > tlb_capacity:
+                                            tlb_entries.popitem(False)
+                                        events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
+                                        cycles += tlb_miss
+                            missed = misses
+                            edge = (page + 1) << 6  # the next page's first line
+                            for line in range(line, end if end < edge else edge):
+                                lines = l1_sets[line % num_sets]
+                                if line in lines:
+                                    lines.move_to_end(line)
+                                else:
+                                    lines[line] = True
+                                    if len(lines) > ways:
+                                        lines.popitem(False)
+                                    misses += 1
+                                    slow += (load_cycles[2] if self.caches.l2.access(line << 6)
+                                             else load_cycles[0]) - load_cycles[1]
+                            line += 1
+                            if misses != missed and op is _LOAD_RUN:
+                                events[_L1_MISSES] = events.get(_L1_MISSES, 0) + misses - missed
+                        last_line = end - 1
+                        address += 64 * count - 64
+                        if op is _LOAD_RUN:
+                            cycles += load_cycles[1] * count + slow
+                        else:  # the stores' buffer pushes as one batch
+                            if count >= depth:
+                                pending.clear()
+                            for sb_line in sb_lines[-depth:]:
+                                if sb_line in pending:
+                                    pending.move_to_end(sb_line)
+                                pending[sb_line] = 0
+                            for _ in range(len(pending) - depth):
+                                pending.popitem(False)
                             residue[STORE_BUFFER] = (address, mode)
-                        last_load = last_store = None
-                        penalty = self.cpu.ssbd_load_penalty if ssbd and depth else 0
-                        load = forward_cost if depth and not ssbd else load_cycles[1] + penalty
-                        if depth:
-                            events[stlf] += count
+                            last_store = None
+                        if op is not _STORE_RUN:
+                            residue[FILL_BUFFER] = residue[LOAD_PORT] = (address, mode)
+                            last_load = None
                         if ledger is not None:
-                            ledger.tally(tags, cycles, _STORE_TAG)
-                            ledger.add_split(penalty * count, "ssbd", "stlf_block")
-                            ledger.tally(tags, load * count, _LOAD_TAG)
-                        total += cycles + load * count
-                        retired += 2 * count
+                            ledger.tally(tags, cycles, _LOAD_TAG if op is _LOAD_RUN else _STORE_TAG)
+                        total += cycles
+                        retired += count
+                        if op is _STORE_LOAD:
+                            # Each load forwards from its own store (at depth 0 it hits L1).
+                            penalty = self.cpu.ssbd_load_penalty if ssbd and depth else 0
+                            load = forward_cost if depth and not ssbd else load_cycles[1] + penalty
+                            if depth:
+                                events[stlf] += count
+                            if ledger is not None:
+                                ledger.add_split(penalty * count, "ssbd", "stlf_block")
+                                ledger.tally(tags, load * count, _LOAD_TAG)
+                            total += load * count
+                            retired += count
                         continue
                     # A user-mode load of kernel memory faults before any
                     # state changes (transient ones go through _transient_load).
                     if instr.kernel_address and op is _LOAD and not mode.is_kernel:
                         raise SegmentationFault(address, str(mode))
-                    line = address // line_bytes
+                    line = address >> 6  # the 64-byte line of the L1 and the store buffer
                     cycles = 0
                     if line != last_line:
                         page = address >> 12
@@ -407,8 +449,7 @@ class Machine:
                                     events[_TLB_MISSES] = events.get(_TLB_MISSES, 0) + 1
                                     cycles = tlb_miss
                     if op is _LOAD:
-                        sb_line = address >> 6
-                        forwarded = sb_line in pending
+                        forwarded = line in pending
                         if forwarded:
                             if ssbd is None:
                                 ssbd = self.msr.ssbd_enabled
@@ -463,12 +504,11 @@ class Machine:
                                 self.caches.l2.access(address)
                             last_line = line
                         value = instr.value
-                        sb_line = address >> 6
-                        if sb_line in pending:
-                            pending.move_to_end(sb_line)
-                            pending[sb_line] = value
+                        if line in pending:
+                            pending.move_to_end(line)
+                            pending[line] = value
                         else:  # a full buffer stays full: each new line evicts
-                            pending[sb_line] = value
+                            pending[line] = value
                             if full or len(pending) > depth:
                                 full = True
                                 pending.popitem(False)
@@ -856,15 +896,16 @@ class Machine:
         sandbox model: it is the machine-level analogue of "the processor
         speculatively executed the body of the if statement".  Returns the
         number of instructions that executed before the window closed
-        (serializing instruction, blocked access, or window exhaustion).
-        No committed cycles are charged.
+        (serializing instruction, blocked access, or window exhaustion),
+        a run counting as its loads and stores.  No committed cycles are
+        charged.
         """
         hooks = self.hooks
         if hooks is not None:
             hooks.window_begin(obs_leakage.SPECTRE_PHT, self.mode)
         budget = self.cpu.spec_window
         executed = 0
-        for instr in block:
+        for instr in isa.expand(block):
             if budget <= 0:
                 break
             if instr.op in SERIALIZING_OPS:
@@ -1013,6 +1054,8 @@ _DISPATCH = {
     Op.PAUSE: Machine._op_pause,
     Op.LOAD: _MEMORY,
     Op.STORE: _MEMORY,
+    Op.LOAD_RUN: _MEMORY,
+    Op.STORE_RUN: _MEMORY,
     Op.STORE_LOAD: _MEMORY,
     Op.CLFLUSH: Machine._op_clflush,
     Op.BRANCH_COND: Machine._execute_cond_branch,

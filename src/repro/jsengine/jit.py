@@ -113,6 +113,6 @@ class JITCompiler:
             if extra:
                 block.append(isa.work(extra, mitigation="spectre_v1",
                                       primitive="pointer_poison"))
-        block += isa.store_load_window(heap_base, PAIR_LINES, cursor,
-                                       mix.store_load_pairs)
+        block += isa.run_window(isa.store_load, heap_base, PAIR_LINES, cursor,
+                                mix.store_load_pairs)
         return block

@@ -67,8 +67,8 @@ class SLHCompiler:
         cycles += predicate_branches * self.machine.costs.alu
 
         block: List[Instruction] = [isa.work(cycles)]
-        block += isa.store_load_window(heap_base, PAIR_LINES, cursor,
-                                       mix.store_load_pairs)
+        block += isa.run_window(isa.store_load, heap_base, PAIR_LINES, cursor,
+                                mix.store_load_pairs)
         return block
 
 

@@ -42,10 +42,11 @@ class HandlerProfile:
     """Work done by one kernel code path (per invocation).
 
     ``work_cycles`` is bulk straight-line computation; ``loads``/``stores``
-    touch this profile's working set (so they warm up across iterations
-    like real kernel data structures); ``indirect_branches`` are indirect
-    call sites (priced per the V2 strategy); ``copy_bytes`` models a
-    user/kernel copy at one load+store per 64-byte line.
+    sweep this profile's working set, one run of consecutive lines each
+    (so they warm up across iterations like real kernel data structures);
+    ``indirect_branches`` are indirect call sites (priced per the V2
+    strategy); ``copy_bytes`` models a user/kernel copy at one load+store
+    per 64-byte line.
     """
 
     name: str
@@ -85,10 +86,10 @@ class HandlerProfile:
         block: List[Instruction] = []
         if self.work_cycles:
             block.append(isa.work(self.work_cycles))
-        for i in range(self.loads):
-            block.append(isa.load(base + 64 * i, kernel=True))
-        for i in range(self.stores):
-            block.append(isa.store(base + 32768 + 64 * i, kernel=True))
+        if self.loads:
+            block.append(isa.load_run(base, self.loads, kernel=True))
+        if self.stores:
+            block.append(isa.store_run(base + 32768, self.stores, kernel=True))
         for i in range(self.indirect_branches):
             pc = text + 16 * i
             target = text + 0x8000 + 16 * i

@@ -143,14 +143,14 @@ class CustomRunner:
             elif step.kind == "fault":
                 cycles += self.kernel.page_fault(step.profile)
             elif step.kind == "stl":
-                cycles += machine.run(isa.store_load_window(
-                    CUSTOM_HEAP, PAIR_LINES, self._cursor, step.amount))
+                cycles += machine.run(isa.run_window(
+                    isa.store_load, CUSTOM_HEAP, PAIR_LINES, self._cursor,
+                    step.amount))
                 self._cursor += step.amount
             elif step.kind == "loads":
-                for i in range(step.amount):
-                    addr = CUSTOM_HEAP + (1 << 22) + \
-                        64 * ((self._cursor + i) % 4096)
-                    cycles += machine.execute(isa.load(addr))
+                cycles += machine.run(isa.run_window(
+                    isa.load_run, CUSTOM_HEAP + (1 << 22), 4096, self._cursor,
+                    step.amount))
                 self._cursor += step.amount
         self._iteration += 1
         period = self.builder._ctx_period

@@ -105,12 +105,11 @@ class PARSECRunner:
         block = [isa.work(w.work_cycles)]
         # Store-to-load forwarding traffic: write a slot, read it right
         # back (accumulator/array-update patterns).
-        block += isa.store_load_window(base, strides, self._cursor,
-                                       w.store_load_pairs)
+        block += isa.run_window(isa.store_load, base, strides, self._cursor,
+                                w.store_load_pairs)
         # Streaming loads over the working set (misses when it exceeds L2).
-        for i in range(w.plain_loads):
-            addr = base + (1 << 24) + 64 * ((self._cursor * w.plain_loads + i) % strides)
-            block.append(isa.load(addr))
+        block += isa.run_window(isa.load_run, base + (1 << 24), strides,
+                                self._cursor * w.plain_loads, w.plain_loads)
         self._cursor += w.plain_loads
         return block
 

@@ -95,3 +95,40 @@ def test_repr_is_informative():
     text = repr(isa.branch_indirect(0x2000, pc=0x100, retpoline=True))
     assert "branch_indirect" in text and "retpoline" in text
     assert "addr=0x1000" in repr(isa.load(0x1000))
+
+
+@pytest.mark.parametrize("run", [isa.load_run, isa.store_run, isa.store_load],
+                         ids=["load_run", "store_run", "store_load"])
+def test_runs_are_interned_and_take_at_least_one_line(run):
+    assert run(0x4000, 3) is run(0x4000, 3)
+    assert run(0x4000, 3).value == 3
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            run(0x4000, count)
+
+
+def test_expand_writes_runs_out_as_the_interned_plain_instructions():
+    # A user line is isa.load(a), a kernel line isa.load(a, kernel=True):
+    # the same objects the plain emitters return (lru_cache keys on the
+    # arguments as passed, so load(a, kernel=False) would be another).
+    work = isa.work(3)
+    block = [work, isa.load_run(0x4000, 2), isa.store_run(0x8000, 2, kernel=True),
+             isa.load_run(0xFFFF_8000_0000_0000, 1, kernel=True),
+             isa.store_load(0x4000, 2), isa.store_run(0x9000, 1)]
+    assert list(isa.expand(block)) == [
+        work, isa.load(0x4000), isa.load(0x4040),
+        isa.store(0x8000, kernel=True), isa.store(0x8040, kernel=True),
+        isa.load(0xFFFF_8000_0000_0000, kernel=True),
+        isa.store(0x4000), isa.load(0x4000), isa.store(0x4040), isa.load(0x4040),
+        isa.store(0x9000)]
+
+
+def test_run_window_puts_one_run_up_to_each_wrap():
+    # Line i of the window is line (cursor + i) % lines of the ring, laps
+    # included, for every run constructor.
+    for run in (isa.load_run, isa.store_run, isa.store_load):
+        window = isa.run_window(run, 0x10000, 8, 13, 20)
+        assert [(r.address, r.value) for r in window] == [
+            (0x10000 + 64 * 5, 3), (0x10000, 8), (0x10000, 8), (0x10000, 1)]
+        assert all(r is run(r.address, r.value) for r in window)
+    assert isa.run_window(isa.load_run, 0x10000, 8, 3, 0) == ()

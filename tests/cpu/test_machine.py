@@ -249,12 +249,15 @@ def test_run_sums_costs(m):
 
 # -- the committed load/store path against a reference --------------------- #
 #
-# Machine.run executes loads, stores and store->load pair runs inline,
-# against structure state bound once per run of memory ops.  The reference
-# below spells the same semantics as separate public structure calls, with
-# the two cache levels as plain Cache.access calls, a pair run as its
-# store(a), load(a) pairs, and files its cycles the way Machine.execute
-# does.
+# Machine.run executes loads, stores and the three runs (load, store and
+# store->load pair runs) inline, against structure state bound once per run
+# of memory ops.  The reference below spells the same semantics as separate
+# public structure calls, with the two cache levels as plain Cache.access
+# calls, a run as its loads and stores (isa.expand), and files its cycles
+# the way Machine.execute does.
+
+_RUNS = (isa.Op.LOAD_RUN, isa.Op.STORE_RUN, isa.Op.STORE_LOAD)
+
 
 def _reference_level(caches, address):
     return 1 if caches.l1.access(address) else 2 if caches.l2.access(address) else 0
@@ -306,7 +309,7 @@ def _reference_store(m, instr):
 
 
 def _reference_execute(m, instr):
-    if instr.op is isa.Op.STORE_LOAD:
+    if instr.op in _RUNS:
         return sum(_reference_execute(m, half) for half in spelled_out([instr]))
     if instr.op is isa.Op.LOAD:
         cycles = _reference_load(m, instr)
@@ -326,9 +329,13 @@ def _memory_stream(rng, l1_stride):
     flushed lines (memory), fresh pages and cr3 switches (TLB misses),
     kernel-mode kernel loads, verw and L1D flushes; store/load pairs on
     one line, one with a store to another line between them, and one in
-    kernel mode; and pair runs (the JIT's, PARSEC's and the custom
-    workload's) of 1 to 600 pairs from lines the stream touches, which
-    cross pages and go round the L1 sets."""
+    kernel mode; pair runs (the JIT's, PARSEC's and the custom
+    workload's), and user and kernel-mode load and store runs (a handler's
+    working-set sweep), of 1 to 600 lines from lines the stream touches,
+    which cross pages and go round the L1 sets; load runs over a line a
+    store just left pending, which step and forward (the store's residue
+    must survive the step); and a user-mode kernel load run, which
+    faults at its first line."""
     addresses = [0x5000_0000 + k * l1_stride for k in range(12)]
     addresses += [0x5100_0000 + 64 * k for k in range(6)]
     stream = []
@@ -377,7 +384,35 @@ def _memory_stream(rng, l1_stride):
     # before it: the run's second page still takes its TLB step.
     at = rng.randrange(len(stream))
     stream[at:at] = [isa.load(0x5201_0000), isa.store_load(0x5201_0000 - 128, 4)]
+    # Load and store runs: the pair runs' sizes, user and kernel lines;
+    # right after a sysret the machine is in user mode.
+    kernel = 0xFFFF_8000_0000_0000
+    for run in (isa.load_run, isa.store_run):
+        for count, user, line in [(1, addresses[0], 0), (63, addresses[13], 1),
+                                  (64, addresses[13], 1), (65, addresses[2], 2),
+                                  (600, addresses[5], 0)]:
+            stream.insert(rng.randrange(len(stream)), run(user, count))
+            at = stream.index(isa.sysret_instr(), rng.randrange(len(stream) // 2)) + 1
+            stream[at:at] = [isa.syscall_instr(),
+                             run(kernel + 64 * line, count, kernel=True),
+                             isa.sysret_instr()]
+    # A store, then a load run over its line: three anywhere and one at the
+    # end, so the last chunk's run ends with the stepped load run.
+    for last in (False, False, False, True):
+        address = rng.choice(addresses)
+        at = len(stream) if last else rng.randrange(len(stream))
+        stream[at:at] = [isa.store(address + 64, value=9), isa.load_run(address, 3)]
+    at = stream.index(isa.sysret_instr(), rng.randrange(len(stream) // 2)) + 1
+    stream.insert(at, isa.load_run(kernel + 64, 2, kernel=True))
     return stream
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the address and mode of the fault it raised."""
+    try:
+        return call(*args)
+    except SegmentationFault as fault:
+        return (fault.address, fault.mode)
 
 
 @pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus()])
@@ -392,13 +427,13 @@ def test_load_store_path_matches_reference(cpu, ssbd):
     fast, ref = machines
     l1 = fast.caches.l1
     stream = _memory_stream(random.Random(7), l1.num_sets * l1.line_bytes)
-    split = True
+    unsplit = set(_RUNS)
     for instr in stream:
-        if split and instr.op is isa.Op.STORE_LOAD:
-            split = False  # the first store takes a pending split
+        if instr.op in unsplit:
+            unsplit.discard(instr.op)  # the first half takes a pending split
             for machine in machines:
                 machine.ledger.add_split(2, "spectre_v2", "retpoline")
-        assert fast.execute(instr) == _reference_execute(ref, instr)
+        assert _outcome(fast.execute, instr) == _outcome(_reference_execute, ref, instr)
 
     assert fast.read_tsc() == ref.read_tsc()
     assert list(fast.counters.events.items()) == list(ref.counters.events.items())
@@ -663,10 +698,10 @@ def test_memory_runs_match_reference(cpu, ssbd, observer, depth):
     fast, ref = machines
     residue_seen = False
     for chunk in _memory_chunks(fast, ssbd):
-        if observer == "ledger" and chunk[0].op is isa.Op.STORE_LOAD:
-            for machine in machines:  # the run's first store takes it
+        if observer == "ledger" and chunk[0].op in _RUNS:
+            for machine in machines:  # the run's first half takes it
                 machine.ledger.add_split(2, "spectre_v2", "retpoline")
-        assert fast.run(chunk) == _reference_run(ref, chunk)
+        assert _outcome(fast.run, chunk) == _outcome(_reference_run, ref, chunk)
         assert _machine_state(fast) == _machine_state(ref)
         if observer == "tracer":
             assert _tracer_state(fast.hooks) == _tracer_state(ref.hooks)
@@ -728,6 +763,43 @@ def test_first_forwarding_pair_run_keeps_the_counter_key_order(ssbd):
         ctr.STLF_BLOCKED if ssbd else ctr.STLF_HITS, ctr.TLB_MISSES]
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "tlb_warm"])
+def test_load_run_enters_a_fresh_counter_file_in_spelled_out_order(warm):
+    # Per page, the TLB step comes before that page's L1 touches: with the
+    # first page's translation warm, written out the first load's L1 miss
+    # is counted before the second page's TLB miss, and cold after it.
+    machines = []
+    for _ in range(2):
+        machine = Machine(get_cpu("zen3"), seed=0)
+        machine.execute(isa.work(5))
+        if warm:
+            machine.tlb.access(0x6000_0000)
+        machines.append(machine)
+    fast, ref = machines
+    block = [isa.load_run(0x6000_0000 + 4096 - 128, 4)]
+    assert fast.run(block) == _reference_run(ref, block)
+    assert _machine_state(fast) == _machine_state(ref)
+    order = [ctr.L1_MISSES, ctr.TLB_MISSES]
+    assert list(fast.counters.events)[1:] == (order if warm else order[::-1])
+
+
+@pytest.mark.parametrize("run", [isa.load_run, isa.store_run, isa.store_load],
+                         ids=["load_run", "store_run", "store_load"])
+def test_transient_path_runs_a_run_as_its_halves(run):
+    # speculate() and register_code() write a run out: it executes (and
+    # counts against the window) as its loads and stores, leaving their
+    # footprint (L1 lines for the loads, MDS residue for both).
+    fast, ref, fresh = (Machine(get_cpu("broadwell"), seed=0) for _ in range(3))
+    block = [run(0x6000_0000, 2)]
+    halves = spelled_out(block)
+    assert fast.speculate(block) == ref.speculate(halves) == len(halves)
+    assert _machine_state(fast) == _machine_state(ref)
+    assert fast.mds_buffers._residue != fresh.mds_buffers._residue
+    assert fast.transient_loads == ref.transient_loads
+    fast.register_code(0x9000, block)
+    assert fast.program[0x9000] == halves
+
+
 @pytest.mark.parametrize("cpu", [cpu.key for cpu in all_cpus() if cpu.smt])
 def test_sibling_memory_runs_reach_the_tracer_on_thread0(cpu):
     # SMT siblings share the MDS buffers, so thread 1's residue reaches a
@@ -745,7 +817,7 @@ def test_sibling_memory_runs_reach_the_tracer_on_thread0(cpu):
     assert fast.hooks is None
     residue_seen = False
     for chunk in _memory_chunks(fast, ssbd=False):
-        assert fast.run(chunk) == _reference_run(ref, chunk)
+        assert _outcome(fast.run, chunk) == _outcome(_reference_run, ref, chunk)
         assert _machine_state(fast) == _machine_state(ref)
         assert _tracer_state(tracers[0]) == _tracer_state(tracers[1])
         residue_seen = residue_seen or bool(tracers[0]._residue)

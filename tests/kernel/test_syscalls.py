@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu import isa
 from repro.cpu.isa import Op
 from repro.kernel.syscalls import GETPID, HandlerProfile
 from repro.mitigations import MitigationConfig, V2Strategy
@@ -15,7 +16,10 @@ def test_compiled_shape_counts():
     profile = HandlerProfile("p", work_cycles=100, loads=3, stores=2,
                              indirect_branches=4, copy_bytes=128)
     block = compile_profile(profile)
-    ops = [i.op for i in block]
+    # The working-set sweeps are one run each; the copy alternates halves.
+    assert [i.op for i in block].count(Op.LOAD_RUN) == 1
+    assert [i.op for i in block].count(Op.STORE_RUN) == 1
+    ops = [i.op for i in isa.expand(block)]
     assert ops.count(Op.WORK) == 1
     assert ops.count(Op.LOAD) == 3 + 2   # loads + copy source lines
     assert ops.count(Op.STORE) == 2 + 2  # stores + copy dest lines
@@ -59,14 +63,14 @@ def test_branch_pcs_are_distinct():
 def test_regions_do_not_overlap():
     profile = HandlerProfile("p", loads=4)
     def memory_addrs(region):
-        return {i.address for i in compile_profile(profile, region=region)
+        return {i.address for i in isa.expand(compile_profile(profile, region=region))
                 if i.op in (Op.LOAD, Op.STORE)}
     assert not memory_addrs(0) & memory_addrs(1)
 
 
 def test_memory_ops_are_kernel_addresses():
     block = compile_profile(HandlerProfile("p", loads=2, stores=2))
-    for instr in block:
+    for instr in isa.expand(block):
         if instr.op in (Op.LOAD, Op.STORE):
             assert instr.kernel_address
 

@@ -300,6 +300,9 @@ _ROWS = [
     Claim("fig2/skylake_client/total", "about 30%", Band(25)),
     *_orders("fig2", "total", ("broadwell", "cascade_lake", "ice_lake_server"),
              "Cascade Lake in between"),
+    Claim("fig2/cascade_lake/total", "10-18%", Band(10, 18),
+          xfail=("reads 18.95% at --fast, above the paper's 10-18%, with mds "
+                 "at 16.4% of it: the calibration overshoots this cell")),
     Claim("fig2/ice_lake_client/total", "under 3%", Band(high=5)),
     Claim("fig2/ice_lake_server/total", "about 3%", Band(high=5)),
     *(Claim(f"fig2/{cpu}/total", "AMD stays low", Band(high=10))

@@ -139,3 +139,38 @@ def test_store_load_step_runs_the_spelled_out_pairs(seccomp, monkeypatch):
         assert machine.msr.ssbd_enabled is seccomp
     assert fast.machine.counters.tsc == ref.machine.counters.tsc
     assert fast.machine.counters.events == ref.machine.counters.events
+
+
+def _memory_state(machine):
+    # TLB keys are (pcid, page); each twin's process has its own PCID.
+    return (machine.counters.tsc, list(machine.counters.events.items()),
+            [page for _, page in machine.tlb._entries],
+            [(index, list(lines.items()))
+             for index, lines in machine.caches.l1._sets.items()],
+            [(index, list(lines.items()))
+             for index, lines in machine.caches.l2._sets.items()],
+            dict(machine.mds_buffers._residue))
+
+
+def test_streaming_loads_step_runs_the_per_load_executes(monkeypatch):
+    # The loads step is one run of load runs, written out its loads on the
+    # custom heap's 4096-line streaming ring (cursors 0, 1500, 3000 and
+    # 4500 wrap it); a twin machine executing each load on its own ends
+    # with the same TSC, counters, TLB and L1 order and MDS residue.
+    builder = WorkloadBuilder("stream").streaming_loads(1500)
+    config = linux_default(get_cpu("zen3"))
+    fast, ref = (builder.build_runner(Machine(get_cpu("zen3")), config)
+                 for _ in range(2))
+    loads = []
+    run = ref.machine.run
+
+    def execute_each(block):
+        loads[:] = spelled_out(block)
+        return sum(run((load,)) for load in loads)
+
+    monkeypatch.setattr(ref.machine, "run", execute_each)
+    for cursor in (0, 1500, 3000, 4500):
+        assert fast.run_iteration() == ref.run_iteration()
+        assert loads == [isa.load(CUSTOM_HEAP + (1 << 22) + 64 * ((cursor + i) % 4096))
+                         for i in range(1500)]
+        assert _memory_state(fast.machine) == _memory_state(ref.machine)

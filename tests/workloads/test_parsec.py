@@ -107,12 +107,16 @@ def test_timer_tick_fires():
 @pytest.mark.parametrize("workload", SUITE, ids=[w.name for w in SUITE])
 def test_iteration_block_is_the_spelled_out_iteration(workload):
     # Written out, an iteration's pair runs are its store/load pairs, one
-    # per line of the working set's ring, at cursors whose pairs wrap it.
+    # per line of the working set's ring, and its load runs its streaming
+    # loads, at cursors whose pairs wrap the ring and, where one exists
+    # (bodytrack), a cursor whose streaming loads wrap it.
     cpu = get_cpu("zen3")
     runner = PARSECRunner(Kernel(Machine(cpu, seed=1), linux_default(cpu)), workload)
     strides = workload.stride_count()
-    for cursor in (0, strides - workload.store_load_pairs // 2, strides - 1,
-                   3 * strides + 5):
+    loads = workload.plain_loads
+    wraps = [c for c in range(strides) if (c * loads) % strides > strides - loads]
+    for cursor in [0, strides - workload.store_load_pairs // 2, strides - 1,
+                   3 * strides + 5] + wraps[:1]:
         expected = [isa.work(workload.work_cycles)]
         for i in range(workload.store_load_pairs):
             address = HEAP_BASE + 64 * ((cursor + i) % strides)
@@ -121,4 +125,6 @@ def test_iteration_block_is_the_spelled_out_iteration(workload):
             expected.append(isa.load(HEAP_BASE + (1 << 24) + 64 * (
                 (cursor * workload.plain_loads + i) % strides)))
         runner._cursor = cursor
-        assert spelled_out(runner.iteration_block()) == expected
+        block = runner.iteration_block()
+        assert {i.op for i in block[1:]} <= {isa.Op.STORE_LOAD, isa.Op.LOAD_RUN}
+        assert spelled_out(block) == expected
